@@ -354,8 +354,8 @@ def sylvester_chain(T, presentation=None):
         raise ValueError("chains are defined over three variables")
     lin = Ideal(T.ring, T.linear_part().minors(2))
     if lin.codimension() != 3:
-        raise ValueError("standing assumption fails: 2-minors of the "
-                         "linear part are not irrelevant-primary")
+        raise DegenerateTemplate("standing assumption fails: 2-minors of "
+                                 "the linear part are not irrelevant-primary")
     if presentation is None:
         presentation = rees_ideal(T.ideal())
     P = presentation

@@ -9,7 +9,6 @@ the companion ``*_data`` helpers.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from .families import signed_minors
@@ -29,7 +28,6 @@ __all__ = [
     "no_name",
     "de_jonquieres",
     "alberich_matrix",
-    "general_linear",
     "all_fixtures",
 ]
 
@@ -170,25 +168,6 @@ def alberich_matrix():
         [R.zero, R.parse("-x0*x1+x0*x2")],
     ]
     return FormMatrix(R, rows)
-
-
-def general_linear(seed=0):
-    """Random four-by-three matrix of linear forms; minors give a space map.
-
-    Draws integer coefficients in [-5, 5] with the given seed until the
-    maximal minors generate a codimension-two ideal.
-    """
-    R = PolyRing(("x0", "x1", "x2", "x3"), QQ)
-    rng = random.Random(seed)
-    lin = [tuple(1 if k == j else 0 for k in range(4)) for j in range(4)]
-    while True:
-        rows = [[R.from_terms([(m, rng.randint(-5, 5)) for m in lin])
-                 for _ in range(3)] for _ in range(4)]
-        forms = signed_minors(FormMatrix(R, rows))
-        if any(not f for f in forms):
-            continue
-        if Ideal(R, forms).codimension() == 2:
-            return MapFixture("general-linear", RationalMapSpec(R, forms))
 
 
 def all_fixtures():

@@ -1,12 +1,12 @@
 """Buchberger engine on packed integer monomials.
 
-A monomial is stored as one integer whose numeric comparison agrees with
-the term order: per-order fields (degrees, complemented or plain
-exponents) are laid out most significant first, each 24 bits wide with a
-guard bit.  Multiplication then becomes integer addition up to a
-constant and divisibility a two-mask borrow test, so the reduction loop
-never touches exponent tuples.  Coefficients stay exact: fraction-free
-integers over QQ, residues over Fp.
+Terms are integer keys from rings.PackedOrder, whose numeric comparison
+agrees with the term order.  Multiplication then becomes integer
+addition up to a constant and divisibility a two-mask borrow test, so
+the reduction loop never touches exponent tuples.  One engine serves
+ideals and submodules of free modules (keys with a component field,
+position over term).  Coefficients stay exact: fraction-free integers
+over QQ, residues over Fp.
 """
 
 from __future__ import annotations
@@ -20,12 +20,12 @@ from fractions import Fraction
 from math import gcd
 
 from .linalg import Echelon
-from .rings import MonomialOrder, PolyRing, Polynomial, transfer
+from .rings import (FormMatrix, MonomialOrder, PackedOrder, PolyRing,
+                    Polynomial, transfer)
 
 __all__ = [
     "DeadlineExceeded",
     "GroebnerBasis",
-    "PackedOrder",
     "check_deadline",
     "deadline",
     "eliminate",
@@ -33,11 +33,6 @@ __all__ = [
     "live_bases",
     "syzygies",
 ]
-
-_W = 24
-_GUARD = 1 << (_W - 1)
-_MAXF = _GUARD - 1
-
 
 class DeadlineExceeded(RuntimeError):
     """Raised when a computation runs past its cooperative deadline."""
@@ -63,110 +58,6 @@ def check_deadline():
         raise DeadlineExceeded("computation exceeded its time budget")
 
 
-class PackedOrder:
-    """A monomial order compiled to packed integer keys for one ring."""
-
-    __slots__ = ("ring", "order", "fields", "dfields", "mulc", "down", "up",
-                 "guards", "key0")
-
-    def __init__(self, ring, order):
-        n = ring.nvars
-        raw = []
-        kind = order.kind
-        if kind == "grevlex":
-            raw.append(("deg", tuple(range(n))))
-            raw.extend(("comp", i) for i in range(n - 1, -1, -1))
-        elif kind == "lex":
-            raw.extend(("plain", i) for i in range(n))
-        elif kind == "block":
-            seen = []
-            for group in order.data:
-                idx = tuple(ring.index(v) for v in group)
-                seen.extend(idx)
-                raw.append(("deg", idx))
-                raw.extend(("comp", i) for i in reversed(idx))
-            if sorted(seen) != list(range(n)):
-                raise ValueError("block order must cover the ring variables")
-        elif kind == "weighted":
-            weights, tie = order.data
-            if len(weights) != n:
-                raise ValueError("weight vector length mismatch")
-            if any(w <= 0 for w in weights):
-                raise ValueError("weights must be positive")
-            raw.append(("wdeg", tuple(weights)))
-            if tie.kind == "grevlex":
-                raw.append(("deg", tuple(range(n))))
-                raw.extend(("comp", i) for i in range(n - 1, -1, -1))
-            elif tie.kind == "lex":
-                raw.extend(("plain", i) for i in range(n))
-            else:
-                raise ValueError("unsupported weighted tiebreak %r" % tie.kind)
-        else:
-            raise ValueError("unknown order kind %r" % kind)
-        covered = sorted(p for k, p in raw if k in ("comp", "plain"))
-        if covered != list(range(n)):
-            raise ValueError("order does not determine every exponent")
-        nf = len(raw)
-        fields = tuple((k, _W * (nf - 1 - i), p) for i, (k, p) in enumerate(raw))
-        self.ring = ring
-        self.order = order
-        self.fields = fields
-        self.dfields = tuple(f for f in fields if f[0] in ("comp", "plain"))
-        mulc = down = up = guards = 0
-        for k, shift, _p in fields:
-            guards |= _GUARD << shift
-            if k == "comp":
-                mulc |= _MAXF << shift
-                up |= _MAXF << shift
-            else:
-                down |= _MAXF << shift
-        self.mulc = mulc
-        self.down = down
-        self.up = up
-        self.guards = guards
-        self.key0 = self.encode((0,) * n)
-
-    def encode(self, exps):
-        acc = 0
-        for kind, shift, payload in self.fields:
-            if kind == "comp":
-                v = _MAXF - exps[payload]
-            elif kind == "plain":
-                v = exps[payload]
-            elif kind == "deg":
-                v = 0
-                for i in payload:
-                    v += exps[i]
-            else:
-                v = 0
-                for w, x in zip(payload, exps):
-                    v += w * x
-            acc |= v << shift
-        return acc
-
-    def decode(self, key):
-        e = [0] * self.ring.nvars
-        for kind, shift, payload in self.dfields:
-            v = (key >> shift) & _MAXF
-            e[payload] = _MAXF - v if kind == "comp" else v
-        return tuple(e)
-
-    def divides(self, kb, ka):
-        """Whether the monomial of kb divides the monomial of ka."""
-        x = (ka & self.down) | (kb & self.up)
-        y = (kb & self.down) | (ka & self.up)
-        g = self.guards
-        return ((x | g) - y) & g == g
-
-    def lcm(self, ka, kb):
-        ea = self.decode(ka)
-        eb = self.decode(kb)
-        return self.encode(tuple(x if x > y else y for x, y in zip(ea, eb)))
-
-    def tdeg(self, key):
-        return sum(self.decode(key))
-
-
 class _Elt:
     __slots__ = ("key", "terms", "lc", "tdeg", "sugar", "alive", "idx")
 
@@ -181,24 +72,25 @@ class _Elt:
 
 
 def _engine_in(po, poly):
-    """Convert to packed integer terms; returns (terms, scale) with
-    poly == scale * terms (scale a Fraction over QQ, a residue over Fp)."""
+    """Convert to packed integer terms; see _engine_terms."""
     enc = po.encode
-    p = po.ring.field.characteristic
+    return _engine_terms({enc(e): c for e, c in poly.items()},
+                         po.ring.field.characteristic)
+
+
+def _engine_terms(terms, p):
+    """Scale {key: coefficient} to engine form; returns (terms, scale)
+    with input == scale * terms (scale a Fraction over QQ, a residue
+    over Fp)."""
     if p:
-        terms = {}
-        for e, c in poly.items():
-            if c % p:
-                terms[enc(e)] = c % p
+        terms = {k: c % p for k, c in terms.items() if c % p}
         if not terms:
             return {}, 1
-        lead = max(terms)
-        lc = terms[lead]
+        lc = terms[max(terms)]
         if lc != 1:
             inv = pow(lc, -1, p)
             terms = {k: v * inv % p for k, v in terms.items()}
         return terms, lc
-    terms = {enc(e): c for e, c in poly.items()}
     if not terms:
         return {}, Fraction(0)
     den = 1
@@ -332,8 +224,36 @@ def _reduce(fterms, basis, po, p, early=False):
     return out, snum, sden
 
 
-def _buchberger(ring, polys, po):
-    p = ring.field.characteristic
+def _spoly(gi, gj, lk, p):
+    """S-polynomial of two engine elements over the lcm key lk, with
+    fraction-free cofactors over QQ."""
+    cg = gcd(gi.lc, gj.lc)
+    a = gj.lc // cg
+    b = gi.lc // cg
+    offi = lk - gi.key
+    offj = lk - gj.key
+    s = {kk + offi: a * cc for kk, cc in gi.terms.items()}
+    for kk, cc in gj.terms.items():
+        nk = kk + offj
+        nv = s.get(nk, 0) - b * cc
+        if p:
+            nv %= p
+        if nv:
+            s[nk] = nv
+        elif nk in s:
+            del s[nk]
+    return s
+
+
+def _buchberger(seeds, po):
+    """Reduced basis, as packed term dicts, of the (terms, sugar) seeds.
+
+    With po.rank > 0 the seeds are module elements; pairs across
+    components are never formed and the coprime criterion, which only
+    holds for ideals, is skipped.
+    """
+    p = po.ring.field.characteristic
+    ideal = not po.rank
     elts = []
     live = []
     dirty = [True]
@@ -353,11 +273,13 @@ def _buchberger(ring, polys, po):
         cand = []
         for g in elts:
             if g.idx != hidx and g.alive:
-                cand.append((lcmf(lmh, g.key), g.idx))
+                lk = lcmf(lmh, g.key)
+                if lk is not None:
+                    cand.append((lk, g.idx))
         cand.sort()
         kept = []
         for pos, (lk, gi) in enumerate(cand):
-            cop = lk == lmh + elts[gi].key - po.mulc
+            cop = ideal and lk == lmh + elts[gi].key - po.key0
             if not cop:
                 drop = any(po.divides(l2, lk) for l2, _g, _c in kept)
                 if not drop:
@@ -391,17 +313,10 @@ def _buchberger(ring, polys, po):
         dirty[0] = True
         update(idx)
 
-    seeds = []
-    for f in polys:
-        terms, _sc = _engine_in(po, f)
-        if terms:
-            seeds.append((max(terms), terms, f.degree()))
-    seeds.sort(key=lambda s: s[0])
-    for _lead, terms, deg in seeds:
-        red = _reduce(dict(terms), view(), po, p)
-        out = red[0]
+    for terms, sugar in sorted(seeds, key=lambda s: max(s[0])):
+        out = _reduce(dict(terms), view(), po, p)[0]
         if out:
-            add(out, deg)
+            add(out, sugar)
 
     while heap:
         sug, lk, i, j = heapq.heappop(heap)
@@ -409,38 +324,10 @@ def _buchberger(ring, polys, po):
             continue
         del pairs[(i, j)]
         check_deadline()
-        gi = elts[i]
-        gj = elts[j]
-        offi = lk - gi.key
-        offj = lk - gj.key
-        s = {}
-        if p:
-            for kk, cc in gi.terms.items():
-                s[kk + offi] = cc
-            for kk, cc in gj.terms.items():
-                nk = kk + offj
-                nv = (s.get(nk, 0) - cc) % p
-                if nv:
-                    s[nk] = nv
-                elif nk in s:
-                    del s[nk]
-        else:
-            cg = gcd(gi.lc, gj.lc)
-            a = gj.lc // cg
-            b = gi.lc // cg
-            for kk, cc in gi.terms.items():
-                s[kk + offi] = a * cc
-            for kk, cc in gj.terms.items():
-                nk = kk + offj
-                nv = s.get(nk, 0) - b * cc
-                if nv:
-                    s[nk] = nv
-                elif nk in s:
-                    del s[nk]
+        s = _spoly(elts[i], elts[j], lk, p)
         if not s:
             continue
-        red = _reduce(s, view(), po, p)
-        out = red[0]
+        out = _reduce(s, view(), po, p)[0]
         if out:
             add(out, sug)
 
@@ -540,34 +427,8 @@ class GroebnerBasis:
         for i in range(len(elts)):
             for j in range(i + 1, len(elts)):
                 check_deadline()
-                gi, gj = elts[i], elts[j]
-                lk = po.lcm(gi.key, gj.key)
-                offi = lk - gi.key
-                offj = lk - gj.key
-                s = {}
-                if p:
-                    for kk, cc in gi.terms.items():
-                        s[kk + offi] = cc
-                    for kk, cc in gj.terms.items():
-                        nk = kk + offj
-                        nv = (s.get(nk, 0) - cc) % p
-                        if nv:
-                            s[nk] = nv
-                        elif nk in s:
-                            del s[nk]
-                else:
-                    cg = gcd(gi.lc, gj.lc)
-                    a = gj.lc // cg
-                    b = gi.lc // cg
-                    for kk, cc in gi.terms.items():
-                        s[kk + offi] = a * cc
-                    for kk, cc in gj.terms.items():
-                        nk = kk + offj
-                        nv = s.get(nk, 0) - b * cc
-                        if nv:
-                            s[nk] = nv
-                        elif nk in s:
-                            del s[nk]
+                lk = po.lcm(elts[i].key, elts[j].key)
+                s = _spoly(elts[i], elts[j], lk, p)
                 if s and _reduce(s, elts, po, p, early=True) is None:
                     return False
         return all(self.contains(f) for f in self.source)
@@ -586,9 +447,8 @@ def groebner_basis(gens, order=None, ring=None):
     if order is None:
         order = MonomialOrder.grevlex()
     po = PackedOrder(ring, order)
-    nonzero = [g for g in gens if g]
-    dicts = _buchberger(ring, nonzero, po) if nonzero else []
-    return GroebnerBasis(ring, order, gens, po, dicts)
+    seeds = [(_engine_in(po, g)[0], g.degree()) for g in gens if g]
+    return GroebnerBasis(ring, order, gens, po, _buchberger(seeds, po))
 
 
 def eliminate(gens, drop, ring=None):
@@ -675,82 +535,6 @@ def _column_shifts(mat):
     return delta
 
 
-def _module_gb(vecs, po, p, field):
-    """Buchberger for submodules of a free module, position over term."""
-    mk = lambda m: (-m[0], m[1])
-    elts = []
-    leads = []
-    pairs = []
-
-    def reduce_full(v):
-        out = {}
-        while v:
-            m = max(v, key=mk)
-            comp, k = m
-            red = -1
-            for i, (lc2, lk) in enumerate(leads):
-                if lc2 == comp and po.divides(lk, k):
-                    red = i
-                    break
-            if red < 0:
-                out[m] = v.pop(m)
-                continue
-            cf = v[m]
-            off = k - leads[red][1]
-            for (c2, k2), c3 in elts[red].items():
-                tgt = (c2, k2 + off)
-                nv = v.get(tgt, 0) - cf * c3
-                if p:
-                    nv %= p
-                if nv:
-                    v[tgt] = nv
-                elif tgt in v:
-                    del v[tgt]
-        return out
-
-    def add(v):
-        m = max(v, key=mk)
-        inv = field.inv(v[m])
-        if p:
-            v = {kk: vv * inv % p for kk, vv in v.items()}
-        else:
-            v = {kk: vv * inv for kk, vv in v.items()}
-        idx = len(elts)
-        for i, (lc2, lk) in enumerate(leads):
-            if lc2 == m[0]:
-                heapq.heappush(pairs, ((-m[0], po.lcm(lk, m[1])), i, idx))
-        elts.append(v)
-        leads.append(m)
-
-    for v in vecs:
-        red = reduce_full(dict(v))
-        if red:
-            add(red)
-    while pairs:
-        _prio, i, j = heapq.heappop(pairs)
-        check_deadline()
-        (ci, ki), (cj, kj) = leads[i], leads[j]
-        lk = po.lcm(ki, kj)
-        offi = lk - ki
-        offj = lk - kj
-        s = {}
-        for (c2, k2), cf in elts[i].items():
-            s[(c2, k2 + offi)] = cf
-        for (c2, k2), cf in elts[j].items():
-            tgt = (c2, k2 + offj)
-            nv = s.get(tgt, 0) - cf
-            if p:
-                nv %= p
-            if nv:
-                s[tgt] = nv
-            elif tgt in s:
-                del s[tgt]
-        s = reduce_full(s)
-        if s:
-            add(s)
-    return elts
-
-
 def _flatten(w):
     out = {}
     for j, poly in enumerate(w):
@@ -766,30 +550,37 @@ def syzygies(mat):
     column relation module, listed by ascending degree.  The matrix must
     be graded (consistent row and column shifts).
     """
-    from .rings import FormMatrix
-
     ring = mat.ring
     field = ring.field
     p = field.characteristic
-    po = PackedOrder(ring, MonomialOrder.grevlex())
     r, c = mat.nrows, mat.ncols
     delta = _column_shifts(mat)
-    vecs = []
+    # column j is seeded as (column j, e_{r+j}); the basis elements living
+    # in components r.. alone are the relations among the columns
+    po = PackedOrder(ring, MonomialOrder.grevlex(), rank=r + c)
+    enc = po.encode
+    step = po.cstep
+    seeds = []
     for j in range(c):
-        v = {}
+        v = {po.key0 + (r + j) * step: field.coerce(1)}
         for i in range(r):
             for e, cf in mat[i, j].items():
-                v[(i, po.encode(e))] = cf
-        v[(r + j, po.key0)] = field.coerce(1)
-        vecs.append(v)
-    gb = _module_gb(vecs, po, p, field)
+                v[enc(e) + i * step] = cf
+        sugar = max((mat[i, j].degree() for i in range(r) if mat[i, j]),
+                    default=0)
+        seeds.append((_engine_terms(v, p)[0], sugar))
     graded = []
-    for v in gb:
-        if not all(comp >= r for comp, _k in v):
+    # descending keys list leads in lower components first, as in
+    # position over term; the minimalization below keeps the first of
+    # equal-degree candidates
+    for terms in reversed(_buchberger(seeds, po)):
+        if po.component(max(terms)) < r:
             continue
-        w = [ring.zero] * c
-        for (comp, k), cf in v.items():
-            w[comp - r] = w[comp - r] + ring.monomial(po.decode(k), cf)
+        parts = [{} for _ in range(c)]
+        for k, cf in terms.items():
+            parts[po.component(k) - r][po.decode(k)] = (
+                cf if p else Fraction(cf))
+        w = [Polynomial(ring, t) for t in parts]
         degs = {delta[j] + w[j].homogeneous_degree() for j in range(c) if w[j]}
         if len(degs) != 1:
             raise ValueError("syzygy grading inconsistent")

@@ -146,12 +146,6 @@ def invert(F, bound=None, all_candidates=False):
     """
     if not F.is_square():
         raise ValueError("inverse extraction needs a square map")
-    return _invert_core(F, bound, all_candidates)
-
-
-def _invert_core(F, bound=None, all_candidates=False):
-    # Same search without the squareness gate, for maps that are only
-    # birational onto their image (composition still lands on x_i * D).
     if any(not f for f in F.forms):
         return () if all_candidates else None
     P = rees_ideal(Ideal(F.ring, F.forms))

@@ -13,10 +13,12 @@ import itertools
 import math
 import re
 from fractions import Fraction
+from operator import mul
 
 __all__ = [
-    "Field", "QQ", "GF", "MonomialOrder", "PolyRing", "Polynomial",
-    "FormMatrix", "NotDivisibleError", "ParseError", "poly_sqrt", "transfer",
+    "Field", "QQ", "GF", "MonomialOrder", "PackedOrder", "PolyRing",
+    "Polynomial", "FormMatrix", "NotDivisibleError", "ParseError",
+    "poly_sqrt", "transfer",
 ]
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -93,10 +95,11 @@ def GF(p):
 
 
 class MonomialOrder:
-    """Term order description: lex, grevlex, weighted, or block elimination.
+    """Term order description: grevlex, lex, or block elimination.
 
     Orders are specified by variable names so the same order value can be
-    compiled against any ring containing those variables.
+    compiled against any ring containing those variables; PackedOrder
+    does the compiling and is the only code that compares terms.
     """
 
     __slots__ = ("kind", "data")
@@ -118,44 +121,6 @@ class MonomialOrder:
         """Product order eliminating earlier groups, grevlex inside each."""
         return cls("block", tuple(tuple(g) for g in name_groups))
 
-    @classmethod
-    def weighted(cls, weights, tiebreak=None):
-        """Compare by total weight first, then by the tiebreak order."""
-        tb = tiebreak if tiebreak is not None else cls.grevlex()
-        return cls("weighted", (tuple(weights), tb))
-
-    def key_function(self, ring):
-        """Return a python-level sort key on exponent tuples (oracle path)."""
-        n = ring.nvars
-        if self.kind == "grevlex":
-            rng = range(n - 1, -1, -1)
-            return lambda e: (sum(e),) + tuple(-e[i] for i in rng)
-        if self.kind == "lex":
-            return lambda e: e
-        if self.kind == "block":
-            groups = [tuple(ring.index(v) for v in g) for g in self.data]
-            seen = [i for g in groups for i in g]
-            if sorted(seen) != list(range(n)):
-                raise ValueError("block order must cover the ring variables")
-
-            def key(e, groups=groups):
-                out = []
-                for g in groups:
-                    out.append(sum(e[i] for i in g))
-                    out.extend(-e[i] for i in reversed(g))
-                return tuple(out)
-
-            return key
-        if self.kind == "weighted":
-            weights, tb = self.data
-            if len(weights) != n:
-                raise ValueError("weight vector length mismatch")
-            if any(w <= 0 for w in weights):
-                raise ValueError("weights must be positive")
-            tbkey = tb.key_function(ring)
-            return lambda e: (sum(w * x for w, x in zip(weights, e)),) + tbkey(e)
-        raise ValueError("unknown order kind %r" % self.kind)
-
     def __eq__(self, other):
         return (isinstance(other, MonomialOrder)
                 and self.kind == other.kind and self.data == other.data)
@@ -165,6 +130,127 @@ class MonomialOrder:
 
     def __repr__(self):
         return "MonomialOrder(%s)" % self.kind
+
+
+_W = 24
+_GUARD = 1 << (_W - 1)
+_MAXF = _GUARD - 1
+
+
+class PackedOrder:
+    """A term order compiled to packed integer keys for one ring.
+
+    A key lays the order's fields out most significant first, each _W
+    bits wide with a guard bit on top that stays clear: "deg" holds the
+    degree of a group of variables, "comp" the complement _MAXF - e_i
+    and "plain" e_i itself.  Integer comparison of keys is the term
+    order, the product of two monomials has key ka + kb - key0, and
+    divides() is a two-mask borrow test.  Every field is affine in the
+    exponents, so encode() is key0 + sum(e_i * w_i); the fields cannot
+    overflow while the total degree is at most _MAXF, and larger degrees
+    are rejected.
+
+    With rank > 0 the keys are terms of a free module of that rank,
+    position over term: two top fields hold _MAXF - c and c for the
+    component c, so a lower component gives the larger term.  The borrow
+    test lets neither field shrink from divisor to multiple, so it only
+    finds divisors within one component.  The key of the term e in
+    component c is encode(e) + c * cstep.
+    """
+
+    __slots__ = ("ring", "order", "rank", "weights", "key0", "cstep",
+                 "cshift", "dfields", "down", "up", "guards")
+
+    def __init__(self, ring, order, rank=0):
+        n = ring.nvars
+        kind = order.kind
+        raw = [("pos", n), ("plain", n)] if rank else []
+        if kind == "grevlex":
+            raw.append(("deg", tuple(range(n))))
+            raw.extend(("comp", i) for i in range(n - 1, -1, -1))
+        elif kind == "lex":
+            raw.extend(("plain", i) for i in range(n))
+        elif kind == "block":
+            seen = []
+            for group in order.data:
+                idx = tuple(ring.index(v) for v in group)
+                seen.extend(idx)
+                raw.append(("deg", idx))
+                raw.extend(("comp", i) for i in reversed(idx))
+            if sorted(seen) != list(range(n)):
+                raise ValueError("block order must cover the ring variables")
+        else:
+            raise ValueError("unknown order kind %r" % kind)
+        # index n stands for the module component
+        weights = [0] * (n + 1)
+        key0 = down = up = guards = 0
+        dfields = []
+        for pos, (k, arg) in enumerate(raw):
+            shift = _W * (len(raw) - 1 - pos)
+            unit = 1 << shift
+            guards |= _GUARD << shift
+            if k == "deg":
+                for i in arg:
+                    weights[i] += unit
+            elif k == "plain":
+                weights[arg] += unit
+            else:
+                key0 += _MAXF << shift
+                weights[arg] -= unit
+            if k == "comp":
+                up |= _MAXF << shift
+            else:
+                down |= _MAXF << shift
+            if k in ("comp", "plain") and arg < n:
+                dfields.append((shift, arg, k == "comp"))
+        self.ring = ring
+        self.order = order
+        self.rank = rank
+        self.weights = tuple(weights[:n])
+        self.key0 = key0
+        self.cstep = weights[n]
+        self.cshift = _W * (len(raw) - 2)
+        self.dfields = tuple(dfields)
+        self.down = down
+        self.up = up
+        self.guards = guards
+
+    def encode(self, exps):
+        if sum(exps) > _MAXF:
+            raise ValueError("total degree %d exceeds the limit %d"
+                             % (sum(exps), _MAXF))
+        return sum(map(mul, self.weights, exps), self.key0)
+
+    def decode(self, key):
+        e = [0] * self.ring.nvars
+        for shift, i, comp in self.dfields:
+            v = (key >> shift) & _MAXF
+            e[i] = _MAXF - v if comp else v
+        return tuple(e)
+
+    def component(self, key):
+        """Module component of a key (0 when rank is 0)."""
+        return (key >> self.cshift) & _MAXF if self.rank else 0
+
+    def divides(self, kb, ka):
+        """Whether the term of kb divides the term of ka."""
+        x = (ka & self.down) | (kb & self.up)
+        y = (kb & self.down) | (ka & self.up)
+        g = self.guards
+        return ((x | g) - y) & g == g
+
+    def lcm(self, ka, kb):
+        """Key of the lcm of two terms; None across module components."""
+        c = self.component(ka)
+        if c != self.component(kb):
+            return None
+        ea = self.decode(ka)
+        eb = self.decode(kb)
+        key = self.encode(tuple(x if x > y else y for x, y in zip(ea, eb)))
+        return key + c * self.cstep
+
+    def tdeg(self, key):
+        return sum(self.decode(key))
 
 
 class NotDivisibleError(ArithmeticError):
@@ -202,7 +288,7 @@ class PolyRing:
         self.blocks = blocks
         self._index = {nm: i for i, nm in enumerate(names)}
         self._gens = None
-        self._defkey = MonomialOrder.grevlex().key_function(self)
+        self._defkey = PackedOrder(self, MonomialOrder.grevlex()).encode
 
     @property
     def nvars(self):
@@ -381,13 +467,15 @@ class Polynomial:
 
     def sorted_terms(self, order=None):
         """Terms as (exps, coeff) pairs, descending in the given order."""
-        key = self.ring._defkey if order is None else order.key_function(self.ring)
+        key = self.ring._defkey if order is None else PackedOrder(
+            self.ring, order).encode
         return sorted(self._t.items(), key=lambda t: key(t[0]), reverse=True)
 
     def leading_monomial(self, order=None):
         if not self._t:
             raise ValueError("zero polynomial has no leading term")
-        key = self.ring._defkey if order is None else order.key_function(self.ring)
+        key = self.ring._defkey if order is None else PackedOrder(
+            self.ring, order).encode
         return max(self._t, key=key)
 
     def leading_coefficient(self, order=None):
@@ -576,20 +664,6 @@ class Polynomial:
                 elif ne in rem:
                     del rem[ne]
         return Polynomial(ring, quot)
-
-    def monomial_content(self):
-        """Exponent vector of the largest monomial dividing every term."""
-        if not self._t:
-            raise ValueError("zero polynomial has no monomial content")
-        it = iter(self._t)
-        acc = list(next(it))
-        for e in it:
-            for i, x in enumerate(e):
-                if x < acc[i]:
-                    acc[i] = x
-            if not any(acc):
-                break
-        return tuple(acc)
 
     def normalized(self):
         """Canonical scalar multiple: content-free with positive leading
@@ -910,6 +984,9 @@ class _ExprParser:
             kind, val = self.next()
             if kind != "num":
                 raise ParseError("exponent must be an integer literal")
+            if val > _MAXF:
+                raise ParseError("exponent %d exceeds the limit %d"
+                                 % (val, _MAXF))
             return base ** val
         return base
 
@@ -944,4 +1021,7 @@ def _parse_poly(ring, text):
     kind, _ = parser.peek()
     if kind != "end":
         raise ParseError("trailing input in %r" % text)
+    if value and value.degree() > _MAXF:
+        raise ParseError("total degree %d exceeds the limit %d"
+                         % (value.degree(), _MAXF))
     return value

@@ -81,3 +81,29 @@ def _prod(polys):
     for p in polys[1:]:
         out = out * p
     return out
+
+
+def order_key(order, ring):
+    """Tuple sort key on exponent vectors for a MonomialOrder.
+
+    The order written out field by field, independent of the packed
+    integer keys of PackedOrder that the library compares with.
+    """
+    n = ring.nvars
+    if order.kind == "grevlex":
+        rng = range(n - 1, -1, -1)
+        return lambda e: (sum(e),) + tuple(-e[i] for i in rng)
+    if order.kind == "lex":
+        return tuple
+    if order.kind == "block":
+        groups = [tuple(ring.index(v) for v in g) for g in order.data]
+
+        def key(e):
+            out = []
+            for g in groups:
+                out.append(sum(e[i] for i in g))
+                out.extend(-e[i] for i in reversed(g))
+            return tuple(out)
+
+        return key
+    raise ValueError("unknown order kind %r" % order.kind)

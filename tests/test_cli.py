@@ -73,6 +73,11 @@ class TestDiagnostics:
         e = parse_err(HEADER + "ideal I = x0 +;")
         assert e.line == 2
 
+    def test_exponent_out_of_range_positioned(self):
+        e = parse_err(HEADER + "ideal I = x1, x0^8388608;")
+        assert (e.line, e.col) == (2, 15)
+        assert "exceeds the limit" in str(e)
+
     def test_unknown_statement(self):
         e = parse_err(HEADER + "frobnicate I;")
         assert "unknown statement" in str(e)
@@ -164,6 +169,16 @@ class TestRunScript:
         src = (HEADER + "ideal I = x1*x2, x0*x2, x0*x1;\nsymrees I;\n")
         records = run_script(parse_session(src), deadline_s=1e-6)
         assert records[0]["status"] == "timeout"
+
+    def test_template_redraws_on_standing_assumption(self):
+        # seed 236476 draws a linear part whose 2-minors are not
+        # irrelevant-primary; the command redraws instead of failing
+        src = HEADER + "template 3 1 seed=236476;\n"
+        rec = run_script(parse_session(src))[0]
+        assert rec["status"] == "ok"
+        rejected = rec["verdicts"]["rejected"]
+        assert [r["seed"] for r in rejected] == [236476]
+        assert "standing assumption" in rejected[0]["reason"]
 
     def test_report_is_jsonl(self):
         records = run_script(parse_session(self.SOURCE))

@@ -4,8 +4,11 @@ import random
 
 import pytest
 
+from cremona import fixtures
 from cremona.groebner import (DeadlineExceeded, deadline, eliminate,
                               groebner_basis, syzygies)
+from cremona.ideals import Ideal
+from cremona.rees import jacobian_dual, rees_ideal
 from cremona.rings import FormMatrix, GF, MonomialOrder, PolyRing, QQ
 
 from oracles import homogeneous_member, random_form, random_homogeneous_ideal
@@ -51,6 +54,13 @@ class TestBasis:
         assert gb.polys == ()
         assert gb.contains(R3.zero)
         assert not gb.contains(R3.one)
+
+
+    def test_exponent_overflow_rejected(self):
+        x0, x1, _ = R3.gens
+        f = x0 ** 2**23 * x1 + x1**2
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            groebner_basis([f, x0**2])
 
 
 class TestMembershipOracle:
@@ -99,6 +109,52 @@ class TestSyzygies:
                 for j in range(s.ncols)]
         assert any(a.normalized() == x1 and b.normalized() == x0
                    for a, b in cols)
+
+
+def _column_degrees(s):
+    return [max(s[i, j].homogeneous_degree() for i in range(s.nrows)
+                if s[i, j]) for j in range(s.ncols)]
+
+
+def _jacobian_dual_matrix(fx, field):
+    ring = PolyRing(fx.ring.names, field, blocks=fx.ring.blocks)
+    forms = tuple(ring.from_terms(f.items()) for f in fx.spec.forms)
+    return jacobian_dual(rees_ideal(Ideal(ring, forms))).matrix
+
+
+class TestSyzygyCrossChecks:
+    # column degrees of the syzygies of each fixture's Jacobian dual, as
+    # the earlier module Buchberger (no pair criteria) computed them
+    PINNED = {
+        "standard-quadratic": [2],
+        "p4-monomial": [3],
+        "polar-quartic": [3],
+        "sub-hankel": [3],
+        "noether": [2],
+        "no-name": [2],
+        "de-jonquieres": [3],
+    }
+
+    @pytest.mark.parametrize("fx", fixtures.all_fixtures(),
+                             ids=lambda fx: fx.name)
+    def test_jacobian_dual(self, fx):
+        degrees = []
+        for field in (QQ, GF(32003)):
+            mat = _jacobian_dual_matrix(fx, field)
+            s = syzygies(mat)
+            assert all(not e for row in (mat @ s).entries for e in row)
+            degrees.append(_column_degrees(s))
+        assert degrees[0] == degrees[1] == self.PINNED[fx.name]
+
+    def test_components_kept_apart(self):
+        x0, x1, x2 = R3.gens
+        # det = x0^2 - x1^2: the columns are independent, and an engine
+        # dividing across components would invent relations
+        assert syzygies(FormMatrix(R3, [[x0, x1], [x1, x0]])).ncols == 0
+        m = FormMatrix(R3, [[x0, x1, R3.zero], [R3.zero, x0, x1]])
+        s = syzygies(m)
+        assert _column_degrees(s) == [2]
+        assert [s[i, 0] for i in range(3)] == [x1**2, -x0 * x1, x0**2]
 
 
 class TestDeadline:

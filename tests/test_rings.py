@@ -7,8 +7,10 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from cremona.rings import (Field, FormMatrix, GF, MonomialOrder,
-                           NotDivisibleError, ParseError, PolyRing,
-                           Polynomial, QQ, poly_sqrt, transfer)
+                           NotDivisibleError, PackedOrder, ParseError,
+                           PolyRing, Polynomial, QQ, poly_sqrt, transfer)
+
+from oracles import order_key
 
 R3 = PolyRing(("x0", "x1", "x2"), QQ)
 F31 = PolyRing(("x0", "x1", "x2"), GF(31))
@@ -25,6 +27,28 @@ def term_lists(nvars=3, nterms=5, coeff=8):
 
 def polys(ring=R3, nterms=5, coeff=8):
     return term_lists(ring.nvars, nterms, coeff).map(ring.from_terms)
+
+
+@st.composite
+def ordered_rings(draw):
+    """A ring in 1-8 variables with a grevlex, lex or block order."""
+    n = draw(st.integers(1, 8))
+    ring = PolyRing(tuple("x%d" % i for i in range(n)), QQ)
+    kind = draw(st.sampled_from(("grevlex", "lex", "block")))
+    if kind != "block":
+        return ring, MonomialOrder(kind)
+    names = draw(st.permutations(ring.names))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1))) if n > 1 else ())
+    bounds = [0] + cuts + [n]
+    groups = [names[a:b] for a, b in zip(bounds, bounds[1:])]
+    return ring, MonomialOrder.block(*groups)
+
+
+def exponent_vectors(draw, ring, count):
+    # entries up to the limit over nvars keep the total degree in range
+    top = draw(st.sampled_from((3, 40, (2**23 - 1) // ring.nvars)))
+    vec = st.tuples(*([st.integers(0, top)] * ring.nvars))
+    return draw(st.lists(vec, min_size=count, max_size=count + 6))
 
 
 class TestField:
@@ -121,6 +145,12 @@ class TestParsing:
             with pytest.raises(ParseError):
                 R3.parse(bad)
 
+    def test_exponent_limit(self):
+        assert R3.parse("x0^8388607").degree() == 2**23 - 1
+        for bad in ("x0^8388608", "x1*x0^8388607", "2^99999999"):
+            with pytest.raises(ParseError, match="exceeds the limit"):
+                R3.parse(bad)
+
     @given(polys())
     @settings(max_examples=60, deadline=None)
     def test_print_parse_round_trip(self, p):
@@ -160,6 +190,53 @@ class TestOrders:
         order = MonomialOrder.block(("x0",), ("x1", "x2"))
         p = R3.parse("x0 + x1^5")
         assert p.leading_monomial(order) == (1, 0, 0)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_packed_order_matches_oracle(self, data):
+        ring, order = data.draw(ordered_rings())
+        po = PackedOrder(ring, order)
+        key = order_key(order, ring)
+        vecs = exponent_vectors(data.draw, ring, 2)
+        a, b = vecs[0], vecs[1]
+        assert (po.encode(a) < po.encode(b)) == (key(a) < key(b))
+        assert (po.encode(a) == po.encode(b)) == (a == b)
+        p = ring.from_terms((e, 1) for e in vecs)
+        assert p.leading_monomial(order) == max(vecs, key=key)
+        assert [e for e, _c in p.sorted_terms(order)] == sorted(
+            set(vecs), key=key, reverse=True)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_packed_round_trip(self, data):
+        ring, order = data.draw(ordered_rings())
+        po = PackedOrder(ring, order)
+        for e in exponent_vectors(data.draw, ring, 1):
+            assert po.decode(po.encode(e)) == e
+            assert po.tdeg(po.encode(e)) == sum(e)
+
+    def test_total_degree_limit(self):
+        po = PackedOrder(R3, MonomialOrder.lex())
+        assert po.decode(po.encode((2**23 - 2, 1, 0))) == (2**23 - 2, 1, 0)
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            po.encode((2**23 - 1, 1, 0))
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            str(R3.var("x0") ** 2**23)
+
+    def test_module_keys_divide_within_a_component(self):
+        po = PackedOrder(R3, MonomialOrder.grevlex(), rank=3)
+        x0 = po.encode((1, 0, 0))
+        x0x1 = po.encode((1, 1, 0))
+        assert po.divides(x0, x0x1)
+        assert po.divides(x0 + 2 * po.cstep, x0x1 + 2 * po.cstep)
+        assert not po.divides(x0, x0x1 + po.cstep)
+        assert not po.divides(x0 + po.cstep, x0x1)
+        # position over term: a lower component is the larger term
+        assert po.encode((0, 0, 0)) > po.encode((5, 0, 0)) + po.cstep
+        assert po.component(x0x1 + 2 * po.cstep) == 2
+        assert po.lcm(x0, x0x1 + po.cstep) is None
+        assert po.lcm(x0 + po.cstep, po.encode((0, 1, 0)) + po.cstep) == (
+            x0x1 + po.cstep)
 
 
 class TestNormalization:
