@@ -237,6 +237,9 @@ def _parse_poly(ring, text, tok):
     except ParseError as e:
         raise ScriptError("bad polynomial %r: %s" % (text.strip(), e),
                           tok.line, tok.col)
+    except DeadlineExceeded:
+        raise ScriptError("polynomial %r ran past the time budget while "
+                          "parsing" % text.strip(), tok.line, tok.col) from None
 
 
 def _parse_poly_list(cur, ring):
@@ -630,7 +633,8 @@ def render_report(records):
 def _run_file(path, lmax, deadline_s, seed):
     with open(path, encoding="utf-8") as fh:
         source = fh.read()
-    script = parse_session(source)
+    with deadline(deadline_s):
+        script = parse_session(source)
     return run_script(script, lmax=lmax, deadline_s=deadline_s, seed=seed)
 
 
@@ -675,7 +679,9 @@ def _cmd_fixtures(args, base=None):
         source = base.joinpath(name).read_text(encoding="utf-8")
         t0 = time.perf_counter()
         try:
-            records = run_script(parse_session(source), lmax=args.lmax,
+            with deadline(args.deadline):
+                script = parse_session(source)
+            records = run_script(script, lmax=args.lmax,
                                  deadline_s=args.deadline, seed=args.seed)
         except ScriptError as e:
             print("%s: parse error: %s" % (stem, e))

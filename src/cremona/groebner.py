@@ -11,17 +11,13 @@ over QQ, residues over Fp.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import heapq
-import time
 import weakref
 from fractions import Fraction
 from math import gcd
 
-from .linalg import Echelon
-from .rings import (FormMatrix, MonomialOrder, PackedOrder, PolyRing,
-                    Polynomial, transfer)
+from .rings import (DeadlineExceeded, FormMatrix, MonomialOrder, PackedOrder,
+                    PolyRing, Polynomial, check_deadline, deadline, transfer)
 
 __all__ = [
     "DeadlineExceeded",
@@ -33,29 +29,6 @@ __all__ = [
     "live_bases",
     "syzygies",
 ]
-
-class DeadlineExceeded(RuntimeError):
-    """Raised when a computation runs past its cooperative deadline."""
-
-
-_DEADLINE = contextvars.ContextVar("cremona_deadline", default=None)
-
-
-@contextlib.contextmanager
-def deadline(seconds):
-    """Run the enclosed block under a wall clock budget in seconds."""
-    limit = time.monotonic() + seconds if seconds else None
-    token = _DEADLINE.set(limit)
-    try:
-        yield
-    finally:
-        _DEADLINE.reset(token)
-
-
-def check_deadline():
-    limit = _DEADLINE.get()
-    if limit is not None and time.monotonic() > limit:
-        raise DeadlineExceeded("computation exceeded its time budget")
 
 
 class _Elt:
@@ -245,29 +218,62 @@ def _spoly(gi, gj, lk, p):
     return s
 
 
-def _buchberger(seeds, po):
-    """Reduced basis, as packed term dicts, of the (terms, sugar) seeds.
+class _Engine:
+    """Incremental Buchberger state over one PackedOrder.
 
-    With po.rank > 0 the seeds are module elements; pairs across
-    components are never formed and the coprime criterion, which only
-    holds for ideals, is skipped.
+    Holds the elements, the live view (alive elements sorted by lead
+    key), the pending pairs as {(i, j): (sugar, lcm key)} and a heap on
+    (sugar, lcm key, i, j).  Elements may be added between runs, so a
+    run can stop at a sugar bound and resume later.  With po.rank > 0
+    the elements are module elements; pairs across components are never
+    formed and the coprime criterion, which only holds for ideals, is
+    skipped.
     """
-    p = po.ring.field.characteristic
-    ideal = not po.rank
-    elts = []
-    live = []
-    dirty = [True]
-    pairs = {}
-    heap = []
-    lcmf = po.lcm
 
-    def view():
-        if dirty[0]:
-            live[:] = sorted((g for g in elts if g.alive), key=lambda g: g.key)
-            dirty[0] = False
-        return live
+    __slots__ = ("po", "p", "ideal", "elts", "live", "dirty", "pairs",
+                 "heap")
 
-    def update(hidx):
+    def __init__(self, po):
+        self.po = po
+        self.p = po.ring.field.characteristic
+        self.ideal = not po.rank
+        self.elts = []
+        self.live = []
+        self.dirty = False
+        self.pairs = {}
+        self.heap = []
+
+    def view(self):
+        """The alive elements, ascending lead keys."""
+        if self.dirty:
+            self.live = sorted((g for g in self.elts if g.alive),
+                               key=lambda g: g.key)
+            self.dirty = False
+        return self.live
+
+    def reduce(self, terms):
+        """Remainder of terms (consumed) against the live elements."""
+        return _reduce(terms, self.view(), self.po, self.p)[0]
+
+    def add(self, terms, sugar):
+        """Append a nonzero remainder as a new element and update."""
+        terms = _normalize(terms, self.p)
+        key = max(terms)
+        idx = len(self.elts)
+        self.elts.append(_Elt(key, terms, terms[key], self.po.tdeg(key),
+                              sugar, idx))
+        self.update(idx)
+
+    def update(self, hidx):
+        """Gebauer-Moeller: new pairs of element hidx, old pairs pruned."""
+        po = self.po
+        elts = self.elts
+        pairs = self.pairs
+        heap = self.heap
+        lcmf = po.lcm
+        divides = po.divides
+        ideal = self.ideal
+        key0 = po.key0
         h = elts[hidx]
         lmh = h.key
         cand = []
@@ -279,16 +285,16 @@ def _buchberger(seeds, po):
         cand.sort()
         kept = []
         for pos, (lk, gi) in enumerate(cand):
-            cop = ideal and lk == lmh + elts[gi].key - po.key0
+            cop = ideal and lk == lmh + elts[gi].key - key0
             if not cop:
-                drop = any(po.divides(l2, lk) for l2, _g, _c in kept)
+                drop = any(divides(l2, lk) for l2, _g, _c in kept)
                 if not drop:
-                    drop = any(po.divides(l2, lk) for l2, _g in cand[pos + 1:])
+                    drop = any(divides(l2, lk) for l2, _g in cand[pos + 1:])
                 if drop:
                     continue
             kept.append((lk, gi, cop))
         for key, (sug, lk) in list(pairs.items()):
-            if po.divides(lmh, lk):
+            if divides(lmh, lk):
                 i, j = key
                 if lcmf(elts[i].key, lmh) != lk and lcmf(lmh, elts[j].key) != lk:
                     del pairs[key]
@@ -301,43 +307,73 @@ def _buchberger(seeds, po):
             pairs[(gi, hidx)] = (sug, lk)
             heapq.heappush(heap, (sug, lk, gi, hidx))
         for g in elts:
-            if g.alive and g.idx != hidx and po.divides(lmh, g.key):
+            if g.alive and g.idx != hidx and divides(lmh, g.key):
                 g.alive = False
-        dirty[0] = True
+        self.dirty = True
 
-    def add(terms, sugar):
-        terms = _normalize(terms, p)
-        key = max(terms)
-        idx = len(elts)
-        elts.append(_Elt(key, terms, terms[key], po.tdeg(key), sugar, idx))
-        dirty[0] = True
-        update(idx)
+    def run(self, upto=None):
+        """Process the pairs of sugar at most upto (all when None)."""
+        heap = self.heap
+        pairs = self.pairs
+        elts = self.elts
+        p = self.p
+        while heap and (upto is None or heap[0][0] <= upto):
+            sug, lk, i, j = heapq.heappop(heap)
+            if pairs.get((i, j)) != (sug, lk):
+                continue
+            del pairs[(i, j)]
+            check_deadline()
+            s = _spoly(elts[i], elts[j], lk, p)
+            if not s:
+                continue
+            out = self.reduce(s)
+            if out:
+                self.add(out, sug)
 
+
+def _buchberger(seeds, po):
+    """Reduced basis, as packed term dicts, of the (terms, sugar) seeds."""
+    eng = _Engine(po)
     for terms, sugar in sorted(seeds, key=lambda s: max(s[0])):
-        out = _reduce(dict(terms), view(), po, p)[0]
+        out = eng.reduce(dict(terms))
         if out:
-            add(out, sugar)
-
-    while heap:
-        sug, lk, i, j = heapq.heappop(heap)
-        if pairs.get((i, j)) != (sug, lk):
-            continue
-        del pairs[(i, j)]
-        check_deadline()
-        s = _spoly(elts[i], elts[j], lk, p)
-        if not s:
-            continue
-        out = _reduce(s, view(), po, p)[0]
-        if out:
-            add(out, sug)
-
-    final = sorted((g for g in elts if g.alive), key=lambda g: g.key)
+            eng.add(out, sugar)
+    eng.run()
+    final = eng.view()
+    p = eng.p
     reduced = []
     for g in final:
         others = [h for h in final if h is not g]
         red = _reduce(dict(g.terms), others, po, p)
         reduced.append(_normalize(red[0], p))
     return reduced
+
+
+def _minimal_subset(po, cands):
+    """Positions of a minimal generating subset of graded candidates.
+
+    cands lists (degree, engine terms), homogeneous for the grading in
+    which the sugar of an element is its degree.  Degree by degree, the
+    basis of the kept candidates is completed through that degree; a
+    pair made with a new degree-d element has sugar above d, so the
+    basis stays complete through d while the degree-d candidates are
+    tested, in input order.  A candidate is kept when its normal form is
+    nonzero.  Returns positions by ascending degree, then input order.
+    """
+    eng = _Engine(po)
+    by_degree = {}
+    for pos, (d, _terms) in enumerate(cands):
+        by_degree.setdefault(d, []).append(pos)
+    kept = []
+    for d in sorted(by_degree):
+        check_deadline()
+        eng.run(upto=d)
+        for pos in by_degree[d]:
+            out = eng.reduce(dict(cands[pos][1]))
+            if out:
+                eng.add(out, d)
+                kept.append(pos)
+    return kept
 
 
 # every basis still referenced somewhere; lets audits certify whatever
@@ -535,14 +571,6 @@ def _column_shifts(mat):
     return delta
 
 
-def _flatten(w):
-    out = {}
-    for j, poly in enumerate(w):
-        for e, cf in poly.items():
-            out[(j, e)] = cf
-    return out
-
-
 def syzygies(mat):
     """Minimal generating syzygies of the columns of mat.
 
@@ -569,10 +597,11 @@ def syzygies(mat):
         sugar = max((mat[i, j].degree() for i in range(r) if mat[i, j]),
                     default=0)
         seeds.append((_engine_terms(v, p)[0], sugar))
-    graded = []
     # descending keys list leads in lower components first, as in
-    # position over term; the minimalization below keeps the first of
-    # equal-degree candidates
+    # position over term; the minimalization keeps the first of
+    # equal-degree candidates.  The candidates stay in components r..,
+    # where the sugar of a column is its shifted degree.
+    graded = []
     for terms in reversed(_buchberger(seeds, po)):
         if po.component(max(terms)) < r:
             continue
@@ -584,22 +613,9 @@ def syzygies(mat):
         degs = {delta[j] + w[j].homogeneous_degree() for j in range(c) if w[j]}
         if len(degs) != 1:
             raise ValueError("syzygy grading inconsistent")
-        graded.append((degs.pop(), w))
-    graded.sort(key=lambda t: t[0])
-    mins = []
-    for s in sorted({d for d, _w in graded}):
-        check_deadline()
-        ech = Echelon(field)
-        for s0, w0 in mins:
-            if s0 >= s:
-                continue
-            for mexp in ring.monomials_of_degree(s - s0):
-                mono = ring.monomial(mexp)
-                ech.insert(_flatten([wj * mono for wj in w0]))
-        for d, w in graded:
-            if d == s and ech.insert(_flatten(w)) is not None:
-                mins.append((s, w))
-    columns = [_normalize_column(ring, w) for _s, w in mins]
+        graded.append((degs.pop(), terms, w))
+    keep = _minimal_subset(po, [(s, terms) for s, terms, _w in graded])
+    columns = [_normalize_column(ring, graded[i][2]) for i in keep]
     entries = [[col[j] for col in columns] for j in range(c)]
     if not columns:
         entries = [[] for _ in range(c)]

@@ -10,9 +10,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .groebner import check_deadline, eliminate, groebner_basis
-from .linalg import Echelon
-from .rings import MonomialOrder, PolyRing, Polynomial, transfer
+from .groebner import (_engine_in, _minimal_subset, check_deadline,
+                       eliminate, groebner_basis)
+from .rings import MonomialOrder, PackedOrder, PolyRing, Polynomial, transfer
 
 __all__ = ["HilbertData", "Ideal", "minors"]
 
@@ -206,24 +206,9 @@ class Ideal:
             return ()
         if any(not g.is_homogeneous() for g in gens):
             raise ValueError("minimal generators need a homogeneous ideal")
-        ring = self.ring
-        field = ring.field
-        by_degree = {}
-        for g in gens:
-            by_degree.setdefault(g.homogeneous_degree(), []).append(g)
-        mins = []
-        for d in sorted(by_degree):
-            check_deadline()
-            ech = Echelon(field)
-            for g0 in mins:
-                d0 = g0.homogeneous_degree()
-                for mexp in ring.monomials_of_degree(d - d0):
-                    mono = ring.monomial(mexp)
-                    ech.insert(dict((g0 * mono).items()))
-            for g in by_degree[d]:
-                if ech.insert(dict(g.items())) is not None:
-                    mins.append(g)
-        return tuple(mins)
+        po = PackedOrder(self.ring, MonomialOrder.grevlex())
+        cands = [(g.homogeneous_degree(), _engine_in(po, g)[0]) for g in gens]
+        return tuple(gens[i] for i in _minimal_subset(po, cands))
 
     def hilbert(self):
         """Hilbert series data of R/I from the leading-term ideal."""

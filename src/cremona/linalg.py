@@ -1,4 +1,9 @@
-"""Sparse exact row echelon forms used for degreewise linear algebra.
+"""Sparse exact row echelon forms: the tests' reference linear algebra.
+
+No program path uses this module; the Groebner engine does all the
+algebra.  The tests' independent oracles (membership, span dimensions,
+minimal generators and minimal syzygies degree by degree) are built on
+it, so that agreement with the engine means something.
 
 Rows are dicts mapping orderable column labels to field elements.  The
 pivot of a stored row is always its largest column, so insertion order

@@ -4,24 +4,53 @@ Coefficient arithmetic is exact: Fraction over the rationals, reduced
 residues over Fp.  Polynomials are immutable dict-backed values with a
 canonical text form (terms descending in the ring's default grevlex
 order, explicit '*' and '^', rationals printed as a/b) so that equal
-values print identically and printed values parse back.
+values print identically and printed values parse back.  The
+cooperative deadline lives here too, so that large products, and the
+parser that builds them, can be interrupted.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 import math
 import re
+import time
 from fractions import Fraction
 from operator import mul
 
 __all__ = [
-    "Field", "QQ", "GF", "MonomialOrder", "PackedOrder", "PolyRing",
-    "Polynomial", "FormMatrix", "NotDivisibleError", "ParseError",
-    "poly_sqrt", "transfer",
+    "DeadlineExceeded", "Field", "QQ", "GF", "MonomialOrder", "PackedOrder",
+    "PolyRing", "Polynomial", "FormMatrix", "NotDivisibleError", "ParseError",
+    "check_deadline", "deadline", "poly_sqrt", "transfer",
 ]
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+
+class DeadlineExceeded(RuntimeError):
+    """Raised when a computation runs past its cooperative deadline."""
+
+
+_DEADLINE = contextvars.ContextVar("cremona_deadline", default=None)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Run the enclosed block under a wall clock budget in seconds."""
+    limit = time.monotonic() + seconds if seconds else None
+    token = _DEADLINE.set(limit)
+    try:
+        yield
+    finally:
+        _DEADLINE.reset(token)
+
+
+def check_deadline():
+    limit = _DEADLINE.get()
+    if limit is not None and time.monotonic() > limit:
+        raise DeadlineExceeded("computation exceeded its time budget")
 
 
 def _is_prime(n):
@@ -540,8 +569,12 @@ class Polynomial:
         a, b = self._t, other._t
         if len(a) > len(b):
             a, b = b, a
+        # only products this large can overrun a deadline noticeably
+        big = len(a) * len(b) >= 4096
         out = {}
         for ea, ca in a.items():
+            if big:
+                check_deadline()
             for eb, cb in b.items():
                 e = tuple(x + y for x, y in zip(ea, eb))
                 v = out.get(e)

@@ -47,6 +47,57 @@ def homogeneous_member(ring, gens, p):
     return ech.contains(dict(p.items()))
 
 
+def minimal_generators(gens):
+    """Minimal generators of a homogeneous ideal by dense linear algebra.
+
+    Degree by degree, every monomial multiple of every kept lower-degree
+    generator goes into one echelon form; a degree-d generator is kept,
+    in input order, when it is not in the span so far.  Same contract as
+    Ideal.minimal_generators: normalized forms, ascending degree, stable.
+    """
+    gens = [g.normalized() for g in gens if g]
+    if not gens:
+        return ()
+    ring = gens[0].ring
+    by_degree = {}
+    for g in gens:
+        by_degree.setdefault(g.homogeneous_degree(), []).append(g)
+    mins = []
+    for d in sorted(by_degree):
+        ech = Echelon(ring.field)
+        for g0 in mins:
+            for m in ring.monomials_of_degree(d - g0.homogeneous_degree()):
+                ech.insert(dict((g0 * ring.monomial(m)).items()))
+        for g in by_degree[d]:
+            if ech.insert(dict(g.items())) is not None:
+                mins.append(g)
+    return tuple(mins)
+
+
+def minimal_columns(ring, graded):
+    """Minimal subset of graded vectors of forms by dense linear algebra.
+
+    graded lists (shifted degree, vector); a vector is kept, by ascending
+    degree and then input order, when it is not in the span of the
+    monomial multiples of the vectors kept before it.  Returns positions.
+    """
+    def flat(w):
+        return {(j, e): c for j, f in enumerate(w) for e, c in f.items()}
+
+    keep = []
+    for s in sorted({d for d, _w in graded}):
+        ech = Echelon(ring.field)
+        for i in keep:
+            s0, w0 = graded[i]
+            for m in ring.monomials_of_degree(s - s0):
+                mono = ring.monomial(m)
+                ech.insert(flat([f * mono for f in w0]))
+        for i, (d, w) in enumerate(graded):
+            if d == s and ech.insert(flat(w)) is not None:
+                keep.append(i)
+    return keep
+
+
 def random_form(ring, deg, rng, sparsity=0.6):
     """Random homogeneous form with small integer coefficients."""
     terms = []

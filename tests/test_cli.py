@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import time
 from argparse import Namespace
 from pathlib import Path
 
@@ -225,6 +226,17 @@ class TestMain:
         script.write_text(HEADER + "ideal I = ;", encoding="utf-8")
         assert main(["run", str(script)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_parse_runs_under_deadline(self, tmp_path, capsys):
+        # squaring (x0+x1+x2)^64 alone takes tens of seconds
+        script = tmp_path / "big.session"
+        script.write_text(HEADER + "ideal I = x0,\n  (x0+x1+x2)^200;\n",
+                          encoding="utf-8")
+        t0 = time.monotonic()
+        assert main(["run", str(script), "--deadline", "0.5"]) == 2
+        assert time.monotonic() - t0 < 10
+        err = capsys.readouterr().err
+        assert "line 3, column 3" in err and "time budget" in err
 
     def test_run_failure_exit_one(self, tmp_path):
         script = tmp_path / "f.session"

@@ -9,6 +9,7 @@ from cremona.families import (DegenerateTemplate, TemplateMatrix,
                               sylvester_chain, sylvester_form,
                               template_ideal)
 from cremona.fixtures import alberich_matrix
+from cremona.ideals import Ideal
 from cremona.maps import plane_composition_oracle
 from cremona.rings import FormMatrix, PolyRing, QQ
 
@@ -68,6 +69,15 @@ class TestNumerology:
         assert d["codimension"] == 2
         assert d["multiplicity"] == mult == T.expected_multiplicity()
         assert d["edeg"] == edeg == 2 * r + 1
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_second_symbolic_power_multiplicity(self, seed):
+        # I defines reduced points, so e(R/I^(2)) = 3 e(R/I) = 3 * 11
+        T = template_ideal(3, 2, seed=seed)
+        ring = T.ring
+        sym2, _s = T.ideal.power(2).saturate(Ideal(ring, ring.gens))
+        assert T.ideal.hilbert().multiplicity == 11
+        assert sym2.hilbert().multiplicity == 33
 
     def test_degenerate_draw_raises(self):
         zero_rows = [["0", "0", "0"]] * 4

@@ -4,14 +4,16 @@ import random
 
 import pytest
 
-from cremona import fixtures
+from cremona import fixtures, groebner
+from cremona.families import signed_minors
 from cremona.groebner import (DeadlineExceeded, deadline, eliminate,
                               groebner_basis, syzygies)
 from cremona.ideals import Ideal
 from cremona.rees import jacobian_dual, rees_ideal
 from cremona.rings import FormMatrix, GF, MonomialOrder, PolyRing, QQ
 
-from oracles import homogeneous_member, random_form, random_homogeneous_ideal
+from oracles import (homogeneous_member, minimal_columns, random_form,
+                     random_homogeneous_ideal)
 
 R3 = PolyRing(("x0", "x1", "x2"), QQ)
 
@@ -122,6 +124,41 @@ def _jacobian_dual_matrix(fx, field):
     return jacobian_dual(rees_ideal(Ideal(ring, forms))).matrix
 
 
+def _proportional(u, v):
+    cu = next(f for f in u if f).leading_coefficient()
+    cv = next(f for f in v if f).leading_coefficient()
+    return all(a * cv == b * cu for a, b in zip(u, v))
+
+
+def _check_minimalization(monkeypatch, mat):
+    """Run syzygies(mat), catching the candidate columns handed to the
+    graded minimalization; the kept ones must be the dense oracle's."""
+    seen = []
+    real = groebner._minimal_subset
+
+    def spy(po, cands):
+        kept = real(po, cands)
+        seen.append((po, cands, kept))
+        return kept
+
+    monkeypatch.setattr(groebner, "_minimal_subset", spy)
+    s = syzygies(mat)
+    monkeypatch.undo()
+    (po, cands, kept), = seen
+    ring, r, c = mat.ring, mat.nrows, mat.ncols
+    graded = []
+    for deg, terms in cands:
+        parts = [{} for _ in range(c)]
+        for k, v in terms.items():
+            parts[po.component(k) - r][po.decode(k)] = v
+        graded.append((deg, [ring.from_terms(p.items()) for p in parts]))
+    assert kept == minimal_columns(ring, graded)
+    assert s.ncols == len(kept)
+    for j, i in enumerate(kept):
+        assert _proportional([s[k, j] for k in range(c)], graded[i][1])
+    return s, len(cands)
+
+
 class TestSyzygyCrossChecks:
     # column degrees of the syzygies of each fixture's Jacobian dual, as
     # the earlier module Buchberger (no pair criteria) computed them
@@ -146,6 +183,31 @@ class TestSyzygyCrossChecks:
             degrees.append(_column_degrees(s))
         assert degrees[0] == degrees[1] == self.PINNED[fx.name]
 
+    @pytest.mark.parametrize("fx", fixtures.all_fixtures(),
+                             ids=lambda fx: fx.name)
+    def test_minimalization_oracle_jacobian_dual(self, fx, monkeypatch):
+        for field in (QQ, GF(32003)):
+            _check_minimalization(monkeypatch,
+                                  _jacobian_dual_matrix(fx, field))
+
+    def test_minimalization_oracle_shifted_columns(self, monkeypatch):
+        # column degrees differ, so the sugar of a candidate is its
+        # shifted degree; 2 x 3 matrices of rank 2 have one syzygy, the
+        # wider ones give redundant candidates
+        pruned = 0
+        for seed in range(12):
+            rng = random.Random(seed)
+            ring = PolyRing(("x0", "x1", "x2"), (QQ, GF(32003))[seed % 2])
+            nrows, ncols = ((2, 3), (1, 4), (2, 4))[seed % 3]
+            degs = [1, 2, 3, rng.randint(1, 3)][:ncols]
+            rng.shuffle(degs)
+            mat = FormMatrix(ring, [[random_form(ring, d, rng, sparsity=0.3)
+                                     for d in degs] for _ in range(nrows)])
+            s, ncands = _check_minimalization(monkeypatch, mat)
+            assert all(not e for row in (mat @ s).entries for e in row)
+            pruned += ncands - s.ncols
+        assert pruned
+
     def test_components_kept_apart(self):
         x0, x1, x2 = R3.gens
         # det = x0^2 - x1^2: the columns are independent, and an engine
@@ -165,6 +227,15 @@ class TestDeadline:
         with pytest.raises(DeadlineExceeded):
             with deadline(1e-4):
                 groebner_basis(gens, ring=R)
+
+    def test_syzygies_budget_exhausts(self):
+        # the relations among the signed minors of the Alberich matrix,
+        # which give the matrix back
+        M = fixtures.alberich_matrix()
+        row = FormMatrix(M.ring, [list(signed_minors(M))])
+        with pytest.raises(DeadlineExceeded):
+            with deadline(1e-4):
+                syzygies(row)
 
     def test_zero_means_no_limit(self):
         with deadline(0):

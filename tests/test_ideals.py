@@ -2,10 +2,18 @@
 
 import random
 
-from cremona.ideals import Ideal, minors
-from cremona.rings import FormMatrix, PolyRing, QQ
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
 
-from oracles import power_gens, random_homogeneous_ideal, span_dimension
+from cremona.families import template_ideal
+from cremona.groebner import DeadlineExceeded, deadline
+from cremona.ideals import Ideal, minors
+from cremona.rees import subalgebra_presentation
+from cremona.rings import FormMatrix, GF, PolyRing, QQ
+
+from oracles import (minimal_generators, power_gens, random_form,
+                     random_homogeneous_ideal, span_dimension)
 
 R2 = PolyRing(("x0", "x1"), QQ)
 R3 = PolyRing(("x0", "x1", "x2"), QQ)
@@ -83,6 +91,58 @@ class TestMinimalGenerators:
             for d in range(1, 6):
                 assert (span_dimension(ring, gens, d)
                         == span_dimension(ring, mins, d))
+
+
+@st.composite
+def redundant_forms(draw):
+    """Random forms with redundant ones injected at random places:
+    products with forms, sums of earlier generators, duplicates, scalar
+    multiples and, sometimes, the constant 1."""
+    field = draw(st.sampled_from((QQ, GF(32003))))
+    n = draw(st.integers(1, 3))
+    ring = PolyRing(tuple("x%d" % i for i in range(n)), field)
+    rng = draw(st.randoms(use_true_random=False))
+    gens = [random_form(ring, rng.randint(1, 3), rng)
+            for _ in range(draw(st.integers(1, 4)))]
+    kinds = st.sampled_from(("product", "sum", "duplicate", "multiple",
+                             "one"))
+    for kind in draw(st.lists(kinds, max_size=6)):
+        forms = [f for f in gens if f]  # a sum may have cancelled to 0
+        g = rng.choice(forms)
+        if kind == "product":
+            new = g * random_form(ring, rng.randint(1, 2), rng)
+        elif kind == "sum":
+            h = rng.choice(forms)
+            if h.homogeneous_degree() > g.homogeneous_degree():
+                g, h = h, g
+            d = g.homogeneous_degree() - h.homogeneous_degree()
+            new = g + h * random_form(ring, d, rng)
+        elif kind == "duplicate":
+            new = g
+        elif kind == "multiple":
+            new = g * rng.choice((-3, 2, 5))
+        else:
+            new = ring.one
+        gens.insert(rng.randint(0, len(gens)), new)
+    return ring, gens
+
+
+class TestMinimalGeneratorsOracle:
+    @given(redundant_forms())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_dense_linear_algebra(self, case):
+        ring, gens = case
+        got = Ideal(ring, gens).minimal_generators()
+        assert [str(g) for g in got] == [str(g)
+                                         for g in minimal_generators(gens)]
+
+    def test_deadline_checked(self):
+        # the un-minimalized Rees elimination output of the corpus r = 3
+        # template instance
+        P = subalgebra_presentation(template_ideal(3, 3, seed=0).ideal)
+        with pytest.raises(DeadlineExceeded):
+            with deadline(1e-4):
+                P.minimal_generators()
 
 
 class TestHilbert:
