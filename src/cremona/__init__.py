@@ -11,10 +11,9 @@ from .maps import (InverseData, RationalMapSpec, check_graph_identification,
                    invert, inversion_factor, is_birational,
                    plane_composition_oracle)
 from .symbolic import (ConditionVerdict, ExpectedFormResult, SaturationTarget,
-                       SymbolicFiltration, SymbolicReport, condition_i,
-                       depth_positive, essential_generators,
-                       expected_form_check, grade_two_check, symbolic_power,
-                       symbolic_presentation, symbolic_report)
+                       SymbolicFiltration, condition_i, depth_positive,
+                       expected_form_check, grade_two_check,
+                       symbolic_presentation)
 from .families import (AppendixData, DegenerateTemplate, SylvesterChain,
                        TemplateInstance, TemplateMatrix, appendix_construct,
                        signed_minors, sylvester_chain, sylvester_form,
@@ -28,14 +27,14 @@ __all__ = [
     "MonomialOrder", "NotDivisibleError", "ParseError", "PolyRing",
     "Polynomial", "QQ", "RationalMapSpec", "ReesPresentation",
     "SaturationTarget", "SylvesterChain", "SymbolicFiltration",
-    "SymbolicReport", "TemplateInstance", "TemplateMatrix",
+    "TemplateInstance", "TemplateMatrix",
     "appendix_construct", "check_deadline", "check_graph_identification",
     "condition_i", "deadline", "depth_positive", "eliminate",
-    "essential_generators", "expected_form_check", "fixtures",
+    "expected_form_check", "fixtures",
     "grade_two_check", "groebner_basis", "invert", "inversion_factor",
     "is_birational", "jacobian_dual", "minors", "plane_composition_oracle",
     "poly_sqrt", "rees_ideal", "signed_minors", "subalgebra_presentation",
-    "sylvester_chain", "sylvester_form", "symbolic_power",
-    "symbolic_presentation", "symbolic_report", "syzygies",
+    "sylvester_chain", "sylvester_form", "symbolic_presentation",
+    "syzygies",
     "template_ideal", "transfer",
 ]

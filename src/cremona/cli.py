@@ -33,13 +33,20 @@ from .groebner import DeadlineExceeded, deadline
 from .ideals import Ideal
 from .maps import RationalMapSpec, invert
 from .rings import Field, FormMatrix, ParseError, PolyRing, QQ
-from .symbolic import SaturationTarget, SymbolicFiltration, symbolic_report
+from .symbolic import (SaturationTarget, SymbolicFiltration, condition_i,
+                       expected_form_check)
 
 __all__ = ["ScriptError", "SessionScript", "parse_session", "run_script",
            "render_report", "main"]
 
 _COMMANDS = ("inverse", "invfactor", "sympow", "symrees", "appendix",
              "template")
+
+# PackedOrder's set-up cost grows with the square of the variable count,
+# so rings are capped far above any study case
+MAX_VARIABLES = 1000
+# int() refuses longer digit strings (Python's default conversion limit)
+MAX_TOKEN_LENGTH = 4300
 
 
 class ScriptError(Exception):
@@ -86,6 +93,10 @@ def _tokenize(source):
         kind = m.lastgroup
         text = m.group()
         if kind != "ws":
+            if len(text) > MAX_TOKEN_LENGTH:
+                raise ScriptError("token of %d characters exceeds the limit "
+                                  "%d" % (len(text), MAX_TOKEN_LENGTH),
+                                  line, pos - linestart + 1)
             tokens.append(_Token(kind, text, line, pos - linestart + 1,
                                  pos, m.end()))
         nl = text.count("\n")
@@ -155,24 +166,31 @@ class SessionScript:
         self.commands = commands
 
 
-def _expand_names(first, last, line, col):
-    m1 = re.fullmatch(r"([A-Za-z_]+)(\d+)", first)
-    m2 = re.fullmatch(r"([A-Za-z_]+)(\d+)", last)
+def _check_size(count, tok):
+    if count > MAX_VARIABLES:
+        raise ScriptError("%d variables exceed the limit %d"
+                          % (count, MAX_VARIABLES), tok.line, tok.col)
+
+
+def _expand_names(first, last):
+    m1 = re.fullmatch(r"([A-Za-z_]+)(\d+)", first.text)
+    m2 = re.fullmatch(r"([A-Za-z_]+)(\d+)", last.text)
     if not m1 or not m2 or m1.group(1) != m2.group(1):
         raise ScriptError("range endpoints %r..%r need a shared letter "
-                          "prefix and numeric suffixes" % (first, last),
-                          line, col)
+                          "prefix and numeric suffixes"
+                          % (first.text, last.text), first.line, first.col)
     prefix = m1.group(1)
     lo, hi = int(m1.group(2)), int(m2.group(2))
     if hi < lo:
-        raise ScriptError("empty variable range %r..%r" % (first, last),
-                          line, col)
+        raise ScriptError("empty variable range %r..%r"
+                          % (first.text, last.text), first.line, first.col)
+    _check_size(hi - lo + 1, first)
     return tuple("%s%d" % (prefix, k) for k in range(lo, hi + 1))
 
 
 def _parse_ring(cur):
     cur.expect("ring")
-    name = cur.expect_kind("name", "a ring name").text
+    name_tok = cur.expect_kind("name", "a ring name")
     cur.expect("=")
     field_tok = cur.expect_kind("name", "QQ or Fp(p)")
     if field_tok.text == "QQ":
@@ -193,20 +211,23 @@ def _parse_ring(cur):
     if cur.peek().text == "..":
         cur.next()
         last = cur.expect_kind("name", "a variable name")
-        names = _expand_names(first.text, last.text, first.line, first.col)
+        names = _expand_names(first, last)
     else:
         names = [first.text]
         while cur.peek().text == ",":
             cur.next()
             names.append(cur.expect_kind("name", "a variable name").text)
-        names = tuple(names)
+            _check_size(len(names), first)
     cur.expect("]")
     cur.expect(";")
-    return PolyRing(names, field), name
+    try:
+        return PolyRing(names, field), name_tok.text
+    except ValueError as e:
+        raise ScriptError(str(e), name_tok.line, name_tok.col) from None
 
 
-def _chunk_until(cur, stop_at_comma):
-    """Collect source text until ';' (or a top-level ',' when asked)."""
+def _chunk(cur, stop):
+    """Source text up to ';' or a depth-0 token that stop accepts."""
     depth = 0
     start_tok = cur.peek()
     last_end = start_tok.start
@@ -218,17 +239,11 @@ def _chunk_until(cur, stop_at_comma):
             depth += 1
         elif tok.text == ")":
             depth -= 1
-        elif depth == 0 and (tok.text == ";"
-                             or (stop_at_comma and tok.text == ",")):
+        elif depth == 0 and (tok.text == ";" or stop(tok)):
             break
         cur.next()
         last_end = tok.end
-    text = cur.source[start_tok.start:last_end]
-    if not text.strip():
-        tok = cur.peek()
-        raise ScriptError("expected a polynomial, found %r" % tok.text,
-                          tok.line, tok.col)
-    return text, start_tok
+    return cur.source[start_tok.start:last_end], start_tok
 
 
 def _parse_poly(ring, text, tok):
@@ -245,7 +260,10 @@ def _parse_poly(ring, text, tok):
 def _parse_poly_list(cur, ring):
     polys = []
     while True:
-        text, tok = _chunk_until(cur, stop_at_comma=True)
+        text, tok = _chunk(cur, lambda t: t.text == ",")
+        if not text:
+            raise ScriptError("expected a polynomial, found %r" % tok.text,
+                              tok.line, tok.col)
         polys.append(_parse_poly(ring, text, tok))
         if cur.peek().text == ",":
             cur.next()
@@ -268,34 +286,6 @@ def _lookup(bindings, name_tok, want, op):
     return value
 
 
-def _sat_chunk(cur):
-    """Option value for sat=: raw text until ';' or the next key=."""
-    depth = 0
-    start_tok = cur.peek()
-    last_end = start_tok.start
-    while True:
-        tok = cur.peek()
-        if tok.kind == "end":
-            raise ScriptError("missing ';'", tok.line, tok.col)
-        if tok.text == "(":
-            depth += 1
-        elif tok.text == ")":
-            depth -= 1
-        elif depth == 0:
-            if tok.text == ";":
-                break
-            if (tok.kind == "name"
-                    and cur.tokens[cur.i + 1].text == "="):
-                break
-        cur.next()
-        last_end = tok.end
-    text = cur.source[start_tok.start:last_end].strip()
-    if not text:
-        raise ScriptError("sat= needs a value", start_tok.line,
-                          start_tok.col)
-    return text, start_tok
-
-
 def _parse_options(cur, allowed):
     """key=value options before ';'.  Values: int, or raw text for sat."""
     opts = {}
@@ -311,7 +301,12 @@ def _parse_options(cur, allowed):
                               key_tok.line, key_tok.col)
         cur.expect("=")
         if key_tok.text == "sat":
-            opts["sat"], toks["sat"] = _sat_chunk(cur)
+            # raw text until ';' or the next key=
+            text, tok = _chunk(cur, lambda t: t.kind == "name" and
+                               cur.tokens[cur.i + 1].text == "=")
+            if not text:
+                raise ScriptError("sat= needs a value", tok.line, tok.col)
+            opts["sat"], toks["sat"] = text, tok
         else:
             tok = cur.expect_kind("number", "an integer")
             opts[key_tok.text] = int(tok.text)
@@ -346,16 +341,24 @@ def parse_session(source):
                               tok.line, tok.col)
         if tok.text == "ring":
             raise ScriptError("ring already declared", tok.line, tok.col)
-        if tok.text == "ideal":
+        if tok.text in ("ideal", "matrix"):
             cur.next()
-            name = cur.expect_kind("name", "an ideal name").text
+            name_tok = cur.expect_kind("name", "an ideal name"
+                                       if tok.text == "ideal"
+                                       else "a matrix name")
+            name = name_tok.text
+            # commands read the bindings when they run, so a name bound
+            # twice would change what an earlier command computes; a
+            # variable or m as a binding name would make sat= ambiguous
+            if name in bindings or name in ring.names or name == "m":
+                raise ScriptError("name %r is already taken" % name,
+                                  name_tok.line, name_tok.col)
+        if tok.text == "ideal":
             cur.expect("=")
             polys = _parse_poly_list(cur, ring)
             bindings[name] = ("ideal", Ideal(ring, tuple(polys)))
             continue
         if tok.text == "matrix":
-            cur.next()
-            name = cur.expect_kind("name", "a matrix name").text
             cur.expect("[")
             nrows = int(cur.expect_kind("number", "a row count").text)
             cur.expect("]")
@@ -371,12 +374,17 @@ def parse_session(source):
                                   eq.line, eq.col)
             rows = [entries[r * ncols:(r + 1) * ncols]
                     for r in range(nrows)]
-            bindings[name] = ("matrix", FormMatrix(ring, rows))
+            try:
+                bindings[name] = ("matrix", FormMatrix(ring, rows))
+            except ValueError as e:
+                raise ScriptError("matrix %s: %s" % (name, e),
+                                  eq.line, eq.col) from None
             continue
         if tok.text not in _COMMANDS:
             raise ScriptError("unknown statement %r" % tok.text,
                               tok.line, tok.col)
 
+        first = cur.i
         op_tok = cur.next()
         op = op_tok.text
         args = {}
@@ -385,36 +393,31 @@ def parse_session(source):
             want = "matrix" if op == "appendix" else "ideal"
             _lookup(bindings, name_tok, want, op)
             args["name"] = name_tok.text
-            semi = cur.expect(";")
-        elif op == "sympow":
+            cur.expect(";")
+        elif op in ("sympow", "symrees"):
             name_tok = cur.expect_kind("name", "an ideal name")
             _lookup(bindings, name_tok, "ideal", op)
             args["name"] = name_tok.text
-            args["level"] = int(cur.expect_kind("number", "a level").text)
-            opts, toks = _parse_options(cur, {"sat"})
-            if "sat" in opts:
-                _validate_sat(opts["sat"], toks["sat"], bindings, ring)
-                args["sat"] = opts["sat"]
-            semi = cur.tokens[cur.i - 1]
-        elif op == "symrees":
-            name_tok = cur.expect_kind("name", "an ideal name")
-            _lookup(bindings, name_tok, "ideal", op)
-            args["name"] = name_tok.text
-            opts, toks = _parse_options(cur, {"lmax", "sat"})
+            if op == "sympow":
+                args["level"] = int(cur.expect_kind("number", "a level").text)
+            opts, toks = _parse_options(
+                cur, {"sat"} if op == "sympow" else {"lmax", "sat"})
             if "lmax" in opts:
                 args["lmax"] = opts["lmax"]
             if "sat" in opts:
                 _validate_sat(opts["sat"], toks["sat"], bindings, ring)
                 args["sat"] = opts["sat"]
-            semi = cur.tokens[cur.i - 1]
         else:
             args["n"] = int(cur.expect_kind("number", "a size").text)
             args["r"] = int(cur.expect_kind("number", "a degree").text)
             opts, _ = _parse_options(cur, {"seed"})
             if "seed" in opts:
                 args["seed"] = opts["seed"]
-            semi = cur.tokens[cur.i - 1]
-        text = re.sub(r"\s+", " ", cur.source[op_tok.start:semi.end]).strip()
+        # the tokens with one space wherever whitespace or a comment was
+        span = cur.tokens[first:cur.i]
+        text = op_tok.text + "".join(
+            (" " if b.start > a.end else "") + b.text
+            for a, b in zip(span, span[1:]))
         commands.append(Command(op, args, text, op_tok.line, op_tok.col))
     return SessionScript(ring, ring_name, bindings, commands)
 
@@ -452,7 +455,7 @@ def render_session(script):
     return "\n".join(lines) + "\n"
 
 
-def _target_for(script, sat_text, cache):
+def _target_for(script, sat_text):
     if sat_text is None or sat_text == "m":
         return None, "m"
     if sat_text in script.bindings:
@@ -463,7 +466,7 @@ def _target_for(script, sat_text, cache):
 
 
 def _filtration(script, name, sat_text, cache):
-    target, key = _target_for(script, sat_text, cache)
+    target, key = _target_for(script, sat_text)
     full = ("filtration", name, key)
     if full not in cache:
         ideal = script.bindings[name][1]
@@ -507,30 +510,27 @@ def _exec_sympow(script, cmd, cache, limits):
 
 def _exec_symrees(script, cmd, cache, limits):
     lmax = cmd.args.get("lmax", limits["lmax"])
+    ideal = script.bindings[cmd.args["name"]][1]
     F = _filtration(script, cmd.args["name"], cmd.args.get("sat"), cache)
     inv = _inverse_of(script, cmd.args["name"], cache)
-    factor = inv.factor if inv is not None else None
-    weight = inv.degree if inv is not None else None
-    report = symbolic_report(script.bindings[cmd.args["name"]][1],
-                             lmax=lmax, target=F.target, factor=factor,
-                             weight=weight)
+    degrees = {"fresh": {str(ell): [g.homogeneous_degree()
+                                    for g in F.fresh(ell)]
+                         for ell in range(1, lmax + 1)}}
     verdicts = {
         "birational": inv is not None,
         "condition": {str(v.level): (v.verdict if v.witness is None
                                      else "%s:%s" % (v.verdict, v.witness))
-                      for v in report.condition},
+                      for v in condition_i(ideal, lmax, filtration=F)},
     }
-    if inv is not None:
-        verdicts["inverse_degree"] = inv.degree
-        verdicts["expected_form"] = {
-            str(ell): report.expected.levels[ell]
-            for ell in sorted(report.expected.levels)}
-        verdicts["factor_in_symbolic"] = report.factor_facts["in_symbolic"]
-    degrees = {"fresh": {str(lv["level"]):
-                         [g.homogeneous_degree() for g in lv["fresh"]]
-                         for lv in report.levels}}
-    values = [str(factor)] if factor is not None else []
-    return values, degrees, verdicts
+    if inv is None:
+        return [], degrees, verdicts
+    expected = expected_form_check(ideal, inv.factor, inv.degree, lmax,
+                                   filtration=F)
+    verdicts["inverse_degree"] = inv.degree
+    verdicts["expected_form"] = {str(ell): expected.levels[ell]
+                                 for ell in sorted(expected.levels)}
+    verdicts["factor_in_symbolic"] = expected.precondition
+    return [str(inv.factor)], degrees, verdicts
 
 
 def _exec_appendix(script, cmd, cache, limits):
@@ -630,12 +630,12 @@ def render_report(records):
                    for rec in records)
 
 
-def _run_file(path, lmax, deadline_s, seed):
-    with open(path, encoding="utf-8") as fh:
-        source = fh.read()
-    with deadline(deadline_s):
+def _run_source(source, args):
+    """Parse under the deadline, then run the session."""
+    with deadline(args.deadline):
         script = parse_session(source)
-    return run_script(script, lmax=lmax, deadline_s=deadline_s, seed=seed)
+    return run_script(script, lmax=args.lmax, deadline_s=args.deadline,
+                      seed=args.seed)
 
 
 def _strip_elapsed(records):
@@ -645,7 +645,9 @@ def _strip_elapsed(records):
 
 def _cmd_run(args):
     try:
-        records = _run_file(args.script, args.lmax, args.deadline, args.seed)
+        with open(args.script, encoding="utf-8") as fh:
+            source = fh.read()
+        records = _run_source(source, args)
     except ScriptError as e:
         print("%s: %s" % (args.script, e), file=sys.stderr)
         return 2
@@ -679,10 +681,7 @@ def _cmd_fixtures(args, base=None):
         source = base.joinpath(name).read_text(encoding="utf-8")
         t0 = time.perf_counter()
         try:
-            with deadline(args.deadline):
-                script = parse_session(source)
-            records = run_script(script, lmax=args.lmax,
-                                 deadline_s=args.deadline, seed=args.seed)
+            records = _run_source(source, args)
         except ScriptError as e:
             print("%s: parse error: %s" % (stem, e))
             bad += 1

@@ -82,9 +82,6 @@ class TemplateMatrix:
                      for i in range(self.n + 1))
         return FormMatrix(self.ring, rows)
 
-    def power_column(self):
-        return self.matrix.column(self.n - 1)
-
     def forms(self):
         return signed_minors(self.matrix)
 

@@ -603,41 +603,22 @@ def syzygies(mat):
     # where the sugar of a column is its shifted degree.
     graded = []
     for terms in reversed(_buchberger(seeds, po)):
-        if po.component(max(terms)) < r:
+        lead = max(terms)
+        if po.component(lead) < r:
             continue
+        deg = delta[po.component(lead) - r] + po.tdeg(lead)
+        if any(delta[po.component(k) - r] + po.tdeg(k) != deg
+               for k in terms):
+            raise ValueError("syzygy grading inconsistent")
+        graded.append((deg, terms))
+    # the engine's canonical scaling (monic over Fp, primitive with a
+    # positive lead over QQ) is the column's
+    columns = []
+    for i in _minimal_subset(po, graded):
         parts = [{} for _ in range(c)]
-        for k, cf in terms.items():
+        for k, cf in graded[i][1].items():
             parts[po.component(k) - r][po.decode(k)] = (
                 cf if p else Fraction(cf))
-        w = [Polynomial(ring, t) for t in parts]
-        degs = {delta[j] + w[j].homogeneous_degree() for j in range(c) if w[j]}
-        if len(degs) != 1:
-            raise ValueError("syzygy grading inconsistent")
-        graded.append((degs.pop(), terms, w))
-    keep = _minimal_subset(po, [(s, terms) for s, terms, _w in graded])
-    columns = [_normalize_column(ring, graded[i][2]) for i in keep]
+        columns.append([Polynomial(ring, t) for t in parts])
     entries = [[col[j] for col in columns] for j in range(c)]
-    if not columns:
-        entries = [[] for _ in range(c)]
     return FormMatrix(ring, entries)
-
-
-def _normalize_column(ring, w):
-    """Scale a vector of forms by one scalar to a canonical representative."""
-    p = ring.field.characteristic
-    first = next(f for f in w if f)
-    if p:
-        inv = pow(first.leading_coefficient(), -1, p)
-        return [f * inv for f in w]
-    den = 1
-    num = 0
-    for f in w:
-        for _e, c in f.items():
-            den = den * c.denominator // gcd(den, c.denominator)
-    for f in w:
-        for _e, c in f.items():
-            num = gcd(num, c.numerator * (den // c.denominator))
-    scale = Fraction(den, num)
-    if first.leading_coefficient() < 0:
-        scale = -scale
-    return [f * scale for f in w]

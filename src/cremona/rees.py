@@ -93,32 +93,19 @@ class JacobianDual:
 def rees_ideal(I):
     """Presentation ideal of the Rees algebra, minimal bigraded generators.
 
-    Eliminates t from (y_i - t*f_i); generators come back sorted by total
-    degree, then x-degree.
+    Minimalizes subalgebra_presentation(I); generators come back sorted
+    by total degree, then x-degree.
     """
-    ring = I.ring
-    gens = I.gens
-    if not gens:
-        raise ValueError("need a nonzero ideal")
-    _uniform_degree(gens)
-    xnames = ring.names
-    taken = set(xnames)
-    ynames = _fresh_block(taken, ("y", "Y", "v"), len(gens))
-    tname = _fresh_block(taken | set(ynames), ("t", "s", "u"), 1)[0]
-    work = PolyRing((tname,) + xnames + ynames, ring.field,
-                    blocks=((tname,), xnames, ynames))
-    t = work.var(tname)
-    rel = [work.var(yn) - t * transfer(f, work)
-           for yn, f in zip(ynames, gens)]
-    sub, polys = eliminate(rel, [tname], ring=work)
-    mins = Ideal(sub, polys).minimal_generators()
+    J = subalgebra_presentation(I)
     keyed = []
-    for i, g in enumerate(mins):
+    for i, g in enumerate(J.minimal_generators()):
         a, b = g.block_degrees()
         keyed.append(((a + b, a, b, i), g))
     keyed.sort(key=lambda kv: kv[0])
     ordered = tuple(g for _, g in keyed)
-    return ReesPresentation(I, sub, Ideal(sub, ordered), xnames, ynames)
+    xnames = I.ring.names
+    return ReesPresentation(I, J.ring, Ideal(J.ring, ordered), xnames,
+                            J.ring.names[len(xnames):])
 
 
 def jacobian_dual(P):

@@ -396,12 +396,6 @@ class PolyRing:
             out.append(d + n - 1 - prev - 1)
             yield tuple(out)
 
-    def block_of(self, name):
-        for bi, b in enumerate(self.blocks):
-            if name in b:
-                return bi
-        raise KeyError(name)
-
     def parse(self, text):
         return _parse_poly(self, text)
 
@@ -445,12 +439,6 @@ class Polynomial:
         if not self._t:
             return None
         return max(sum(e) for e in self._t)
-
-    def degree_in(self, name):
-        if not self._t:
-            return None
-        i = self.ring.index(name)
-        return max(e[i] for e in self._t)
 
     def is_homogeneous(self):
         if not self._t:
@@ -509,9 +497,6 @@ class Polynomial:
 
     def leading_coefficient(self, order=None):
         return self._t[self.leading_monomial(order)]
-
-    def constant_term(self):
-        return self.coefficient((0,) * self.ring.nvars)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -872,12 +857,6 @@ class FormMatrix:
     def row(self, i):
         return self.entries[i]
 
-    def column(self, j):
-        return tuple(r[j] for r in self.entries)
-
-    def transpose(self):
-        return FormMatrix(self.ring, tuple(zip(*self.entries)))
-
     def __matmul__(self, other):
         if not isinstance(other, FormMatrix) or other.ring != self.ring:
             raise ValueError("can only multiply matrices over the same ring")
@@ -909,10 +888,6 @@ class FormMatrix:
                 sub = tuple(tuple(self.entries[i][j] for j in ci) for i in ri)
                 out.append(_det(self.ring, sub))
         return out
-
-    def map(self, fn):
-        return FormMatrix(self.ring, tuple(tuple(fn(e) for e in row)
-                                           for row in self.entries))
 
     def __eq__(self, other):
         return (isinstance(other, FormMatrix) and self.ring == other.ring

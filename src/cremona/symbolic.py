@@ -16,10 +16,9 @@ from .rees import _fresh_block, rees_ideal
 from .rings import PolyRing, Polynomial, transfer
 
 __all__ = ["ConditionVerdict", "ExpectedFormResult", "SaturationTarget",
-           "SymbolicFiltration", "SymbolicReport", "condition_i",
-           "depth_positive", "essential_generators", "expected_form_check",
-           "grade_two_check", "symbolic_power", "symbolic_presentation",
-           "symbolic_report"]
+           "SymbolicFiltration", "condition_i", "depth_positive",
+           "expected_form_check", "grade_two_check",
+           "symbolic_presentation"]
 
 DEFAULT_LMAX = 4
 
@@ -149,13 +148,6 @@ class SymbolicFiltration:
         return self._survivors(ell, acc)
 
 
-def symbolic_power(I, ell, target=None):
-    """Saturation of the ell-th power against the target."""
-    if ell < 1:
-        raise ValueError("levels start at 1")
-    return SymbolicFiltration(I, target).level(ell)
-
-
 class ConditionVerdict:
     """Per-level status of the quotient level/power: ZERO, PRIMARY or
     FAILS with a witness variable outside the annihilator's radical."""
@@ -216,13 +208,6 @@ def depth_positive(I):
     return I.quotient(m) == I
 
 
-def essential_generators(F, r):
-    """Minimal level-r generators outside every product of lower levels."""
-    if r < 1:
-        raise ValueError("order must be at least 1")
-    return F.essential(r)
-
-
 class ExpectedFormResult:
     """Outcome of the expected-form check.
 
@@ -236,9 +221,6 @@ class ExpectedFormResult:
     def __init__(self, precondition, levels):
         self.precondition = precondition
         self.levels = dict(levels)
-
-    def all_match(self):
-        return self.precondition and all(self.levels.values())
 
     def __repr__(self):
         return ("ExpectedFormResult(precondition=%s, levels=%s)"
@@ -307,59 +289,3 @@ def grade_two_check(presentation, elements=None):
         return False
     bigger = presentation + Ideal(presentation.ring, (a,))
     return bigger.quotient(b) == bigger
-
-
-class SymbolicReport:
-    """Immutable snapshot of a filtration study.
-
-    levels holds per-level records (level ideal, minimal generators,
-    fresh and essential generators); condition the per-level verdicts;
-    expected the form check when a factor was supplied; factor_facts
-    membership facts about the factor.
-    """
-
-    __slots__ = ("base", "target", "levels", "condition", "expected",
-                 "factor_facts")
-
-    def __init__(self, base, target, levels, condition, expected,
-                 factor_facts):
-        self.base = base
-        self.target = target
-        self.levels = levels
-        self.condition = condition
-        self.expected = expected
-        self.factor_facts = factor_facts
-
-
-def symbolic_report(I, lmax=DEFAULT_LMAX, target=None, factor=None,
-                    weight=None):
-    """Run the filtration study up to lmax and collect everything."""
-    F = SymbolicFiltration(I, target)
-    levels = []
-    for ell in range(1, lmax + 1):
-        levels.append({
-            "level": ell,
-            "ideal": F.level(ell),
-            "minimal": F.minimal(ell),
-            "fresh": F.fresh(ell),
-            "essential": F.essential(ell),
-        })
-    condition = condition_i(I, lmax, filtration=F)
-    expected = None
-    facts = None
-    if factor is not None:
-        if weight is None:
-            raise ValueError("a factor needs its weight")
-        expected = expected_form_check(I, factor, weight, lmax,
-                                       filtration=F)
-        facts = {
-            "in_symbolic": expected.precondition,
-            "in_power": (weight <= lmax
-                         and F.power(weight).contains(factor)),
-            "essential": (weight <= lmax
-                          and any(factor == g or factor.normalized()
-                                  == g.normalized()
-                                  for g in F.essential(weight))),
-        }
-    return SymbolicReport(I, F.target, tuple(levels), condition, expected,
-                          facts)

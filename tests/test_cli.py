@@ -6,11 +6,16 @@ import time
 from argparse import Namespace
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from cremona.cli import (ScriptError, _cmd_fixtures, corpus_dir, main,
-                         parse_session, render_report, render_session,
-                         run_script)
+from cremona.cli import (MAX_VARIABLES, ScriptError, _cmd_fixtures,
+                         corpus_dir, main, parse_session, render_report,
+                         render_session, run_script)
+from cremona.groebner import deadline
+from cremona.ideals import Ideal
+from cremona.symbolic import SymbolicFiltration
 
 HEADER = "ring R = QQ[x0..x2];\n"
 FIELD_KEYS = ["command", "status", "values", "degrees", "verdicts",
@@ -42,6 +47,11 @@ class TestParsing:
         script = parse_session("# leading note\n" + HEADER
                                + "ideal I = x0*x1; # trailing\n")
         assert "I" in script.bindings
+
+    def test_comment_inside_command_left_out_of_text(self):
+        script = parse_session(HEADER + "ideal I = x0*x1;\n"
+                               "sympow I # level\n 2;")
+        assert script.commands[0].text == "sympow I 2;"
 
     def test_matrix_rows(self):
         script = parse_session(
@@ -99,6 +109,40 @@ class TestDiagnostics:
         e = parse_err("ring R = QQ[x4..x0];")
         assert "empty variable range" in str(e)
 
+    def test_duplicate_variables_at_ring_name(self):
+        e = parse_err("ring R = QQ[a, a];")
+        assert (e.line, e.col) == (1, 6)
+        assert "distinct" in str(e)
+
+    def test_inhomogeneous_matrix_entry_at_equals(self):
+        e = parse_err(HEADER + "matrix M[1][1] = x0+1;")
+        assert (e.line, e.col) == (2, 16)
+        assert "homogeneous" in str(e)
+
+    def test_oversized_ring(self):
+        e = parse_err("ring R = QQ[x0..x%d];" % MAX_VARIABLES)
+        assert (e.line, e.col) == (1, 13)
+        assert "exceed the limit" in str(e)
+        names = ", ".join("x%d" % k for k in range(MAX_VARIABLES + 1))
+        e = parse_err("ring R = QQ[%s];" % names)
+        assert (e.line, e.col) == (1, 13)
+        assert len(parse_session("ring R = QQ[x1..x%d];" % MAX_VARIABLES)
+                   .ring.names) == MAX_VARIABLES
+
+    def test_overlong_number(self):
+        e = parse_err(HEADER + "ideal I = %s*x0;" % ("1" * 5000))
+        assert (e.line, e.col) == (2, 11)
+        assert "exceeds the limit" in str(e)
+
+    def test_taken_binding_names_rejected(self):
+        e = parse_err(HEADER + "ideal I = x0;\ninverse I;\n"
+                      "matrix I[1][1] = x1;")
+        assert (e.line, e.col) == (4, 8)
+        assert "already taken" in str(e)
+        for name in ("x1", "m"):
+            e = parse_err(HEADER + "ideal %s = x0;" % name)
+            assert (e.line, e.col) == (2, 7)
+
     def test_unknown_option(self):
         e = parse_err(HEADER + "ideal I = x0*x1;\nsympow I 2 fast=1;")
         assert "unknown option" in str(e)
@@ -107,6 +151,80 @@ class TestDiagnostics:
         e = parse_err(HEADER + "ideal I = x0*x1;\n"
                       "matrix M[2][1] = x0, x1;\nsympow I 2 sat=M;")
         assert "names a matrix" in str(e)
+
+
+# pieces of session text, well formed and not, for the grammar fuzz
+RINGS = ("ring R = QQ[x0..x2];", "ring R = Fp(31991)[x0..x2];",
+         "ring R = QQ[a, b, c];", "ring R = QQ[a, a];", "ring R = Fp(6)[x0];",
+         "ring R = ZZ[x0];", "ring R = QQ[x2..x0];", "ring R = QQ[x0..y2];",
+         "ring R = QQ[x0..x1000];", "ring R = Fp(0)[x01, x02];")
+POLYS = ("x0", "x1*x2", "x0^2-x1*x2", "2*x0+x1", "1/2*x0", "x0+1", "a*b",
+         "(x0+x1)^2", "-x2", "0", "1", "x0^8388608", "x0 +", "q", "x0*(x1",
+         "x0 # note\n + x1", "1" * 4301)
+NAMES = ("I", "J", "M", "m", "x0")
+OPTIONS = ("", " sat=m", " sat=J", " sat=M", " sat=x0+x1", " sat=x0 + 1",
+           " sat=", " lmax=2", " seed=3", " sat=x0 lmax=2", " fast=1")
+SEPARATORS = (" ", "\n", "\n# note\n", "  \n  ", "")
+
+
+@st.composite
+def statements(draw):
+    name = draw(st.sampled_from(NAMES))
+    polys = ", ".join(draw(st.lists(st.sampled_from(POLYS), min_size=1,
+                                    max_size=4)))
+    small = st.integers(0, 3)
+    options = draw(st.sampled_from(OPTIONS))
+    return draw(st.sampled_from((
+        "ideal %s = %s;" % (name, polys),
+        "matrix %s[%d][%d] = %s;" % (name, draw(small), draw(small), polys),
+        "inverse %s;" % name, "invfactor %s;" % name,
+        "appendix %s;" % name,
+        "sympow %s %d%s;" % (name, draw(small), options),
+        "symrees %s%s;" % (name, options),
+        "template %d %d%s;" % (draw(small), draw(small), options),
+        "frobnicate;", "ring S = QQ[y];", "$", "ideal I = ;")))
+
+
+@st.composite
+def sessions(draw):
+    parts = [draw(st.sampled_from(RINGS))]
+    parts += draw(st.lists(statements(), max_size=6))
+    text = ""
+    for part in parts:
+        text += part + draw(st.sampled_from(SEPARATORS))
+    # a few blind edits: cut a slice or splice in a piece of punctuation
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:at] + text[at + draw(st.integers(1, 4)):]
+        else:
+            piece = draw(st.sampled_from(
+                (";", ",", "=", "(", ")", "..", "[", "]", " ", "#")))
+            text = text[:at] + piece + text[at:]
+    return text
+
+
+class TestGrammarFuzz:
+    @given(sessions())
+    @settings(max_examples=300, deadline=None)
+    def test_parses_and_round_trips_or_is_positioned(self, source):
+        try:
+            with deadline(5):
+                script = parse_session(source)
+        except ScriptError as e:
+            assert e.line >= 1 and e.col >= 1
+            return
+        rendered = render_session(script)
+        again = parse_session(rendered)
+        assert again.ring == script.ring
+        assert again.ring_name == script.ring_name
+        assert list(again.bindings) == list(script.bindings)
+        for name, (kind, value) in script.bindings.items():
+            assert again.bindings[name][0] == kind
+            assert again.bindings[name][1] == value
+        assert [(c.op, c.text) for c in again.commands] == \
+            [(c.op, c.text) for c in script.commands]
+        assert render_session(again) == rendered
 
 
 class TestRoundTrip:
@@ -181,6 +299,47 @@ class TestRunScript:
         assert [r["seed"] for r in rejected] == [236476]
         assert "standing assumption" in rejected[0]["reason"]
 
+    def test_symrees_record(self):
+        src = self.SOURCE.replace("sympow I 2;", "symrees I lmax=2;")
+        rec = run_script(parse_session(src))[1]
+        assert rec["values"] == ["x0*x1*x2"]
+        assert rec["degrees"] == {"fresh": {"1": [], "2": [3]}}
+        assert list(rec["verdicts"]) == [
+            "birational", "condition", "inverse_degree", "expected_form",
+            "factor_in_symbolic"]
+        assert rec["verdicts"]["factor_in_symbolic"] is True
+        assert rec["verdicts"]["expected_form"] == {"1": True, "2": True}
+
+    def test_symrees_non_birational_record(self):
+        src = HEADER + "ideal I = x0^2, x1^2, x2^2;\nsymrees I lmax=2;\n"
+        rec = run_script(parse_session(src))[0]
+        assert rec["status"] == "ok"
+        assert rec["values"] == []
+        # the ideal is m-primary, so every level saturates to the unit ideal
+        assert rec["degrees"] == {"fresh": {"1": [0], "2": [0]}}
+        assert rec["verdicts"] == {
+            "birational": False,
+            "condition": {"1": "PRIMARY", "2": "PRIMARY"}}
+
+    def test_symrees_reuses_the_sympow_filtration(self, monkeypatch):
+        counts = {"filtrations": 0, "saturations": 0}
+        init, saturate = SymbolicFiltration.__init__, Ideal.saturate
+
+        def counted_init(self, *args):
+            counts["filtrations"] += 1
+            init(self, *args)
+
+        def counted_saturate(self, *args):
+            counts["saturations"] += 1
+            return saturate(self, *args)
+
+        monkeypatch.setattr(SymbolicFiltration, "__init__", counted_init)
+        monkeypatch.setattr(Ideal, "saturate", counted_saturate)
+        src = self.SOURCE.replace("inverse I;\n", "") + "symrees I lmax=2;\n"
+        records = run_script(parse_session(src))
+        assert [rec["status"] for rec in records] == ["ok", "ok"]
+        assert counts == {"filtrations": 1, "saturations": 2}
+
     def test_report_is_jsonl(self):
         records = run_script(parse_session(self.SOURCE))
         lines = render_report(records).splitlines()
@@ -237,6 +396,17 @@ class TestMain:
         assert time.monotonic() - t0 < 10
         err = capsys.readouterr().err
         assert "line 3, column 3" in err and "time budget" in err
+
+    @pytest.mark.parametrize("source", [
+        "ring R = QQ[a, a];\n",
+        HEADER + "matrix M[1][1] = x0+1;\n",
+        "ring R = QQ[x0..x16000];\n",
+    ])
+    def test_hostile_input_exit_two(self, tmp_path, capsys, source):
+        script = tmp_path / "bad.session"
+        script.write_text(source, encoding="utf-8")
+        assert main(["run", str(script)]) == 2
+        assert "column" in capsys.readouterr().err
 
     def test_run_failure_exit_one(self, tmp_path):
         script = tmp_path / "f.session"

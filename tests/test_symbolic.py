@@ -8,9 +8,8 @@ from cremona.rees import subalgebra_presentation
 from cremona.rings import PolyRing, QQ, transfer
 from cremona.symbolic import (SaturationTarget, SymbolicFiltration,
                               condition_i, depth_positive,
-                              essential_generators, expected_form_check,
-                              grade_two_check, symbolic_power,
-                              symbolic_presentation, symbolic_report)
+                              expected_form_check, grade_two_check,
+                              symbolic_presentation)
 
 R3 = PolyRing(("x0", "x1", "x2"), QQ)
 
@@ -56,12 +55,6 @@ class TestFiltration:
             prod = F.level(a) * F.level(b)
             assert F.level(a + b).contains_ideal(prod)
 
-    def test_convenience_function(self, std):
-        assert symbolic_power(std.ideal, 2) == \
-            SymbolicFiltration(std.ideal).level(2)
-        with pytest.raises(ValueError):
-            symbolic_power(std.ideal, 0)
-
 
 class TestFreshEssential:
     def test_standard_quadratic_level_two(self, std):
@@ -74,7 +67,6 @@ class TestFreshEssential:
         assert strs(F.fresh(3)) == [
             "x0*x1^2*x2^2", "x0^2*x1*x2^2", "x0^2*x1^2*x2"]
         assert F.essential(3) == ()
-        assert essential_generators(F, 3) == ()
 
     def test_essential_implies_fresh_membership(self, polar_filtration):
         F = polar_filtration
@@ -150,18 +142,3 @@ class TestPresentation:
         b = transfer(std.ring.parse("x0 - x1"), SP.ring)
         assert grade_two_check(SP, (a, b))
 
-
-class TestReport:
-    def test_shape_and_facts(self, std):
-        D = std.ring.parse("x0*x1*x2")
-        rep = symbolic_report(std.ideal, lmax=2, factor=D, weight=2)
-        assert [rec["level"] for rec in rep.levels] == [1, 2]
-        assert strs(rep.levels[1]["fresh"]) == ["x0*x1*x2"]
-        assert rep.expected.precondition
-        assert rep.factor_facts == {
-            "in_symbolic": True, "in_power": False, "essential": True}
-
-    def test_factor_needs_weight(self, std):
-        D = std.ring.parse("x0*x1*x2")
-        with pytest.raises(ValueError):
-            symbolic_report(std.ideal, lmax=2, factor=D)
