@@ -199,6 +199,10 @@ def _parse_ring(cur):
         cur.expect("(")
         p = int(cur.expect_kind("number", "a prime").text)
         cur.expect(")")
+        if not p:
+            # Field(0) would be the rationals
+            raise ScriptError("Fp needs a prime, not 0 (write QQ for the "
+                              "rationals)", field_tok.line, field_tok.col)
         try:
             field = Field(p)
         except ValueError as e:

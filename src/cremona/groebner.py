@@ -339,8 +339,29 @@ def _buchberger(seeds, po):
         if out:
             eng.add(out, sugar)
     eng.run()
-    final = eng.view()
-    p = eng.p
+    return _interreduce([g.terms for g in eng.view()], po)
+
+
+def _elements(dicts, po):
+    """Engine elements of nonzero packed term dicts."""
+    out = []
+    for idx, terms in enumerate(dicts):
+        key = max(terms)
+        out.append(_Elt(key, terms, terms[key], po.tdeg(key), 0, idx))
+    return out
+
+
+def _interreduce(dicts, po):
+    """Reduced basis, as packed term dicts by ascending lead key, of a
+    Groebner basis given as term dicts.  An element whose lead is
+    divisible by another lead is dropped first (of equal leads the first
+    stays); then each tail is reduced by the other elements."""
+    divides = po.divides
+    final = []
+    for g in sorted(_elements(dicts, po), key=lambda g: g.key):
+        if not any(divides(h.key, g.key) for h in final):
+            final.append(g)
+    p = po.ring.field.characteristic
     reduced = []
     for g in final:
         others = [h for h in final if h is not g]
@@ -376,6 +397,77 @@ def _minimal_subset(po, cands):
     return kept
 
 
+def _divide_out(gb, i):
+    """Basis of I : x_i^inf from a basis gb of a homogeneous ideal I in a
+    grevlex order whose smallest variable is x_i (Bayer's trick).
+
+    In such an order x_i divides the lead of a form exactly as often as
+    it divides the form, so removing from each element the largest power
+    of x_i dividing it gives a basis of the saturation in the same order.
+    Dividing a term by x_i^a subtracts a times the weight of x_i from its
+    key.  The result is a basis, not necessarily a reduced one.
+    """
+    po = gb._po
+    w = po.weights[i]
+    decode = po.decode
+    dicts = []
+    for g in gb._elts:
+        a = min(decode(k)[i] for k in g.terms)
+        dicts.append({k - a * w: c for k, c in g.terms.items()}
+                     if a else g.terms)
+    # the reduction loop wants ascending leads
+    dicts.sort(key=max)
+    return GroebnerBasis(gb.ring, gb.order, None, po, dicts)
+
+
+def _times(a, b, po):
+    """Product of two packed term dicts: keys add up to the constant key0."""
+    p = po.ring.field.characteristic
+    off = -po.key0
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb + off
+            v = out.get(k, 0) + ca * cb
+            if p:
+                v %= p
+            if v:
+                out[k] = v
+            else:
+                out.pop(k, None)
+    return out
+
+
+def _colon_exponent(gb, gens, targets):
+    """Least s with J^s * K inside the ideal I of the basis gb, where K is
+    generated by gens and J by targets, and K lies in I : J^inf.
+
+    W_0 holds the nonzero normal forms modulo gb of the generators of K
+    and W_s those of the products f * w, f in targets and w in W_(s-1),
+    so W_s generates J^s * K modulo I; s is the first index where W_s is
+    empty.  Normal forms are kept as normalized packed terms, duplicates
+    once, and every product and reduction stays on packed terms.
+    """
+    po = gb._po
+    p = po.ring.field.characteristic
+    elts = gb._elts
+    fs = [_engine_in(po, f)[0] for f in targets]
+    cur = [_engine_in(po, g)[0] for g in gens]
+    s = 0
+    while True:
+        check_deadline()
+        seen = {}
+        for terms in cur:
+            out = _reduce(terms, elts, po, p)[0]
+            if out:
+                out = _normalize(out, p)
+                seen.setdefault(frozenset(out.items()), out)
+        if not seen:
+            return s
+        cur = [_times(w, f, po) for w in seen.values() for f in fs]
+        s += 1
+
+
 # every basis still referenced somewhere; lets audits certify whatever
 # a session is actually relying on
 _LIVE_BASES = weakref.WeakSet()
@@ -386,8 +478,19 @@ def live_bases():
     return tuple(_LIVE_BASES)
 
 
+def _polynomial(po, terms):
+    """The Polynomial of packed terms with engine coefficients."""
+    if po.ring.field.characteristic:
+        coeffs = {po.decode(k): v for k, v in terms.items()}
+    else:
+        coeffs = {po.decode(k): Fraction(v) for k, v in terms.items()}
+    return Polynomial(po.ring, coeffs)
+
+
 class GroebnerBasis:
-    """Reduced Groebner basis supporting exact normal forms."""
+    """Groebner basis supporting exact normal forms; groebner_basis and
+    eliminate build reduced ones.  A source of None stands for the basis
+    itself."""
 
     __slots__ = ("ring", "order", "source", "polys", "_po", "_elts",
                  "_leads", "__weakref__")
@@ -396,22 +499,11 @@ class GroebnerBasis:
         _LIVE_BASES.add(self)
         self.ring = ring
         self.order = order
-        self.source = tuple(source)
         self._po = po
-        elts = []
-        polys = []
-        p = ring.field.characteristic
-        for idx, terms in enumerate(term_dicts):
-            key = max(terms)
-            elts.append(_Elt(key, terms, terms[key], po.tdeg(key), 0, idx))
-            if p:
-                coeffs = {po.decode(k): v for k, v in terms.items()}
-            else:
-                coeffs = {po.decode(k): Fraction(v) for k, v in terms.items()}
-            polys.append(Polynomial(ring, coeffs))
-        self._elts = elts
-        self.polys = tuple(polys)
-        self._leads = tuple(po.decode(g.key) for g in elts)
+        self._elts = _elements(term_dicts, po)
+        self.polys = tuple(_polynomial(po, terms) for terms in term_dicts)
+        self.source = self.polys if source is None else tuple(source)
+        self._leads = tuple(po.decode(g.key) for g in self._elts)
 
     @property
     def leads(self):

@@ -10,8 +10,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .groebner import (_engine_in, _minimal_subset, check_deadline,
-                       eliminate, groebner_basis)
+from .groebner import (GroebnerBasis, _colon_exponent, _divide_out,
+                       _engine_in, _interreduce, _minimal_subset, _polynomial,
+                       _times, check_deadline, eliminate, groebner_basis)
 from .rings import MonomialOrder, PackedOrder, PolyRing, Polynomial, transfer
 
 __all__ = ["HilbertData", "Ideal", "minors"]
@@ -181,16 +182,87 @@ class Ideal:
         return acc
 
     def saturate(self, other):
-        """Stable value of self : other^s and the smallest such s."""
-        cur = self
-        s = 0
-        while True:
+        """Saturation K = self : other^inf and the least s with
+        other^s * K inside self; other is an ideal or one polynomial.
+
+        K is the intersection of the saturations by the generators f of
+        other (_saturation); one that lies in all the others is K itself.
+        Returns (self, 0) when K lies in self.  Otherwise K comes as its
+        reduced grevlex basis by ascending lead key, except for a single
+        f with two or more terms: then, as self.quotient(f) would list
+        K = (self : f^(s-1)) : f, the reduced basis of f*K divided by f.
+        """
+        ring = self.ring
+        if isinstance(other, Polynomial):
+            if other.ring != ring:
+                raise ValueError("polynomial from a different ring")
+            targets = (other,) if other else ()
+        else:
+            self._check(other)
+            targets = other.gens
+        # the saturations that contain none of the others; of equal ones
+        # the first stays.  The last variable comes first: its Bayer basis
+        # is in the standard order, so it needs no conversion.
+        kept = []
+        for f in reversed(targets):
             check_deadline()
-            nxt = cur.quotient(other)
-            if cur.contains_ideal(nxt):
-                return cur, s
-            cur = nxt
-            s += 1
+            gb = self._saturation(f)
+            if not any(_inside(k, gb) for k in kept):
+                kept = [k for k in kept if not _inside(gb, k)] + [gb]
+        if not kept:
+            gens = (ring.one,)
+        elif len(kept) == 1:
+            gens = kept[0].polys
+        else:
+            acc = Ideal(ring, kept[0].polys)
+            for gb in kept[1:]:
+                check_deadline()
+                acc = acc.intersect(Ideal(ring, gb.polys))
+            gens = acc.gens
+        s = _colon_exponent(self.groebner(), gens, targets)
+        if not s:
+            return self, 0
+        if len(kept) == 1:
+            gens = _reduced_grevlex(kept[0])
+        if len(targets) == 1 and len(targets[0]) > 1:
+            gens = _divided_form(gens, targets[0])
+        return Ideal(ring, gens), s
+
+    def _saturation(self, f):
+        """Groebner basis of self : f^inf, in the order that found it.
+
+        For a homogeneous ideal and a term f, Bayer's trick once per
+        variable of f (a term's saturation is the iterated one by its
+        variables): a basis in the grevlex order with that variable last,
+        divided by the variable's largest powers.  Otherwise t is
+        eliminated from (self, 1 - t*f).
+        """
+        ring = self.ring
+        if len(f) == 1 and self.is_homogeneous():
+            (exps, _c), = f.items()
+            gb = None
+            for i, x in enumerate(exps):
+                if not x:
+                    continue
+                check_deadline()
+                order = _grevlex_last(ring, i)
+                if gb is None and order == MonomialOrder.grevlex():
+                    gb = self.groebner()
+                else:
+                    # from the generators: faster than from another basis
+                    gens = self.gens if gb is None else gb.polys
+                    gb = groebner_basis(list(gens), order=order, ring=ring)
+                gb = _divide_out(gb, i)
+            return gb if gb is not None else self.groebner()
+        t = _fresh_name(ring, "_t")
+        aux = _extended_ring(ring, t)
+        gens = [transfer(g, aux) for g in self.gens]
+        gens.append(aux.one - aux.var(t) * transfer(f, aux))
+        _sub, out = eliminate(gens, [t], ring=aux)
+        po = PackedOrder(ring, MonomialOrder.grevlex())
+        return GroebnerBasis(ring, po.order, None, po,
+                             [_engine_in(po, transfer(g, ring))[0]
+                              for g in out])
 
     def eliminate(self, drop):
         """Image of the ideal in the subring without the drop variables."""
@@ -245,6 +317,40 @@ class Ideal:
         gens.append(aux.one - aux.var(w) * transfer(f, aux))
         gb = groebner_basis(gens, ring=aux)
         return gb.contains(aux.one)
+
+
+def _grevlex_last(ring, i):
+    """The grevlex order whose smallest variable is the i-th."""
+    names = ring.names
+    if i == len(names) - 1:
+        return MonomialOrder.grevlex()
+    return MonomialOrder.grevlex(names[:i] + names[i + 1:] + (names[i],))
+
+
+def _inside(small, big):
+    """Whether the ideal of the basis small lies in that of big."""
+    return all(big.contains(g) for g in small.polys)
+
+
+def _reduced_grevlex(gb):
+    """The reduced grevlex basis of the ideal of gb, ascending."""
+    if gb.order != MonomialOrder.grevlex():
+        return groebner_basis(list(gb.polys), ring=gb.ring).polys
+    po = gb._po
+    return tuple(_polynomial(po, t)
+                 for t in _interreduce([g.terms for g in gb._elts], po))
+
+
+def _divided_form(basis, f):
+    """The reduced basis of f*K divided by f, for the reduced grevlex
+    basis of K: the products f*g form a basis of f*K with the leads of
+    the g times that of f, so interreducing them is all it takes."""
+    po = PackedOrder(f.ring, MonomialOrder.grevlex())
+    ft = _engine_in(po, f)[0]
+    prods = _interreduce([_times(_engine_in(po, g)[0], ft, po)
+                          for g in basis], po)
+    return tuple(_polynomial(po, t).exact_divide(f).normalized()
+                 for t in prods)
 
 
 def _product(polys):

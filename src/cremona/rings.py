@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import heapq
 import itertools
 import math
 import re
@@ -138,8 +139,10 @@ class MonomialOrder:
         self.data = data
 
     @classmethod
-    def grevlex(cls):
-        return cls("grevlex")
+    def grevlex(cls, names=()):
+        """Graded reverse lex on the variables in the sequence names (the
+        ring's own sequence when empty); the last one is the smallest."""
+        return cls("grevlex", tuple(names))
 
     @classmethod
     def lex(cls):
@@ -194,20 +197,21 @@ class PackedOrder:
         n = ring.nvars
         kind = order.kind
         raw = [("pos", n), ("plain", n)] if rank else []
-        if kind == "grevlex":
-            raw.append(("deg", tuple(range(n))))
-            raw.extend(("comp", i) for i in range(n - 1, -1, -1))
-        elif kind == "lex":
+        if kind == "lex":
             raw.extend(("plain", i) for i in range(n))
-        elif kind == "block":
+        elif kind in ("grevlex", "block"):
+            # grevlex is the block order of one group
+            groups = (order.data if kind == "block"
+                      else (order.data or ring.names,))
             seen = []
-            for group in order.data:
+            for group in groups:
                 idx = tuple(ring.index(v) for v in group)
                 seen.extend(idx)
                 raw.append(("deg", idx))
                 raw.extend(("comp", i) for i in reversed(idx))
             if sorted(seen) != list(range(n)):
-                raise ValueError("block order must cover the ring variables")
+                raise ValueError("%s order must cover the ring variables"
+                                 % kind)
         else:
             raise ValueError("unknown order kind %r" % kind)
         # index n stands for the module component
@@ -659,28 +663,41 @@ class Polynomial:
         p = ring.field.characteristic
         key = ring._defkey
         dlm = divisor.leading_monomial()
-        dlc = divisor.leading_coefficient()
-        dinv = ring.field.inv(dlc)
+        dinv = ring.field.inv(divisor._t[dlm])
         rem = dict(self._t)
+        # the remainder's terms by descending key; a term cancelled from
+        # rem stays on the heap and is skipped when it comes up
+        heap = [(-key(e), e) for e in rem]
+        heapq.heapify(heap)
         quot = {}
-        while rem:
-            lm = max(rem, key=key)
+        while heap:
+            lm = heapq.heappop(heap)[1]
+            c = rem.pop(lm, None)
+            if c is None:
+                continue
             me = tuple(a - b for a, b in zip(lm, dlm))
             if any(x < 0 for x in me):
                 raise NotDivisibleError("division is not exact")
-            c = rem[lm] * dinv
+            c = c * dinv
             if p:
                 c %= p
             quot[me] = c
             for e, dc in divisor._t.items():
+                if e == dlm:
+                    continue
                 ne = tuple(a + b for a, b in zip(me, e))
-                v = rem.get(ne, 0) - c * dc
+                v = rem.get(ne)
+                if v is None:
+                    v = -c * dc
+                    heapq.heappush(heap, (-key(ne), ne))
+                else:
+                    v -= c * dc
                 if p:
                     v %= p
                 if v:
                     rem[ne] = v
-                elif ne in rem:
-                    del rem[ne]
+                else:
+                    rem.pop(ne, None)
         return Polynomial(ring, quot)
 
     def normalized(self):

@@ -1,8 +1,10 @@
 """Slow independent oracles that the fast code paths are checked against.
 
-Everything here sticks to degreewise exact linear algebra and explicit
-products, avoiding the Groebner engine entirely, so agreement between
-the two routes is meaningful.
+Nearly everything here sticks to degreewise exact linear algebra and
+explicit products, avoiding the Groebner engine entirely, so agreement
+between the two routes is meaningful.  saturate_by_quotients uses the
+engine, but only through colons and intersections by elimination, not
+the saturation code it checks.
 """
 
 import itertools
@@ -142,8 +144,9 @@ def order_key(order, ring):
     """
     n = ring.nvars
     if order.kind == "grevlex":
-        rng = range(n - 1, -1, -1)
-        return lambda e: (sum(e),) + tuple(-e[i] for i in rng)
+        seq = [ring.index(v) for v in order.data] if order.data else range(n)
+        rev = tuple(reversed(seq))
+        return lambda e: (sum(e),) + tuple(-e[i] for i in rev)
     if order.kind == "lex":
         return tuple
     if order.kind == "block":
@@ -158,3 +161,17 @@ def order_key(order, ring):
 
         return key
     raise ValueError("unknown order kind %r" % order.kind)
+
+
+def saturate_by_quotients(I, J):
+    """I : J^inf and the least s with I : J^s equal to it, by iterated
+    colons: I : J^(s+1) is computed from I : J^s until it adds nothing.
+    J is an ideal or one polynomial."""
+    cur = I
+    s = 0
+    while True:
+        nxt = cur.quotient(J)
+        if cur.contains_ideal(nxt):
+            return cur, s
+        cur = nxt
+        s += 1

@@ -105,6 +105,11 @@ class TestDiagnostics:
         e = parse_err("ring R = Fp(6)[x0..x2];")
         assert e.line == 1
 
+    def test_characteristic_zero_prime_field(self):
+        e = parse_err("ring R = Fp(0)[x0..x2];")
+        assert (e.line, e.col) == (1, 10)
+        assert "not 0" in str(e)
+
     def test_empty_range(self):
         e = parse_err("ring R = QQ[x4..x0];")
         assert "empty variable range" in str(e)
@@ -401,6 +406,7 @@ class TestMain:
         "ring R = QQ[a, a];\n",
         HEADER + "matrix M[1][1] = x0+1;\n",
         "ring R = QQ[x0..x16000];\n",
+        "ring R = Fp(0)[x0..x2];\n",
     ])
     def test_hostile_input_exit_two(self, tmp_path, capsys, source):
         script = tmp_path / "bad.session"

@@ -1,19 +1,24 @@
 """Ideal arithmetic: products, colons, saturation, Hilbert data."""
 
 import random
+import time
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from cremona import groebner, ideals
 from cremona.families import template_ideal
+from cremona.fixtures import all_fixtures
 from cremona.groebner import DeadlineExceeded, deadline
 from cremona.ideals import Ideal, minors
 from cremona.rees import subalgebra_presentation
 from cremona.rings import FormMatrix, GF, PolyRing, QQ
+from cremona.symbolic import SymbolicFiltration
 
 from oracles import (minimal_generators, power_gens, random_form,
-                     random_homogeneous_ideal, span_dimension)
+                     random_homogeneous_ideal, saturate_by_quotients,
+                     span_dimension)
 
 R2 = PolyRing(("x0", "x1"), QQ)
 R3 = PolyRing(("x0", "x1", "x2"), QQ)
@@ -75,6 +80,103 @@ class TestColonAndIntersection:
         I = ideal(R3, "x0^2*x2", "x0^2*x1")
         sat, _ = I.saturate(ideal(R3, "x1", "x2"))
         assert sat == ideal(R3, "x0^2")
+
+
+@st.composite
+def saturation_cases(draw):
+    """An ideal and a saturation target over QQ or GF(32003).
+
+    Targets: the irrelevant ideal, a user ideal of one or of two or three
+    generators, or a user element.  Generators of the ideal are random
+    forms, target generators times random forms (a nontrivial
+    saturation) and powers of target generators (a unit result);
+    in two variables, a generator of degree 2 or 3 sometimes gets a
+    random lower-degree tail, which sends the saturation down the
+    elimination route.
+    """
+    field = draw(st.sampled_from((QQ, GF(32003))))
+    n = draw(st.integers(2, 3))
+    ring = PolyRing(tuple("x%d" % i for i in range(n)), field)
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(("irrelevant", "ideal-1", "ideal-2",
+                                 "element")))
+    if kind == "irrelevant":
+        tgens = ring.gens
+    else:
+        count = {"ideal-2": rng.randint(2, 3)}.get(kind, 1)
+        tgens = tuple(random_form(ring, rng.randint(1, 2), rng)
+                      for _ in range(count))
+    gens = []
+    for part in draw(st.lists(st.sampled_from(("form", "multiple", "power")),
+                              min_size=1, max_size=3)):
+        f = rng.choice(tgens)
+        if part == "form":
+            g = random_form(ring, rng.randint(1, 3), rng)
+        elif part == "multiple":
+            g = f * random_form(ring, rng.randint(1, 2), rng)
+        else:
+            g = f ** rng.randint(1, 3)
+        # tails only in two variables and low degrees: over QQ both
+        # routes can run for minutes on inhomogeneous ternary cubics
+        if n == 2 and 1 < g.degree() < 4 and draw(st.booleans()):
+            g = g + random_form(ring, rng.randint(0, g.degree() - 1), rng)
+        gens.append(g)
+    target = tgens[0] if kind == "element" else Ideal(ring, tgens)
+    return Ideal(ring, gens), target
+
+
+class TestSaturation:
+    @given(saturation_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_iterated_quotients(self, case):
+        I, J = case
+        got, s = I.saturate(J)
+        want, t = saturate_by_quotients(I, J)
+        assert s == t
+        assert got == want
+        assert [str(g) for g in got.gens] == [str(g) for g in want.gens]
+
+    @pytest.mark.parametrize("fx", all_fixtures(), ids=lambda fx: fx.name)
+    def test_fixture_level_two_as_iterated_quotients(self, fx):
+        ring = fx.ring
+        J = (fx.target.saturand(ring) if fx.target is not None
+             else Ideal(ring, ring.gens))
+        P = fx.ideal.power(2)
+        got, s = P.saturate(J)
+        want, t = saturate_by_quotients(P, J)
+        assert s == t
+        assert [str(g) for g in got.gens] == [str(g) for g in want.gens]
+
+    def test_deadline_checked(self):
+        I = template_ideal(3, 3, seed=0).ideal
+        P = I.power(2)
+        m = Ideal(I.ring, I.ring.gens)
+        t0 = time.monotonic()
+        with pytest.raises(DeadlineExceeded):
+            with deadline(0.01):
+                P.saturate(m)
+        # the checks sit between bases, in every S-pair and every 256
+        # reduction steps and in each round of the exponent sweep; the
+        # overrun measured about 1 ms, the whole call about 0.14 s
+        assert time.monotonic() - t0 < 0.1
+
+    def test_bases_per_level_two(self, monkeypatch):
+        """Cost guard: the base's basis (its unit check) and one basis per
+        variable, no elimination.  Iterated colons took 15 eliminations
+        and 19 bases (those inside the eliminations included) here."""
+        calls = {"eliminate": 0, "groebner_basis": 0}
+        for name in calls:
+            original = getattr(groebner, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in (groebner, ideals):
+                monkeypatch.setattr(module, name, spy)
+        inst = template_ideal(3, 2, seed=0)
+        SymbolicFiltration(inst.ideal).level(2)
+        assert calls == {"eliminate": 0, "groebner_basis": 4}
 
 
 class TestMinimalGenerators:

@@ -14,14 +14,15 @@ from oracles import order_key
 
 R3 = PolyRing(("x0", "x1", "x2"), QQ)
 F31 = PolyRing(("x0", "x1", "x2"), GF(31))
+G3 = PolyRing(("x0", "x1", "x2"), GF(32003))
 
 
 def exps(nvars=3, deg=4):
     return st.tuples(*([st.integers(0, deg)] * nvars))
 
 
-def term_lists(nvars=3, nterms=5, coeff=8):
-    return st.lists(st.tuples(exps(nvars), st.integers(-coeff, coeff)),
+def term_lists(nvars=3, nterms=5, coeff=8, deg=4):
+    return st.lists(st.tuples(exps(nvars, deg), st.integers(-coeff, coeff)),
                     max_size=nterms)
 
 
@@ -31,13 +32,16 @@ def polys(ring=R3, nterms=5, coeff=8):
 
 @st.composite
 def ordered_rings(draw):
-    """A ring in 1-8 variables with a grevlex, lex or block order."""
+    """A ring in 1-8 variables with a grevlex (on the ring's or a drawn
+    variable sequence), lex or block order."""
     n = draw(st.integers(1, 8))
     ring = PolyRing(tuple("x%d" % i for i in range(n)), QQ)
     kind = draw(st.sampled_from(("grevlex", "lex", "block")))
-    if kind != "block":
-        return ring, MonomialOrder(kind)
+    if kind == "lex":
+        return ring, MonomialOrder.lex()
     names = draw(st.permutations(ring.names))
+    if kind == "grevlex":
+        return ring, MonomialOrder.grevlex(draw(st.sampled_from(((), names))))
     cuts = sorted(draw(st.sets(st.integers(1, n - 1))) if n > 1 else ())
     bounds = [0] + cuts + [n]
     groups = [names[a:b] for a, b in zip(bounds, bounds[1:])]
@@ -126,6 +130,24 @@ class TestDivision:
     def test_exact_divide_round_trip(self, a, b):
         if a and b:
             assert (a * b).exact_divide(b) == a
+
+    @given(st.sampled_from((R3, G3)), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_exact_and_inexact_division(self, ring, data):
+        a = data.draw(polys(ring, nterms=8))
+        b = data.draw(polys(ring, nterms=6))
+        if not b:
+            return
+        assert (a * b).exact_divide(b) == a
+        deg = b.degree()
+        if not deg:
+            return  # every division by a constant is exact
+        # a nonzero c of lower degree than b is not a multiple of b
+        c = data.draw(term_lists(ring.nvars, deg=deg - 1)
+                      .map(ring.from_terms)
+                      .filter(lambda c: c and c.degree() < deg))
+        with pytest.raises(NotDivisibleError):
+            (a * b + c).exact_divide(b)
 
     def test_poly_sqrt(self):
         x0, x1, _ = R3.gens
