@@ -1,8 +1,8 @@
 """Ideal arithmetic on top of the Groebner layer.
 
 Powers, colon quotients, intersections, saturations with stabilization
-exponents, graded minimal generators, minor ideals, Hilbert series data
-and radical membership.  All computations are exact and deterministic.
+exponents, graded minimal generators, minor ideals and Hilbert series
+data.  All computations are exact and deterministic.
 """
 
 from __future__ import annotations
@@ -301,22 +301,6 @@ class Ideal:
         if any(sum(e) == 0 for e in leads):
             return self.ring.nvars + 1
         return _series_data(leads)[1]
-
-    def radical_contains(self, f):
-        """Whether some power of f lies in the ideal."""
-        ring = self.ring
-        if not isinstance(f, Polynomial) or f.ring != ring:
-            raise ValueError("polynomial from a different ring")
-        if not f:
-            return True
-        if self.is_zero():
-            return False
-        w = _fresh_name(ring, "_w")
-        aux = _extended_ring(ring, w)
-        gens = [transfer(g, aux) for g in self.gens]
-        gens.append(aux.one - aux.var(w) * transfer(f, aux))
-        gb = groebner_basis(gens, ring=aux)
-        return gb.contains(aux.one)
 
 
 def _grevlex_last(ring, i):

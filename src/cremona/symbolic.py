@@ -10,10 +10,10 @@ algebra.
 
 from __future__ import annotations
 
-from .groebner import check_deadline
+from .groebner import _engine_in, _minimal_subset, check_deadline
 from .ideals import Ideal
 from .rees import _fresh_block, rees_ideal
-from .rings import PolyRing, Polynomial, transfer
+from .rings import MonomialOrder, PackedOrder, PolyRing, Polynomial, transfer
 
 __all__ = ["ConditionVerdict", "ExpectedFormResult", "SaturationTarget",
            "SymbolicFiltration", "condition_i", "depth_positive",
@@ -88,7 +88,8 @@ class SymbolicFiltration:
         if self.target.kind == "user-element":
             f = self.target.saturand(base.ring)
             sat, _ = base.saturate(Ideal(base.ring, base.ring.gens))
-            if sat.quotient(f) != sat:
+            # sat : f = sat exactly when sat : f^inf = sat
+            if sat.saturate(f)[1]:
                 raise ValueError(
                     "target element is a zerodivisor on the saturated base")
 
@@ -117,35 +118,33 @@ class SymbolicFiltration:
             self._mins[ell] = got
         return got
 
-    def _survivors(self, ell, base):
-        """Minimal module generators of level/base: sweep the level's
-        minimal generators by ascending degree, keeping those not yet
-        absorbed into base plus the earlier survivors."""
-        span = base
-        out = []
-        for g in sorted(self.minimal(ell),
-                        key=lambda p: p.homogeneous_degree()):
-            check_deadline()
-            if not span.contains(g):
-                out.append(g)
-                span = span + Ideal(self.base.ring, (g,))
-        return tuple(out)
+    def _survivors(self, ell, seeds):
+        """Minimal module generators of the level modulo the ideal of the
+        seeds: one graded minimalization of the seeds followed by the
+        level's minimal generators, of which the kept ones are returned.
+        Within a degree the seeds come first, so a generator is kept when
+        it is outside the seeds plus the generators kept before it."""
+        mins = self.minimal(ell)
+        po = PackedOrder(self.base.ring, MonomialOrder.grevlex())
+        cands = [(g.homogeneous_degree(), _engine_in(po, g)[0])
+                 for g in tuple(seeds) + mins]
+        n = len(cands) - len(mins)
+        return tuple(mins[i - n] for i in _minimal_subset(po, cands)
+                     if i >= n)
 
     def fresh(self, ell):
         """Minimal module generators of level/power."""
-        return self._survivors(ell, self.power(ell))
+        return self._survivors(ell, self.power(ell).gens)
 
     def essential(self, ell):
         """Minimal module generators of the level modulo all products of
-        complementary lower levels."""
-        ring = self.base.ring
-        acc = Ideal(ring, ())
-        for s in range(1, ell):
+        complementary lower levels (s and ell - s give the same ones)."""
+        prods = []
+        for s in range(1, ell // 2 + 1):
             check_deadline()
-            prod = Ideal(ring, self.minimal(s)) * Ideal(
-                ring, self.minimal(ell - s))
-            acc = acc + prod
-        return self._survivors(ell, acc)
+            prods.extend(a * b for a in self.minimal(s)
+                         for b in self.minimal(ell - s))
+        return self._survivors(ell, prods)
 
 
 class ConditionVerdict:
@@ -172,10 +171,17 @@ class ConditionVerdict:
 
 
 def condition_i(I, lmax, target=None, filtration=None):
-    """Whether each level/power quotient is zero or irrelevant-primary."""
+    """Whether each level/power quotient is zero or irrelevant-primary.
+
+    A variable x lies in the radical of power : level exactly when level
+    lies in power : x^inf, one saturation per variable; the first
+    variable of the ring that fails is the witness.
+    """
     if lmax < 1:
         raise ValueError("lmax must be at least 1")
     F = filtration if filtration is not None else SymbolicFiltration(I, target)
+    if F.base != I:
+        raise ValueError("the filtration is not that of the given ideal")
     out = []
     for ell in range(1, lmax + 1):
         check_deadline()
@@ -184,28 +190,24 @@ def condition_i(I, lmax, target=None, filtration=None):
         if power.contains_ideal(level):
             out.append(ConditionVerdict(ell, "ZERO"))
             continue
-        ann = power.quotient(level)
-        witness = None
-        for x in I.ring.gens:
-            if not ann.radical_contains(x):
-                witness = str(x)
-                break
-        if witness is None:
-            out.append(ConditionVerdict(ell, "PRIMARY"))
-        else:
-            out.append(ConditionVerdict(ell, "FAILS", witness))
+        witness = next((str(x) for x in I.ring.gens
+                        if not all(map(power._saturation(x).contains,
+                                       level.gens))), None)
+        out.append(ConditionVerdict(
+            ell, "PRIMARY" if witness is None else "FAILS", witness))
     return tuple(out)
 
 
 def depth_positive(I):
     """Whether the irrelevant ideal avoids the associated primes of R/I,
-    via the colon identity I : m = I."""
+    via the colon identity I : m = I, which holds exactly when
+    I : m^inf = I."""
     if I.is_unit():
         raise ValueError("need a proper ideal")
     if not I.is_homogeneous():
         raise ValueError("need a homogeneous ideal")
     m = Ideal(I.ring, I.ring.gens)
-    return I.quotient(m) == I
+    return I.saturate(m)[1] == 0
 
 
 class ExpectedFormResult:
@@ -233,6 +235,8 @@ def expected_form_check(I, D, dprime, lmax=DEFAULT_LMAX, target=None,
     if dprime < 1:
         raise ValueError("the factor weight must be positive")
     F = filtration if filtration is not None else SymbolicFiltration(I, target)
+    if F.base != I:
+        raise ValueError("the filtration is not that of the given ideal")
     ring = I.ring
     if D.ring != ring or not D or not D.is_homogeneous():
         raise ValueError("factor must be a nonzero form of the base ring")
@@ -285,7 +289,8 @@ def grade_two_check(presentation, elements=None):
     if elements is None:
         return None
     a, b = elements
-    if presentation.quotient(a) != presentation:
+    # X : f = X exactly when X : f^inf = X
+    if presentation.saturate(a)[1]:
         return False
     bigger = presentation + Ideal(presentation.ring, (a,))
-    return bigger.quotient(b) == bigger
+    return bigger.saturate(b)[1] == 0

@@ -2,16 +2,20 @@
 
 Nearly everything here sticks to degreewise exact linear algebra and
 explicit products, avoiding the Groebner engine entirely, so agreement
-between the two routes is meaningful.  saturate_by_quotients uses the
-engine, but only through colons and intersections by elimination, not
-the saturation code it checks.
+between the two routes is meaningful.  The colon-based oracles at the
+end use the engine, but only through colons and intersections by
+elimination, one basis per span and Rabinowitsch's trick, not the
+saturation and graded minimalization code they check.
 """
 
 import itertools
 import random
 
+from cremona.groebner import groebner_basis
+from cremona.ideals import Ideal, _extended_ring, _fresh_name
 from cremona.linalg import Echelon
-from cremona.rings import PolyRing, QQ
+from cremona.rings import PolyRing, QQ, transfer
+from cremona.symbolic import ConditionVerdict
 
 
 def span_dimension(ring, polys, deg):
@@ -175,3 +179,66 @@ def saturate_by_quotients(I, J):
             return cur, s
         cur = nxt
         s += 1
+
+
+def survivors_by_spans(F, ell, base):
+    """Minimal module generators of level(ell) modulo the ideal base:
+    sweep the level's minimal generators by ascending degree, keeping
+    those not yet absorbed into base plus the earlier survivors, with a
+    new basis for every survivor."""
+    span = base
+    out = []
+    for g in sorted(F.minimal(ell), key=lambda p: p.homogeneous_degree()):
+        if not span.contains(g):
+            out.append(g)
+            span = span + Ideal(F.base.ring, (g,))
+    return tuple(out)
+
+
+def fresh_by_spans(F, ell):
+    """SymbolicFiltration.fresh by survivors_by_spans."""
+    return survivors_by_spans(F, ell, F.power(ell))
+
+
+def essential_by_spans(F, ell):
+    """SymbolicFiltration.essential by survivors_by_spans over the sum
+    of the minimalized products of complementary lower levels."""
+    ring = F.base.ring
+    acc = Ideal(ring, ())
+    for s in range(1, ell):
+        acc = acc + Ideal(ring, F.minimal(s)) * Ideal(ring, F.minimal(ell - s))
+    return survivors_by_spans(F, ell, acc)
+
+
+def radical_contains(I, f):
+    """Whether some power of f lies in I: 1 lies in (I, 1 - w*f)."""
+    ring = I.ring
+    if not f:
+        return True
+    if I.is_zero():
+        return False
+    w = _fresh_name(ring, "_w")
+    aux = _extended_ring(ring, w)
+    gens = [transfer(g, aux) for g in I.gens]
+    gens.append(aux.one - aux.var(w) * transfer(f, aux))
+    return groebner_basis(gens, ring=aux).contains(aux.one)
+
+
+def condition_by_annihilator(I, lmax, F):
+    """condition_i through the annihilator power : level, by colons, and
+    radical membership of each variable in it."""
+    out = []
+    for ell in range(1, lmax + 1):
+        power = F.power(ell)
+        level = F.level(ell)
+        if power.contains_ideal(level):
+            out.append(ConditionVerdict(ell, "ZERO"))
+            continue
+        ann = power.quotient(level)
+        witness = next((str(x) for x in I.ring.gens
+                        if not radical_contains(ann, x)), None)
+        if witness is None:
+            out.append(ConditionVerdict(ell, "PRIMARY"))
+        else:
+            out.append(ConditionVerdict(ell, "FAILS", witness))
+    return tuple(out)

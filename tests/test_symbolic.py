@@ -1,21 +1,46 @@
 """Symbolic powers, the primality condition, and the expected form."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from cremona import groebner, ideals
+from cremona.families import template_ideal
+from cremona.fixtures import all_fixtures
 from cremona.ideals import Ideal
 from cremona.maps import invert
 from cremona.rees import subalgebra_presentation
-from cremona.rings import PolyRing, QQ, transfer
+from cremona.rings import GF, PolyRing, QQ, transfer
 from cremona.symbolic import (SaturationTarget, SymbolicFiltration,
                               condition_i, depth_positive,
                               expected_form_check, grade_two_check,
                               symbolic_presentation)
+
+from oracles import (condition_by_annihilator, essential_by_spans,
+                     fresh_by_spans)
 
 R3 = PolyRing(("x0", "x1", "x2"), QQ)
 
 
 def strs(polys):
     return [str(g) for g in polys]
+
+
+def _over(fx, field):
+    """The fixture's base ideal and saturation target over field."""
+    ring = PolyRing(fx.ring.names, field, blocks=fx.ring.blocks)
+
+    def move(f):
+        return ring.from_terms(f.items())
+
+    I = Ideal(ring, tuple(move(f) for f in fx.spec.forms))
+    target = fx.target
+    if target is None:
+        return I, None
+    if target.kind == "user-ideal":
+        return I, SaturationTarget.ideal(
+            Ideal(ring, tuple(move(g) for g in target.payload.gens)))
+    return I, SaturationTarget.element(move(target.payload))
 
 
 class TestTarget:
@@ -35,6 +60,14 @@ class TestTarget:
         other = PolyRing(("t0", "t1"), QQ)
         tgt = SaturationTarget.element(other.parse("t0"))
         I = Ideal(R3, (R3.parse("x0*x1"),))
+        with pytest.raises(ValueError):
+            SymbolicFiltration(I, tgt)
+
+    def test_zerodivisor_element_rejected(self):
+        # (x0*x1, x0*x2) = (x0) cap (x1, x2) is saturated, and
+        # x0 * (x1 + x2) lies in it
+        I = Ideal(R3, (R3.parse("x0*x1"), R3.parse("x0*x2")))
+        tgt = SaturationTarget.element(R3.parse("x1 + x2"))
         with pytest.raises(ValueError):
             SymbolicFiltration(I, tgt)
 
@@ -88,6 +121,12 @@ class TestConditionI:
         assert verdicts[1].verdict == "FAILS"
         assert verdicts[1].witness == "x4"
 
+    def test_other_filtration_rejected(self, std):
+        R = std.ring
+        F = SymbolicFiltration(Ideal(R, (R.parse("x0^2"), R.parse("x0*x1"))))
+        with pytest.raises(ValueError):
+            condition_i(std.ideal, 2, filtration=F)
+
 
 class TestDepth:
     def test_depth_zero_in_two_variables(self):
@@ -118,6 +157,13 @@ class TestExpectedForm:
         with pytest.raises(ValueError):
             expected_form_check(std.ideal, D, 0)
 
+    def test_other_filtration_rejected(self, std):
+        R = std.ring
+        F = SymbolicFiltration(Ideal(R, (R.parse("x0^2"), R.parse("x0*x1"))))
+        with pytest.raises(ValueError):
+            expected_form_check(std.ideal, R.parse("x0*x1*x2"), 2, lmax=2,
+                                filtration=F)
+
 
 class TestPresentation:
     def test_matches_elimination_route(self, std):
@@ -142,3 +188,121 @@ class TestPresentation:
         b = transfer(std.ring.parse("x0 - x1"), SP.ring)
         assert grade_two_check(SP, (a, b))
 
+
+
+# the fixtures by name, then the template ideals (r, seed) of the
+# symbolic benchmark workload
+PINNED = [fx.name for fx in all_fixtures()] + [(3, 0), (2, 0), (2, 1), (2, 2)]
+
+
+def _pinned_case(key):
+    """Base ideal, target and condition_i depth of a pinned case.  On a
+    template ideal the annihilator route takes 9-94 s at level 3, so the
+    condition_i comparison stops at level 2 there."""
+    if isinstance(key, tuple):
+        r, seed = key
+        return template_ideal(3, r, seed=seed).ideal, None, 2
+    fx, = (fx for fx in all_fixtures() if fx.name == key)
+    return fx.ideal, fx.target, 3
+
+
+@st.composite
+def condition_cases(draw):
+    """A base ideal of monomials and binomials of degree 2 or 3 in three
+    or four variables, and a user-ideal target of one or two monomials of
+    degree 1 or 2: most levels FAIL, some are ZERO or PRIMARY."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(3, 4))
+    ring = PolyRing(tuple("x%d" % i for i in range(n)), QQ)
+
+    def monomial(deg):
+        e = [0] * n
+        for _ in range(deg):
+            e[rng.randrange(n)] += 1
+        return ring.monomial(tuple(e))
+
+    gens = []
+    for _ in range(draw(st.integers(2, 4))):
+        d = rng.randint(2, 3)
+        g = monomial(d)
+        if draw(st.booleans()):
+            # never -1: the binomial must not cancel
+            g = g + rng.choice((1, -2, 3)) * monomial(d)
+        gens.append(g)
+    target = Ideal(ring, tuple(monomial(rng.randint(1, 2))
+                               for _ in range(draw(st.integers(1, 2)))))
+    return Ideal(ring, tuple(gens)), SaturationTarget.ideal(target)
+
+
+class TestOracles:
+    """The filtration study against the routes it replaced: a new span
+    basis per survivor, and the annihilator power : level by colons with
+    Rabinowitsch's radical membership."""
+
+    @pytest.mark.parametrize("key", PINNED, ids=str)
+    def test_pinned(self, key):
+        I, target, depth = _pinned_case(key)
+        F = SymbolicFiltration(I, target)
+        for ell in (1, 2, 3):
+            assert strs(F.fresh(ell)) == strs(fresh_by_spans(F, ell))
+            assert strs(F.essential(ell)) == strs(essential_by_spans(F, ell))
+        assert (condition_i(I, depth, filtration=F)
+                == condition_by_annihilator(I, depth, F))
+
+    @given(condition_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_condition_i_user_ideal_targets(self, case):
+        I, target = case
+        F = SymbolicFiltration(I, target)
+        assert condition_i(I, 2, filtration=F) == condition_by_annihilator(
+            I, 2, F)
+
+
+class TestCost:
+    def test_fresh_and_condition_i_level_three(self, monkeypatch):
+        """Cost guard on the r = 2 template at seed 0.  With the level's
+        minimal generators cached, fresh(3) is one graded minimalization
+        and takes no basis (the span loop took one per kept generator
+        plus one); condition_i takes one saturation per variable and no
+        elimination or colon (the annihilator route took both)."""
+        calls = {"eliminate": 0, "groebner_basis": 0, "quotient": 0}
+        for name in ("eliminate", "groebner_basis"):
+            original = getattr(groebner, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in (groebner, ideals):
+                monkeypatch.setattr(module, name, spy)
+        original_quotient = Ideal.quotient
+
+        def quotient_spy(self, other):
+            calls["quotient"] += 1
+            return original_quotient(self, other)
+
+        monkeypatch.setattr(Ideal, "quotient", quotient_spy)
+        I = template_ideal(3, 2, seed=0).ideal
+        F = SymbolicFiltration(I)
+        F.minimal(3)
+        for name in calls:
+            calls[name] = 0
+        F.fresh(3)
+        assert calls == {"eliminate": 0, "groebner_basis": 0, "quotient": 0}
+        condition_i(I, 3, filtration=F)
+        assert calls["eliminate"] == calls["quotient"] == 0
+
+
+class TestFieldAgreement:
+    @pytest.mark.parametrize("fx", all_fixtures(), ids=lambda fx: fx.name)
+    def test_fresh_degrees_and_verdicts(self, fx):
+        seen = []
+        for field in (QQ, GF(32003)):
+            I, target = _over(fx, field)
+            F = SymbolicFiltration(I, target)
+            seen.append((
+                [[g.homogeneous_degree() for g in F.fresh(ell)]
+                 for ell in (1, 2, 3)],
+                [(v.verdict, v.witness)
+                 for v in condition_i(I, 3, filtration=F)]))
+        assert seen[0] == seen[1]
