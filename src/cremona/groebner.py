@@ -17,7 +17,8 @@ from fractions import Fraction
 from math import gcd
 
 from .rings import (DeadlineExceeded, FormMatrix, MonomialOrder, PackedOrder,
-                    PolyRing, Polynomial, check_deadline, deadline, transfer)
+                    PolyRing, Polynomial, _primitive_part, _times,
+                    check_deadline, deadline, transfer)
 
 __all__ = [
     "DeadlineExceeded",
@@ -45,37 +46,10 @@ class _Elt:
 
 
 def _engine_in(po, poly):
-    """Convert to packed integer terms; see _engine_terms."""
+    """Convert to packed integer terms; see rings._primitive_part."""
     enc = po.encode
-    return _engine_terms({enc(e): c for e, c in poly.items()},
-                         po.ring.field.characteristic)
-
-
-def _engine_terms(terms, p):
-    """Scale {key: coefficient} to engine form; returns (terms, scale)
-    with input == scale * terms (scale a Fraction over QQ, a residue
-    over Fp)."""
-    if p:
-        terms = {k: c % p for k, c in terms.items() if c % p}
-        if not terms:
-            return {}, 1
-        lc = terms[max(terms)]
-        if lc != 1:
-            inv = pow(lc, -1, p)
-            terms = {k: v * inv % p for k, v in terms.items()}
-        return terms, lc
-    if not terms:
-        return {}, Fraction(0)
-    den = 1
-    for c in terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    num = 0
-    for c in terms.values():
-        num = gcd(num, c.numerator * (den // c.denominator))
-    sign = -1 if terms[max(terms)] < 0 else 1
-    out = {k: sign * c.numerator * (den // c.denominator) // num
-           for k, c in terms.items()}
-    return out, Fraction(sign * num, den)
+    return _primitive_part({enc(e): c for e, c in poly.items()},
+                           po.ring.field.characteristic)
 
 
 def _normalize(terms, p):
@@ -420,24 +394,6 @@ def _divide_out(gb, i):
     return GroebnerBasis(gb.ring, gb.order, None, po, dicts)
 
 
-def _times(a, b, po):
-    """Product of two packed term dicts: keys add up to the constant key0."""
-    p = po.ring.field.characteristic
-    off = -po.key0
-    out = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            k = ka + kb + off
-            v = out.get(k, 0) + ca * cb
-            if p:
-                v %= p
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-    return out
-
-
 def _colon_exponent(gb, gens, targets):
     """Least s with J^s * K inside the ideal I of the basis gb, where K is
     generated by gens and J by targets, and K lies in I : J^inf.
@@ -688,7 +644,7 @@ def syzygies(mat):
                 v[enc(e) + i * step] = cf
         sugar = max((mat[i, j].degree() for i in range(r) if mat[i, j]),
                     default=0)
-        seeds.append((_engine_terms(v, p)[0], sugar))
+        seeds.append((_primitive_part(v, p)[0], sugar))
     # descending keys list leads in lower components first, as in
     # position over term; the minimalization keeps the first of
     # equal-degree candidates.  The candidates stay in components r..,

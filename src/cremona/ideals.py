@@ -8,7 +8,6 @@ data.  All computations are exact and deterministic.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .groebner import (GroebnerBasis, _colon_exponent, _divide_out,
                        _engine_in, _interreduce, _minimal_subset, _polynomial,
@@ -235,8 +234,13 @@ class Ideal:
         variable of f (a term's saturation is the iterated one by its
         variables): a basis in the grevlex order with that variable last,
         divided by the variable's largest powers.  Otherwise t is
-        eliminated from (self, 1 - t*f).
+        eliminated from (self, 1 - t*f).  The basis is kept in the
+        ideal's cache and shared with later calls.
         """
+        key = ("saturation", f)
+        gb = self._cache.get(key)
+        if gb is not None:
+            return gb
         ring = self.ring
         if len(f) == 1 and self.is_homogeneous():
             (exps, _c), = f.items()
@@ -253,16 +257,20 @@ class Ideal:
                     gens = self.gens if gb is None else gb.polys
                     gb = groebner_basis(list(gens), order=order, ring=ring)
                 gb = _divide_out(gb, i)
-            return gb if gb is not None else self.groebner()
-        t = _fresh_name(ring, "_t")
-        aux = _extended_ring(ring, t)
-        gens = [transfer(g, aux) for g in self.gens]
-        gens.append(aux.one - aux.var(t) * transfer(f, aux))
-        _sub, out = eliminate(gens, [t], ring=aux)
-        po = PackedOrder(ring, MonomialOrder.grevlex())
-        return GroebnerBasis(ring, po.order, None, po,
-                             [_engine_in(po, transfer(g, ring))[0]
-                              for g in out])
+            if gb is None:
+                gb = self.groebner()
+        else:
+            t = _fresh_name(ring, "_t")
+            aux = _extended_ring(ring, t)
+            gens = [transfer(g, aux) for g in self.gens]
+            gens.append(aux.one - aux.var(t) * transfer(f, aux))
+            _sub, out = eliminate(gens, [t], ring=aux)
+            po = PackedOrder(ring, MonomialOrder.grevlex())
+            gb = GroebnerBasis(ring, po.order, None, po,
+                               [_engine_in(po, transfer(g, ring))[0]
+                                for g in out])
+        self._cache[key] = gb
+        return gb
 
     def eliminate(self, drop):
         """Image of the ideal in the subring without the drop variables."""

@@ -4,9 +4,12 @@ Coefficient arithmetic is exact: Fraction over the rationals, reduced
 residues over Fp.  Polynomials are immutable dict-backed values with a
 canonical text form (terms descending in the ring's default grevlex
 order, explicit '*' and '^', rationals printed as a/b) so that equal
-values print identically and printed values parse back.  The
-cooperative deadline lives here too, so that large products, and the
-parser that builds them, can be interrupted.
+values print identically and printed values parse back.  Substitution,
+which composes rational maps, runs on packed integer terms: the keys of
+the target ring's grevlex PackedOrder with integer coefficients, one
+common denominator over QQ.  The cooperative deadline lives here too,
+so that large products, and the parser that builds them, can be
+interrupted.
 """
 
 from __future__ import annotations
@@ -167,6 +170,9 @@ class MonomialOrder:
 _W = 24
 _GUARD = 1 << (_W - 1)
 _MAXF = _GUARD - 1
+# 2^_W = 1 modulo _MOD, so a key taken modulo _MOD is the sum of its
+# fields, exact while that sum is below _MOD
+_MOD = (1 << _W) - 1
 
 
 class PackedOrder:
@@ -177,10 +183,10 @@ class PackedOrder:
     degree of a group of variables, "comp" the complement _MAXF - e_i
     and "plain" e_i itself.  Integer comparison of keys is the term
     order, the product of two monomials has key ka + kb - key0, and
-    divides() is a two-mask borrow test.  Every field is affine in the
-    exponents, so encode() is key0 + sum(e_i * w_i); the fields cannot
-    overflow while the total degree is at most _MAXF, and larger degrees
-    are rejected.
+    divides() is a two-mask borrow test, which lcm() uses to pick
+    fields.  Every field is affine in the exponents, so encode() is
+    key0 + sum(e_i * w_i); the fields cannot overflow while the total
+    degree is at most _MAXF, and larger degrees are rejected.
 
     With rank > 0 the keys are terms of a free module of that rank,
     position over term: two top fields hold _MAXF - c and c for the
@@ -191,7 +197,8 @@ class PackedOrder:
     """
 
     __slots__ = ("ring", "order", "rank", "weights", "key0", "cstep",
-                 "cshift", "dfields", "down", "up", "guards")
+                 "cshift", "dfields", "down", "up", "guards", "dsums",
+                 "dclear", "emask")
 
     def __init__(self, ring, order, rank=0):
         n = ring.nvars
@@ -216,8 +223,10 @@ class PackedOrder:
             raise ValueError("unknown order kind %r" % kind)
         # index n stands for the module component
         weights = [0] * (n + 1)
-        key0 = down = up = guards = 0
+        key0 = down = up = guards = dmask = emask = 0
         dfields = []
+        degs = []
+        fmask = {}
         for pos, (k, arg) in enumerate(raw):
             shift = _W * (len(raw) - 1 - pos)
             unit = 1 << shift
@@ -236,6 +245,11 @@ class PackedOrder:
                 down |= _MAXF << shift
             if k in ("comp", "plain") and arg < n:
                 dfields.append((shift, arg, k == "comp"))
+                fmask[arg] = _MAXF << shift
+                emask |= _MAXF << shift
+            elif k == "deg":
+                degs.append((shift, arg))
+                dmask |= _MAXF << shift
         self.ring = ring
         self.order = order
         self.rank = rank
@@ -247,6 +261,11 @@ class PackedOrder:
         self.down = down
         self.up = up
         self.guards = guards
+        # each degree field with the mask of its group's complement fields
+        self.dsums = tuple((shift, sum(fmask[i] for i in idx))
+                           for shift, idx in degs)
+        self.dclear = ~dmask
+        self.emask = emask
 
     def encode(self, exps):
         if sum(exps) > _MAXF:
@@ -273,17 +292,88 @@ class PackedOrder:
         return ((x | g) - y) & g == g
 
     def lcm(self, ka, kb):
-        """Key of the lcm of two terms; None across module components."""
-        c = self.component(ka)
-        if c != self.component(kb):
+        """Key of the lcm of two terms; None across module components.
+
+        Computed on the fields.  The borrow test of divides() sets the
+        guard bit of each field where ka's plain field is the larger or
+        its complement field the smaller, and that field is taken from
+        ka, every other one from kb.  A degree field is then re-summed
+        from the complement fields of its group, each of which XOR _MAXF
+        is an exponent.  A total degree above _MAXF is rejected as in
+        encode().
+        """
+        if self.rank and self.component(ka) != self.component(kb):
             return None
-        ea = self.decode(ka)
-        eb = self.decode(kb)
-        key = self.encode(tuple(x if x > y else y for x, y in zip(ea, eb)))
-        return key + c * self.cstep
+        g = self.guards
+        x = (ka & self.down) | (kb & self.up)
+        y = (kb & self.down) | (ka & self.up)
+        take = ((x | g) - y) & g
+        take -= take >> (_W - 1)
+        key = kb ^ ((ka ^ kb) & take)
+        if self.dsums:
+            key &= self.dclear
+            tdeg = 0
+            for shift, gmask in self.dsums:
+                d = ((key & gmask) ^ gmask) % _MOD
+                tdeg += d
+                key |= d << shift
+        else:
+            tdeg = (key & self.emask) % _MOD
+        if tdeg > _MAXF:
+            raise ValueError("total degree %d exceeds the limit %d"
+                             % (tdeg, _MAXF))
+        return key
 
     def tdeg(self, key):
         return sum(self.decode(key))
+
+
+def _primitive_part(terms, p, lead=None):
+    """Split {key: coefficient} as scale * terms, where the lead (the
+    largest key by default) gets coefficient 1 over Fp and terms are
+    primitive integers with a positive lead over QQ; returns (terms,
+    scale), scale a Fraction over QQ and a residue over Fp."""
+    if p:
+        terms = {k: c % p for k, c in terms.items() if c % p}
+        if not terms:
+            return {}, 1
+        lc = terms[max(terms) if lead is None else lead]
+        if lc != 1:
+            inv = pow(lc, -1, p)
+            terms = {k: v * inv % p for k, v in terms.items()}
+        return terms, lc
+    if not terms:
+        return {}, Fraction(0)
+    den = 1
+    for c in terms.values():
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    num = 0
+    for c in terms.values():
+        num = math.gcd(num, c.numerator * (den // c.denominator))
+    sign = -1 if terms[max(terms) if lead is None else lead] < 0 else 1
+    out = {k: sign * c.numerator * (den // c.denominator) // num
+           for k, c in terms.items()}
+    return out, Fraction(sign * num, den)
+
+
+def _times(a, b, po):
+    """Product of two packed term dicts: keys add up to the constant key0."""
+    p = po.ring.field.characteristic
+    off = -po.key0
+    # only products this large can overrun a deadline noticeably
+    big = len(a) * len(b) >= 4096
+    out = {}
+    get = out.get
+    for ka, ca in a.items():
+        if big:
+            check_deadline()
+        ka += off
+        for kb, cb in b.items():
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    if p:
+        return {k: r for k, v in out.items() if (r := v % p)}
+    return {k: v for k, v in out.items() if v}
 
 
 class NotDivisibleError(ArithmeticError):
@@ -302,7 +392,8 @@ class PolyRing:
     or the default (grevlex) term order.
     """
 
-    __slots__ = ("field", "names", "blocks", "_index", "_gens", "_defkey")
+    __slots__ = ("field", "names", "blocks", "_index", "_gens", "_packed",
+                 "_defkey")
 
     def __init__(self, names, field=QQ, blocks=None):
         names = tuple(names)
@@ -321,7 +412,8 @@ class PolyRing:
         self.blocks = blocks
         self._index = {nm: i for i, nm in enumerate(names)}
         self._gens = None
-        self._defkey = PackedOrder(self, MonomialOrder.grevlex()).encode
+        self._packed = PackedOrder(self, MonomialOrder.grevlex())
+        self._defkey = self._packed.encode
 
     @property
     def nvars(self):
@@ -614,7 +706,19 @@ class Polynomial:
     # -- structured operations ----------------------------------------
 
     def substitute(self, images, ring=None):
-        """Apply xi -> images[xi]; every occurring variable needs an image."""
+        """Apply xi -> images[xi]; every occurring variable needs an image.
+
+        Runs on the target ring's packed grevlex keys with integer
+        coefficients.  Over QQ each image is split into a rational scale
+        and a primitive integer part, and each term of self gets one
+        integer multiplier over a common denominator q, so the result's
+        coefficients are v/q.  The powers of every image are cached, and
+        so are the products of powers for the exponent prefixes that
+        terms share; the last factor of a term is multiplied straight
+        into the result.  A result whose degree could exceed _MAXF is
+        rejected before any product is formed.  Every pass over the
+        terms checks the deadline once per term.
+        """
         target = ring
         coerced = {}
         for name, img in images.items():
@@ -634,24 +738,90 @@ class Polynomial:
         for name, img in coerced.items():
             imgs[self.ring.index(name)] = (
                 img if isinstance(img, Polynomial) else target.const(img))
-        pw = {i: {0: target.one} for i in imgs}
-        out = target.zero
+        field = target.field
+        p = field.characteristic
+        degs = {i: img.degree() for i, img in imgs.items()}
+        # the terms that survive: a nonzero coefficient and no zero image
+        terms = []
+        top = 0
         for e, c in self._t.items():
-            term = target.const(c)
-            for i, x in enumerate(e):
-                if not x:
-                    continue
-                cache = pw[i]
-                if x not in cache:
-                    top = max(cache)
-                    acc = cache[top]
-                    while top < x:
-                        acc = acc * imgs[i]
-                        top += 1
-                        cache[top] = acc
-                term = term * cache[x]
-            out = out + term
-        return out
+            check_deadline()
+            c = field.coerce(c)
+            if not c or any(x and degs[i] is None for i, x in enumerate(e)):
+                continue
+            terms.append((e, c))
+            top = max(top, sum(x * degs[i] for i, x in enumerate(e) if x))
+        if top > _MAXF:
+            raise ValueError("total degree %d exceeds the limit %d"
+                             % (top, _MAXF))
+        po = target._packed
+        enc = po.encode
+        base = {}
+        scales = {}
+        for i in {i for e, _c in terms for i, x in enumerate(e) if x}:
+            base[i] = {enc(e): c for e, c in imgs[i].items()}
+            if not p:
+                base[i], scales[i] = _primitive_part(base[i], 0)
+        q = 1
+        if not p:
+            for k, (e, c) in enumerate(terms):
+                check_deadline()
+                for i, x in enumerate(e):
+                    if x:
+                        c *= scales[i] ** x
+                terms[k] = (e, c)
+                q = math.lcm(q, c.denominator)
+            terms = [(e, c.numerator * (q // c.denominator))
+                     for e, c in terms]
+        one = {po.key0: 1}
+        powers = {i: [one, b] for i, b in base.items()}
+
+        def power(i, x):
+            row = powers[i]
+            while len(row) <= x:
+                row.append(_times(row[-1], row[1], po))
+            return row[x]
+
+        # products of powers by exponent prefix e[:i + 1], e[i] nonzero
+        prods = {}
+        off = -po.key0
+        out = {}
+        get = out.get
+        for e, a in terms:
+            check_deadline()
+            nz = [i for i, x in enumerate(e) if x]
+            if not nz:
+                out[po.key0] = get(po.key0, 0) + a
+                continue
+            *head, last = nz
+            left = one
+            for i in head:
+                pre = e[:i + 1]
+                got = prods.get(pre)
+                if got is None:
+                    got = power(i, e[i])
+                    if left is not one:
+                        got = _times(left, got, po)
+                    prods[pre] = got
+                left = got
+            right = power(last, e[last])
+            big = len(left) * len(right) >= 4096
+            for ka, ca in left.items():
+                if big:
+                    check_deadline()
+                ka += off
+                ca *= a
+                if p:
+                    ca %= p
+                for kb, cb in right.items():
+                    k = ka + kb
+                    out[k] = get(k, 0) + ca * cb
+        decode = po.decode
+        if p:
+            return Polynomial(target, {decode(k): r for k, v in out.items()
+                                       if (r := v % p)})
+        return Polynomial(target, {decode(k): Fraction(v, q)
+                                   for k, v in out.items() if v})
 
     def exact_divide(self, divisor):
         """Quotient self/divisor; raises NotDivisibleError when inexact."""
@@ -707,24 +877,12 @@ class Polynomial:
             return self
         ring = self.ring
         p = ring.field.characteristic
-        lc = self.leading_coefficient()
-        if p:
-            if lc == 1:
-                return self
-            inv = pow(lc, -1, p)
-            return Polynomial(ring, {e: c * inv % p for e, c in self._t.items()})
-        den = 1
-        for c in self._t.values():
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        num = 0
-        for c in self._t.values():
-            num = math.gcd(num, c.numerator * (den // c.denominator))
-        scale = Fraction(den, num)
-        if lc < 0:
-            scale = -scale
+        terms, scale = _primitive_part(self._t, p, self.leading_monomial())
         if scale == 1:
             return self
-        return Polynomial(ring, {e: c * scale for e, c in self._t.items()})
+        if p:
+            return Polynomial(ring, terms)
+        return Polynomial(ring, {e: Fraction(c) for e, c in terms.items()})
 
     # -- printing ------------------------------------------------------
 

@@ -1,20 +1,20 @@
 """Slow independent oracles that the fast code paths are checked against.
 
-Nearly everything here sticks to degreewise exact linear algebra and
-explicit products, avoiding the Groebner engine entirely, so agreement
-between the two routes is meaningful.  The colon-based oracles at the
-end use the engine, but only through colons and intersections by
-elimination, one basis per span and Rabinowitsch's trick, not the
-saturation and graded minimalization code they check.
+Nearly everything here sticks to degreewise exact linear algebra,
+explicit products of Polynomials and exponent tuples, avoiding the
+Groebner engine and the packed keys entirely, so agreement between the
+two routes is meaningful.  The colon-based oracles at the end use the
+engine, but only through colons and intersections by elimination, one
+basis per span and Rabinowitsch's trick, not the saturation and graded
+minimalization code they check.
 """
 
 import itertools
-import random
 
 from cremona.groebner import groebner_basis
 from cremona.ideals import Ideal, _extended_ring, _fresh_name
 from cremona.linalg import Echelon
-from cremona.rings import PolyRing, QQ, transfer
+from cremona.rings import PolyRing, Polynomial, QQ, transfer
 from cremona.symbolic import ConditionVerdict
 
 
@@ -165,6 +165,60 @@ def order_key(order, ring):
 
         return key
     raise ValueError("unknown order kind %r" % order.kind)
+
+
+def substitute_by_products(poly, images, ring=None):
+    """Polynomial.substitute by Polynomial products and sums: each term
+    is the coefficient times cached powers of the images, added to the
+    result one at a time."""
+    target = ring
+    coerced = {}
+    for name, img in images.items():
+        poly.ring.index(name)
+        if isinstance(img, Polynomial):
+            if target is None:
+                target = img.ring
+            elif img.ring != target:
+                raise ValueError("images live in different rings")
+        coerced[name] = img
+    if target is None:
+        target = poly.ring
+    for name in poly.support():
+        if name not in coerced:
+            raise ValueError("missing image for variable %r" % name)
+    imgs = {}
+    for name, img in coerced.items():
+        imgs[poly.ring.index(name)] = (
+            img if isinstance(img, Polynomial) else target.const(img))
+    pw = {i: {0: target.one} for i in imgs}
+    out = target.zero
+    for e, c in poly.items():
+        term = target.const(c)
+        for i, x in enumerate(e):
+            if not x:
+                continue
+            cache = pw[i]
+            if x not in cache:
+                top = max(cache)
+                acc = cache[top]
+                while top < x:
+                    acc = acc * imgs[i]
+                    top += 1
+                    cache[top] = acc
+            term = term * cache[x]
+        out = out + term
+    return out
+
+
+def lcm_by_decoding(po, ka, kb):
+    """PackedOrder.lcm through exponent tuples: decode both keys, take
+    the larger exponent of each variable and encode the result."""
+    c = po.component(ka)
+    if c != po.component(kb):
+        return None
+    ea = po.decode(ka)
+    eb = po.decode(kb)
+    return po.encode(tuple(map(max, ea, eb))) + c * po.cstep
 
 
 def saturate_by_quotients(I, J):

@@ -1,13 +1,18 @@
-"""Every exported name resolves, so no __all__ lists removed API."""
+"""Every exported name resolves, so no __all__ lists removed API, and
+no module imports a name it never uses."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import cremona
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(cremona.__path__))
+SOURCES = sorted(Path(cremona.__file__).parent.glob("*.py")) + [
+    Path(__file__).parent / "oracles.py"]
 
 
 @pytest.mark.parametrize("name", ["cremona"] + ["cremona." + m
@@ -16,3 +21,33 @@ def test_all_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert not missing
+
+
+def unused_imports(source):
+    """Names bound by the imports of a module that no expression reads
+    and __all__ does not re-export."""
+    tree = ast.parse(source)
+    imported = []
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used | exported]
+
+
+def test_unused_imports_are_found():
+    assert unused_imports("import os\nimport a.b\nfrom c import d as e\n"
+                          "from __future__ import annotations\n"
+                          "__all__ = ['e']\n") == ["os", "a"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

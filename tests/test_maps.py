@@ -1,15 +1,22 @@
 """Inversion of square rational maps and the composition oracles."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
-from cremona.fixtures import polar_quartic, polar_quartic_data
+from cremona.cli import parse_session
+from cremona.fixtures import all_fixtures, polar_quartic, polar_quartic_data
 from cremona.ideals import Ideal
 from cremona.maps import (RationalMapSpec, check_graph_identification,
                           inversion_factor, invert, is_birational,
                           plane_composition_oracle)
-from cremona.rings import PolyRing, QQ
+from cremona.rings import PolyRing, Polynomial, QQ
+
+from oracles import substitute_by_products
 
 R3 = PolyRing(("x0", "x1", "x2"), QQ)
+SESSIONS = Path(__file__).resolve().parents[1] / "perfbench" / "sessions.py"
 
 
 class TestSpec:
@@ -111,3 +118,37 @@ class TestAllCandidates:
 
     def test_bound_below_true_degree(self, std):
         assert invert(std.spec, bound=1) is None
+
+
+def _inverse_composites():
+    """The plane composites C0, C1, ... of the inverse benchmark
+    workload at seed 0, as its session script binds them."""
+    spec = importlib.util.spec_from_file_location("bench_sessions", SESSIONS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    script = parse_session(dict(module.inverse_sessions(0))["composites"])
+    return [RationalMapSpec.from_ideal(I)
+            for _kind, I in script.bindings.values()]
+
+
+def _inverse_text(F):
+    data = invert(F)
+    return str(data.factor), [str(g) for g in data.inverse]
+
+
+class TestCompositionByProducts:
+    """invert, whose composition check substitutes on packed integer
+    terms, against the same run with oracles.substitute_by_products."""
+
+    @pytest.mark.parametrize("fx", all_fixtures(), ids=lambda fx: fx.name)
+    def test_pinned_fixture(self, fx, monkeypatch):
+        got = _inverse_text(fx.spec)
+        monkeypatch.setattr(Polynomial, "substitute", substitute_by_products)
+        assert got == _inverse_text(fx.spec)
+
+    def test_pinned_benchmark_composites(self, monkeypatch):
+        maps = _inverse_composites()
+        assert len(maps) == 62
+        got = [_inverse_text(F) for F in maps]
+        monkeypatch.setattr(Polynomial, "substitute", substitute_by_products)
+        assert got == [_inverse_text(F) for F in maps]

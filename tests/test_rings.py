@@ -1,16 +1,19 @@
 """Polynomial arithmetic, orders, parsing and form matrices."""
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from cremona.rings import (Field, FormMatrix, GF, MonomialOrder,
-                           NotDivisibleError, PackedOrder, ParseError,
-                           PolyRing, Polynomial, QQ, poly_sqrt, transfer)
+from cremona import rings
+from cremona.rings import (DeadlineExceeded, Field, FormMatrix, GF,
+                           MonomialOrder, NotDivisibleError, PackedOrder,
+                           ParseError, PolyRing, Polynomial, QQ, deadline,
+                           poly_sqrt, transfer)
 
-from oracles import order_key
+from oracles import lcm_by_decoding, order_key, substitute_by_products
 
 R3 = PolyRing(("x0", "x1", "x2"), QQ)
 F31 = PolyRing(("x0", "x1", "x2"), GF(31))
@@ -184,6 +187,46 @@ class TestParsing:
         assert F31.parse(str(p)) == p
 
 
+@st.composite
+def substitutions(draw):
+    """A polynomial in x0..x2 with rational coefficients, not homogeneous
+    in general, and images over the same field (QQ or GF(32003)): each
+    one zero, a constant (as a Polynomial or a plain number) or a
+    polynomial, all in x0..x2 or all in y0, y1 as maps._compose uses
+    them.  Returns (poly, images, ring argument)."""
+    field = draw(st.sampled_from((QQ, GF(32003))))
+    src = PolyRing(("x0", "x1", "x2"), field)
+    other = draw(st.booleans())
+    target = PolyRing(("y0", "y1"), field) if other else src
+    coeffs = st.fractions(-6, 6, max_denominator=5)
+
+    def poly(ring, nterms, deg):
+        return draw(st.lists(st.tuples(exps(ring.nvars, deg), coeffs),
+                             max_size=nterms).map(ring.from_terms))
+
+    images = {}
+    for name in src.names:
+        kind = draw(st.sampled_from(("zero", "const", "number", "poly",
+                                     "poly", "poly")))
+        if kind == "zero":
+            images[name] = target.zero
+        elif kind == "const":
+            images[name] = target.const(draw(coeffs))
+        elif kind == "number":
+            images[name] = draw(st.one_of(st.integers(-3, 3), coeffs))
+        else:
+            images[name] = poly(target, 4, 3)
+    if other and not any(isinstance(v, Polynomial) for v in images.values()):
+        images["x0"] = target.var("y1")
+    # the ring argument is needed when no image is a Polynomial
+    ring = draw(st.sampled_from((None, target))) if other else None
+    return poly(src, 8, 4), images, ring
+
+
+def typed_terms(p):
+    return sorted((e, type(c)) for e, c in p.items())
+
+
 class TestSubstitution:
     def test_composition(self):
         x0, x1, x2 = R3.gens
@@ -200,6 +243,65 @@ class TestSubstitution:
                 == a.substitute(images) * b.substitute(images))
         assert ((a + b).substitute(images)
                 == a.substitute(images) + b.substitute(images))
+
+    @given(substitutions())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_products(self, case):
+        p, images, ring = case
+        got = p.substitute(images, ring=ring)
+        want = substitute_by_products(p, images, ring=ring)
+        assert got == want
+        assert str(got) == str(want)
+        assert typed_terms(got) == typed_terms(want)
+
+    def test_missing_image_and_mixed_rings_raise(self):
+        x0, x1, x2 = R3.gens
+        with pytest.raises(ValueError, match="missing image"):
+            (x0 + x1).substitute({"x0": x2})
+        y = PolyRing(("y0", "y1"), QQ)
+        with pytest.raises(ValueError, match="different rings"):
+            x0.substitute({"x0": x1, "x1": y.var("y0")})
+        with pytest.raises(KeyError):
+            x0.substitute({"x0": x1, "z": x2})
+
+    @pytest.mark.parametrize("shape", ("dense-images", "many-terms"))
+    def test_deadline_stops_a_large_composition(self, shape):
+        """Dense quadrics into a degree-7 polynomial (large products,
+        4 s without a deadline), or a renaming of the 12870 terms of
+        degree at most 8 in eight variables (small ones, 0.5 s)."""
+        if shape == "dense-images":
+            ring = PolyRing(("x0", "x1", "x2", "x3"), QQ)
+            xs = ring.gens
+            p = (sum(xs, ring.one) + Fraction(1, 3)) ** 7
+            images = {nm: (sum(((k + 2) * x for k, x in enumerate(xs)),
+                               ring.const(j)) + x) ** 2
+                      for j, (nm, x) in enumerate(zip(ring.names, xs))}
+        else:
+            ring = PolyRing(tuple("x%d" % i for i in range(8)), QQ)
+            p = ring.from_terms((e, k % 7 - 3) for d in range(9) for k, e
+                                in enumerate(ring.monomials_of_degree(d)))
+            names = ring.names
+            images = {a: ring.var(b)
+                      for a, b in zip(names, names[1:] + names[:1])}
+        start = time.monotonic()
+        with pytest.raises(DeadlineExceeded):
+            with deadline(0.01):
+                p.substitute(images)
+        assert time.monotonic() - start < 0.1
+
+    def test_degree_limit_before_any_product(self, monkeypatch):
+        def no_products(*args):
+            raise AssertionError("a product was formed")
+
+        monkeypatch.setattr(rings, "_times", no_products)
+        x0, x1, x2 = R3.gens
+        p = R3.monomial((2**22, 0, 0)) * x1
+        images = {"x0": x0**2 + x2, "x1": x1, "x2": x2}
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="total degree %d exceeds the "
+                           "limit %d" % (2**23 + 1, 2**23 - 1)):
+            p.substitute(images)
+        assert time.monotonic() - start < 0.1
 
 
 class TestOrders:
@@ -236,6 +338,31 @@ class TestOrders:
         for e in exponent_vectors(data.draw, ring, 1):
             assert po.decode(po.encode(e)) == e
             assert po.tdeg(po.encode(e)) == sum(e)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_lcm_matches_decoding(self, data):
+        ring, order = data.draw(ordered_rings())
+        rank = data.draw(st.integers(0, 3))
+        po = PackedOrder(ring, order, rank=rank)
+        comps = st.integers(0, max(rank - 1, 0))
+        a, b = (list(v) for v in exponent_vectors(data.draw, ring, 2)[:2])
+        if data.draw(st.booleans()):
+            # one coordinate takes up the rest of the limit, so that the
+            # lcm can exceed it
+            for v in (a, b):
+                v[data.draw(st.integers(0, ring.nvars - 1))] += (
+                    2**23 - 1 - sum(v))
+        ka = po.encode(a) + data.draw(comps) * po.cstep
+        kb = po.encode(b) + data.draw(comps) * po.cstep
+        try:
+            want = lcm_by_decoding(po, ka, kb)
+        except ValueError:
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                po.lcm(ka, kb)
+            return
+        assert po.lcm(ka, kb) == want
+        assert po.lcm(kb, ka) == want
 
     def test_total_degree_limit(self):
         po = PackedOrder(R3, MonomialOrder.lex())

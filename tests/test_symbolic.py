@@ -263,8 +263,10 @@ class TestCost:
         """Cost guard on the r = 2 template at seed 0.  With the level's
         minimal generators cached, fresh(3) is one graded minimalization
         and takes no basis (the span loop took one per kept generator
-        plus one); condition_i takes one saturation per variable and no
-        elimination or colon (the annihilator route took both)."""
+        plus one).  With levels 1-3 cached, condition_i takes no basis,
+        elimination or colon: it reuses the per-variable saturations the
+        levels made (the annihilator route took eliminations and colons,
+        and rebuilding the saturations took 4 bases)."""
         calls = {"eliminate": 0, "groebner_basis": 0, "quotient": 0}
         for name in ("eliminate", "groebner_basis"):
             original = getattr(groebner, name)
@@ -284,13 +286,15 @@ class TestCost:
         monkeypatch.setattr(Ideal, "quotient", quotient_spy)
         I = template_ideal(3, 2, seed=0).ideal
         F = SymbolicFiltration(I)
+        F.level(1)
+        F.level(2)
         F.minimal(3)
         for name in calls:
             calls[name] = 0
         F.fresh(3)
         assert calls == {"eliminate": 0, "groebner_basis": 0, "quotient": 0}
         condition_i(I, 3, filtration=F)
-        assert calls["eliminate"] == calls["quotient"] == 0
+        assert calls == {"eliminate": 0, "groebner_basis": 0, "quotient": 0}
 
 
 class TestFieldAgreement:
