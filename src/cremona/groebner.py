@@ -6,7 +6,9 @@ addition up to a constant and divisibility a two-mask borrow test, so
 the reduction loop never touches exponent tuples.  One engine serves
 ideals and submodules of free modules (keys with a component field,
 position over term).  Coefficients stay exact: fraction-free integers
-over QQ, residues over Fp.
+over QQ, residues over Fp.  A run on weighted homogeneous input can be
+Hilbert-driven: given a lower bound of the Hilbert series of R/I, it
+drops the pairs of every degree that the bound shows complete.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import heapq
 import weakref
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .rings import (DeadlineExceeded, FormMatrix, MonomialOrder, PackedOrder,
                     PolyRing, Polynomial, _primitive_part, _times,
@@ -192,6 +195,151 @@ def _spoly(gi, gj, lk, p):
     return s
 
 
+# -- Hilbert series of monomial ideals --------------------------------
+
+
+def _series_add(a, b, shift=0, sign=1):
+    """The series a + sign * z^shift * b of {degree: coefficient} dicts,
+    zero coefficients left out."""
+    out = dict(a)
+    for d, c in b.items():
+        d += shift
+        v = out.get(d, 0) + sign * c
+        if v:
+            out[d] = v
+        else:
+            out.pop(d, None)
+    return out
+
+
+def _monomial_min(gens):
+    """Minimal generators, sorted, of the monomial ideal of gens."""
+    out = []
+    for e in sorted(gens, key=lambda m: (sum(m), m)):
+        if not any(all(x <= y for x, y in zip(m, e)) for m in out):
+            out.append(e)
+    return tuple(sorted(out))
+
+
+def _hilbert_numerator(gens, weights, cache=None):
+    """Numerator N of the Hilbert series N(z) / prod(1 - z^w_i) of R/M,
+    M the monomial ideal of the exponent vectors gens and w_i the
+    positive weights of the variables; {degree: coefficient}.
+
+    A variable x among the generators gives the factor 1 - z^w(x) and
+    takes out every generator it divides.  Pure powers alone give a
+    product of such factors.  Otherwise the pivot is the variable x in
+    most mixed generators: N(M) = N(M + (x)) + z^w(x) N(M : x) (Bigatti,
+    "Computation of Hilbert-Poincare series", JPAA 119 (1997)).
+    """
+    if cache is None:
+        cache = {}
+    lin = {e.index(1) for e in gens if sum(e) == 1}
+    if lin:
+        gens = [e for e in gens if not any(e[i] for i in lin)]
+    gens = _monomial_min(gens)
+    res = cache.get(gens)
+    if res is None:
+        if not gens:
+            res = {0: 1}
+        elif not any(gens[0]):
+            res = {}
+        else:
+            counts = {}
+            for e in gens:
+                if sum(1 for x in e if x) > 1:
+                    for i, x in enumerate(e):
+                        if x:
+                            counts[i] = counts.get(i, 0) + 1
+            if not counts:
+                res = {0: 1}
+                for e in gens:
+                    res = _series_add(res, res, sum(map(mul, e, weights)),
+                                      -1)
+            else:
+                piv = max(counts, key=lambda i: (counts[i], -i))
+                colon = [e[:piv] + (e[piv] - 1,) + e[piv + 1:] if e[piv]
+                         else e for e in gens]
+                plus = [e for e in gens if not e[piv]]
+                plus.append(tuple(int(i == piv)
+                                   for i in range(len(gens[0]))))
+                res = _series_add(_hilbert_numerator(plus, weights, cache),
+                                  _hilbert_numerator(colon, weights, cache),
+                                  weights[piv])
+        cache[gens] = res
+    for i in lin:
+        res = _series_add(res, res, weights[i], -1)
+    return res
+
+
+class _HilbertBound:
+    """Hilbert-function bound of a homogeneous Buchberger run (Traverso,
+    "Hilbert functions and the Buchberger algorithm", J. Symbolic Comput.
+    22 (1996)).
+
+    num is the numerator, over prod(1 - z^w_i), of the series of R/LT
+    minus the target series, LT the ideal of the leads so far; each new
+    lead m of degree d updates it by HS(R/(LT + m)) = HS(R/LT) -
+    z^d HS(R/(LT : m)).  Its coefficient in degree D, rem, counts the
+    leads of degree D still missing at most: a new element of degree D
+    lowers it by one, and at 0 the basis is complete in degree D.
+    """
+
+    __slots__ = ("weights", "num", "leads", "counts", "deg", "rem")
+
+    def __init__(self, weights, target):
+        self.weights = weights
+        self.num = _series_add({0: 1}, target, 0, -1)
+        self.leads = []
+        # counts[e]: monomials of degree e
+        self.counts = [1]
+        self.deg = None
+        self.rem = None
+
+    def add(self, lead, d):
+        """Account for a new lead (exponent vector) of degree d."""
+        colon = [tuple(a - b if a > b else 0 for a, b in zip(m, lead))
+                 for m in self.leads]
+        self.num = _series_add(self.num,
+                               _hilbert_numerator(colon, self.weights), d, -1)
+        self.leads = [m for m in self.leads
+                      if not all(a <= b for a, b in zip(lead, m))]
+        self.leads.append(lead)
+        if d == self.deg and self.rem:
+            self.rem -= 1
+
+    def complete(self, d, pairs):
+        """Whether the basis is complete in degree d, the degree of a pair
+        just taken off pairs; then the pending pairs of degree d are
+        dropped.  rem is computed when a new degree has two or more
+        pairs; one alone is cheaper to reduce."""
+        if d != self.deg:
+            self.deg = d
+            self.rem = None
+            if any(v[0] == d for v in pairs.values()):
+                self.rem = self.missing(d)
+                if self.rem < 0:
+                    raise ValueError("the target Hilbert function exceeds "
+                                     "that of the ideal in degree %d" % d)
+        if self.rem != 0:
+            return False
+        for key in [k for k, v in pairs.items() if v[0] == d]:
+            del pairs[key]
+        return True
+
+    def missing(self, d):
+        """HF(R/LT)(d) minus the target's value at d."""
+        counts = self.counts
+        if len(counts) <= d:
+            top = 2 * d
+            counts = [1] + [0] * top
+            for w in self.weights:
+                for e in range(w, top + 1):
+                    counts[e] += counts[e - w]
+            self.counts = counts
+        return sum(c * counts[d - k] for k, c in self.num.items() if k <= d)
+
+
 class _Engine:
     """Incremental Buchberger state over one PackedOrder.
 
@@ -202,12 +350,18 @@ class _Engine:
     the elements are module elements; pairs across components are never
     formed and the coprime criterion, which only holds for ideals, is
     skipped.
+
+    With a series (weights, numerator), the input is homogeneous for the
+    positive weights of the variables, degrees and sugar are weighted,
+    and numerator(z) / prod(1 - z^w_i) bounds the Hilbert series of R/I
+    from below degree by degree: a _HilbertBound then drops the pairs
+    of every degree it shows complete.
     """
 
     __slots__ = ("po", "p", "ideal", "elts", "live", "dirty", "pairs",
-                 "heap")
+                 "heap", "degree", "bound")
 
-    def __init__(self, po):
+    def __init__(self, po, series=None):
         self.po = po
         self.p = po.ring.field.characteristic
         self.ideal = not po.rank
@@ -216,6 +370,12 @@ class _Engine:
         self.dirty = False
         self.pairs = {}
         self.heap = []
+        if series is None:
+            self.degree = po.tdeg
+            self.bound = None
+        else:
+            self.degree = po.grading(series[0])
+            self.bound = _HilbertBound(*series)
 
     def view(self):
         """The alive elements, ascending lead keys."""
@@ -234,18 +394,26 @@ class _Engine:
         terms = _normalize(terms, self.p)
         key = max(terms)
         idx = len(self.elts)
-        self.elts.append(_Elt(key, terms, terms[key], self.po.tdeg(key),
-                              sugar, idx))
+        d = self.degree(key)
+        self.elts.append(_Elt(key, terms, terms[key], d, sugar, idx))
+        if self.bound is not None:
+            self.bound.add(self.po.decode(key), d)
         self.update(idx)
 
     def update(self, hidx):
-        """Gebauer-Moeller: new pairs of element hidx, old pairs pruned."""
+        """Gebauer-Moeller: new pairs of element hidx, old pairs pruned.
+
+        A candidate's lcm is dropped when another one divides it.  The
+        candidates are sorted by lcm, and a later lcm divides an earlier
+        one only when they are equal, so of the later ones only the next
+        needs a look."""
         po = self.po
         elts = self.elts
         pairs = self.pairs
         heap = self.heap
         lcmf = po.lcm
         divides = po.divides
+        degree = self.degree
         ideal = self.ideal
         key0 = po.key0
         h = elts[hidx]
@@ -257,14 +425,14 @@ class _Engine:
                 if lk is not None:
                     cand.append((lk, g.idx))
         cand.sort()
+        last = len(cand) - 1
         kept = []
         for pos, (lk, gi) in enumerate(cand):
             cop = ideal and lk == lmh + elts[gi].key - key0
             if not cop:
-                drop = any(divides(l2, lk) for l2, _g, _c in kept)
-                if not drop:
-                    drop = any(divides(l2, lk) for l2, _g in cand[pos + 1:])
-                if drop:
+                if pos < last and cand[pos + 1][0] == lk:
+                    continue
+                if any(divides(l2, lk) for l2, _g, _c in kept):
                     continue
             kept.append((lk, gi, cop))
         for key, (sug, lk) in list(pairs.items()):
@@ -276,7 +444,7 @@ class _Engine:
             if cop:
                 continue
             g = elts[gi]
-            dl = po.tdeg(lk)
+            dl = degree(lk)
             sug = max(g.sugar + dl - g.tdeg, h.sugar + dl - h.tdeg)
             pairs[(gi, hidx)] = (sug, lk)
             heapq.heappush(heap, (sug, lk, gi, hidx))
@@ -291,12 +459,15 @@ class _Engine:
         pairs = self.pairs
         elts = self.elts
         p = self.p
+        bound = self.bound
         while heap and (upto is None or heap[0][0] <= upto):
             sug, lk, i, j = heapq.heappop(heap)
             if pairs.get((i, j)) != (sug, lk):
                 continue
             del pairs[(i, j)]
             check_deadline()
+            if bound is not None and bound.complete(sug, pairs):
+                continue
             s = _spoly(elts[i], elts[j], lk, p)
             if not s:
                 continue
@@ -305,9 +476,10 @@ class _Engine:
                 self.add(out, sug)
 
 
-def _buchberger(seeds, po):
-    """Reduced basis, as packed term dicts, of the (terms, sugar) seeds."""
-    eng = _Engine(po)
+def _buchberger(seeds, po, series=None):
+    """Reduced basis, as packed term dicts, of the (terms, sugar) seeds;
+    see _Engine for series."""
+    eng = _Engine(po, series)
     for terms, sugar in sorted(seeds, key=lambda s: max(s[0])):
         out = eng.reduce(dict(terms))
         if out:
@@ -518,8 +690,17 @@ class GroebnerBasis:
         return all(self.contains(f) for f in self.source)
 
 
-def groebner_basis(gens, order=None, ring=None):
-    """Reduced Groebner basis of the given generators."""
+def groebner_basis(gens, order=None, ring=None, *, series=None):
+    """Reduced Groebner basis of the given generators.
+
+    series, when given, is (weights, numerator): positive integer weights
+    of the ring's variables, for which every generator must be
+    homogeneous, and the numerator {degree: coefficient} of a series
+    numerator(z) / prod(1 - z^w_i) that is at most the Hilbert series of
+    R/I in every degree, such as that series itself.  The run then skips
+    the pairs of each degree the bound shows complete (see _Engine); the
+    basis is the same.
+    """
     gens = [g for g in gens]
     if ring is None:
         if not gens:
@@ -531,15 +712,34 @@ def groebner_basis(gens, order=None, ring=None):
     if order is None:
         order = MonomialOrder.grevlex()
     po = PackedOrder(ring, order)
-    seeds = [(_engine_in(po, g)[0], g.degree()) for g in gens if g]
-    return GroebnerBasis(ring, order, gens, po, _buchberger(seeds, po))
+    if series is None:
+        seeds = [(_engine_in(po, g)[0], g.degree()) for g in gens if g]
+    else:
+        weights = tuple(series[0])
+        if any(not isinstance(w, int) or w < 1 for w in weights):
+            raise ValueError("weights must be positive integers")
+        degree = po.grading(weights)
+        seeds = []
+        for g in gens:
+            if g:
+                terms = _engine_in(po, g)[0]
+                degs = {degree(k) for k in terms}
+                if len(degs) != 1:
+                    raise ValueError("generators must be homogeneous for "
+                                     "the weights")
+                seeds.append((terms, degs.pop()))
+        series = (weights, series[1])
+    return GroebnerBasis(ring, order, gens, po,
+                         _buchberger(seeds, po, series))
 
 
-def eliminate(gens, drop, ring=None):
+def eliminate(gens, drop, ring=None, *, series=None):
     """Intersect the ideal with the subring omitting the drop variables.
 
     Returns (subring, generators): a Groebner basis of the elimination
-    ideal transferred into the subring, sorted by its default order.
+    ideal transferred into the subring, sorted by its default order.  It
+    is the reduced basis in that (grevlex) order, to which the block
+    order ((drop), (rest)) restricts.  series goes to groebner_basis.
     """
     gens = [g for g in gens]
     if ring is None:
@@ -556,7 +756,7 @@ def eliminate(gens, drop, ring=None):
         raise ValueError("nothing to eliminate")
     first = tuple(nm for nm in ring.names if nm in dropset)
     order = MonomialOrder.block(first, keep)
-    gb = groebner_basis(gens, order=order, ring=ring)
+    gb = groebner_basis(gens, order=order, ring=ring, series=series)
     blocks = tuple(tuple(nm for nm in b if nm not in dropset)
                    for b in ring.blocks)
     blocks = tuple(b for b in blocks if b)

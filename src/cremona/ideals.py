@@ -10,8 +10,9 @@ from __future__ import annotations
 import itertools
 
 from .groebner import (GroebnerBasis, _colon_exponent, _divide_out,
-                       _engine_in, _interreduce, _minimal_subset, _polynomial,
-                       _times, check_deadline, eliminate, groebner_basis)
+                       _engine_in, _hilbert_numerator, _interreduce,
+                       _minimal_subset, _polynomial, _times, check_deadline,
+                       eliminate, groebner_basis)
 from .rings import MonomialOrder, PackedOrder, PolyRing, Polynomial, transfer
 
 __all__ = ["HilbertData", "Ideal", "minors"]
@@ -29,6 +30,19 @@ def _fresh_name(ring, base):
 def _extended_ring(ring, name):
     blocks = ((name,),) + ring.blocks
     return PolyRing((name,) + ring.names, ring.field, blocks=blocks)
+
+
+# cache key of the polynomials of a reduced grevlex basis known in advance
+_KNOWN_BASIS = "known basis"
+
+
+def _with_basis(ring, gens, basis):
+    """The ideal of gens, given its reduced grevlex basis as polynomials
+    ascending by lead, normalized as groebner_basis leaves them; the
+    GroebnerBasis is built from them when first asked for."""
+    out = Ideal(ring, gens)
+    out._cache[_KNOWN_BASIS] = tuple(basis)
+    return out
 
 
 class HilbertData:
@@ -75,7 +89,15 @@ class Ideal:
         key = order if order is not None else MonomialOrder.grevlex()
         gb = self._cache.get(key)
         if gb is None:
-            gb = groebner_basis(list(self.gens), order=key, ring=self.ring)
+            basis = None
+            if key == MonomialOrder.grevlex():
+                basis = self._cache.pop(_KNOWN_BASIS, None)
+            if basis is None:
+                gb = groebner_basis(list(self.gens), order=key, ring=self.ring)
+            else:
+                po = PackedOrder(self.ring, key)
+                gb = GroebnerBasis(self.ring, key, self.gens, po,
+                                   [_engine_in(po, g)[0] for g in basis])
             self._cache[key] = gb
         return gb
 
@@ -299,7 +321,7 @@ class Ideal:
         leads = self.groebner().leads
         if any(sum(e) == 0 for e in leads):
             return HilbertData((), -1, n + 1, 0)
-        num, codim, mult = _series_data(leads)
+        num, codim, mult = _series_data(leads, n)
         numer = tuple(num.get(d, 0) for d in range(max(num) + 1)) if num else ()
         return HilbertData(numer, n - codim, codim, mult)
 
@@ -308,7 +330,7 @@ class Ideal:
         leads = self.groebner().leads
         if any(sum(e) == 0 for e in leads):
             return self.ring.nvars + 1
-        return _series_data(leads)[1]
+        return _series_data(leads, self.ring.nvars)[1]
 
 
 def _grevlex_last(ring, i):
@@ -361,9 +383,10 @@ def minors(mat, k):
     return out
 
 
-def _series_data(leads):
-    """Numerator, (1-t)-multiplicity and residual value for a lead set."""
-    num = _hilbert_numerator(tuple(leads), {}) if leads else {0: 1}
+def _series_data(leads, n):
+    """Numerator, (1-t)-multiplicity and residual value for a lead set in
+    n variables."""
+    num = _hilbert_numerator(leads, (1,) * n)
     codim = 0
     q = dict(num)
     while q and not sum(q.values()):
@@ -377,63 +400,3 @@ def _series_data(leads):
         codim += 1
     mult = sum(q.values()) if q else 0
     return num, codim, mult
-
-
-def _monomial_min(gens):
-    out = []
-    for e in sorted(gens, key=lambda m: (sum(m), m)):
-        if not any(all(x <= y for x, y in zip(m, e)) for m in out):
-            out.append(e)
-    return tuple(sorted(out))
-
-
-def _hilbert_numerator(gens, cache):
-    """Numerator of the Hilbert series of R/(monomial ideal) over (1-t)^n."""
-    gens = _monomial_min(gens)
-    hit = cache.get(gens)
-    if hit is not None:
-        return hit
-    if not gens:
-        res = {0: 1}
-    elif any(sum(e) == 0 for e in gens):
-        res = {}
-    else:
-        mixed = [e for e in gens if sum(1 for x in e if x) > 1]
-        if not mixed:
-            res = {0: 1}
-            for e in gens:
-                a = sum(e)
-                nxt = dict(res)
-                for d, c in res.items():
-                    v = nxt.get(d + a, 0) - c
-                    if v:
-                        nxt[d + a] = v
-                    elif d + a in nxt:
-                        del nxt[d + a]
-                res = nxt
-        else:
-            counts = {}
-            for e in mixed:
-                for i, x in enumerate(e):
-                    if x:
-                        counts[i] = counts.get(i, 0) + 1
-            piv = max(counts, key=lambda i: (counts[i], -i))
-            colon = []
-            for e in gens:
-                if e[piv]:
-                    m = list(e)
-                    m[piv] -= 1
-                    colon.append(tuple(m))
-                else:
-                    colon.append(e)
-            plus = [e for e in gens if not e[piv]]
-            plus.append(tuple(1 if i == piv else 0 for i in range(len(e))))
-            res = dict(_hilbert_numerator(tuple(plus), cache))
-            for d, c in _hilbert_numerator(tuple(colon), cache).items():
-                v = res.get(d + 1, 0) + c
-                if v:
-                    res[d + 1] = v
-                elif d + 1 in res:
-                    del res[d + 1]
-    cache[gens] = res
-    return res

@@ -9,8 +9,8 @@ R[t].
 
 from __future__ import annotations
 
-from .groebner import eliminate
-from .ideals import Ideal
+from .groebner import _hilbert_numerator, eliminate
+from .ideals import Ideal, _with_basis
 from .rings import FormMatrix, PolyRing, Polynomial, transfer
 
 __all__ = ["JacobianDual", "ReesPresentation", "jacobian_dual",
@@ -59,10 +59,18 @@ class ReesPresentation:
         self._image = None
 
     def image_ideal(self):
-        """The y-only part of the ideal; zero exactly for dominant maps."""
+        """The y-only part of the ideal; zero exactly for dominant maps.
+
+        The elimination is Hilbert-driven: the ideal is bihomogeneous, and
+        the leads of its grevlex basis give its Hilbert series in the
+        standard grading.
+        """
         if self._image is None:
-            sub, polys = eliminate(list(self.ideal.gens),
-                                   list(self.xnames), ring=self.ambient)
+            weights = (1,) * self.ambient.nvars
+            series = (weights, _hilbert_numerator(self.ideal.groebner().leads,
+                                                  weights))
+            sub, polys = eliminate(list(self.ideal.gens), list(self.xnames),
+                                   ring=self.ambient, series=series)
             self._image = Ideal(sub, polys)
         return self._image
 
@@ -104,8 +112,9 @@ def rees_ideal(I):
     keyed.sort(key=lambda kv: kv[0])
     ordered = tuple(g for _, g in keyed)
     xnames = I.ring.names
-    return ReesPresentation(I, J.ring, Ideal(J.ring, ordered), xnames,
-                            J.ring.names[len(xnames):])
+    # the generators of J are its reduced grevlex basis
+    return ReesPresentation(I, J.ring, _with_basis(J.ring, ordered, J.gens),
+                            xnames, J.ring.names[len(xnames):])
 
 
 def jacobian_dual(P):
@@ -144,13 +153,20 @@ def subalgebra_presentation(I, extra=()):
 
     extra lists pairs (F, w); with no extras this presents the plain Rees
     algebra.  Generators are not minimalized (weighted z-variables break
-    the standard grading) but come back in a deterministic order.
+    the standard grading); they are the reduced basis of the kernel in
+    the default (grevlex) order, ascending.
+
+    The elimination of t is Hilbert-driven.  With deg t = deg x_i = 1,
+    deg y_i = d + 1 (d the degree of the f_i) and deg z_j = w_j + deg F_j
+    every relation y_i - f_i*t, z_j - F_j*t^w_j is homogeneous, and the
+    quotient by them is k[t, x], as it is by the y- and z-variables: the
+    two ideals have the same Hilbert series.
     """
     ring = I.ring
     gens = I.gens
     if not gens:
         raise ValueError("need a nonzero ideal")
-    _uniform_degree(gens)
+    d = _uniform_degree(gens)
     extras = tuple(extra)
     for F, w in extras:
         if not isinstance(w, int) or w < 1:
@@ -177,5 +193,12 @@ def subalgebra_presentation(I, extra=()):
            for yn, f in zip(ynames, gens)]
     for zn, (F, w) in zip(znames, extras):
         rel.append(work.var(zn) - t ** w * transfer(F, work))
-    sub, polys = eliminate(rel, [tname], ring=work)
-    return Ideal(sub, polys)
+    weights = ((1,) * (1 + len(xnames)) + (d + 1,) * len(ynames)
+               + tuple(w + F.homogeneous_degree() for F, w in extras))
+    # the y- and z-variables as exponent vectors
+    n = work.nvars
+    yz = [tuple(int(i == j) for i in range(n))
+          for j in range(1 + len(xnames), n)]
+    series = (weights, _hilbert_numerator(yz, weights))
+    sub, polys = eliminate(rel, [tname], ring=work, series=series)
+    return _with_basis(sub, polys, polys)

@@ -325,7 +325,40 @@ class PackedOrder:
         return key
 
     def tdeg(self, key):
-        return sum(self.decode(key))
+        """Total degree of the term of a key, read from its fields: the
+        sum of the degree fields, or of the exponent fields modulo _MOD
+        when the order has none (lex)."""
+        if self.dsums:
+            d = 0
+            for shift, _gmask in self.dsums:
+                d += (key >> shift) & _MAXF
+            return d
+        return (key & self.emask) % _MOD
+
+    def grading(self, weights):
+        """Function from a key to the weighted degree sum(w_i * e_i) of its
+        term, for nonnegative integer weights of the variables.  For each
+        weight, the exponent fields of its variables are masked out and
+        summed modulo _MOD as in lcm(); a complement field XOR _MAXF is its
+        exponent."""
+        if len(weights) != self.ring.nvars:
+            raise ValueError("need one weight per variable")
+        masks = {}
+        for shift, i, comp in self.dfields:
+            m, c = masks.get(weights[i], (0, 0))
+            f = _MAXF << shift
+            masks[weights[i]] = (m | f, c | f if comp else c)
+        if len(masks) == 1 and 1 in masks:
+            return self.tdeg
+        masks = tuple((w, m, c) for w, (m, c) in masks.items())
+
+        def degree(key):
+            d = 0
+            for w, m, c in masks:
+                d += w * (((key & m) ^ c) % _MOD)
+            return d
+
+        return degree
 
 
 def _primitive_part(terms, p, lead=None):
@@ -1084,6 +1117,9 @@ def _det(ring, rows):
     for j in range(n):
         if not rows[0][j]:
             continue
+        # once per cofactor step: the products of a large determinant are
+        # many and small, so they check no deadline themselves
+        check_deadline()
         sub = tuple(tuple(r[k] for k in range(n) if k != j) for r in rest)
         term = rows[0][j] * _det(ring, sub)
         acc = acc - term if j % 2 else acc + term

@@ -3,13 +3,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
-from cremona import fixtures, groebner
-from cremona.families import signed_minors
+from cremona import fixtures, groebner, rees
+from cremona.families import signed_minors, template_ideal
 from cremona.groebner import (DeadlineExceeded, deadline, eliminate,
                               groebner_basis, syzygies)
 from cremona.ideals import Ideal
 from cremona.rees import jacobian_dual, rees_ideal
+from cremona.groebner import _hilbert_numerator
 from cremona.rings import FormMatrix, GF, MonomialOrder, PolyRing, QQ
 
 from oracles import (homogeneous_member, minimal_columns, random_form,
@@ -63,6 +66,161 @@ class TestBasis:
         f = x0 ** 2**23 * x1 + x1**2
         with pytest.raises(ValueError, match="exceeds the limit"):
             groebner_basis([f, x0**2])
+
+
+def _monomials(weights, d):
+    """Exponent vectors of weighted degree d."""
+    if not weights:
+        return [()] if d == 0 else []
+    w = weights[-1]
+    return [e + (a,) for a in range(d // w + 1)
+            for e in _monomials(weights[:-1], d - a * w)]
+
+
+def _series_value(num, weights, d):
+    """Coefficient of z^d in num(z) / prod(1 - z^w)."""
+    return sum(c * len(_monomials(weights, d - k))
+               for k, c in num.items() if k <= d)
+
+
+def _count_spolys(monkeypatch):
+    """Count the S-polynomials formed from now on, in count[0]."""
+    count = [0]
+    real_spoly = groebner._spoly
+
+    def counting(*args):
+        count[0] += 1
+        return real_spoly(*args)
+
+    monkeypatch.setattr(groebner, "_spoly", counting)
+    return count
+
+
+@st.composite
+def weighted_ideals(draw):
+    """Generators, each homogeneous for drawn positive weights, over QQ
+    or GF(32003), with a drawn term order."""
+    n = draw(st.integers(2, 4))
+    field = draw(st.sampled_from((QQ, GF(32003))))
+    ring = PolyRing(tuple("x%d" % i for i in range(n)), field)
+    weights = tuple(draw(st.lists(st.integers(1, 3), min_size=n,
+                                  max_size=n)))
+    order = draw(st.sampled_from((MonomialOrder.grevlex(),
+                                  MonomialOrder.lex(),
+                                  MonomialOrder.block(ring.names[:1],
+                                                      ring.names[1:]))))
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        d = draw(st.integers(1, 6))
+        mons = _monomials(weights, d)
+        if not mons:
+            continue
+        picked = draw(st.lists(st.sampled_from(mons), min_size=1,
+                               max_size=4, unique=True))
+        gens.append(ring.from_terms(
+            (e, draw(st.integers(-5, 5).filter(bool))) for e in picked))
+    return ring, weights, order, gens
+
+
+class TestHilbertNumerator:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_standard_monomial_count(self, data):
+        n = data.draw(st.integers(1, 4))
+        weights = tuple(data.draw(st.lists(st.integers(1, 3), min_size=n,
+                                           max_size=n)))
+        gens = data.draw(st.lists(
+            st.tuples(*([st.integers(0, 3)] * n)), max_size=6))
+        num = _hilbert_numerator(gens, weights)
+        assert all(num.values())
+        for d in range(13):
+            standard = [e for e in _monomials(weights, d)
+                        if not any(all(a <= b for a, b in zip(g, e))
+                                   for g in gens)]
+            assert _series_value(num, weights, d) == len(standard)
+
+    def test_standard_grading_examples(self):
+        # (x0^2, x0*x1): (1 + t - t^2) / (1 - t), so 1 - 2t^2 + t^3
+        # over (1 - t)^2
+        assert _hilbert_numerator([(2, 0), (1, 1)], (1, 1)) == {
+            0: 1, 2: -2, 3: 1}
+        assert _hilbert_numerator([], (1, 1)) == {0: 1}
+        assert _hilbert_numerator([(0, 0), (1, 0)], (1, 1)) == {}
+        # variables only: one factor 1 - z^w each
+        assert _hilbert_numerator([(1, 0, 0), (0, 0, 1)], (2, 1, 3)) == {
+            0: 1, 2: -1, 3: -1, 5: 1}
+
+
+class TestHilbertDriven:
+    @given(weighted_ideals(), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_same_basis_as_plain(self, drawn, bigger):
+        ring, weights, order, gens = drawn
+        plain = groebner_basis(gens, order=order, ring=ring)
+        target = plain
+        if bigger:
+            # the series of a larger ideal bounds that of I from below
+            extra = [ring.var(ring.names[-1]) ** 2]
+            target = groebner_basis(gens + extra, order=order, ring=ring)
+        series = (weights, _hilbert_numerator(target.leads, weights))
+        gb = groebner_basis(gens, order=order, ring=ring, series=series)
+        assert [str(p) for p in gb.polys] == [str(p) for p in plain.polys]
+        assert gb.certify()
+
+    def test_pairs_skipped(self, monkeypatch):
+        # the Rees elimination of the r = 3 template at seed 0: 82 pairs
+        # without the bound, 29 with it
+        calls = []
+
+        def spy(gens, drop, ring=None, series=None):
+            calls.append((list(gens), drop, ring, series))
+            return eliminate(gens, drop, ring=ring, series=series)
+
+        monkeypatch.setattr(rees, "eliminate", spy)
+        rees_ideal(template_ideal(3, 3, seed=0).ideal)
+        monkeypatch.undo()
+        (gens, drop, ring, series), = calls
+        count = _count_spolys(monkeypatch)
+        counts = []
+        results = []
+        for s in (None, series):
+            count[0] = 0
+            results.append(eliminate(gens, drop, ring=ring, series=s))
+            counts.append(count[0])
+        assert counts == [82, 29]
+        assert [str(g) for g in results[0][1]] == [
+            str(g) for g in results[1][1]]
+
+    def test_target_above_the_ideal_raises(self):
+        # the twisted cubic; the series of R itself is above that of R/I
+        R4 = PolyRing(("x0", "x1", "x2", "x3"), QQ)
+        gens = [R4.parse(g) for g in ("x0*x2 - x1^2", "x0*x3 - x1*x2",
+                                      "x1*x3 - x2^2")]
+        with pytest.raises(ValueError, match="exceeds that of the ideal"):
+            groebner_basis(gens, series=((1, 1, 1, 1), {0: 1}))
+        # the exact series is accepted
+        exact = _hilbert_numerator(groebner_basis(gens).leads, (1,) * 4)
+        assert groebner_basis(gens, series=((1,) * 4, exact)).certify()
+
+    def test_input_checked_against_the_weights(self):
+        gens = [R3.parse("x0^2 - x1")]
+        with pytest.raises(ValueError, match="homogeneous for the weights"):
+            groebner_basis(gens, series=((1, 1, 1), {0: 1, 2: -1}))
+        gb = groebner_basis(gens, series=((1, 2, 1), {0: 1, 2: -1}))
+        assert [str(p) for p in gb.polys] == ["x0^2 - x1"]
+        with pytest.raises(ValueError, match="positive integers"):
+            groebner_basis(gens, series=((1, 2, 0), {0: 1, 2: -1}))
+
+
+class TestPairCriteria:
+    def test_pinned_pair_count(self, monkeypatch):
+        # a plain run (no Hilbert bound): the grevlex basis of the r = 3
+        # template's Rees ideal forms 19 S-polynomials
+        P = rees_ideal(template_ideal(3, 3, seed=0).ideal)
+        count = _count_spolys(monkeypatch)
+        gb = groebner_basis(list(P.ideal.gens), ring=P.ambient)
+        assert count[0] == 19
+        assert len(gb) == 10
 
 
 class TestMembershipOracle:

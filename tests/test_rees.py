@@ -1,11 +1,19 @@
 """Rees presentations, Jacobian duals, subalgebra presentations."""
 
-import pytest
+from unittest import mock
 
-from cremona.fixtures import de_jonquieres, p4_monomial, standard_quadratic
+import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
+
+from cremona import rees
+from cremona.families import template_ideal
+from cremona.fixtures import (all_fixtures, de_jonquieres, p4_monomial,
+                              standard_quadratic)
+from cremona.groebner import eliminate, groebner_basis
 from cremona.ideals import Ideal
 from cremona.rees import jacobian_dual, rees_ideal, subalgebra_presentation
-from cremona.rings import PolyRing, QQ, transfer
+from cremona.rings import GF, PolyRing, QQ, transfer
 
 R2 = PolyRing(("x0", "x1"), QQ)
 
@@ -95,3 +103,73 @@ class TestSubalgebraPresentation:
         with pytest.raises(ValueError):
             subalgebra_presentation(fx.ideal,
                                     extra=((fx.ring.zero, 2),))
+
+
+def _plain_eliminate(gens, drop, ring=None, series=None):
+    return eliminate(gens, drop, ring=ring)
+
+
+def _strs(polys):
+    return [str(p) for p in polys]
+
+
+@st.composite
+def presentations(draw):
+    """A small ideal of forms of one degree and weighted extras."""
+    field = draw(st.sampled_from((QQ, GF(32003))))
+    ring = PolyRing(("x0", "x1", "x2"), field)
+    d = draw(st.integers(1, 2))
+    mons = list(ring.monomials_of_degree(d))
+    coeffs = st.integers(-3, 3).filter(bool)
+
+    def form(mons):
+        picked = draw(st.lists(st.sampled_from(mons), min_size=1,
+                               max_size=3, unique=True))
+        return ring.from_terms((e, draw(coeffs)) for e in picked)
+
+    gens = [form(mons) for _ in range(draw(st.integers(2, 3)))]
+    extras = []
+    for _ in range(draw(st.integers(0, 2))):
+        deg = draw(st.integers(1, 3))
+        extras.append((form(list(ring.monomials_of_degree(deg))),
+                       draw(st.integers(1, 2))))
+    return Ideal(ring, gens), extras
+
+
+class TestHilbertDriven:
+    @given(presentations())
+    @settings(max_examples=30, deadline=None)
+    def test_subalgebra_presentation_as_plain(self, drawn):
+        I, extras = drawn
+        K = subalgebra_presentation(I, extra=extras)
+        with mock.patch.object(rees, "eliminate", _plain_eliminate):
+            plain = subalgebra_presentation(I, extra=extras)
+        assert _strs(K.gens) == _strs(plain.gens)
+        gb = K.groebner()
+        assert _strs(gb.polys) == _strs(K.gens)
+        assert gb.certify()
+
+    @pytest.mark.parametrize("fx", all_fixtures(), ids=lambda fx: fx.name)
+    def test_cached_basis_fixture(self, fx):
+        self._check_cached_basis(fx.ideal)
+
+    @pytest.mark.parametrize("r, seed", ((3, 0), (2, 0), (2, 1), (2, 2)))
+    def test_cached_basis_template(self, r, seed):
+        self._check_cached_basis(template_ideal(3, r, seed=seed).ideal)
+
+    @staticmethod
+    def _check_cached_basis(I):
+        """The basis the elimination leaves is the one a fresh run
+        finds, and the Hilbert-driven image is the plain one."""
+        P = rees_ideal(I)
+        gb = P.ideal.groebner()
+        fresh = groebner_basis(list(P.ideal.gens), ring=P.ambient)
+        assert _strs(gb.polys) == _strs(fresh.polys)
+        assert gb.leads == fresh.leads
+        assert gb.source == P.ideal.gens
+        assert gb.certify()
+        sub, polys = eliminate(list(P.ideal.gens), list(P.xnames),
+                               ring=P.ambient)
+        image = P.image_ideal()
+        assert image.ring.names == sub.names
+        assert _strs(image.gens) == _strs(polys)

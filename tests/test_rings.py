@@ -364,6 +364,21 @@ class TestOrders:
         assert po.lcm(ka, kb) == want
         assert po.lcm(kb, ka) == want
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_degrees_from_fields(self, data):
+        ring, order = data.draw(ordered_rings())
+        rank = data.draw(st.integers(0, 3))
+        po = PackedOrder(ring, order, rank=rank)
+        weights = data.draw(st.lists(st.integers(0, 4), min_size=ring.nvars,
+                                     max_size=ring.nvars))
+        grading = po.grading(weights)
+        comps = st.integers(0, max(rank - 1, 0))
+        for e in exponent_vectors(data.draw, ring, 1):
+            k = po.encode(e) + data.draw(comps) * po.cstep
+            assert po.tdeg(k) == sum(po.decode(k)) == sum(e)
+            assert grading(k) == sum(w * x for w, x in zip(weights, e))
+
     def test_total_degree_limit(self):
         po = PackedOrder(R3, MonomialOrder.lex())
         assert po.decode(po.encode((2**23 - 2, 1, 0))) == (2**23 - 2, 1, 0)
@@ -406,6 +421,20 @@ class TestFormMatrix:
         m = FormMatrix(R3, [[x0, x1], [x1, x0]])
         assert m.det() == x0 * x0 - x1 * x1
         assert m.minors(1) == [x0, x1, x1, x0]
+
+    def test_det_stops_at_deadline(self):
+        # a 7 x 7 determinant of linear forms takes about a second, in
+        # products too small to check the deadline themselves
+        rows = [[R3.from_terms((e, (7 * i + 3 * j + k) % 11 - 5)
+                               for k, e in enumerate(((1, 0, 0), (0, 1, 0),
+                                                      (0, 0, 1))))
+                 for j in range(7)] for i in range(7)]
+        m = FormMatrix(R3, rows)
+        start = time.monotonic()
+        with pytest.raises(DeadlineExceeded):
+            with deadline(0.01):
+                m.det()
+        assert time.monotonic() - start < 0.1
 
     def test_rejects_inhomogeneous_column(self):
         x0, _, _ = R3.gens
