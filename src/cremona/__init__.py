@@ -1,7 +1,7 @@
 """Exact computer algebra for Cremona maps and symbolic Rees algebras."""
 
 from .rings import (Field, FormMatrix, GF, MonomialOrder, NotDivisibleError,
-                    ParseError, PolyRing, Polynomial, QQ, poly_sqrt, transfer)
+                    ParseError, PolyRing, Polynomial, QQ, transfer)
 from .groebner import (DeadlineExceeded, GroebnerBasis, check_deadline,
                        deadline, eliminate, groebner_basis, syzygies)
 from .ideals import HilbertData, Ideal, minors
@@ -33,7 +33,7 @@ __all__ = [
     "expected_form_check", "fixtures",
     "grade_two_check", "groebner_basis", "invert", "inversion_factor",
     "is_birational", "jacobian_dual", "minors", "plane_composition_oracle",
-    "poly_sqrt", "rees_ideal", "signed_minors", "subalgebra_presentation",
+    "rees_ideal", "signed_minors", "subalgebra_presentation",
     "sylvester_chain", "sylvester_form", "symbolic_presentation",
     "syzygies",
     "template_ideal", "transfer",

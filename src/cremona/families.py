@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 
+from .groebner import _hilbert_numerator, groebner_basis
 from .ideals import Ideal, minors as minor_ideal
 from .maps import (InverseData, RationalMapSpec, _poly_gcd_list,
                    inversion_factor)
@@ -382,7 +383,12 @@ def sylvester_chain(T, presentation=None):
         forms.append(fi)
         bidegrees.append(fi.block_degrees())
         prev = fi
-    conj = Ideal(amb, (l1, l2, f0) + tuple(forms)) == P.ideal
+    # the chain lies in P.ideal, so it generates it when P.ideal lies in
+    # its ideal, whose basis the Hilbert series of P.ideal bounds
+    weights = (1,) * amb.nvars
+    series = (weights, _hilbert_numerator(gb.leads, weights))
+    chain = groebner_basis([l1, l2, f0] + forms, ring=amb, series=series)
+    conj = all(chain.contains(g) for g in P.ideal.gens)
     return SylvesterChain(P, l1, l2, f0, tuple(forms), tuple(bidegrees),
                           conj)
 

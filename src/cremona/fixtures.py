@@ -9,7 +9,6 @@ the companion ``*_data`` helpers.
 
 from __future__ import annotations
 
-from fractions import Fraction
 
 from .families import signed_minors
 from .ideals import Ideal
@@ -137,7 +136,7 @@ def noether():
 def no_name():
     """Degree-three map of three-space inverse to the sub-Hankel polar map."""
     R = PolyRing(("x0", "x1", "x2", "x3"), QQ)
-    half3 = R.const(Fraction(3, 2))
+    half3 = R.const(3) / 2
     m = FormMatrix(R, [
         [2 * R.var("x0"), R.zero, R.zero],
         [R.var("x1"), 2 * R.var("x0"), R.zero],

@@ -6,22 +6,23 @@ addition up to a constant and divisibility a two-mask borrow test, so
 the reduction loop never touches exponent tuples.  One engine serves
 ideals and submodules of free modules (keys with a component field,
 position over term).  Coefficients stay exact: fraction-free integers
-over QQ, residues over Fp.  A run on weighted homogeneous input can be
-Hilbert-driven: given a lower bound of the Hilbert series of R/I, it
-drops the pairs of every degree that the bound shows complete.
+over QQ, residues over Fp.  A Polynomial stores the same terms in its
+ring's grevlex order, so other orders cost one key remap each way.  A
+run on weighted homogeneous input can be Hilbert-driven: given a lower
+bound of the Hilbert series of R/I, it drops the pairs of every degree
+that the bound shows complete.
 """
 
 from __future__ import annotations
 
 import heapq
 import weakref
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
-from .rings import (DeadlineExceeded, FormMatrix, MonomialOrder, PackedOrder,
-                    PolyRing, Polynomial, _primitive_part, _times,
-                    check_deadline, deadline, transfer)
+from .rings import (_MAXF, DeadlineExceeded, FormMatrix, MonomialOrder,
+                    PackedOrder, PolyRing, Polynomial, _canonical,
+                    _primitive, _times, check_deadline, deadline)
 
 __all__ = [
     "DeadlineExceeded",
@@ -36,43 +37,56 @@ __all__ = [
 
 
 class _Elt:
-    __slots__ = ("key", "terms", "lc", "tdeg", "sugar", "alive", "idx")
+    """An engine element: lead key, terms, lead coefficient, degree and
+    sugar in the run's grading, and over, by how much the top total
+    degree of its terms exceeds that of its lead (0 in a graded order)."""
 
-    def __init__(self, key, terms, lc, tdeg, sugar, idx):
+    __slots__ = ("key", "terms", "lc", "tdeg", "sugar", "over", "alive",
+                 "idx")
+
+    def __init__(self, key, terms, tdeg, sugar, idx, po):
         self.key = key
         self.terms = terms
-        self.lc = lc
+        self.lc = terms[key]
         self.tdeg = tdeg
         self.sugar = sugar
+        self.over = 0 if po.graded else max(map(po.tdeg, terms)) - po.tdeg(key)
         self.alive = True
         self.idx = idx
 
 
-def _engine_in(po, poly):
-    """Convert to packed integer terms; see rings._primitive_part."""
-    enc = po.encode
-    return _primitive_part({enc(e): c for e, c in poly.items()},
-                           po.ring.field.characteristic)
+def _check_multiple(po, k, g):
+    """Reject the multiple of g with lead key k when a term of it would
+    pass the degree limit and overflow a field."""
+    d = po.tdeg(k) + g.over
+    if d > _MAXF:
+        raise ValueError("total degree %d exceeds the limit %d" % (d, _MAXF))
+
+
+def _terms(po, f):
+    """f's terms on the keys of po, without its scale: its own dict (read
+    only) when po packs as its ring's order does, else one key remap."""
+    conv = f.ring._packed.remap(po)
+    if conv is None:
+        return f._t
+    return {conv(k): c for k, c in f._t.items()}
+
+
+def _poly(ring, po, terms, scale):
+    """The Polynomial scale * terms of ring, terms on the keys of po."""
+    conv = po.remap(ring._packed)
+    if conv is not None:
+        terms = {conv(k): c for k, c in terms.items()}
+    return _canonical(ring, terms, scale)
 
 
 def _normalize(terms, p):
-    """Scale to the canonical representative: monic over Fp, primitive
-    integer with positive lead over QQ.  Mutates nothing; returns dict."""
-    lead = max(terms)
-    if p:
-        lc = terms[lead]
-        if lc == 1:
-            return dict(terms)
-        inv = pow(lc, -1, p)
-        return {k: v * inv % p for k, v in terms.items()}
-    g = 0
-    for v in terms.values():
-        g = gcd(g, v)
-    if terms[lead] < 0:
-        g = -g
-    if g == 1:
-        return dict(terms)
-    return {k: v // g for k, v in terms.items()}
+    """The canonical multiple of nonzero terms, which may be the same
+    dict: monic over Fp, primitive with a positive lead over QQ."""
+    if not p:
+        return _primitive(terms)[1]
+    inv = pow(terms[max(terms)], -1, p)
+    return terms if inv == 1 else {k: v * inv % p for k, v in terms.items()}
 
 
 def _reduce(fterms, basis, po, p, early=False):
@@ -111,6 +125,8 @@ def _reduce(fterms, basis, po, p, early=False):
             del fterms[k]
             out[k] = c
             continue
+        if g.over:
+            _check_multiple(po, k, g)
         if p:
             off = k - g.key
             for kk, cc in g.terms.items():
@@ -174,9 +190,13 @@ def _reduce(fterms, basis, po, p, early=False):
     return out, snum, sden
 
 
-def _spoly(gi, gj, lk, p):
+def _spoly(gi, gj, lk, po):
     """S-polynomial of two engine elements over the lcm key lk, with
     fraction-free cofactors over QQ."""
+    for g in (gi, gj):
+        if g.over:
+            _check_multiple(po, lk, g)
+    p = po.ring.field.characteristic
     cg = gcd(gi.lc, gj.lc)
     a = gj.lc // cg
     b = gi.lc // cg
@@ -395,7 +415,7 @@ class _Engine:
         key = max(terms)
         idx = len(self.elts)
         d = self.degree(key)
-        self.elts.append(_Elt(key, terms, terms[key], d, sugar, idx))
+        self.elts.append(_Elt(key, terms, d, sugar, idx, self.po))
         if self.bound is not None:
             self.bound.add(self.po.decode(key), d)
         self.update(idx)
@@ -458,7 +478,7 @@ class _Engine:
         heap = self.heap
         pairs = self.pairs
         elts = self.elts
-        p = self.p
+        po = self.po
         bound = self.bound
         while heap and (upto is None or heap[0][0] <= upto):
             sug, lk, i, j = heapq.heappop(heap)
@@ -468,7 +488,7 @@ class _Engine:
             check_deadline()
             if bound is not None and bound.complete(sug, pairs):
                 continue
-            s = _spoly(elts[i], elts[j], lk, p)
+            s = _spoly(elts[i], elts[j], lk, po)
             if not s:
                 continue
             out = self.reduce(s)
@@ -489,11 +509,14 @@ def _buchberger(seeds, po, series=None):
 
 
 def _elements(dicts, po):
-    """Engine elements of nonzero packed term dicts."""
+    """Engine elements of nonzero packed term dicts in any scaling; the
+    reduction wants them normalized (monic over Fp)."""
+    p = po.ring.field.characteristic
     out = []
     for idx, terms in enumerate(dicts):
+        terms = _normalize(terms, p)
         key = max(terms)
-        out.append(_Elt(key, terms, terms[key], po.tdeg(key), 0, idx))
+        out.append(_Elt(key, terms, po.tdeg(key), 0, idx, po))
     return out
 
 
@@ -555,15 +578,16 @@ def _divide_out(gb, i):
     """
     po = gb._po
     w = po.weights[i]
-    decode = po.decode
+    shift = next(s for s, j, _comp in po.dfields if j == i)
     dicts = []
     for g in gb._elts:
-        a = min(decode(k)[i] for k in g.terms)
+        # the exponent of x_i in the lead, from its complement field
+        a = _MAXF - ((g.key >> shift) & _MAXF)
         dicts.append({k - a * w: c for k, c in g.terms.items()}
                      if a else g.terms)
     # the reduction loop wants ascending leads
     dicts.sort(key=max)
-    return GroebnerBasis(gb.ring, gb.order, None, po, dicts)
+    return GroebnerBasis(po, None, dicts)
 
 
 def _colon_exponent(gb, gens, targets):
@@ -579,14 +603,14 @@ def _colon_exponent(gb, gens, targets):
     po = gb._po
     p = po.ring.field.characteristic
     elts = gb._elts
-    fs = [_engine_in(po, f)[0] for f in targets]
-    cur = [_engine_in(po, g)[0] for g in gens]
+    fs = [_terms(po, f) for f in targets]
+    cur = [_terms(po, g) for g in gens]
     s = 0
     while True:
         check_deadline()
         seen = {}
         for terms in cur:
-            out = _reduce(terms, elts, po, p)[0]
+            out = _reduce(dict(terms), elts, po, p)[0]
             if out:
                 out = _normalize(out, p)
                 seen.setdefault(frozenset(out.items()), out)
@@ -606,43 +630,40 @@ def live_bases():
     return tuple(_LIVE_BASES)
 
 
-def _polynomial(po, terms):
-    """The Polynomial of packed terms with engine coefficients."""
-    if po.ring.field.characteristic:
-        coeffs = {po.decode(k): v for k, v in terms.items()}
-    else:
-        coeffs = {po.decode(k): Fraction(v) for k, v in terms.items()}
-    return Polynomial(po.ring, coeffs)
-
-
 class GroebnerBasis:
     """Groebner basis supporting exact normal forms; groebner_basis and
-    eliminate build reduced ones.  A source of None stands for the basis
-    itself."""
+    eliminate build reduced ones.  The elements are engine terms on the
+    keys of po, which also gives the ring and the order; their
+    polynomials are made when first asked for.  source holds the
+    generators it was computed from, None for a basis given as one."""
 
-    __slots__ = ("ring", "order", "source", "polys", "_po", "_elts",
-                 "_leads", "__weakref__")
+    __slots__ = ("ring", "order", "leads", "source", "_polys", "_po",
+                 "_elts", "__weakref__")
 
-    def __init__(self, ring, order, source, po, term_dicts):
+    def __init__(self, po, source, term_dicts):
         _LIVE_BASES.add(self)
-        self.ring = ring
-        self.order = order
+        self.ring = po.ring
+        self.order = po.order
         self._po = po
         self._elts = _elements(term_dicts, po)
-        self.polys = tuple(_polynomial(po, terms) for terms in term_dicts)
-        self.source = self.polys if source is None else tuple(source)
-        self._leads = tuple(po.decode(g.key) for g in self._elts)
+        self._polys = None
+        self.source = None if source is None else tuple(source)
+        # leading exponent vectors, ascending in the basis order
+        self.leads = tuple(po.decode(g.key) for g in self._elts)
 
     @property
-    def leads(self):
-        """Leading exponent vectors, ascending in the basis order."""
-        return self._leads
+    def polys(self):
+        if self._polys is None:
+            ring = self.ring
+            self._polys = tuple(_poly(ring, self._po, g.terms, ring._unit)
+                                for g in self._elts)
+        return self._polys
 
     def __iter__(self):
         return iter(self.polys)
 
     def __len__(self):
-        return len(self.polys)
+        return len(self._elts)
 
     def normal_form(self, f):
         if not isinstance(f, Polynomial) or f.ring != self.ring:
@@ -651,16 +672,10 @@ class GroebnerBasis:
             return f
         po = self._po
         p = self.ring.field.characteristic
-        terms, scale = _engine_in(po, f)
-        out, snum, sden = _reduce(terms, self._elts, po, p)
+        out, snum, sden = _reduce(dict(_terms(po, f)), self._elts, po, p)
         if not out:
             return self.ring.zero
-        if p:
-            return Polynomial(self.ring,
-                              {po.decode(k): v * scale % p
-                               for k, v in out.items() if v * scale % p})
-        sc = scale * Fraction(snum, sden)
-        return Polynomial(self.ring, {po.decode(k): v * sc for k, v in out.items()})
+        return _poly(self.ring, po, out, f._s * snum / sden)
 
     def contains(self, f):
         if not isinstance(f, Polynomial) or f.ring != self.ring:
@@ -670,24 +685,28 @@ class GroebnerBasis:
         if not self._elts:
             return False
         po = self._po
-        terms, _scale = _engine_in(po, f)
-        red = _reduce(terms, self._elts, po, self.ring.field.characteristic,
-                      early=True)
+        red = _reduce(dict(_terms(po, f)), self._elts, po,
+                      self.ring.field.characteristic, early=True)
         return red is not None
 
     def certify(self):
-        """Re-check the Buchberger criterion and source membership."""
+        """Re-check the Buchberger criterion and source membership.  A
+        pair with coprime leads is skipped (Buchberger's first criterion:
+        its S-polynomial reduces to zero by the pair itself)."""
         po = self._po
         p = self.ring.field.characteristic
         elts = self._elts
         for i in range(len(elts)):
             for j in range(i + 1, len(elts)):
                 check_deadline()
-                lk = po.lcm(elts[i].key, elts[j].key)
-                s = _spoly(elts[i], elts[j], lk, p)
+                ki, kj = elts[i].key, elts[j].key
+                lk = po.lcm(ki, kj)
+                if lk == ki + kj - po.key0:
+                    continue
+                s = _spoly(elts[i], elts[j], lk, po)
                 if s and _reduce(s, elts, po, p, early=True) is None:
                     return False
-        return all(self.contains(f) for f in self.source)
+        return all(self.contains(f) for f in self.source or ())
 
 
 def groebner_basis(gens, order=None, ring=None, *, series=None):
@@ -711,9 +730,10 @@ def groebner_basis(gens, order=None, ring=None, *, series=None):
             raise ValueError("generators live in different rings")
     if order is None:
         order = MonomialOrder.grevlex()
-    po = PackedOrder(ring, order)
+    po = ring._packed if order == ring._packed.order else PackedOrder(ring,
+                                                                     order)
     if series is None:
-        seeds = [(_engine_in(po, g)[0], g.degree()) for g in gens if g]
+        seeds = [(_terms(po, g), g.degree()) for g in gens if g]
     else:
         weights = tuple(series[0])
         if any(not isinstance(w, int) or w < 1 for w in weights):
@@ -722,24 +742,25 @@ def groebner_basis(gens, order=None, ring=None, *, series=None):
         seeds = []
         for g in gens:
             if g:
-                terms = _engine_in(po, g)[0]
+                terms = _terms(po, g)
                 degs = {degree(k) for k in terms}
                 if len(degs) != 1:
                     raise ValueError("generators must be homogeneous for "
                                      "the weights")
                 seeds.append((terms, degs.pop()))
         series = (weights, series[1])
-    return GroebnerBasis(ring, order, gens, po,
-                         _buchberger(seeds, po, series))
+    return GroebnerBasis(po, gens, _buchberger(seeds, po, series))
 
 
 def eliminate(gens, drop, ring=None, *, series=None):
     """Intersect the ideal with the subring omitting the drop variables.
 
     Returns (subring, generators): a Groebner basis of the elimination
-    ideal transferred into the subring, sorted by its default order.  It
+    ideal, remapped into the subring, ascending in its default order.  It
     is the reduced basis in that (grevlex) order, to which the block
-    order ((drop), (rest)) restricts.  series goes to groebner_basis.
+    order ((drop), (rest)) restricts, so the elements of the block basis
+    free of the drop variables come ascending already.  series goes to
+    groebner_basis.
     """
     gens = [g for g in gens]
     if ring is None:
@@ -761,11 +782,11 @@ def eliminate(gens, drop, ring=None, *, series=None):
                    for b in ring.blocks)
     blocks = tuple(b for b in blocks if b)
     sub = PolyRing(keep, ring.field, blocks=blocks or None)
-    keepset = set(keep)
-    out = [transfer(g, sub) for g in gb.polys
-           if all(nm in keepset for nm in g.support())]
-    out.sort(key=lambda f: sub._defkey(f.leading_monomial()))
-    return sub, tuple(out)
+    po = gb._po
+    # in the block order a lead free of the drop variables has none below
+    dropped = po.grading([int(nm in dropset) for nm in ring.names])
+    return sub, tuple(_poly(sub, po, g.terms, sub._unit) for g in gb._elts
+                      if not dropped(g.key))
 
 
 # -- module Groebner bases and syzygies --------------------------------
@@ -827,24 +848,27 @@ def syzygies(mat):
     be graded (consistent row and column shifts).
     """
     ring = mat.ring
-    field = ring.field
-    p = field.characteristic
+    p = ring.field.characteristic
     r, c = mat.nrows, mat.ncols
     delta = _column_shifts(mat)
     # column j is seeded as (column j, e_{r+j}); the basis elements living
     # in components r.. alone are the relations among the columns
     po = PackedOrder(ring, MonomialOrder.grevlex(), rank=r + c)
-    enc = po.encode
+    # the term of ring key k in component i has key k + off + i * step
+    off = po.key0 - ring._packed.key0
     step = po.cstep
     seeds = []
     for j in range(c):
-        v = {po.key0 + (r + j) * step: field.coerce(1)}
-        for i in range(r):
-            for e, cf in mat[i, j].items():
-                v[enc(e) + i * step] = cf
-        sugar = max((mat[i, j].degree() for i in range(r) if mat[i, j]),
-                    default=0)
-        seeds.append((_primitive_part(v, p)[0], sugar))
+        col = [mat[i, j] for i in range(r)]
+        # over QQ the column times the common denominator of its scales
+        den = 1 if p else lcm(*(f._s.denominator for f in col))
+        v = {po.key0 + (r + j) * step: den}
+        for i, f in enumerate(col):
+            m = 1 if p else (f._s * den).numerator
+            for k, cf in f._t.items():
+                v[k + off + i * step] = m * cf
+        sugar = max((f.degree() for f in col if f), default=0)
+        seeds.append((v, sugar))
     # descending keys list leads in lower components first, as in
     # position over term; the minimalization keeps the first of
     # equal-degree candidates.  The candidates stay in components r..,
@@ -865,8 +889,8 @@ def syzygies(mat):
     for i in _minimal_subset(po, graded):
         parts = [{} for _ in range(c)]
         for k, cf in graded[i][1].items():
-            parts[po.component(k) - r][po.decode(k)] = (
-                cf if p else Fraction(cf))
-        columns.append([Polynomial(ring, t) for t in parts])
+            comp = po.component(k)
+            parts[comp - r][k - off - comp * step] = cf
+        columns.append([_canonical(ring, t, ring._unit) for t in parts])
     entries = [[col[j] for col in columns] for j in range(c)]
     return FormMatrix(ring, entries)

@@ -8,12 +8,12 @@ data.  All computations are exact and deterministic.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .groebner import (GroebnerBasis, _colon_exponent, _divide_out,
-                       _engine_in, _hilbert_numerator, _interreduce,
-                       _minimal_subset, _polynomial, _times, check_deadline,
-                       eliminate, groebner_basis)
-from .rings import MonomialOrder, PackedOrder, PolyRing, Polynomial, transfer
+                       _hilbert_numerator, _interreduce, _minimal_subset,
+                       _times, check_deadline, eliminate, groebner_basis)
+from .rings import MonomialOrder, PolyRing, Polynomial, transfer
 
 __all__ = ["HilbertData", "Ideal", "minors"]
 
@@ -95,9 +95,8 @@ class Ideal:
             if basis is None:
                 gb = groebner_basis(list(self.gens), order=key, ring=self.ring)
             else:
-                po = PackedOrder(self.ring, key)
-                gb = GroebnerBasis(self.ring, key, self.gens, po,
-                                   [_engine_in(po, g)[0] for g in basis])
+                gb = GroebnerBasis(self.ring._packed, self.gens,
+                                   [g._t for g in basis])
             self._cache[key] = gb
         return gb
 
@@ -153,7 +152,7 @@ class Ideal:
         if ell == 1:
             return self
         prods = tuple(
-            _product(c) for c in
+            math.prod(c) for c in
             itertools.combinations_with_replacement(self.gens, ell))
         out = Ideal(self.ring, prods)
         if out.is_homogeneous():
@@ -287,10 +286,8 @@ class Ideal:
             gens = [transfer(g, aux) for g in self.gens]
             gens.append(aux.one - aux.var(t) * transfer(f, aux))
             _sub, out = eliminate(gens, [t], ring=aux)
-            po = PackedOrder(ring, MonomialOrder.grevlex())
-            gb = GroebnerBasis(ring, po.order, None, po,
-                               [_engine_in(po, transfer(g, ring))[0]
-                                for g in out])
+            gb = GroebnerBasis(ring._packed, None,
+                               [transfer(g, ring)._t for g in out])
         self._cache[key] = gb
         return gb
 
@@ -308,9 +305,9 @@ class Ideal:
             return ()
         if any(not g.is_homogeneous() for g in gens):
             raise ValueError("minimal generators need a homogeneous ideal")
-        po = PackedOrder(self.ring, MonomialOrder.grevlex())
-        cands = [(g.homogeneous_degree(), _engine_in(po, g)[0]) for g in gens]
-        return tuple(gens[i] for i in _minimal_subset(po, cands))
+        cands = [(g.homogeneous_degree(), g._t) for g in gens]
+        return tuple(gens[i] for i in _minimal_subset(self.ring._packed,
+                                                      cands))
 
     def hilbert(self):
         """Hilbert series data of R/I from the leading-term ideal."""
@@ -350,28 +347,20 @@ def _reduced_grevlex(gb):
     """The reduced grevlex basis of the ideal of gb, ascending."""
     if gb.order != MonomialOrder.grevlex():
         return groebner_basis(list(gb.polys), ring=gb.ring).polys
-    po = gb._po
-    return tuple(_polynomial(po, t)
-                 for t in _interreduce([g.terms for g in gb._elts], po))
+    ring = gb.ring
+    return tuple(Polynomial(ring, t, ring._unit) for t in
+                 _interreduce([g.terms for g in gb._elts], gb._po))
 
 
 def _divided_form(basis, f):
     """The reduced basis of f*K divided by f, for the reduced grevlex
     basis of K: the products f*g form a basis of f*K with the leads of
     the g times that of f, so interreducing them is all it takes."""
-    po = PackedOrder(f.ring, MonomialOrder.grevlex())
-    ft = _engine_in(po, f)[0]
-    prods = _interreduce([_times(_engine_in(po, g)[0], ft, po)
-                          for g in basis], po)
-    return tuple(_polynomial(po, t).exact_divide(f).normalized()
+    ring = f.ring
+    po = ring._packed
+    prods = _interreduce([_times(g._t, f._t, po) for g in basis], po)
+    return tuple(Polynomial(ring, t, ring._unit).exact_divide(f).normalized()
                  for t in prods)
-
-
-def _product(polys):
-    acc = polys[0]
-    for p in polys[1:]:
-        acc = acc * p
-    return acc
 
 
 def minors(mat, k):

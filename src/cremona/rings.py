@@ -1,15 +1,15 @@
 """Exact multivariate polynomial rings over QQ and prime fields.
 
-Coefficient arithmetic is exact: Fraction over the rationals, reduced
-residues over Fp.  Polynomials are immutable dict-backed values with a
-canonical text form (terms descending in the ring's default grevlex
-order, explicit '*' and '^', rationals printed as a/b) so that equal
-values print identically and printed values parse back.  Substitution,
-which composes rational maps, runs on packed integer terms: the keys of
-the target ring's grevlex PackedOrder with integer coefficients, one
-common denominator over QQ.  The cooperative deadline lives here too,
-so that large products, and the parser that builds them, can be
-interrupted.
+A polynomial is stored on the packed integer keys of its ring's grevlex
+PackedOrder, the keys the Groebner engine reduces with: over QQ as a
+Fraction scale times primitive integer terms, over Fp as residues.
+Products add keys, exact division is a heap division on keys, and
+degrees and supports are read from key fields.  Exponent tuples and
+field elements appear only at the edges, among them a canonical text
+form (terms descending in grevlex, explicit '*' and '^', rationals as
+a/b) in which equal values print identically and parse back.  The
+cooperative deadline lives here too, so that large products, and the
+parser that builds them, can be interrupted.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from operator import mul
 __all__ = [
     "DeadlineExceeded", "Field", "QQ", "GF", "MonomialOrder", "PackedOrder",
     "PolyRing", "Polynomial", "FormMatrix", "NotDivisibleError", "ParseError",
-    "check_deadline", "deadline", "poly_sqrt", "transfer",
+    "check_deadline", "deadline", "transfer",
 ]
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -196,9 +196,9 @@ class PackedOrder:
     component c is encode(e) + c * cstep.
     """
 
-    __slots__ = ("ring", "order", "rank", "weights", "key0", "cstep",
-                 "cshift", "dfields", "down", "up", "guards", "dsums",
-                 "dclear", "emask")
+    __slots__ = ("ring", "order", "rank", "graded", "weights", "key0",
+                 "cstep", "cshift", "dfields", "down", "up", "guards",
+                 "dsums", "dclear", "tmask")
 
     def __init__(self, ring, order, rank=0):
         n = ring.nvars
@@ -253,6 +253,8 @@ class PackedOrder:
         self.ring = ring
         self.order = order
         self.rank = rank
+        # whether a larger key never has a smaller total degree
+        self.graded = kind == "grevlex" and not rank
         self.weights = tuple(weights[:n])
         self.key0 = key0
         self.cstep = weights[n]
@@ -265,7 +267,8 @@ class PackedOrder:
         self.dsums = tuple((shift, sum(fmask[i] for i in idx))
                            for shift, idx in degs)
         self.dclear = ~dmask
-        self.emask = emask
+        # the fields whose sum is the total degree
+        self.tmask = dmask if degs else emask
 
     def encode(self, exps):
         if sum(exps) > _MAXF:
@@ -318,7 +321,7 @@ class PackedOrder:
                 tdeg += d
                 key |= d << shift
         else:
-            tdeg = (key & self.emask) % _MOD
+            tdeg = (key & self.tmask) % _MOD
         if tdeg > _MAXF:
             raise ValueError("total degree %d exceeds the limit %d"
                              % (tdeg, _MAXF))
@@ -326,14 +329,9 @@ class PackedOrder:
 
     def tdeg(self, key):
         """Total degree of the term of a key, read from its fields: the
-        sum of the degree fields, or of the exponent fields modulo _MOD
+        sum modulo _MOD of the degree fields, or of the exponent fields
         when the order has none (lex)."""
-        if self.dsums:
-            d = 0
-            for shift, _gmask in self.dsums:
-                d += (key >> shift) & _MAXF
-            return d
-        return (key & self.emask) % _MOD
+        return (key & self.tmask) % _MOD
 
     def grading(self, weights):
         """Function from a key to the weighted degree sum(w_i * e_i) of its
@@ -360,37 +358,58 @@ class PackedOrder:
 
         return degree
 
+    def remap(self, other):
+        """Function from a key to the key of the same term in other (no
+        module components), matching variables by name, those missing
+        from other's ring unused; None when both pack alike."""
+        if (self.ring.names == other.ring.names and self.key0 == other.key0
+                and self.weights == other.weights):
+            return None
+        index = other.ring._index
+        names = self.ring.names
+        fields = tuple((shift, _MAXF if comp else 0, other.weights[j])
+                       for shift, i, comp in self.dfields
+                       if (j := index.get(names[i])) is not None)
+        key0 = other.key0
 
-def _primitive_part(terms, p, lead=None):
-    """Split {key: coefficient} as scale * terms, where the lead (the
-    largest key by default) gets coefficient 1 over Fp and terms are
-    primitive integers with a positive lead over QQ; returns (terms,
-    scale), scale a Fraction over QQ and a residue over Fp."""
-    if p:
-        terms = {k: c % p for k, c in terms.items() if c % p}
-        if not terms:
-            return {}, 1
-        lc = terms[max(terms) if lead is None else lead]
-        if lc != 1:
-            inv = pow(lc, -1, p)
-            terms = {k: v * inv % p for k, v in terms.items()}
-        return terms, lc
-    if not terms:
-        return {}, Fraction(0)
-    den = 1
-    for c in terms.values():
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    num = 0
-    for c in terms.values():
-        num = math.gcd(num, c.numerator * (den // c.denominator))
-    sign = -1 if terms[max(terms) if lead is None else lead] < 0 else 1
-    out = {k: sign * c.numerator * (den // c.denominator) // num
-           for k, c in terms.items()}
-    return out, Fraction(sign * num, den)
+        def convert(key):
+            k = key0
+            for shift, flip, w in fields:
+                k += (((key >> shift) & _MAXF) ^ flip) * w
+            return k
+
+        return convert
+
+
+def _primitive(terms):
+    """(g, terms / g) for nonzero integer terms, g their content signed
+    so that the largest key gets a positive coefficient."""
+    g = math.gcd(*terms.values())
+    if terms[max(terms)] < 0:
+        g = -g
+    return g, terms if g == 1 else {k: v // g for k, v in terms.items()}
+
+
+def _canonical(ring, terms, scale):
+    """The Polynomial scale * terms of nonzero integer terms on ring's
+    keys, the content moved into the scale; over Fp the terms are
+    residues and scale is ignored."""
+    if ring.field.characteristic or not terms:
+        return Polynomial(ring, terms, 1)
+    g, terms = _primitive(terms)
+    return Polynomial(ring, terms, scale * g)
 
 
 def _times(a, b, po):
-    """Product of two packed term dicts: keys add up to the constant key0."""
+    """Product of two nonzero packed term dicts in a graded order: keys
+    add up to the constant key0.  A product of total degree above _MAXF
+    is rejected before any term is formed."""
+    tdeg = po.tdeg
+    d = tdeg(max(a)) + tdeg(max(b))
+    if d > _MAXF:
+        raise ValueError("total degree %d exceeds the limit %d" % (d, _MAXF))
+    if len(a) > len(b):
+        a, b = b, a
     p = po.ring.field.characteristic
     off = -po.key0
     # only products this large can overrun a deadline noticeably
@@ -404,9 +423,7 @@ def _times(a, b, po):
         for kb, cb in b.items():
             k = ka + kb
             out[k] = get(k, 0) + ca * cb
-    if p:
-        return {k: r for k, v in out.items() if (r := v % p)}
-    return {k: v for k, v in out.items() if v}
+    return {k: r for k, v in out.items() if (r := v % p if p else v)}
 
 
 class NotDivisibleError(ArithmeticError):
@@ -422,11 +439,12 @@ class PolyRing:
 
     Blocks partition the variables into consecutive groups and give the
     multigraded degree used for bidegrees; they do not affect arithmetic
-    or the default (grevlex) term order.
+    or the default (grevlex) term order, whose PackedOrder keys are the
+    stored form of every Polynomial of the ring.
     """
 
     __slots__ = ("field", "names", "blocks", "_index", "_gens", "_packed",
-                 "_defkey")
+                 "_unit")
 
     def __init__(self, names, field=QQ, blocks=None):
         names = tuple(names)
@@ -446,7 +464,8 @@ class PolyRing:
         self._index = {nm: i for i, nm in enumerate(names)}
         self._gens = None
         self._packed = PackedOrder(self, MonomialOrder.grevlex())
-        self._defkey = self._packed.encode
+        # the scale 1 in the field's type, a Fraction over QQ
+        self._unit = field.coerce(1)
 
     @property
     def nvars(self):
@@ -461,13 +480,9 @@ class PolyRing:
     @property
     def gens(self):
         if self._gens is None:
-            one = self.field.coerce(1)
-            gens = []
-            for i in range(self.nvars):
-                e = [0] * self.nvars
-                e[i] = 1
-                gens.append(Polynomial(self, {tuple(e): one}))
-            self._gens = tuple(gens)
+            po = self._packed
+            self._gens = tuple(Polynomial(self, {po.key0 + w: 1}, self._unit)
+                               for w in po.weights)
         return self._gens
 
     def var(self, name):
@@ -475,40 +490,44 @@ class PolyRing:
 
     @property
     def zero(self):
-        return Polynomial(self, {})
+        return Polynomial(self, {}, self._unit)
 
     @property
     def one(self):
         return self.const(1)
 
     def const(self, c):
-        c = self.field.coerce(c)
-        if not c:
-            return Polynomial(self, {})
-        return Polynomial(self, {(0,) * self.nvars: c})
+        return self.monomial((0,) * self.nvars, c)
 
     def monomial(self, exps, coeff=1):
         exps = tuple(exps)
         if len(exps) != self.nvars or any(e < 0 for e in exps):
             raise ValueError("bad exponent vector")
         c = self.field.coerce(coeff)
-        return Polynomial(self, {exps: c} if c else {})
+        if not c:
+            return self.zero
+        k = self._packed.encode(exps)
+        if self.field.characteristic:
+            return Polynomial(self, {k: c}, 1)
+        return Polynomial(self, {k: 1}, c)
 
     def from_terms(self, terms):
+        """The polynomial of (exponent vector, coefficient) pairs or an
+        {exponent vector: coefficient} dict; repeated vectors add up."""
+        enc = self._packed.encode
+        coerce = self.field.coerce
         out = {}
         for exps, c in terms.items() if isinstance(terms, dict) else terms:
-            c = self.field.coerce(c)
-            if c:
-                exps = tuple(exps)
-                prev = out.get(exps)
-                c = c + prev if prev is not None else c
-                if self.field.characteristic:
-                    c %= self.field.characteristic
-                if c:
-                    out[exps] = c
-                elif exps in out:
-                    del out[exps]
-        return Polynomial(self, out)
+            k = enc(tuple(exps))
+            out[k] = out.get(k, 0) + coerce(c)
+        p = self.field.characteristic
+        if p:
+            return _canonical(self, {k: r for k, v in out.items()
+                                     if (r := v % p)}, 1)
+        den = math.lcm(*(c.denominator for c in out.values()))
+        return _canonical(self, {k: c.numerator * (den // c.denominator)
+                                 for k, c in out.items() if c},
+                          Fraction(1, den))
 
     def monomials_of_degree(self, d):
         """Yield all exponent vectors of total degree d."""
@@ -540,22 +559,40 @@ class PolyRing:
 
 
 class Polynomial:
-    """Immutable exact polynomial; do not mutate the term dict."""
+    """Immutable exact polynomial, stored as scale * terms.
 
-    __slots__ = ("ring", "_t", "_hash")
+    terms maps the keys of ring._packed, the ring's grevlex PackedOrder,
+    to nonzero integers: over QQ primitive, positive at the largest key,
+    with a nonzero Fraction scale; over Fp residues, with scale 1.  Zero
+    has no terms and scale 1.  The form is unique, so equality and
+    hashing compare the stored data.  The dict may be shared, with other
+    polynomials and the engine, and is never mutated.
+    """
 
-    def __init__(self, ring, terms):
+    __slots__ = ("ring", "_t", "_s", "_hash")
+
+    def __init__(self, ring, terms, scale):
         self.ring = ring
         self._t = terms
+        self._s = scale if terms else ring._unit
         self._hash = None
 
     # -- inspection ----------------------------------------------------
 
     def items(self):
-        return self._t.items()
+        """(exponent vector, coefficient) pairs."""
+        dec = self.ring._packed.decode
+        s = self._s
+        return [(dec(k), s * c) for k, c in self._t.items()]
 
     def coefficient(self, exps):
-        return self._t.get(tuple(exps), self.ring.field.coerce(0))
+        ring = self.ring
+        exps = tuple(exps)
+        c = None
+        if (len(exps) == ring.nvars and min(exps, default=0) >= 0
+                and sum(exps) <= _MAXF):
+            c = self._t.get(ring._packed.encode(exps))
+        return ring.field.coerce(0) if c is None else self._s * c
 
     def __bool__(self):
         return bool(self._t)
@@ -567,35 +604,30 @@ class Polynomial:
         """Total degree, or None for the zero polynomial."""
         if not self._t:
             return None
-        return max(sum(e) for e in self._t)
+        return self.ring._packed.tdeg(max(self._t))
 
     def is_homogeneous(self):
-        if not self._t:
-            return True
-        degs = {sum(e) for e in self._t}
-        return len(degs) == 1
+        # in a graded order the smallest key has the least degree
+        t = self._t
+        tdeg = self.ring._packed.tdeg
+        return not t or tdeg(min(t)) == tdeg(max(t))
 
     def homogeneous_degree(self):
         if not self._t:
             raise ValueError("zero polynomial has no homogeneous degree")
-        degs = {sum(e) for e in self._t}
-        if len(degs) != 1:
+        if not self.is_homogeneous():
             raise ValueError("polynomial is not homogeneous")
-        return degs.pop()
+        return self.degree()
 
     def block_degrees(self):
         """Per-block degrees; requires homogeneity in every block."""
         ring = self.ring
         if not self._t:
             raise ValueError("zero polynomial has no bidegree")
-        spans = []
-        pos = 0
-        for b in ring.blocks:
-            spans.append(range(pos, pos + len(b)))
-            pos += len(b)
         out = []
-        for span in spans:
-            degs = {sum(e[i] for i in span) for e in self._t}
+        for b in ring.blocks:
+            grading = ring._packed.grading([int(nm in b) for nm in ring.names])
+            degs = set(map(grading, self._t))
             if len(degs) != 1:
                 raise ValueError("polynomial is not multihomogeneous")
             out.append(degs.pop())
@@ -603,29 +635,24 @@ class Polynomial:
 
     def support(self):
         """Names of variables occurring with positive exponent."""
-        ring = self.ring
-        seen = set()
-        for e in self._t:
-            for i, x in enumerate(e):
-                if x:
-                    seen.add(i)
-        return tuple(ring.names[i] for i in sorted(seen))
+        po = self.ring._packed
+        # key XOR key0 holds each exponent in its field
+        acc = 0
+        for k in self._t:
+            acc |= k ^ po.key0
+        seen = sorted(i for shift, i, _comp in po.dfields
+                      if (acc >> shift) & _MAXF)
+        return tuple(self.ring.names[i] for i in seen)
 
-    def sorted_terms(self, order=None):
-        """Terms as (exps, coeff) pairs, descending in the given order."""
-        key = self.ring._defkey if order is None else PackedOrder(
-            self.ring, order).encode
-        return sorted(self._t.items(), key=lambda t: key(t[0]), reverse=True)
-
-    def leading_monomial(self, order=None):
+    def leading_monomial(self):
         if not self._t:
             raise ValueError("zero polynomial has no leading term")
-        key = self.ring._defkey if order is None else PackedOrder(
-            self.ring, order).encode
-        return max(self._t, key=key)
+        return self.ring._packed.decode(max(self._t))
 
-    def leading_coefficient(self, order=None):
-        return self._t[self.leading_monomial(order)]
+    def leading_coefficient(self):
+        if not self._t:
+            raise ValueError("zero polynomial has no leading term")
+        return self._s * self._t[max(self._t)]
 
     # -- arithmetic ----------------------------------------------------
 
@@ -640,67 +667,39 @@ class Polynomial:
 
     def __add__(self, other):
         other = self._coerce_other(other)
-        if other is None:
-            return NotImplemented
-        p = self.ring.field.characteristic
-        out = dict(self._t)
-        for e, c in other._t.items():
-            v = out.get(e)
-            v = c if v is None else v + c
-            if p:
-                v %= p
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-        return Polynomial(self.ring, out)
+        return NotImplemented if other is None else _combine(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.ring.field.characteristic
-        if p:
-            return Polynomial(self.ring, {e: (p - c) % p for e, c in self._t.items()})
-        return Polynomial(self.ring, {e: -c for e, c in self._t.items()})
+        return self * -1
 
     def __sub__(self, other):
         other = self._coerce_other(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return NotImplemented if other is None else _combine(self, other, -1)
 
     def __rsub__(self, other):
         other = self._coerce_other(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return NotImplemented if other is None else _combine(other, self, -1)
 
     def __mul__(self, other):
         other = self._coerce_other(other)
         if other is None:
             return NotImplemented
-        p = self.ring.field.characteristic
+        ring = self.ring
         a, b = self._t, other._t
-        if len(a) > len(b):
-            a, b = b, a
-        # only products this large can overrun a deadline noticeably
-        big = len(a) * len(b) >= 4096
-        out = {}
-        for ea, ca in a.items():
-            if big:
-                check_deadline()
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                v = out.get(e)
-                c = ca * cb
-                v = c if v is None else v + c
-                if p:
-                    v %= p
-                if v:
-                    out[e] = v
-                elif e in out:
-                    del out[e]
-        return Polynomial(self.ring, out)
+        if not a or not b:
+            return ring.zero
+        if ring.field.characteristic:
+            return Polynomial(ring, _times(a, b, ring._packed), 1)
+        # by Gauss's lemma the product of primitive parts is primitive,
+        # and a constant's is {key0: 1}
+        s = self._s * other._s
+        if len(b) == 1 and ring._packed.key0 in b:
+            return Polynomial(ring, a, s)
+        if len(a) == 1 and ring._packed.key0 in a:
+            return Polynomial(ring, b, s)
+        return Polynomial(ring, _times(a, b, ring._packed), s)
 
     __rmul__ = __mul__
 
@@ -729,11 +728,13 @@ class Polynomial:
             other = self.ring.const(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.ring == other.ring and self._t == other._t
+        return (self.ring == other.ring and self._s == other._s
+                and self._t == other._t)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.ring, frozenset(self._t.items())))
+            self._hash = hash((self.ring, self._s,
+                               frozenset(self._t.items())))
         return self._hash
 
     # -- structured operations ----------------------------------------
@@ -741,19 +742,17 @@ class Polynomial:
     def substitute(self, images, ring=None):
         """Apply xi -> images[xi]; every occurring variable needs an image.
 
-        Runs on the target ring's packed grevlex keys with integer
-        coefficients.  Over QQ each image is split into a rational scale
-        and a primitive integer part, and each term of self gets one
-        integer multiplier over a common denominator q, so the result's
-        coefficients are v/q.  The powers of every image are cached, and
-        so are the products of powers for the exponent prefixes that
-        terms share; the last factor of a term is multiplied straight
-        into the result.  A result whose degree could exceed _MAXF is
-        rejected before any product is formed.  Every pass over the
-        terms checks the deadline once per term.
+        Runs on the target ring's keys with integer coefficients.  Over
+        QQ each term of self gets one integer multiplier, its coefficient
+        times the scales of its images' powers over a common denominator
+        q, so the result is scale / q times the integer sum.  The powers
+        of every image are cached, and so are the products of powers for
+        the exponent prefixes that terms share; the last factor of a term
+        is multiplied straight into the result.  A result whose degree
+        could exceed _MAXF is rejected before any product is formed.
+        Every pass over the terms checks the deadline once per term.
         """
         target = ring
-        coerced = {}
         for name, img in images.items():
             self.ring.index(name)
             if isinstance(img, Polynomial):
@@ -761,53 +760,44 @@ class Polynomial:
                     target = img.ring
                 elif img.ring != target:
                     raise ValueError("images live in different rings")
-            coerced[name] = img
         if target is None:
             target = self.ring
+        if target.field != self.ring.field:
+            raise ValueError("rings have different coefficient fields")
         for name in self.support():
-            if name not in coerced:
+            if name not in images:
                 raise ValueError("missing image for variable %r" % name)
-        imgs = {}
-        for name, img in coerced.items():
-            imgs[self.ring.index(name)] = (
-                img if isinstance(img, Polynomial) else target.const(img))
-        field = target.field
-        p = field.characteristic
+        imgs = {self.ring.index(name): img if isinstance(img, Polynomial)
+                else target.const(img) for name, img in images.items()}
+        p = target.field.characteristic
         degs = {i: img.degree() for i, img in imgs.items()}
-        # the terms that survive: a nonzero coefficient and no zero image
+        decode = self.ring._packed.decode
+        # the terms that survive: no zero image
         terms = []
         top = 0
-        for e, c in self._t.items():
+        for k, c in self._t.items():
             check_deadline()
-            c = field.coerce(c)
-            if not c or any(x and degs[i] is None for i, x in enumerate(e)):
+            e = decode(k)
+            if any(x and degs[i] is None for i, x in enumerate(e)):
                 continue
             terms.append((e, c))
             top = max(top, sum(x * degs[i] for i, x in enumerate(e) if x))
         if top > _MAXF:
             raise ValueError("total degree %d exceeds the limit %d"
                              % (top, _MAXF))
-        po = target._packed
-        enc = po.encode
-        base = {}
-        scales = {}
-        for i in {i for e, _c in terms for i, x in enumerate(e) if x}:
-            base[i] = {enc(e): c for e, c in imgs[i].items()}
-            if not p:
-                base[i], scales[i] = _primitive_part(base[i], 0)
+        used = {i for e, _c in terms for i, x in enumerate(e) if x}
         q = 1
         if not p:
             for k, (e, c) in enumerate(terms):
                 check_deadline()
-                for i, x in enumerate(e):
-                    if x:
-                        c *= scales[i] ** x
-                terms[k] = (e, c)
-                q = math.lcm(q, c.denominator)
+                terms[k] = (e, c * math.prod(imgs[i]._s ** x
+                                             for i, x in enumerate(e) if x))
+            q = math.lcm(*(c.denominator for _e, c in terms))
             terms = [(e, c.numerator * (q // c.denominator))
                      for e, c in terms]
+        po = target._packed
         one = {po.key0: 1}
-        powers = {i: [one, b] for i, b in base.items()}
+        powers = {i: [one, imgs[i]._t] for i in used}
 
         def power(i, x):
             row = powers[i]
@@ -849,101 +839,133 @@ class Polynomial:
                 for kb, cb in right.items():
                     k = ka + kb
                     out[k] = get(k, 0) + ca * cb
-        decode = po.decode
-        if p:
-            return Polynomial(target, {decode(k): r for k, v in out.items()
-                                       if (r := v % p)})
-        return Polynomial(target, {decode(k): Fraction(v, q)
-                                   for k, v in out.items() if v})
+        out = {k: r for k, v in out.items() if (r := v % p if p else v)}
+        return _canonical(target, out, self._s / q)
 
     def exact_divide(self, divisor):
-        """Quotient self/divisor; raises NotDivisibleError when inexact."""
-        if not isinstance(divisor, Polynomial) or divisor.ring != self.ring:
-            divisor = self._coerce_other(divisor)
+        """Quotient self/divisor; raises NotDivisibleError when inexact.
+
+        A division on keys with the remainder's keys on a heap (after
+        Monagan and Pearce, "Polynomial division using dynamic arrays,
+        heaps, and packed exponent vectors", CASC 2007).  Over QQ it runs
+        on the primitive parts, where by Gauss's lemma an exact quotient
+        is a primitive integer polynomial, so a remainder coefficient
+        that the divisor's leading one does not divide ends it; the
+        quotient's scale is the ratio of the scales.
+        """
+        divisor = self._coerce_other(divisor)
         if not divisor:
             raise ZeroDivisionError
         ring = self.ring
         p = ring.field.characteristic
-        key = ring._defkey
-        dlm = divisor.leading_monomial()
-        dinv = ring.field.inv(divisor._t[dlm])
+        po = ring._packed
+        divides = po.divides
+        dt = divisor._t
+        dk = max(dt)
+        dc = dt[dk]
+        dinv = pow(dc, -1, p) if p else None
+        tail = [(k - dk, c) for k, c in dt.items() if k != dk]
         rem = dict(self._t)
-        # the remainder's terms by descending key; a term cancelled from
-        # rem stays on the heap and is skipped when it comes up
-        heap = [(-key(e), e) for e in rem]
+        # the remainder's keys, largest first; a term cancelled from rem
+        # stays on the heap and is skipped when it comes up
+        heap = [-k for k in rem]
         heapq.heapify(heap)
         quot = {}
         while heap:
-            lm = heapq.heappop(heap)[1]
-            c = rem.pop(lm, None)
+            k = -heapq.heappop(heap)
+            c = rem.pop(k, None)
             if c is None:
                 continue
-            me = tuple(a - b for a, b in zip(lm, dlm))
-            if any(x < 0 for x in me):
+            if not divides(dk, k):
                 raise NotDivisibleError("division is not exact")
-            c = c * dinv
             if p:
-                c %= p
-            quot[me] = c
-            for e, dc in divisor._t.items():
-                if e == dlm:
-                    continue
-                ne = tuple(a + b for a, b in zip(me, e))
-                v = rem.get(ne)
+                c = c * dinv % p
+            else:
+                c, r = divmod(c, dc)
+                if r:
+                    raise NotDivisibleError("division is not exact")
+            quot[k - dk + po.key0] = c
+            for off, tc in tail:
+                nk = k + off
+                v = rem.get(nk)
                 if v is None:
-                    v = -c * dc
-                    heapq.heappush(heap, (-key(ne), ne))
-                else:
-                    v -= c * dc
+                    heapq.heappush(heap, -nk)
+                v = (v or 0) - c * tc
                 if p:
                     v %= p
                 if v:
-                    rem[ne] = v
+                    rem[nk] = v
                 else:
-                    rem.pop(ne, None)
-        return Polynomial(ring, quot)
+                    del rem[nk]
+        if p:
+            return Polynomial(ring, quot, 1)
+        return Polynomial(ring, quot, self._s / divisor._s)
 
     def normalized(self):
         """Canonical scalar multiple: content-free with positive leading
         coefficient over QQ, monic over Fp."""
-        if not self._t:
-            return self
-        ring = self.ring
-        p = ring.field.characteristic
-        terms, scale = _primitive_part(self._t, p, self.leading_monomial())
-        if scale == 1:
-            return self
-        if p:
-            return Polynomial(ring, terms)
-        return Polynomial(ring, {e: Fraction(c) for e, c in terms.items()})
+        if not self.ring.field.characteristic:
+            return Polynomial(self.ring, self._t, self.ring._unit)
+        return self / self.leading_coefficient() if self._t else self
 
     # -- printing ------------------------------------------------------
 
     def __str__(self):
-        if not self._t:
-            return "0"
         ring = self.ring
-        parts = []
-        for exps, c in self.sorted_terms():
-            neg = c < 0
-            mag = -c if neg else c
-            factors = []
-            for i, e in enumerate(exps):
-                if e == 1:
-                    factors.append(ring.names[i])
-                elif e > 1:
-                    factors.append("%s^%d" % (ring.names[i], e))
-            if not factors or mag != 1:
-                factors.insert(0, str(mag))
-            parts.append(("-" if neg else "+", "*".join(factors)))
-        sign, body = parts[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            text += (" - " if sign == "-" else " + ") + body
-        return text
+        text = ""
+        for k in sorted(self._t, reverse=True):
+            c = self._s * self._t[k]
+            factors = [nm if x == 1 else "%s^%d" % (nm, x)
+                       for nm, x in zip(ring.names, ring._packed.decode(k))
+                       if x]
+            if not factors or abs(c) != 1:
+                factors.insert(0, str(abs(c)))
+            body = "*".join(factors)
+            if text:
+                text += (" - " if c < 0 else " + ") + body
+            else:
+                text = "-" + body if c < 0 else body
+        return text or "0"
 
     def __repr__(self):
         return str(self)
+
+
+def _combine(a, b, sign):
+    """a + sign * b for sign 1 or -1.  Over QQ the two scales are written
+    as integer cofactors of their largest common fraction, and the
+    content of the combination is taken once."""
+    ring = a.ring
+    if not b._t:
+        return a
+    if not a._t:
+        return b if sign > 0 else -b
+    p = ring.field.characteristic
+    ta, tb = a._t, b._t
+    if p:
+        ca, cb, g = 1, sign, 1
+    else:
+        sa, sb = a._s, sign * b._s
+        na, da = sa.numerator, sa.denominator
+        nb, db = sb.numerator, sb.denominator
+        gn = math.gcd(na, nb)
+        den = math.lcm(da, db)
+        ca = na // gn * (den // da)
+        cb = nb // gn * (den // db)
+        g = Fraction(gn, den)
+        if len(ta) < len(tb):
+            ta, tb, ca, cb = tb, ta, cb, ca
+    out = dict(ta) if ca == 1 else {k: ca * v for k, v in ta.items()}
+    get = out.get
+    for k, v in tb.items():
+        nv = get(k, 0) + cb * v
+        if p:
+            nv %= p
+        if nv:
+            out[k] = nv
+        else:
+            del out[k]
+    return _canonical(ring, out, g)
 
 
 def transfer(poly, target):
@@ -956,57 +978,14 @@ def transfer(poly, target):
         return poly
     if ring.field != target.field:
         raise ValueError("rings have different coefficient fields")
-    pos = []
-    for nm in ring.names:
-        pos.append(target._index.get(nm, -1))
-    n = target.nvars
-    out = {}
-    for e, c in poly.items():
-        ne = [0] * n
-        for i, x in enumerate(e):
-            if x:
-                if pos[i] < 0:
-                    raise ValueError("variable %r missing in target ring"
-                                     % ring.names[i])
-                ne[pos[i]] = x
-        out[tuple(ne)] = c
-    return Polynomial(target, out)
-
-
-def poly_sqrt(f):
-    """Exact square root of a polynomial, or None if f is not a square."""
-    if not f:
-        return f
-    ring = f.ring
-    if ring.field.characteristic:
-        raise ValueError("square roots are only computed over QQ")
-    lm = f.leading_monomial()
-    if any(e % 2 for e in lm):
-        return None
-    lc = f.leading_coefficient()
-    if lc < 0:
-        return None
-    num, den = _frac_isqrt(lc.numerator), _frac_isqrt(lc.denominator)
-    if num is None or den is None:
-        return None
-    half_lm = tuple(e // 2 for e in lm)
-    root = ring.monomial(half_lm, Fraction(num, den))
-    key = ring._defkey
-    while True:
-        rem = f - root * root
-        if not rem:
-            return root
-        rlm = rem.leading_monomial()
-        me = tuple(a - b for a, b in zip(rlm, half_lm))
-        if any(x < 0 for x in me) or key(half_lm) <= key(me):
-            return None
-        root = root + ring.monomial(
-            me, rem.coefficient(rlm) * Fraction(den, 2 * num))
-
-
-def _frac_isqrt(n):
-    r = math.isqrt(n)
-    return r if r * r == n else None
+    for nm in poly.support():
+        if nm not in target._index:
+            raise ValueError("variable %r missing in target ring" % nm)
+    conv = ring._packed.remap(target._packed)
+    if conv is None:
+        return Polynomial(target, poly._t, poly._s)
+    return _canonical(target, {conv(k): c for k, c in poly._t.items()},
+                      poly._s)
 
 
 class FormMatrix:
@@ -1236,11 +1215,14 @@ class _ExprParser:
 
 def _parse_poly(ring, text):
     parser = _ExprParser(ring, _tokenize(text))
-    value = parser.parse_expr()
+    try:
+        value = parser.parse_expr()
+    except ParseError:
+        raise
+    except ValueError as e:
+        # a product past the degree limit
+        raise ParseError(str(e)) from None
     kind, _ = parser.peek()
     if kind != "end":
         raise ParseError("trailing input in %r" % text)
-    if value and value.degree() > _MAXF:
-        raise ParseError("total degree %d exceeds the limit %d"
-                         % (value.degree(), _MAXF))
     return value

@@ -10,10 +10,10 @@ algebra.
 
 from __future__ import annotations
 
-from .groebner import _engine_in, _minimal_subset, check_deadline
+from .groebner import _minimal_subset, check_deadline
 from .ideals import Ideal
 from .rees import _fresh_block, rees_ideal
-from .rings import MonomialOrder, PackedOrder, PolyRing, Polynomial, transfer
+from .rings import PolyRing, Polynomial, transfer
 
 __all__ = ["ConditionVerdict", "ExpectedFormResult", "SaturationTarget",
            "SymbolicFiltration", "condition_i", "depth_positive",
@@ -125,12 +125,10 @@ class SymbolicFiltration:
         Within a degree the seeds come first, so a generator is kept when
         it is outside the seeds plus the generators kept before it."""
         mins = self.minimal(ell)
-        po = PackedOrder(self.base.ring, MonomialOrder.grevlex())
-        cands = [(g.homogeneous_degree(), _engine_in(po, g)[0])
-                 for g in tuple(seeds) + mins]
+        cands = [(g.homogeneous_degree(), g._t) for g in tuple(seeds) + mins]
         n = len(cands) - len(mins)
-        return tuple(mins[i - n] for i in _minimal_subset(po, cands)
-                     if i >= n)
+        return tuple(mins[i - n] for i in _minimal_subset(
+            self.base.ring._packed, cands) if i >= n)
 
     def fresh(self, ell):
         """Minimal module generators of level/power."""

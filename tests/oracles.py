@@ -3,10 +3,11 @@
 Nearly everything here sticks to degreewise exact linear algebra,
 explicit products of Polynomials and exponent tuples, avoiding the
 Groebner engine and the packed keys entirely, so agreement between the
-two routes is meaningful.  The colon-based oracles at the end use the
-engine, but only through colons and intersections by elimination, one
-basis per span and Rabinowitsch's trick, not the saturation and graded
-minimalization code they check.
+two routes is meaningful.  Polynomial arithmetic itself is checked
+against sums, products, division and printing on exponent tuples.  The
+colon-based oracles at the end use the engine, but only through colons
+and intersections by elimination, one basis per span and Rabinowitsch's
+trick, not the saturation and graded minimalization code they check.
 """
 
 import itertools
@@ -14,7 +15,8 @@ import itertools
 from cremona.groebner import groebner_basis
 from cremona.ideals import Ideal, _extended_ring, _fresh_name
 from cremona.linalg import Echelon
-from cremona.rings import PolyRing, Polynomial, QQ, transfer
+from cremona.rings import (MonomialOrder, NotDivisibleError, PolyRing,
+                           Polynomial, QQ, transfer)
 from cremona.symbolic import ConditionVerdict
 
 
@@ -165,6 +167,94 @@ def order_key(order, ring):
 
         return key
     raise ValueError("unknown order kind %r" % order.kind)
+
+
+# -- polynomial arithmetic on exponent tuples ------------------------
+#
+# {exponent tuple: coefficient} dicts with Fraction coefficients over QQ
+# and residues over Fp, no zero coefficients: the reference for the
+# arithmetic on packed keys with integer terms and a scale.
+
+
+def tuple_terms(ring, pairs):
+    """The tuple dict of (exponent tuple, coefficient) pairs; repeated
+    tuples add up."""
+    out = {}
+    for e, c in pairs:
+        v = out.get(tuple(e), 0) + ring.field.coerce(c)
+        if ring.field.characteristic:
+            v %= ring.field.characteristic
+        out[tuple(e)] = v
+    return {e: c for e, c in out.items() if c}
+
+
+def tuple_sum(ring, a, b, sign=1):
+    """a + sign * b."""
+    p = ring.field.characteristic
+    out = dict(a)
+    for e, c in b.items():
+        v = out.get(e, 0) + sign * c
+        if p:
+            v %= p
+        if v:
+            out[e] = v
+        else:
+            out.pop(e, None)
+    return out
+
+
+def tuple_product(ring, a, b):
+    p = ring.field.characteristic
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            v = out.get(e, 0) + ca * cb
+            out[e] = v % p if p else v
+    return {e: c for e, c in out.items() if c}
+
+
+def tuple_exact_divide(ring, a, b):
+    """a / b by long division in the grevlex order; raises
+    NotDivisibleError when inexact."""
+    p = ring.field.characteristic
+    key = order_key(MonomialOrder.grevlex(), ring)
+    dlm = max(b, key=key)
+    dinv = ring.field.inv(b[dlm])
+    rem = dict(a)
+    quot = {}
+    while rem:
+        lm = max(rem, key=key)
+        me = tuple(x - y for x, y in zip(lm, dlm))
+        if any(x < 0 for x in me):
+            raise NotDivisibleError("division is not exact")
+        c = rem[lm] * dinv
+        if p:
+            c %= p
+        quot[me] = c
+        rem = tuple_sum(ring, rem, tuple_product(ring, {me: c}, b), -1)
+    return quot
+
+
+def tuple_str(ring, a):
+    """The text form of a tuple dict: terms descending in grevlex."""
+    if not a:
+        return "0"
+    key = order_key(MonomialOrder.grevlex(), ring)
+    text = ""
+    for e in sorted(a, key=key, reverse=True):
+        c = a[e]
+        factors = [n if x == 1 else "%s^%d" % (n, x)
+                   for n, x in zip(ring.names, e) if x]
+        if not factors or abs(c) != 1:
+            factors.insert(0, str(abs(c)))
+        sign = "-" if c < 0 else "+"
+        if text:
+            text += " %s %s" % (sign, "*".join(factors))
+        else:
+            text = "*".join(factors) if sign == "+" else "-" + "*".join(
+                factors)
+    return text
 
 
 def substitute_by_products(poly, images, ring=None):

@@ -1,5 +1,5 @@
-"""Every exported name resolves, so no __all__ lists removed API, and
-no module imports a name it never uses."""
+"""Every exported name resolves, so no __all__ lists removed API, no
+module imports a name it never uses, and only rings imports fractions."""
 
 import ast
 import importlib
@@ -51,3 +51,22 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imported_modules(source):
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            out.add(node.module)
+    return out
+
+
+def test_only_rings_imports_fractions():
+    """Polynomials keep Fractions inside rings: every other module works
+    on their integer terms and scales."""
+    package = Path(cremona.__file__).parent
+    users = sorted(path.name for path in package.glob("*.py")
+                   if "fractions" in imported_modules(path.read_text()))
+    assert users == ["rings.py"]

@@ -62,10 +62,27 @@ class TestBasis:
 
 
     def test_exponent_overflow_rejected(self):
+        # a polynomial past the limit cannot be formed at all
         x0, x1, _ = R3.gens
-        f = x0 ** 2**23 * x1 + x1**2
         with pytest.raises(ValueError, match="exceeds the limit"):
+            f = x0 ** 2**23 * x1 + x1**2
             groebner_basis([f, x0**2])
+
+    @pytest.mark.parametrize("n", (4194304, 5000000))
+    def test_lex_tail_past_the_limit_rejected(self, n):
+        # in lex the tail x1^n outgrows the lead x0, and reducing x0*x1^n
+        # by x0 - x1^n would form x1^(2n), past the limit
+        x0, x1, _ = R3.gens
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            groebner_basis([x0 - x1**n, x0**2], order=MonomialOrder.lex())
+
+    def test_lex_tail_at_the_limit(self):
+        x0, x1, _ = R3.gens
+        n = 4194303
+        gb = groebner_basis([x0 - x1**n, x0**2], order=MonomialOrder.lex())
+        assert [str(g) for g in gb.polys] == ["x1^8388606",
+                                              "-x1^4194303 + x0"]
+        assert gb.certify()
 
 
 def _monomials(weights, d):

@@ -1,5 +1,6 @@
 """Inversion of square rational maps and the composition oracles."""
 
+import functools
 import importlib.util
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from cremona.ideals import Ideal
 from cremona.maps import (RationalMapSpec, check_graph_identification,
                           inversion_factor, invert, is_birational,
                           plane_composition_oracle)
-from cremona.rings import PolyRing, Polynomial, QQ
+from cremona.rings import GF, PolyRing, Polynomial, QQ
 
 from oracles import substitute_by_products
 
@@ -120,6 +121,7 @@ class TestAllCandidates:
         assert invert(std.spec, bound=1) is None
 
 
+@functools.lru_cache(maxsize=None)
 def _inverse_composites():
     """The plane composites C0, C1, ... of the inverse benchmark
     workload at seed 0, as its session script binds them."""
@@ -152,3 +154,38 @@ class TestCompositionByProducts:
         got = [_inverse_text(F) for F in maps]
         monkeypatch.setattr(Polynomial, "substitute", substitute_by_products)
         assert got == [_inverse_text(F) for F in maps]
+
+
+def _reduced(f, ring):
+    """f with every coefficient taken into ring's field."""
+    return ring.from_terms(f.items())
+
+
+def _over(F, field):
+    ring = PolyRing(F.ring.names, field, blocks=F.ring.blocks)
+    return RationalMapSpec(ring, [_reduced(f, ring) for f in F.forms])
+
+
+FIXTURES = {fx.name: fx for fx in all_fixtures()}
+
+
+class TestFieldAgreement:
+    """invert over QQ and over GF(32003) agree: both find an inverse or
+    neither does, of the same degree, and with D normalized to be monic
+    the GF(32003) inverse and factor are the rational ones reduced."""
+
+    @pytest.mark.parametrize("case", list(FIXTURES) + ["composite-%d" % i
+                                                       for i in range(3)])
+    def test_inverse(self, case):
+        if case in FIXTURES:
+            F = FIXTURES[case].spec
+        else:
+            F = _inverse_composites()[int(case.rsplit("-", 1)[1])]
+        q = invert(F)
+        g = invert(_over(F, GF(32003)))
+        assert (q is None) == (g is None)
+        if q is None:
+            return
+        assert q.degree == g.degree
+        assert [_reduced(h, g.yring) for h in q.inverse] == list(g.inverse)
+        assert _reduced(q.factor, g.factor.ring) == g.factor

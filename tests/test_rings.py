@@ -8,12 +8,15 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from cremona import rings
+from cremona.groebner import groebner_basis
 from cremona.rings import (DeadlineExceeded, Field, FormMatrix, GF,
                            MonomialOrder, NotDivisibleError, PackedOrder,
                            ParseError, PolyRing, Polynomial, QQ, deadline,
-                           poly_sqrt, transfer)
+                           transfer)
 
-from oracles import lcm_by_decoding, order_key, substitute_by_products
+from oracles import (lcm_by_decoding, order_key, substitute_by_products,
+                     tuple_exact_divide, tuple_product, tuple_str, tuple_sum,
+                     tuple_terms)
 
 R3 = PolyRing(("x0", "x1", "x2"), QQ)
 F31 = PolyRing(("x0", "x1", "x2"), GF(31))
@@ -152,11 +155,59 @@ class TestDivision:
         with pytest.raises(NotDivisibleError):
             (a * b + c).exact_divide(b)
 
-    def test_poly_sqrt(self):
-        x0, x1, _ = R3.gens
-        sq = (x0**2 - x1) ** 2
-        assert poly_sqrt(sq) in ((x0**2 - x1), -(x0**2 - x1))
-        assert poly_sqrt(x0 * x1) is None
+
+def rational_terms(nvars=3, nterms=6, deg=4):
+    return st.lists(st.tuples(exps(nvars, deg),
+                              st.fractions(-9, 9, max_denominator=6)),
+                    max_size=nterms)
+
+
+def typed_items(p):
+    return sorted((e, c, type(c)) for e, c in p.items())
+
+
+class TestAgainstTupleArithmetic:
+    """Sums, products, quotients and printing on packed keys against the
+    same operations on exponent tuples (oracles.tuple_*), over QQ and
+    GF(32003)."""
+
+    @given(st.sampled_from((R3, G3)), rational_terms(), rational_terms())
+    @settings(max_examples=150, deadline=None)
+    def test_sum_difference_product(self, ring, ta, tb):
+        a, b = ring.from_terms(ta), ring.from_terms(tb)
+        oa, ob = tuple_terms(ring, ta), tuple_terms(ring, tb)
+        assert typed_items(a) == typed_items(ring.from_terms(oa))
+        assert str(a) == tuple_str(ring, oa)
+        for got, want in ((a + b, tuple_sum(ring, oa, ob)),
+                          (a - b, tuple_sum(ring, oa, ob, -1)),
+                          (-a, tuple_sum(ring, {}, oa, -1)),
+                          (a * b, tuple_product(ring, oa, ob))):
+            assert str(got) == tuple_str(ring, want)
+            assert sorted(got.items()) == sorted(want.items())
+            assert got == ring.from_terms(want)
+
+    @given(st.sampled_from((R3, G3)), rational_terms(), rational_terms(),
+           rational_terms(nterms=3))
+    @settings(max_examples=150, deadline=None)
+    def test_exact_divide(self, ring, ta, tb, tc):
+        b = ring.from_terms(tb)
+        if not b:
+            return
+        oa, ob, oc = (tuple_terms(ring, t) for t in (ta, tb, tc))
+        # an exact quotient, and a dividend that is a multiple of b only
+        # when tc happens to be
+        for num in (tuple_product(ring, oa, ob),
+                    tuple_sum(ring, tuple_product(ring, oa, ob), oc)):
+            try:
+                want = tuple_exact_divide(ring, num, ob)
+            except NotDivisibleError:
+                with pytest.raises(NotDivisibleError):
+                    ring.from_terms(num).exact_divide(b)
+                continue
+            got = ring.from_terms(num).exact_divide(b)
+            assert str(got) == tuple_str(ring, want)
+            assert typed_items(got) == sorted(
+                (e, c, type(c)) for e, c in want.items())
 
 
 class TestParsing:
@@ -293,10 +344,10 @@ class TestSubstitution:
         def no_products(*args):
             raise AssertionError("a product was formed")
 
-        monkeypatch.setattr(rings, "_times", no_products)
         x0, x1, x2 = R3.gens
         p = R3.monomial((2**22, 0, 0)) * x1
         images = {"x0": x0**2 + x2, "x1": x1, "x2": x2}
+        monkeypatch.setattr(rings, "_times", no_products)
         start = time.monotonic()
         with pytest.raises(ValueError, match="total degree %d exceeds the "
                            "limit %d" % (2**23 + 1, 2**23 - 1)):
@@ -304,16 +355,23 @@ class TestSubstitution:
         assert time.monotonic() - start < 0.1
 
 
+def lead_in(p, order):
+    """The leading exponent vector of p in order, from the basis of the
+    principal ideal of p, whose terms the engine remaps into order."""
+    lead, = groebner_basis([p], order=order).leads
+    return lead
+
+
 class TestOrders:
     def test_grevlex_vs_lex_leads(self):
         p = R3.parse("x0*x2^2 + x1^3")
-        assert (p.leading_monomial(MonomialOrder.grevlex())
-                != p.leading_monomial(MonomialOrder.lex()))
+        assert (lead_in(p, MonomialOrder.grevlex())
+                != lead_in(p, MonomialOrder.lex()))
 
     def test_block_order_separates(self):
         order = MonomialOrder.block(("x0",), ("x1", "x2"))
         p = R3.parse("x0 + x1^5")
-        assert p.leading_monomial(order) == (1, 0, 0)
+        assert lead_in(p, order) == (1, 0, 0)
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -326,8 +384,8 @@ class TestOrders:
         assert (po.encode(a) < po.encode(b)) == (key(a) < key(b))
         assert (po.encode(a) == po.encode(b)) == (a == b)
         p = ring.from_terms((e, 1) for e in vecs)
-        assert p.leading_monomial(order) == max(vecs, key=key)
-        assert [e for e, _c in p.sorted_terms(order)] == sorted(
+        assert lead_in(p, order) == max(vecs, key=key)
+        assert sorted(set(vecs), key=po.encode, reverse=True) == sorted(
             set(vecs), key=key, reverse=True)
 
     @given(st.data())
