@@ -16,7 +16,7 @@ import random
 
 from .groebner import _hilbert_numerator, groebner_basis
 from .ideals import Ideal, minors as minor_ideal
-from .maps import (InverseData, RationalMapSpec, _poly_gcd_list,
+from .maps import (InverseData, RationalMapSpec, _coprime,
                    inversion_factor)
 from .rees import rees_ideal
 from .rings import (FormMatrix, NotDivisibleError, PolyRing, Polynomial, QQ,
@@ -513,8 +513,7 @@ def appendix_construct(phi):
         verdicts["codim_phi_prime"] = minor_ideal(phi_prime,
                                                   2).codimension()
         g = signed_minors(phi_prime)
-        verdicts["inverse_gcd_one"] = _poly_gcd_list(
-            [gi for gi in g if gi]).degree() == 0
+        verdicts["inverse_gcd_one"] = _coprime([gi for gi in g if gi])
         try:
             d = inversion_factor(spec, g)
         except ValueError:

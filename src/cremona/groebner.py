@@ -21,7 +21,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .rings import (_MAXF, DeadlineExceeded, FormMatrix, MonomialOrder,
-                    PackedOrder, PolyRing, Polynomial, _canonical,
+                    PolyRing, Polynomial, _canonical, _packed_order,
                     _primitive, _times, check_deadline, deadline)
 
 __all__ = [
@@ -730,8 +730,7 @@ def groebner_basis(gens, order=None, ring=None, *, series=None):
             raise ValueError("generators live in different rings")
     if order is None:
         order = MonomialOrder.grevlex()
-    po = ring._packed if order == ring._packed.order else PackedOrder(ring,
-                                                                     order)
+    po = _packed_order(ring, order)
     if series is None:
         seeds = [(_terms(po, g), g.degree()) for g in gens if g]
     else:
@@ -853,7 +852,7 @@ def syzygies(mat):
     delta = _column_shifts(mat)
     # column j is seeded as (column j, e_{r+j}); the basis elements living
     # in components r.. alone are the relations among the columns
-    po = PackedOrder(ring, MonomialOrder.grevlex(), rank=r + c)
+    po = _packed_order(ring, MonomialOrder.grevlex(), r + c)
     # the term of ring key k in component i has key k + off + i * step
     off = po.key0 - ring._packed.key0
     step = po.cstep

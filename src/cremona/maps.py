@@ -1,13 +1,22 @@
 """Birationality testing and inverse extraction for rational maps of P^n.
 
 The inverse of a Cremona map is read off from the syzygies of the
-Jacobian dual of its Rees presentation; a candidate syzygy column is
-accepted once the composition g_i(f) = x_i * D holds with one common
-factor D.  A product-based projective comparison is kept as an
+Jacobian dual psi of its Rees presentation (Doria, Hassanzadeh and
+Simis, Adv. Math. 230 (2012)).  psi(f) * x = 0, so when psi(f) has rank n
+every syzygy column g satisfies g(f) = lambda * x: the column is an
+inverse exactly when g_0(f) is nonzero, and then D = g_0(f) / x_0.  The
+rank is certified by psi at the image f(a) of a random point a modulo a
+prime, where a nonzero minor proves a nonzero polynomial (Schwartz, J.
+ACM 27 (1980)); a draw that does not certify falls back to composing
+every coordinate.  Likewise the forms of a map are proved coprime by
+their restrictions to a random line, with the gcd by elimination as the
+fallback.  A product-based projective comparison is kept as an
 independent oracle.
 """
 
 from __future__ import annotations
+
+import random
 
 from .groebner import check_deadline, syzygies
 from .ideals import Ideal
@@ -47,8 +56,7 @@ class RationalMapSpec:
         d = degs.pop()
         if d < 1:
             raise ValueError("constant representatives define no map")
-        g = _poly_gcd_list([f for f in forms if f])
-        if g.degree() > 0:
+        if not _coprime([f for f in forms if f]):
             raise ValueError("representatives share a common factor")
         self.ring = ring
         self.forms = forms
@@ -110,6 +118,174 @@ def _poly_gcd_list(polys):
     return acc
 
 
+# random points are drawn modulo this prime over QQ, from a generator
+# seeded alike on every call so that runs repeat
+_PRIME = (1 << 31) - 1
+_SEED = 2014
+
+
+def _draws(ring):
+    """The modulus of ring's random points and their generator."""
+    return ring.field.characteristic or _PRIME, random.Random(_SEED)
+
+
+def _values(polys, points, p):
+    """Values modulo p of polynomials of one ring at each point, a list
+    per polynomial; None when a scale has no inverse mod p (over QQ a
+    polynomial is its scale times primitive integer terms)."""
+    ring = polys[0].ring
+    decode = ring._packed.decode
+    top = max(f.degree() for f in polys)
+    powers = []
+    for pt in points:
+        rows = []
+        for a in pt:
+            row = [1]
+            for _ in range(top):
+                row.append(row[-1] * a % p)
+            rows.append(row)
+        powers.append(rows)
+    out = []
+    for f in polys:
+        unit = 1
+        if not ring.field.characteristic:
+            if not f._s.denominator % p:
+                return None
+            unit = f._s.numerator * pow(f._s.denominator, -1, p)
+        vals = [0] * len(points)
+        for k, c in f._t.items():
+            exps = decode(k)
+            for j, rows in enumerate(powers):
+                m = c
+                for row, e in zip(rows, exps):
+                    m *= row[e]
+                vals[j] += m
+        out.append([v * unit % p for v in vals])
+    return out
+
+
+def _rank(rows, p):
+    """Rank modulo p of a matrix given by rows of residues."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for i in range(rank + 1, len(rows)):
+            if rows[i][c]:
+                q = rows[i][c] * inv
+                rows[i] = [(x - q * y) % p
+                           for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _full_rank(F, psi):
+    """Whether psi(f), the Jacobian dual at the forms, certifiably has
+    rank n over k(x): psi at b = f(a) for a random point a has rank n mod
+    p.  Its rank is at most n, because psi(f) * x = 0."""
+    p, rng = _draws(F.ring)
+    a = [rng.randrange(p) for _ in range(F.ring.nvars)]
+    b = _values(F.forms, [a], p)
+    if b is None:
+        return False
+    entries = [e for row in psi.entries for e in row]
+    nonzero = [e for e in entries if e]
+    vals = _values(nonzero, [[v[0] for v in b]], p) if nonzero else None
+    if vals is None:
+        return False
+    it = iter(vals)
+    flat = [next(it)[0] if e else 0 for e in entries]
+    m = psi.ncols
+    rows = [flat[i:i + m] for i in range(0, len(flat), m)]
+    return _rank(rows, p) == F.ring.nvars - 1
+
+
+def _interpolate(vals, p):
+    """Coefficients, lowest first, of the polynomial of degree below
+    len(vals) taking vals at 0, 1, ... modulo p (Newton's form)."""
+    c = list(vals)
+    m = len(c)
+    for k in range(1, m):
+        inv = pow(k, -1, p)
+        for j in range(m - 1, k - 1, -1):
+            c[j] = (c[j] - c[j - 1]) * inv % p
+    out = [c[-1]]
+    for k in range(m - 2, -1, -1):
+        # out * (s - k) + c[k]
+        out = [(shifted - k * x) % p
+               for shifted, x in zip([0] + out, out + [0])]
+        out[0] = (out[0] + c[k]) % p
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _rem(a, b, p):
+    """Remainder of a by nonzero b, coefficient lists mod p lowest first."""
+    a = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    for i in range(len(a) - 1, db - 1, -1):
+        q = a[i] * inv % p
+        if q:
+            for j in range(db + 1):
+                a[i - db + j] = (a[i - db + j] - q * b[j]) % p
+    a = a[:db]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _gcd(a, b, p):
+    while b:
+        a, b = b, _rem(a, b, p)
+    return a
+
+
+def _coprime_on_line(forms):
+    """Whether nonzero forms are certified to share no factor of positive
+    degree by their restrictions to a random line s*u + v mod p.
+
+    A common factor G, taken primitive over the integers, is nonzero mod
+    p and restricts either to 0, making every restriction 0, or to a
+    binary form of degree deg G dividing all of them.  So when some
+    restriction is nonzero, one keeps its full degree in s (its form is
+    nonzero at u, so t does not divide it) and their gcd at t = 1 is a
+    constant, no G exists.  False means only "not certified"."""
+    p, rng = _draws(forms[0].ring)
+    degs = [f.homogeneous_degree() for f in forms]
+    if max(degs) >= p:
+        return False
+    n = forms[0].ring.nvars
+    u = [rng.randrange(p) for _ in range(n)]
+    v = [rng.randrange(p) for _ in range(n)]
+    line = [[(s * x + y) % p for x, y in zip(u, v)]
+            for s in range(max(degs) + 1)]
+    vals = _values(forms, line, p)
+    if vals is None:
+        return False
+    full = False
+    g = []
+    for d, vf in zip(degs, vals):
+        r = _interpolate(vf[:d + 1], p)
+        full = full or len(r) == d + 1
+        g = _gcd(g, r, p) if g else r
+        if full and len(g) == 1:
+            return True
+    return False
+
+
+def _coprime(forms):
+    """Whether nonzero forms share no factor of positive degree: the line
+    certificate, else the gcd by elimination."""
+    return (_coprime_on_line(forms)
+            or _poly_gcd_list(forms).degree() == 0)
+
+
 def _compose(candidate, F):
     """Evaluate y-forms at the representative, landing in the source ring."""
     images = dict(zip(candidate[0].ring.names, F.forms))
@@ -136,13 +312,23 @@ def _factor_from(comp, F):
     return d
 
 
+def _factor_at_zero(g0, F):
+    """D = g_0(f) / x_0, or None when g_0(f) is zero: a column's factor
+    once psi(f) is known to have rank n."""
+    if not g0:
+        return None
+    h = g0.substitute(dict(zip(g0.ring.names, F.forms)), ring=F.ring)
+    return h.exact_divide(F.ring.gens[0]) if h else None
+
+
 def invert(F, bound=None, all_candidates=False):
     """Inverse data of a square map, or None when no candidate passes.
 
     Minimal syzygies of the Jacobian dual are tried in increasing degree;
     bound caps the candidate degree (no cap by default).  With
     all_candidates=True, returns the tuple of every passing candidate of
-    the first passing degree.
+    the first passing degree.  A candidate g passes when g_i(f) = x_i * D
+    for all i; once the rank of psi(f) is certified, g_0(f) decides it.
     """
     if not F.is_square():
         raise ValueError("inverse extraction needs a square map")
@@ -154,6 +340,7 @@ def invert(F, bound=None, all_candidates=False):
     except ValueError:
         return () if all_candidates else None
     S = syzygies(psi.matrix)
+    certified = _full_rank(F, psi.matrix)
     yring = psi.matrix.ring
     cols = []
     for j in range(S.ncols):
@@ -168,8 +355,10 @@ def invert(F, bound=None, all_candidates=False):
             break
         if found_deg is not None and deg > found_deg:
             break
-        comp = _compose(col, F)
-        d = _factor_from(comp, F)
+        if certified:
+            d = _factor_at_zero(col[0], F)
+        else:
+            d = _factor_from(_compose(col, F), F)
         if d is None:
             continue
         lc = d.leading_coefficient()

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import heapq
 import itertools
 import math
@@ -381,6 +382,15 @@ class PackedOrder:
         return convert
 
 
+@functools.lru_cache(maxsize=256)
+def _packed_order(ring, order, rank=0):
+    """The PackedOrder of order on ring, one for all rings equal to it:
+    rings are built per call (subrings, extended rings).  Its ring is
+    the first of them, equal by == to the others; a GroebnerBasis takes
+    its ring from its order."""
+    return PackedOrder(ring, order, rank)
+
+
 def _primitive(terms):
     """(g, terms / g) for nonzero integer terms, g their content signed
     so that the largest key gets a positive coefficient."""
@@ -463,7 +473,7 @@ class PolyRing:
         self.blocks = blocks
         self._index = {nm: i for i, nm in enumerate(names)}
         self._gens = None
-        self._packed = PackedOrder(self, MonomialOrder.grevlex())
+        self._packed = _packed_order(self, MonomialOrder.grevlex())
         # the scale 1 in the field's type, a Fraction over QQ
         self._unit = field.coerce(1)
 
@@ -942,6 +952,9 @@ def _combine(a, b, sign):
         return b if sign > 0 else -b
     p = ring.field.characteristic
     ta, tb = a._t, b._t
+    # only operands this large can overrun a deadline noticeably
+    if max(len(ta), len(tb)) >= 4096:
+        check_deadline()
     if p:
         ca, cb, g = 1, sign, 1
     else:
@@ -1155,9 +1168,13 @@ class _ExprParser:
             self.next()
             sign = -1 if val == "-" else 1
         acc = self.parse_term() * sign
-        while True:
+        for count in itertools.count(1):
             kind, val = self.peek()
             if kind == "sym" and val in "+-":
+                # each addition copies the sum so far, so a long sum is
+                # slow enough to overrun a deadline
+                if not count % 256:
+                    check_deadline()
                 self.next()
                 term = self.parse_term()
                 acc = acc - term if val == "-" else acc + term

@@ -8,13 +8,17 @@ against sums, products, division and printing on exponent tuples.  The
 colon-based oracles at the end use the engine, but only through colons
 and intersections by elimination, one basis per span and Rabinowitsch's
 trick, not the saturation and graded minimalization code they check.
+The inverse oracle composes every coordinate of a candidate with the
+map, which the rank certificate of maps.invert avoids.
 """
 
 import itertools
 
-from cremona.groebner import groebner_basis
+from cremona.groebner import groebner_basis, syzygies
 from cremona.ideals import Ideal, _extended_ring, _fresh_name
 from cremona.linalg import Echelon
+from cremona.maps import InverseData, _compose, _factor_from
+from cremona.rees import jacobian_dual, rees_ideal
 from cremona.rings import (MonomialOrder, NotDivisibleError, PolyRing,
                            Polynomial, QQ, transfer)
 from cremona.symbolic import ConditionVerdict
@@ -386,3 +390,44 @@ def condition_by_annihilator(I, lmax, F):
         else:
             out.append(ConditionVerdict(ell, "FAILS", witness))
     return tuple(out)
+
+
+def invert_by_composition(F, bound=None, all_candidates=False):
+    """maps.invert as it was before the rank certificate: every syzygy
+    column of the Jacobian dual, in increasing degree, is composed with
+    the map in all n + 1 coordinates and passes when g_i(f) = x_i * D with
+    one common D."""
+    if not F.is_square():
+        raise ValueError("inverse extraction needs a square map")
+    if any(not f for f in F.forms):
+        return () if all_candidates else None
+    P = rees_ideal(Ideal(F.ring, F.forms))
+    try:
+        psi = jacobian_dual(P)
+    except ValueError:
+        return () if all_candidates else None
+    S = syzygies(psi.matrix)
+    cols = []
+    for j in range(S.ncols):
+        col = tuple(S[i, j] for i in range(S.nrows))
+        deg = max(g.homogeneous_degree() for g in col if g)
+        cols.append((deg, j, col))
+    cols.sort(key=lambda t: (t[0], t[1]))
+    found = []
+    found_deg = None
+    for deg, _j, col in cols:
+        if bound is not None and deg > bound:
+            break
+        if found_deg is not None and deg > found_deg:
+            break
+        d = _factor_from(_compose(col, F), F)
+        if d is None:
+            continue
+        inv = F.ring.field.inv(d.leading_coefficient())
+        data = InverseData(tuple(g * inv for g in col), d * inv, deg,
+                           psi.matrix.ring, P)
+        if not all_candidates:
+            return data
+        found.append(data)
+        found_deg = deg
+    return tuple(found) if all_candidates else None

@@ -15,6 +15,7 @@ from cremona.cli import (MAX_VARIABLES, ScriptError, _cmd_fixtures,
                          render_session, run_script)
 from cremona.groebner import deadline
 from cremona.ideals import Ideal
+from cremona.rings import PolyRing, QQ
 from cremona.symbolic import SymbolicFiltration
 
 HEADER = "ring R = QQ[x0..x2];\n"
@@ -398,6 +399,20 @@ class TestMain:
                           encoding="utf-8")
         t0 = time.monotonic()
         assert main(["run", str(script), "--deadline", "0.5"]) == 2
+        assert time.monotonic() - t0 < 10
+        err = capsys.readouterr().err
+        assert "line 3, column 3" in err and "time budget" in err
+
+    def test_long_sum_parses_under_deadline(self, tmp_path, capsys):
+        # the expanded 24th power has 20475 terms; adding them one at a
+        # time takes tens of seconds
+        R = PolyRing(("x0", "x1", "x2", "x3"), QQ)
+        text = str(R.parse("(x0 + 2*x1 + 3*x2 + 5*x3 + 7)^24"))
+        script = tmp_path / "long.session"
+        script.write_text("ring R = QQ[x0..x3];\nideal I = x0,\n  %s;\n"
+                          % text, encoding="utf-8")
+        t0 = time.monotonic()
+        assert main(["run", str(script), "--deadline", "1"]) == 2
         assert time.monotonic() - t0 < 10
         err = capsys.readouterr().err
         assert "line 3, column 3" in err and "time budget" in err

@@ -2,19 +2,28 @@
 
 import functools
 import importlib.util
+import itertools
+import random
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from cremona import maps as cremona_maps
 from cremona.cli import parse_session
-from cremona.fixtures import all_fixtures, polar_quartic, polar_quartic_data
+from cremona.families import appendix_construct
+from cremona.fixtures import (alberich_matrix, all_fixtures, polar_quartic,
+                              polar_quartic_data)
 from cremona.ideals import Ideal
-from cremona.maps import (RationalMapSpec, check_graph_identification,
+from cremona.maps import (RationalMapSpec, _coprime, _coprime_on_line,
+                          _poly_gcd_list, check_graph_identification,
                           inversion_factor, invert, is_birational,
                           plane_composition_oracle)
 from cremona.rings import GF, PolyRing, Polynomial, QQ
 
-from oracles import substitute_by_products
+from oracles import (invert_by_composition, random_form,
+                     substitute_by_products)
 
 R3 = PolyRing(("x0", "x1", "x2"), QQ)
 SESSIONS = Path(__file__).resolve().parents[1] / "perfbench" / "sessions.py"
@@ -122,15 +131,19 @@ class TestAllCandidates:
 
 
 @functools.lru_cache(maxsize=None)
-def _inverse_composites():
-    """The plane composites C0, C1, ... of the inverse benchmark
-    workload at seed 0, as its session script binds them."""
+def _composite_ideals(seed=0):
+    """The ideals of the plane composites C0, C1, ... of the inverse
+    benchmark workload at a seed, as its session script binds them."""
     spec = importlib.util.spec_from_file_location("bench_sessions", SESSIONS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    script = parse_session(dict(module.inverse_sessions(0))["composites"])
-    return [RationalMapSpec.from_ideal(I)
-            for _kind, I in script.bindings.values()]
+    script = parse_session(dict(module.inverse_sessions(seed))["composites"])
+    return [I for _kind, I in script.bindings.values()]
+
+
+@functools.lru_cache(maxsize=None)
+def _inverse_composites(seed=0):
+    return [RationalMapSpec.from_ideal(I) for I in _composite_ideals(seed)]
 
 
 def _inverse_text(F):
@@ -189,3 +202,195 @@ class TestFieldAgreement:
         assert q.degree == g.degree
         assert [_reduced(h, g.yring) for h in q.inverse] == list(g.inverse)
         assert _reduced(q.factor, g.factor.ring) == g.factor
+
+
+def _summary(data):
+    """An invert result as text: inverse, factor and degree, or a list
+    of them for all candidates."""
+    if data is None:
+        return None
+    if isinstance(data, tuple):
+        return [_summary(d) for d in data]
+    return [str(g) for g in data.inverse], str(data.factor), data.degree
+
+
+def _agree(F, variants=True):
+    """invert equals the all-coordinates oracle on F; with variants, also
+    capped below and at the inverse degree and with all candidates."""
+    got = invert(F)
+    assert _summary(got) == _summary(invert_by_composition(F))
+    if not variants:
+        return
+    assert (_summary(invert(F, all_candidates=True))
+            == _summary(invert_by_composition(F, all_candidates=True)))
+    for bound in ([1] if got is None else [got.degree - 1, got.degree]):
+        assert (_summary(invert(F, bound=bound))
+                == _summary(invert_by_composition(F, bound=bound)))
+
+
+class TestAgainstComposition:
+    """invert, certified by the rank of the Jacobian dual, against
+    oracles.invert_by_composition, which composes every coordinate."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+    @pytest.mark.parametrize("name", list(FIXTURES))
+    def test_fixture(self, name, field):
+        F = FIXTURES[name].spec
+        _agree(F if field == QQ else _over(F, field))
+
+    def test_alberich(self):
+        A = appendix_construct(alberich_matrix())
+        _agree(RationalMapSpec(A.base.ring, A.base.gens))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_benchmark_composites(self, seed):
+        maps = _inverse_composites(seed)
+        assert len(maps) == 62
+        for i, F in enumerate(maps):
+            _agree(F, variants=i < 3)
+
+
+def _spy(monkeypatch, owner, name, calls):
+    """Wrap owner.name to append its results to calls[name]."""
+    orig = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        out = orig(*args, **kwargs)
+        calls.setdefault(name, []).append(out)
+        return out
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+class TestCost:
+    def test_benchmark_composites(self, monkeypatch):
+        """Building and inverting the seed-0 composites eliminates only
+        for the Rees presentations and composes once per map."""
+        ideals = _composite_ideals(0)
+        calls = {}
+        _spy(monkeypatch, Ideal, "intersect", calls)
+        _spy(monkeypatch, Polynomial, "substitute", calls)
+        for I in ideals:
+            assert invert(RationalMapSpec.from_ideal(I)) is not None
+        assert "intersect" not in calls
+        assert len(calls["substitute"]) == len(ideals)
+
+
+class _Point:
+    """Stands in for the random generator of maps, drawing given values."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def randrange(self, p):
+        return next(self._values) % p
+
+
+class TestFallback:
+    """Which path each case takes: a certificate, or composition in
+    every coordinate and the gcd by elimination."""
+
+    NAMES = ("_full_rank", "_coprime_on_line", "_compose", "_poly_gcd_list")
+
+    def _calls(self, monkeypatch):
+        calls = {}
+        for name in self.NAMES:
+            _spy(monkeypatch, cremona_maps, name, calls)
+        return calls
+
+    def _map(self, *texts):
+        return RationalMapSpec(R3, [R3.parse(t) for t in texts])
+
+    def test_non_birational(self, monkeypatch):
+        # the Rees ideal has no x-linear generators: neither path runs
+        F = self._map("x0^2", "x1^2", "x2^2")
+        calls = self._calls(monkeypatch)
+        assert invert(F) is None
+        assert calls == {}
+
+    def test_non_dominant(self, monkeypatch):
+        # psi(f) has rank 1 < 2, so every column is composed
+        F = self._map("x0^2", "x0*x1", "x1^2")
+        calls = self._calls(monkeypatch)
+        assert invert(F) is None
+        assert calls["_full_rank"] == [False]
+        assert len(calls["_compose"]) >= 1
+        assert invert_by_composition(F) is None
+
+    def test_fixed_part(self, monkeypatch):
+        calls = self._calls(monkeypatch)
+        with pytest.raises(ValueError, match="share a common factor"):
+            self._map("x0*x1", "x0*x2", "x0^2")
+        assert calls["_coprime_on_line"] == [False]
+        assert [g.degree() for g in calls["_poly_gcd_list"]] == [1]
+
+    def test_certified(self, monkeypatch, std):
+        calls = self._calls(monkeypatch)
+        self._map("x1*x2", "x0*x2", "x0*x1")
+        invert(std.spec)
+        assert calls == {"_coprime_on_line": [True], "_full_rank": [True]}
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_small_field_every_point(self, monkeypatch, std, p):
+        """Over GF(2) and GF(3) many points miss: every point of the
+        plane gives the oracle's inverse, by either path."""
+        F = _over(std.spec, GF(p))
+        want = _summary(invert_by_composition(F))
+        assert want is not None
+        paths = set()
+        for a in itertools.product(range(p), repeat=3):
+            monkeypatch.setattr(cremona_maps, "_draws",
+                                lambda ring, a=a: (p, _Point(a)))
+            calls = self._calls(monkeypatch)
+            assert _summary(invert(F)) == want
+            certified = calls["_full_rank"] == [True]
+            assert ("_compose" in calls) != certified
+            paths.add(certified)
+            monkeypatch.undo()
+        assert paths == {True, False}
+
+
+FIELDS = [QQ, GF(32003)]
+
+
+def _forms(seed, field, factor):
+    """Two to four random forms in x0..x2 of one degree, times a random
+    common factor of degree 1 or 2 when factor is set."""
+    rng = random.Random(seed)
+    ring = PolyRing(("x0", "x1", "x2"), field)
+    d = rng.randint(1, 3)
+    forms = [random_form(ring, d, rng) for _ in range(rng.randint(2, 4))]
+    if factor:
+        G = random_form(ring, rng.randint(1, 2), rng)
+        forms = [G * f for f in forms]
+    return forms
+
+
+class TestLineCertificate:
+    """The fixed-part certificate on a random line is one-sided: it never
+    certifies forms with a common factor."""
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(FIELDS))
+    @settings(max_examples=40, deadline=None)
+    def test_common_factor_never_certified(self, seed, field):
+        forms = _forms(seed, field, factor=True)
+        assert not _coprime_on_line(forms)
+        assert not _coprime(forms)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(FIELDS))
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_gcd(self, seed, field):
+        forms = _forms(seed, field, factor=False)
+        exact = _poly_gcd_list(forms).degree() == 0
+        certified = _coprime_on_line(forms)
+        assert exact or not certified
+        # modulo 2^31 - 1 a coprime draw misses with odds below 1e-8
+        if field == QQ:
+            assert certified == exact
+
+    def test_alberich_verdict_certified(self, monkeypatch):
+        calls = {}
+        _spy(monkeypatch, cremona_maps, "_poly_gcd_list", calls)
+        A = appendix_construct(alberich_matrix())
+        assert A.verdicts["inverse_gcd_one"]
+        assert calls == {}

@@ -445,6 +445,15 @@ class TestOrders:
         with pytest.raises(ValueError, match="exceeds the limit"):
             str(R3.var("x0") ** 2**23)
 
+    def test_equal_rings_share_one_order(self):
+        names = ("x0", "x1", "x2")
+        a, b = PolyRing(names, QQ), PolyRing(names, QQ)
+        assert a is not b and a._packed is b._packed
+        assert a._packed.ring == b
+        assert PolyRing(names, GF(7))._packed is not a._packed
+        blocks = (("x0",), ("x1", "x2"))
+        assert PolyRing(names, QQ, blocks=blocks)._packed.ring.blocks == blocks
+
     def test_module_keys_divide_within_a_component(self):
         po = PackedOrder(R3, MonomialOrder.grevlex(), rank=3)
         x0 = po.encode((1, 0, 0))
