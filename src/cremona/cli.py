@@ -16,6 +16,13 @@ Supported commands: ``inverse I``, ``invfactor I``, ``sympow I <level>
 JSON record with keys ``command``, ``status``, ``values``, ``degrees``,
 ``verdicts``, ``field`` and ``elapsed_ms``; reports are deterministic
 for a fixed script, seed and field, apart from ``elapsed_ms``.
+
+The script is tokenized once, by the tokenizer of ``rings``: whitespace
+and ``#`` comments may stand between any two tokens, inside polynomials
+too.  Each polynomial is read in place from that token stream by the
+expression parser of ``PolyRing.parse`` and ends at its first ``,``,
+``;`` or option ``key=`` outside parentheses; a ``sat=`` value is read
+once, into ``"m"``, an ideal's name or a polynomial.
 """
 
 from __future__ import annotations
@@ -32,7 +39,8 @@ from .families import (DegenerateTemplate, appendix_construct,
 from .groebner import DeadlineExceeded, deadline
 from .ideals import Ideal
 from .maps import RationalMapSpec, invert
-from .rings import Field, FormMatrix, ParseError, PolyRing, QQ
+from .rings import (Field, FormMatrix, ParseError, PolyRing, QQ, _Cursor,
+                    _parse_expr)
 from .symbolic import (SaturationTarget, SymbolicFiltration, condition_i,
                        expected_form_check)
 
@@ -45,8 +53,6 @@ _COMMANDS = ("inverse", "invfactor", "sympow", "symrees", "appendix",
 # PackedOrder's set-up cost grows with the square of the variable count,
 # so rings are capped far above any study case
 MAX_VARIABLES = 1000
-# int() refuses longer digit strings (Python's default conversion limit)
-MAX_TOKEN_LENGTH = 4300
 
 
 class ScriptError(Exception):
@@ -56,89 +62,6 @@ class ScriptError(Exception):
         super().__init__("line %d, column %d: %s" % (line, col, message))
         self.line = line
         self.col = col
-
-
-_TOKEN = re.compile(r"""
-    (?P<ws>\s+|\#[^\n]*)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<number>\d+)
-  | (?P<dots>\.\.)
-  | (?P<punct>[][()=,;^*+\-/])
-""", re.VERBOSE)
-
-
-class _Token:
-    __slots__ = ("kind", "text", "line", "col", "start", "end")
-
-    def __init__(self, kind, text, line, col, start, end):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-        self.start = start
-        self.end = end
-
-
-def _tokenize(source):
-    tokens = []
-    pos = 0
-    line = 1
-    linestart = 0
-    n = len(source)
-    while pos < n:
-        m = _TOKEN.match(source, pos)
-        if m is None:
-            raise ScriptError("unexpected character %r" % source[pos],
-                              line, pos - linestart + 1)
-        kind = m.lastgroup
-        text = m.group()
-        if kind != "ws":
-            if len(text) > MAX_TOKEN_LENGTH:
-                raise ScriptError("token of %d characters exceeds the limit "
-                                  "%d" % (len(text), MAX_TOKEN_LENGTH),
-                                  line, pos - linestart + 1)
-            tokens.append(_Token(kind, text, line, pos - linestart + 1,
-                                 pos, m.end()))
-        nl = text.count("\n")
-        if nl:
-            line += nl
-            linestart = pos + text.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(_Token("end", "", line, n - linestart + 1, n, n))
-    return tokens
-
-
-class _Cursor:
-    def __init__(self, source, tokens):
-        self.source = source
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        if tok.kind != "end":
-            self.i += 1
-        return tok
-
-    def expect(self, text, what=None):
-        tok = self.next()
-        if tok.text != text:
-            raise ScriptError("expected %r%s, found %r"
-                              % (text, " " + what if what else "",
-                                 tok.text or "end of input"),
-                              tok.line, tok.col)
-        return tok
-
-    def expect_kind(self, kind, what):
-        tok = self.next()
-        if tok.kind != kind:
-            raise ScriptError("expected %s, found %r"
-                              % (what, tok.text or "end of input"),
-                              tok.line, tok.col)
-        return tok
 
 
 class Command:
@@ -230,50 +153,39 @@ def _parse_ring(cur):
         raise ScriptError(str(e), name_tok.line, name_tok.col) from None
 
 
-def _chunk(cur, stop):
-    """Source text up to ';' or a depth-0 token that stop accepts."""
-    depth = 0
-    start_tok = cur.peek()
-    last_end = start_tok.start
-    while True:
-        tok = cur.peek()
-        if tok.kind == "end":
-            raise ScriptError("missing ';'", tok.line, tok.col)
-        if tok.text == "(":
-            depth += 1
-        elif tok.text == ")":
-            depth -= 1
-        elif depth == 0 and (tok.text == ";" or stop(tok)):
-            break
-        cur.next()
-        last_end = tok.end
-    return cur.source[start_tok.start:last_end], start_tok
-
-
-def _parse_poly(ring, text, tok):
-    try:
-        return ring.parse(text)
-    except ParseError as e:
-        raise ScriptError("bad polynomial %r: %s" % (text.strip(), e),
+def _parse_poly(cur, ring, stop):
+    """The polynomial at cur, which must end at ';' or where stop(cur)
+    holds.  A fault is reported at its first token, or at the end of the
+    script when no ';' follows: then the statement is unterminated."""
+    first = cur.i
+    tok = cur.peek()
+    if tok.text == ";" or stop(cur):
+        raise ScriptError("expected a polynomial, found %r" % tok.text,
                           tok.line, tok.col)
+    try:
+        poly = _parse_expr(ring, cur)
+        after = cur.peek()
+        if after.text != ";" and not stop(cur):
+            raise ParseError("trailing input from %r" % after.text,
+                             after.line, after.col)
+        return poly
+    except ParseError as e:
+        if all(t.text != ";" for t in cur.tokens[first:]):
+            end = cur.tokens[-1]
+            raise ScriptError("missing ';'", end.line, end.col) from None
+        raise ScriptError("bad polynomial: %s" % e, tok.line, tok.col) \
+            from None
     except DeadlineExceeded:
-        raise ScriptError("polynomial %r ran past the time budget while "
-                          "parsing" % text.strip(), tok.line, tok.col) from None
+        raise ScriptError("polynomial ran past the time budget while "
+                          "parsing", tok.line, tok.col) from None
 
 
 def _parse_poly_list(cur, ring):
     polys = []
     while True:
-        text, tok = _chunk(cur, lambda t: t.text == ",")
-        if not text:
-            raise ScriptError("expected a polynomial, found %r" % tok.text,
-                              tok.line, tok.col)
-        polys.append(_parse_poly(ring, text, tok))
-        if cur.peek().text == ",":
-            cur.next()
-            continue
-        cur.expect(";")
-        return polys
+        polys.append(_parse_poly(cur, ring, lambda c: c.peek().text == ","))
+        if cur.next().text == ";":
+            return polys
 
 
 def _lookup(bindings, name_tok, want, op):
@@ -290,10 +202,31 @@ def _lookup(bindings, name_tok, want, op):
     return value
 
 
-def _parse_options(cur, allowed):
-    """key=value options before ';'.  Values: int, or raw text for sat."""
+def _at_option(cur, ahead=0):
+    """Whether the token ahead places past cur is an option key, a name
+    before '='; with ahead 1, cur must not be on the end token."""
+    tokens, i = cur.tokens, cur.i + ahead
+    return tokens[i].kind == "name" and tokens[i + 1].text == "="
+
+
+def _parse_sat(cur, ring, bindings):
+    """The value of sat=: "m", the name of an ideal, or a polynomial."""
+    tok = cur.peek()
+    if tok.text == ";" or _at_option(cur):
+        raise ScriptError("sat= needs a value", tok.line, tok.col)
+    if tok.kind == "name" and (tok.text == "m" or tok.text in bindings):
+        after = cur.tokens[cur.i + 1]
+        if after.text == ";" or after.kind == "end" or _at_option(cur, 1):
+            if tok.text != "m" and bindings[tok.text][0] != "ideal":
+                raise ScriptError("sat=%s names a matrix, not an ideal"
+                                  % tok.text, tok.line, tok.col)
+            return cur.next().text
+    return _parse_poly(cur, ring, _at_option)
+
+
+def _parse_options(cur, allowed, ring, bindings):
+    """key=value options before ';': integers, and the value of sat=."""
     opts = {}
-    toks = {}
     while cur.peek().text != ";":
         key_tok = cur.expect_kind("name", "an option name")
         if key_tok.text not in allowed:
@@ -305,124 +238,105 @@ def _parse_options(cur, allowed):
                               key_tok.line, key_tok.col)
         cur.expect("=")
         if key_tok.text == "sat":
-            # raw text until ';' or the next key=
-            text, tok = _chunk(cur, lambda t: t.kind == "name" and
-                               cur.tokens[cur.i + 1].text == "=")
-            if not text:
-                raise ScriptError("sat= needs a value", tok.line, tok.col)
-            opts["sat"], toks["sat"] = text, tok
+            opts["sat"] = _parse_sat(cur, ring, bindings)
         else:
-            tok = cur.expect_kind("number", "an integer")
-            opts[key_tok.text] = int(tok.text)
-            toks[key_tok.text] = tok
+            opts[key_tok.text] = int(cur.expect_kind("number",
+                                                     "an integer").text)
     cur.expect(";")
-    return opts, toks
+    return opts
 
 
-def _validate_sat(text, tok, bindings, ring):
-    if text == "m":
+def _parse_statement(cur, ring, bindings, commands):
+    """One binding or command at cur, added to bindings or commands."""
+    tok = cur.peek()
+    if tok.kind != "name":
+        raise ScriptError("expected a statement, found %r" % tok.text,
+                          tok.line, tok.col)
+    if tok.text == "ring":
+        raise ScriptError("ring already declared", tok.line, tok.col)
+    if tok.text in ("ideal", "matrix"):
+        cur.next()
+        name_tok = cur.expect_kind("name", "an ideal name"
+                                   if tok.text == "ideal"
+                                   else "a matrix name")
+        name = name_tok.text
+        # commands read the bindings when they run, so a name bound
+        # twice would change what an earlier command computes; a
+        # variable or m as a binding name would make sat= ambiguous
+        if name in bindings or name in ring.names or name == "m":
+            raise ScriptError("name %r is already taken" % name,
+                              name_tok.line, name_tok.col)
+    if tok.text == "ideal":
+        cur.expect("=")
+        polys = _parse_poly_list(cur, ring)
+        bindings[name] = ("ideal", Ideal(ring, tuple(polys)))
         return
-    if text in bindings:
-        if bindings[text][0] != "ideal":
-            raise ScriptError("sat=%s names a matrix, not an ideal" % text,
-                              tok.line, tok.col)
+    if tok.text == "matrix":
+        cur.expect("[")
+        nrows = int(cur.expect_kind("number", "a row count").text)
+        cur.expect("]")
+        cur.expect("[")
+        ncols = int(cur.expect_kind("number", "a column count").text)
+        cur.expect("]")
+        eq = cur.expect("=")
+        entries = _parse_poly_list(cur, ring)
+        if len(entries) != nrows * ncols:
+            raise ScriptError("matrix %s declared %dx%d but %d entries "
+                              "given" % (name, nrows, ncols, len(entries)),
+                              eq.line, eq.col)
+        rows = [entries[r * ncols:(r + 1) * ncols] for r in range(nrows)]
+        try:
+            bindings[name] = ("matrix", FormMatrix(ring, rows))
+        except ValueError as e:
+            raise ScriptError("matrix %s: %s" % (name, e),
+                              eq.line, eq.col) from None
         return
-    _parse_poly(ring, text, tok)
+    if tok.text not in _COMMANDS:
+        raise ScriptError("unknown statement %r" % tok.text,
+                          tok.line, tok.col)
+
+    first = cur.i
+    op_tok = cur.next()
+    op = op_tok.text
+    args = {}
+    if op in ("inverse", "invfactor", "appendix"):
+        name_tok = cur.expect_kind("name", "a binding name")
+        want = "matrix" if op == "appendix" else "ideal"
+        _lookup(bindings, name_tok, want, op)
+        args["name"] = name_tok.text
+        cur.expect(";")
+    elif op in ("sympow", "symrees"):
+        name_tok = cur.expect_kind("name", "an ideal name")
+        _lookup(bindings, name_tok, "ideal", op)
+        args["name"] = name_tok.text
+        if op == "sympow":
+            args["level"] = int(cur.expect_kind("number", "a level").text)
+        args.update(_parse_options(
+            cur, {"sat"} if op == "sympow" else {"lmax", "sat"}, ring,
+            bindings))
+    else:
+        args["n"] = int(cur.expect_kind("number", "a size").text)
+        args["r"] = int(cur.expect_kind("number", "a degree").text)
+        args.update(_parse_options(cur, {"seed"}, ring, bindings))
+    # the tokens with one space wherever whitespace or a comment was
+    span = cur.tokens[first:cur.i]
+    text = op_tok.text + "".join(
+        (" " if b.start > a.end else "") + b.text
+        for a, b in zip(span, span[1:]))
+    commands.append(Command(op, args, text, op_tok.line, op_tok.col))
 
 
 def parse_session(source):
     """Parse a session script; raise ScriptError with line/column on bad input."""
-    cur = _Cursor(source, _tokenize(source))
-    ring, ring_name = _parse_ring(cur)
-    bindings = {}
-    commands = []
-    while True:
-        tok = cur.peek()
-        if tok.kind == "end":
-            break
-        if tok.kind != "name":
-            raise ScriptError("expected a statement, found %r" % tok.text,
-                              tok.line, tok.col)
-        if tok.text == "ring":
-            raise ScriptError("ring already declared", tok.line, tok.col)
-        if tok.text in ("ideal", "matrix"):
-            cur.next()
-            name_tok = cur.expect_kind("name", "an ideal name"
-                                       if tok.text == "ideal"
-                                       else "a matrix name")
-            name = name_tok.text
-            # commands read the bindings when they run, so a name bound
-            # twice would change what an earlier command computes; a
-            # variable or m as a binding name would make sat= ambiguous
-            if name in bindings or name in ring.names or name == "m":
-                raise ScriptError("name %r is already taken" % name,
-                                  name_tok.line, name_tok.col)
-        if tok.text == "ideal":
-            cur.expect("=")
-            polys = _parse_poly_list(cur, ring)
-            bindings[name] = ("ideal", Ideal(ring, tuple(polys)))
-            continue
-        if tok.text == "matrix":
-            cur.expect("[")
-            nrows = int(cur.expect_kind("number", "a row count").text)
-            cur.expect("]")
-            cur.expect("[")
-            ncols = int(cur.expect_kind("number", "a column count").text)
-            cur.expect("]")
-            eq = cur.expect("=")
-            entries = _parse_poly_list(cur, ring)
-            if len(entries) != nrows * ncols:
-                raise ScriptError("matrix %s declared %dx%d but %d entries "
-                                  "given" % (name, nrows, ncols,
-                                             len(entries)),
-                                  eq.line, eq.col)
-            rows = [entries[r * ncols:(r + 1) * ncols]
-                    for r in range(nrows)]
-            try:
-                bindings[name] = ("matrix", FormMatrix(ring, rows))
-            except ValueError as e:
-                raise ScriptError("matrix %s: %s" % (name, e),
-                                  eq.line, eq.col) from None
-            continue
-        if tok.text not in _COMMANDS:
-            raise ScriptError("unknown statement %r" % tok.text,
-                              tok.line, tok.col)
-
-        first = cur.i
-        op_tok = cur.next()
-        op = op_tok.text
-        args = {}
-        if op in ("inverse", "invfactor", "appendix"):
-            name_tok = cur.expect_kind("name", "a binding name")
-            want = "matrix" if op == "appendix" else "ideal"
-            _lookup(bindings, name_tok, want, op)
-            args["name"] = name_tok.text
-            cur.expect(";")
-        elif op in ("sympow", "symrees"):
-            name_tok = cur.expect_kind("name", "an ideal name")
-            _lookup(bindings, name_tok, "ideal", op)
-            args["name"] = name_tok.text
-            if op == "sympow":
-                args["level"] = int(cur.expect_kind("number", "a level").text)
-            opts, toks = _parse_options(
-                cur, {"sat"} if op == "sympow" else {"lmax", "sat"})
-            if "lmax" in opts:
-                args["lmax"] = opts["lmax"]
-            if "sat" in opts:
-                _validate_sat(opts["sat"], toks["sat"], bindings, ring)
-                args["sat"] = opts["sat"]
-        else:
-            args["n"] = int(cur.expect_kind("number", "a size").text)
-            args["r"] = int(cur.expect_kind("number", "a degree").text)
-            opts, _ = _parse_options(cur, {"seed"})
-            if "seed" in opts:
-                args["seed"] = opts["seed"]
-        # the tokens with one space wherever whitespace or a comment was
-        span = cur.tokens[first:cur.i]
-        text = op_tok.text + "".join(
-            (" " if b.start > a.end else "") + b.text
-            for a, b in zip(span, span[1:]))
-        commands.append(Command(op, args, text, op_tok.line, op_tok.col))
+    try:
+        cur = _Cursor(source)
+        ring, ring_name = _parse_ring(cur)
+        bindings = {}
+        commands = []
+        while cur.peek().kind != "end":
+            _parse_statement(cur, ring, bindings, commands)
+    except ParseError as e:
+        raise ScriptError(str(e), e.line, e.col) from None
     return SessionScript(ring, ring_name, bindings, commands)
 
 
@@ -459,18 +373,17 @@ def render_session(script):
     return "\n".join(lines) + "\n"
 
 
-def _target_for(script, sat_text):
-    if sat_text is None or sat_text == "m":
+def _target_for(script, sat):
+    if sat is None or sat == "m":
         return None, "m"
-    if sat_text in script.bindings:
-        return (SaturationTarget.ideal(script.bindings[sat_text][1]),
-                "ideal:" + sat_text)
-    poly = script.ring.parse(sat_text)
-    return SaturationTarget.element(poly), "elem:" + str(poly)
+    if isinstance(sat, str):
+        return (SaturationTarget.ideal(script.bindings[sat][1]),
+                "ideal:" + sat)
+    return SaturationTarget.element(sat), "elem:" + str(sat)
 
 
-def _filtration(script, name, sat_text, cache):
-    target, key = _target_for(script, sat_text)
+def _filtration(script, name, sat, cache):
+    target, key = _target_for(script, sat)
     full = ("filtration", name, key)
     if full not in cache:
         ideal = script.bindings[name][1]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .groebner import _hilbert_numerator, eliminate
 from .ideals import Ideal, _with_basis
-from .rings import FormMatrix, PolyRing, Polynomial, transfer
+from .rings import FormMatrix, PolyRing, Polynomial, _canonical, transfer
 
 __all__ = ["JacobianDual", "ReesPresentation", "jacobian_dual",
            "rees_ideal", "subalgebra_presentation"]
@@ -118,30 +118,28 @@ def rees_ideal(I):
 
 
 def jacobian_dual(P):
-    """Matrix of y-form coefficients of the x-linear generators."""
+    """Matrix of y-form coefficients of the x-linear generators.
+
+    Read on the ambient ring's packed keys: each term of an x-linear
+    generator holds one x-variable x_i, the grading with weight i + 1 on
+    x_i and 0 on the y-variables reads i + 1 from its key, and the remap
+    to the y-ring drops the x-fields.
+    """
     ring = P.ambient
     yring = PolyRing(P.ynames, ring.field)
+    po = ring._packed
+    ykey = po.remap(yring._packed)
     xindex = {n: i for i, n in enumerate(P.xnames)}
-    yindex = {n: i for i, n in enumerate(P.ynames)}
+    xpos = po.grading([xindex.get(n, -1) + 1 for n in ring.names])
     rows = []
     used = []
     for g, (a, _b) in zip(P.generators, P.bidegrees):
         if a != 1:
             continue
         row = [{} for _ in P.xnames]
-        for exps, c in g.items():
-            xi = None
-            yexp = [0] * len(P.ynames)
-            for pos, e in enumerate(exps):
-                if not e:
-                    continue
-                name = ring.names[pos]
-                if name in xindex:
-                    xi = xindex[name]
-                else:
-                    yexp[yindex[name]] = e
-            row[xi][tuple(yexp)] = c
-        rows.append([yring.from_terms(r) for r in row])
+        for k, c in g._t.items():
+            row[xpos(k) - 1][ykey(k)] = c
+        rows.append([_canonical(yring, r, g._s) for r in row])
         used.append(g)
     if not rows:
         raise ValueError("no x-linear generators; Jacobian dual undefined")

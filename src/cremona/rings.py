@@ -8,8 +8,12 @@ degrees and supports are read from key fields.  Exponent tuples and
 field elements appear only at the edges, among them a canonical text
 form (terms descending in grevlex, explicit '*' and '^', rationals as
 a/b) in which equal values print identically and parse back.  The
-cooperative deadline lives here too, so that large products, and the
-parser that builds them, can be interrupted.
+tokenizer and the expression parser of that text live here too, and
+session scripts use them as they are: a cursor walks one token stream
+with positions, from which PolyRing.parse reads a whole text and the
+session parser reads each polynomial in place.  The cooperative
+deadline lives here as well, so that large products, and the parser
+that builds them, can be interrupted.
 """
 
 from __future__ import annotations
@@ -441,7 +445,13 @@ class NotDivisibleError(ArithmeticError):
 
 
 class ParseError(ValueError):
-    pass
+    """Malformed text; line and col locate the offending token, when it
+    is known."""
+
+    def __init__(self, message, line=None, col=None):
+        super().__init__(message)
+        self.line = line
+        self.col = col
 
 
 class PolyRing:
@@ -555,7 +565,14 @@ class PolyRing:
             yield tuple(out)
 
     def parse(self, text):
-        return _parse_poly(self, text)
+        """The polynomial written in text, in the grammar of session
+        polynomials; whitespace and # comments may stand between tokens."""
+        cur = _Cursor(text)
+        value = _parse_expr(self, cur)
+        tok = cur.peek()
+        if tok.kind != "end":
+            raise ParseError("trailing input in %r" % text, tok.line, tok.col)
+        return value
 
     def __eq__(self, other):
         return (isinstance(other, PolyRing) and self.field == other.field
@@ -1118,128 +1135,188 @@ def _det(ring, rows):
     return acc
 
 
-# -- expression parser ------------------------------------------------
+# -- tokens and the expression parser -----------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(.))")
+# int() refuses longer digit strings (Python's default conversion limit)
+MAX_TOKEN_LENGTH = 4300
+
+_TOKEN = re.compile(r"""
+    (?P<ws>\s+|\#[^\n]*)
+  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<number>\d+)
+  | (?P<dots>\.\.)
+  | (?P<punct>[][()=,;^*+\-/])
+""", re.VERBOSE)
+
+
+class _Token:
+    __slots__ = ("kind", "text", "line", "col", "start", "end")
+
+    def __init__(self, kind, text, line, col, start, end):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
+        self.start = start
+        self.end = end
 
 
 def _tokenize(text):
-    out = []
+    """The tokens of text, whitespace and # comments left out, closed by
+    an "end" token; a stray character or an overlong token is a
+    ParseError at its position."""
+    tokens = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            break
+    line = 1
+    linestart = 0
+    n = len(text)
+    while pos < n:
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            raise ParseError("unexpected character %r" % text[pos],
+                             line, pos - linestart + 1)
+        kind = m.lastgroup
+        word = m.group()
+        if kind != "ws":
+            if len(word) > MAX_TOKEN_LENGTH:
+                raise ParseError("token of %d characters exceeds the limit "
+                                 "%d" % (len(word), MAX_TOKEN_LENGTH),
+                                 line, pos - linestart + 1)
+            tokens.append(_Token(kind, word, line, pos - linestart + 1,
+                                 pos, m.end()))
+        nl = word.count("\n")
+        if nl:
+            line += nl
+            linestart = pos + word.rindex("\n") + 1
         pos = m.end()
-        num, name, sym = m.groups()
-        if num is not None:
-            out.append(("num", int(num)))
-        elif name is not None:
-            out.append(("name", name))
-        elif sym.strip():
-            out.append(("sym", sym))
-    out.append(("end", None))
-    return out
+    tokens.append(_Token("end", "", line, n - linestart + 1, n, n))
+    return tokens
+
+
+class _Cursor:
+    """The tokens of a text and the index of the next one, which never
+    moves past the end token."""
+
+    def __init__(self, text):
+        self.tokens = _tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def next(self):
+        tok = self.tokens[self.i]
+        if tok.kind != "end":
+            self.i += 1
+        return tok
+
+    def expect(self, text, what=None):
+        tok = self.next()
+        if tok.text != text:
+            raise ParseError("expected %r%s, found %r"
+                             % (text, " " + what if what else "",
+                                tok.text or "end of input"), tok.line, tok.col)
+        return tok
+
+    def expect_kind(self, kind, what):
+        tok = self.next()
+        if tok.kind != kind:
+            raise ParseError("expected %s, found %r"
+                             % (what, tok.text or "end of input"),
+                             tok.line, tok.col)
+        return tok
 
 
 class _ExprParser:
-    def __init__(self, ring, tokens):
+    """Recursive descent over a cursor: a sum of signed products of
+    powers of numbers, fractions a/b, variables and parenthesized sums.
+    It stops at the first token that cannot continue the sum."""
+
+    def __init__(self, ring, cur):
         self.ring = ring
-        self.toks = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos]
-
-    def next(self):
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def expect_sym(self, sym):
-        kind, val = self.next()
-        if kind != "sym" or val != sym:
-            raise ParseError("expected %r" % sym)
+        self.cur = cur
 
     def parse_expr(self):
-        sign = 1
-        kind, val = self.peek()
-        if kind == "sym" and val in "+-":
-            self.next()
-            sign = -1 if val == "-" else 1
-        acc = self.parse_term() * sign
+        cur = self.cur
+        sign = cur.peek().text
+        if sign in ("+", "-"):
+            cur.next()
+        acc = self.parse_term()
+        if sign == "-":
+            acc = -acc
         for count in itertools.count(1):
-            kind, val = self.peek()
-            if kind == "sym" and val in "+-":
-                # each addition copies the sum so far, so a long sum is
-                # slow enough to overrun a deadline
-                if not count % 256:
-                    check_deadline()
-                self.next()
-                term = self.parse_term()
-                acc = acc - term if val == "-" else acc + term
-            else:
+            op = cur.peek().text
+            if op not in ("+", "-"):
                 return acc
+            # each addition copies the sum so far, so a long sum is
+            # slow enough to overrun a deadline
+            if not count % 256:
+                check_deadline()
+            cur.next()
+            term = self.parse_term()
+            acc = acc - term if op == "-" else acc + term
 
     def parse_term(self):
         acc = self.parse_factor()
-        while True:
-            kind, val = self.peek()
-            if kind == "sym" and val == "*":
-                self.next()
-                acc = acc * self.parse_factor()
-            else:
-                return acc
+        while self.cur.peek().text == "*":
+            self.cur.next()
+            acc = acc * self.parse_factor()
+        return acc
 
     def parse_factor(self):
         base = self.parse_base()
-        kind, val = self.peek()
-        if kind == "sym" and val == "^":
-            self.next()
-            kind, val = self.next()
-            if kind != "num":
-                raise ParseError("exponent must be an integer literal")
-            if val > _MAXF:
-                raise ParseError("exponent %d exceeds the limit %d"
-                                 % (val, _MAXF))
-            return base ** val
-        return base
+        if self.cur.peek().text != "^":
+            return base
+        self.cur.next()
+        tok = self.cur.next()
+        if tok.kind != "number":
+            raise ParseError("exponent must be an integer literal",
+                             tok.line, tok.col)
+        e = int(tok.text)
+        if e > _MAXF:
+            raise ParseError("exponent %d exceeds the limit %d" % (e, _MAXF),
+                             tok.line, tok.col)
+        return base ** e
 
     def parse_base(self):
-        kind, val = self.next()
-        if kind == "num":
-            k2, v2 = self.peek()
-            if k2 == "sym" and v2 == "/":
-                self.next()
-                k3, v3 = self.next()
-                if k3 != "num":
-                    raise ParseError("expected integer denominator")
-                return self.ring.const(Fraction(val, v3))
-            return self.ring.const(val)
-        if kind == "name":
+        cur = self.cur
+        tok = cur.next()
+        if tok.kind == "number":
+            if cur.peek().text != "/":
+                return self.ring.const(int(tok.text))
+            cur.next()
+            den = cur.next()
+            if den.kind != "number":
+                raise ParseError("expected integer denominator",
+                                 den.line, den.col)
+            if not int(den.text):
+                raise ParseError("zero denominator", den.line, den.col)
+            return self.ring.const(Fraction(int(tok.text), int(den.text)))
+        if tok.kind == "name":
             try:
-                return self.ring.var(val)
+                return self.ring.var(tok.text)
             except KeyError:
-                raise ParseError("unknown variable %r" % val) from None
-        if kind == "sym" and val == "(":
+                raise ParseError("unknown variable %r" % tok.text,
+                                 tok.line, tok.col) from None
+        if tok.text == "(":
             inner = self.parse_expr()
-            self.expect_sym(")")
+            cur.expect(")")
             return inner
-        if kind == "sym" and val == "-":
+        if tok.text == "-":
             return -self.parse_factor()
-        raise ParseError("unexpected token %r" % (val,))
+        raise ParseError("expected a number, a variable or '(', found %r"
+                         % (tok.text or "end of input"), tok.line, tok.col)
 
 
-def _parse_poly(ring, text):
-    parser = _ExprParser(ring, _tokenize(text))
+def _parse_expr(ring, cur):
+    """The polynomial of the sum at cur, which is left on the first token
+    after it."""
+    start = cur.peek()
     try:
-        value = parser.parse_expr()
+        return _ExprParser(ring, cur).parse_expr()
     except ParseError:
         raise
     except ValueError as e:
-        # a product past the degree limit
-        raise ParseError(str(e)) from None
-    kind, _ = parser.peek()
-    if kind != "end":
-        raise ParseError("trailing input in %r" % text)
-    return value
+        # a product past the degree limit, or a denominator that is not
+        # invertible in the field
+        raise ParseError(str(e), start.line, start.col) from None

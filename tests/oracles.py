@@ -9,17 +9,23 @@ colon-based oracles at the end use the engine, but only through colons
 and intersections by elimination, one basis per span and Rabinowitsch's
 trick, not the saturation and graded minimalization code they check.
 The inverse oracle composes every coordinate of a candidate with the
-map, which the rank certificate of maps.invert avoids.
+map, which the rank certificate of maps.invert avoids.  The Jacobian
+dual oracle reads terms as exponent tuples, not key fields, and the
+expression parser oracle is the one that tokenized each polynomial text
+on its own before sessions and PolyRing.parse shared one tokenizer.
 """
 
 import itertools
+import re
+from fractions import Fraction
 
 from cremona.groebner import groebner_basis, syzygies
 from cremona.ideals import Ideal, _extended_ring, _fresh_name
 from cremona.linalg import Echelon
 from cremona.maps import InverseData, _compose, _factor_from
 from cremona.rees import jacobian_dual, rees_ideal
-from cremona.rings import (MonomialOrder, NotDivisibleError, PolyRing,
+from cremona.rings import (_MAXF, FormMatrix, MonomialOrder,
+                           NotDivisibleError, ParseError, PolyRing,
                            Polynomial, QQ, transfer)
 from cremona.symbolic import ConditionVerdict
 
@@ -431,3 +437,157 @@ def invert_by_composition(F, bound=None, all_candidates=False):
         found.append(data)
         found_deg = deg
     return tuple(found) if all_candidates else None
+
+
+def jacobian_dual_by_terms(P):
+    """rees.jacobian_dual's matrix built from exponent tuples: each term
+    of an x-linear generator is split by variable name into its x-index
+    and its y-exponents, and each entry is rebuilt with from_terms."""
+    ring = P.ambient
+    yring = PolyRing(P.ynames, ring.field)
+    xindex = {n: i for i, n in enumerate(P.xnames)}
+    yindex = {n: i for i, n in enumerate(P.ynames)}
+    rows = []
+    for g, (a, _b) in zip(P.generators, P.bidegrees):
+        if a != 1:
+            continue
+        row = [{} for _ in P.xnames]
+        for exps, c in g.items():
+            xi = None
+            yexp = [0] * len(P.ynames)
+            for pos, e in enumerate(exps):
+                if not e:
+                    continue
+                name = ring.names[pos]
+                if name in xindex:
+                    xi = xindex[name]
+                else:
+                    yexp[yindex[name]] = e
+            row[xi][tuple(yexp)] = c
+        rows.append([yring.from_terms(r) for r in row])
+    return FormMatrix(yring, rows)
+
+
+# -- the expression parser on its own tokens -------------------------
+
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(.))")
+
+
+def _tokenize(text):
+    out = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m or m.end() == pos:
+            break
+        pos = m.end()
+        num, name, sym = m.groups()
+        if num is not None:
+            out.append(("num", int(num)))
+        elif name is not None:
+            out.append(("name", name))
+        elif sym.strip():
+            out.append(("sym", sym))
+    out.append(("end", None))
+    return out
+
+
+class _ExprParser:
+    def __init__(self, ring, tokens):
+        self.ring = ring
+        self.toks = tokens
+        self.pos = 0
+
+    def peek(self):
+        return self.toks[self.pos]
+
+    def next(self):
+        t = self.toks[self.pos]
+        self.pos += 1
+        return t
+
+    def expect_sym(self, sym):
+        kind, val = self.next()
+        if kind != "sym" or val != sym:
+            raise ParseError("expected %r" % sym)
+
+    def parse_expr(self):
+        sign = 1
+        kind, val = self.peek()
+        if kind == "sym" and val in "+-":
+            self.next()
+            sign = -1 if val == "-" else 1
+        acc = self.parse_term() * sign
+        while True:
+            kind, val = self.peek()
+            if kind == "sym" and val in "+-":
+                self.next()
+                term = self.parse_term()
+                acc = acc - term if val == "-" else acc + term
+            else:
+                return acc
+
+    def parse_term(self):
+        acc = self.parse_factor()
+        while True:
+            kind, val = self.peek()
+            if kind == "sym" and val == "*":
+                self.next()
+                acc = acc * self.parse_factor()
+            else:
+                return acc
+
+    def parse_factor(self):
+        base = self.parse_base()
+        kind, val = self.peek()
+        if kind == "sym" and val == "^":
+            self.next()
+            kind, val = self.next()
+            if kind != "num":
+                raise ParseError("exponent must be an integer literal")
+            if val > _MAXF:
+                raise ParseError("exponent %d exceeds the limit %d"
+                                 % (val, _MAXF))
+            return base ** val
+        return base
+
+    def parse_base(self):
+        kind, val = self.next()
+        if kind == "num":
+            k2, v2 = self.peek()
+            if k2 == "sym" and v2 == "/":
+                self.next()
+                k3, v3 = self.next()
+                if k3 != "num":
+                    raise ParseError("expected integer denominator")
+                return self.ring.const(Fraction(val, v3))
+            return self.ring.const(val)
+        if kind == "name":
+            try:
+                return self.ring.var(val)
+            except KeyError:
+                raise ParseError("unknown variable %r" % val) from None
+        if kind == "sym" and val == "(":
+            inner = self.parse_expr()
+            self.expect_sym(")")
+            return inner
+        if kind == "sym" and val == "-":
+            return -self.parse_factor()
+        raise ParseError("unexpected token %r" % (val,))
+
+
+def parse_on_own_tokens(ring, text):
+    """PolyRing.parse as it was when each polynomial text was tokenized
+    on its own, without comments, positions or a token length limit."""
+    parser = _ExprParser(ring, _tokenize(text))
+    try:
+        value = parser.parse_expr()
+    except ParseError:
+        raise
+    except ValueError as e:
+        # a product past the degree limit
+        raise ParseError(str(e)) from None
+    kind, _ = parser.peek()
+    if kind != "end":
+        raise ParseError("trailing input in %r" % text)
+    return value

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from cremona.cli import (MAX_VARIABLES, ScriptError, _cmd_fixtures,
                          corpus_dir, main, parse_session, render_report,
                          render_session, run_script)
+from cremona import rings
 from cremona.groebner import deadline
 from cremona.ideals import Ideal
 from cremona.rings import PolyRing, QQ
@@ -54,6 +55,43 @@ class TestParsing:
                                "sympow I # level\n 2;")
         assert script.commands[0].text == "sympow I 2;"
 
+    def test_comment_inside_ideal(self):
+        script = parse_session(HEADER + "ideal I = x0 # note\n + x1, x2;")
+        assert [str(g) for g in script.bindings["I"][1].gens] == \
+            ["x0 + x1", "x2"]
+
+    def test_comment_inside_matrix_entry(self):
+        script = parse_session(HEADER + "matrix M[1][2] = x0 # entry\n"
+                               " * x1, x2^2;")
+        assert str(script.bindings["M"][1][0, 0]) == "x0*x1"
+
+    def test_comment_inside_sat_polynomial(self):
+        script = parse_session(HEADER + "ideal I = x0*x1;\n"
+                               "sympow I 2 sat=x0 # element\n + x2;")
+        cmd = script.commands[0]
+        assert cmd.args["sat"] == script.ring.parse("x0 + x2")
+        assert cmd.text == "sympow I 2 sat=x0 + x2;"
+
+    def test_session_tokenized_and_parsed_once(self, monkeypatch):
+        calls = []
+        tokenize = rings._tokenize
+        monkeypatch.setattr(rings, "_tokenize",
+                            lambda text: calls.append(text) or tokenize(text))
+        source = (HEADER + "ideal I = x1*x2, x0*x2, x0*x1;\n"
+                  "ideal J = x0, x1;\nsympow I 2 sat=x0 + x1 + x2;\n"
+                  "sympow I 2 sat=J;\nsympow I 2 sat=m;\n")
+        script = parse_session(source)
+        assert calls == [source]
+        assert [c.args["sat"] for c in script.commands] == \
+            [script.ring.parse("x0 + x1 + x2"), "J", "m"]
+
+        def no_parse(self, text):
+            raise AssertionError("parsed again: %r" % text)
+
+        monkeypatch.setattr(PolyRing, "parse", no_parse)
+        records = run_script(script)
+        assert [rec["status"] for rec in records] == ["ok"] * 3
+
     def test_matrix_rows(self):
         script = parse_session(
             HEADER + "matrix M[2][2] = x0, x1, x1, x2;")
@@ -89,6 +127,21 @@ class TestDiagnostics:
         e = parse_err(HEADER + "ideal I = x1, x0^8388608;")
         assert (e.line, e.col) == (2, 15)
         assert "exceeds the limit" in str(e)
+
+    def test_zero_denominator_positioned(self):
+        e = parse_err(HEADER + "ideal I = x1, x0 + 1/0;")
+        assert (e.line, e.col) == (2, 15)
+        assert "zero denominator" in str(e)
+
+    def test_unbalanced_parenthesis_at_polynomial(self):
+        e = parse_err(HEADER + "ideal I = x0*(x1;\ninverse I;")
+        assert (e.line, e.col) == (2, 11)
+        assert "expected ')'" in str(e)
+
+    def test_unterminated_polynomial_at_end(self):
+        e = parse_err(HEADER + "ideal I = x0 + y9")
+        assert (e.line, e.col) == (2, 18)
+        assert "missing ';'" in str(e)
 
     def test_unknown_statement(self):
         e = parse_err(HEADER + "frobnicate I;")

@@ -20,10 +20,11 @@ from cremona.maps import (RationalMapSpec, _coprime, _coprime_on_line,
                           _poly_gcd_list, check_graph_identification,
                           inversion_factor, invert, is_birational,
                           plane_composition_oracle)
+from cremona.rees import jacobian_dual, rees_ideal
 from cremona.rings import GF, PolyRing, Polynomial, QQ
 
-from oracles import (invert_by_composition, random_form,
-                     substitute_by_products)
+from oracles import (invert_by_composition, jacobian_dual_by_terms,
+                     random_form, substitute_by_products)
 
 R3 = PolyRing(("x0", "x1", "x2"), QQ)
 SESSIONS = Path(__file__).resolve().parents[1] / "perfbench" / "sessions.py"
@@ -248,6 +249,30 @@ class TestAgainstComposition:
         assert len(maps) == 62
         for i, F in enumerate(maps):
             _agree(F, variants=i < 3)
+
+
+class TestJacobianDualOnKeys:
+    """rees.jacobian_dual, read from key fields, against
+    oracles.jacobian_dual_by_terms, which reads exponent tuples."""
+
+    @staticmethod
+    def _agree(F):
+        P = rees_ideal(Ideal(F.ring, F.forms))
+        got = jacobian_dual(P).matrix
+        want = jacobian_dual_by_terms(P)
+        assert got == want
+        assert str(got) == str(want)
+
+    @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+    @pytest.mark.parametrize("name", list(FIXTURES))
+    def test_fixture(self, name, field):
+        F = FIXTURES[name].spec
+        self._agree(F if field == QQ else _over(F, field))
+
+    @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+    def test_benchmark_composites(self, field):
+        for F in _inverse_composites(0):
+            self._agree(F if field == QQ else _over(F, field))
 
 
 def _spy(monkeypatch, owner, name, calls):

@@ -14,9 +14,9 @@ from cremona.rings import (DeadlineExceeded, Field, FormMatrix, GF,
                            ParseError, PolyRing, Polynomial, QQ, deadline,
                            transfer)
 
-from oracles import (lcm_by_decoding, order_key, substitute_by_products,
-                     tuple_exact_divide, tuple_product, tuple_str, tuple_sum,
-                     tuple_terms)
+from oracles import (lcm_by_decoding, order_key, parse_on_own_tokens,
+                     substitute_by_products, tuple_exact_divide,
+                     tuple_product, tuple_str, tuple_sum, tuple_terms)
 
 R3 = PolyRing(("x0", "x1", "x2"), QQ)
 F31 = PolyRing(("x0", "x1", "x2"), GF(31))
@@ -236,6 +236,94 @@ class TestParsing:
     @settings(max_examples=30, deadline=None)
     def test_round_trip_char_p(self, p):
         assert F31.parse(str(p)) == p
+
+    def test_overlong_numbers(self):
+        for bad in ("1" * 4301, "x0^" + "9" * 5000):
+            with pytest.raises(ParseError, match="exceeds the limit"):
+                R3.parse(bad)
+        assert R3.parse("1" * 4300) == int("1" * 4300)
+
+    def test_zero_denominator(self):
+        for ring in (R3, G3):
+            with pytest.raises(ParseError, match="zero denominator"):
+                ring.parse("x0 + 1/0")
+
+    def test_comments_between_tokens(self):
+        assert R3.parse("x0 # c\n + x1^2 #") == R3.parse("x0 + x1^2")
+
+    def test_error_positions(self):
+        with pytest.raises(ParseError) as info:
+            R3.parse("x0 +\n  x1 * y0")
+        assert (info.value.line, info.value.col) == (2, 8)
+
+
+SPACES = st.sampled_from(("", " ", "  ", "\n", "\t "))
+ATOMS = st.one_of(
+    st.sampled_from(("x0", "x1", "x2", "x0^2", "x2^0", "-x1", "-2/3")),
+    st.integers(0, 12).map(str),
+    st.tuples(st.integers(0, 12), st.integers(1, 12)).map("%d/%d".__mod__))
+
+
+def expression_texts():
+    """Polynomial text over x0..x2 with random spacing and parentheses:
+    sums, products, signs and small powers of parenthesized text.  A
+    leading '+' stands only at the start of a parenthesized sum, where
+    the grammar allows it."""
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, SPACES, st.sampled_from("+-*"), SPACES,
+                      inner).map("".join),
+            st.tuples(st.sampled_from(("(", "(+", "-(")), SPACES, inner,
+                      SPACES, st.just(")")).map("".join),
+            st.tuples(st.just("("), inner, st.just(")^"),
+                      st.integers(0, 3).map(str)).map("".join))
+    return st.recursive(ATOMS, extend, max_leaves=8)
+
+
+@st.composite
+def mangled_texts(draw):
+    """Expression text with a few characters cut out or spliced in."""
+    text = draw(expression_texts())
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:at] + text[at + 1:]
+        else:
+            text = (text[:at] + draw(st.sampled_from("+-*^/()0x2y ;,.$"))
+                    + text[at:])
+    return text
+
+
+def _outcome(parse, text):
+    try:
+        p = parse(text)
+    except ParseError:
+        return None
+    return p, str(p)
+
+
+class TestParserOracle:
+    """PolyRing.parse, which reads the session tokenizer's tokens,
+    against oracles.parse_on_own_tokens, the parser that tokenized each
+    text on its own: the same polynomials, by == and by str, and a
+    ParseError from both on the same text."""
+
+    @given(st.sampled_from((R3, G3)), expression_texts())
+    @settings(max_examples=200, deadline=None)
+    def test_valid_text(self, ring, text):
+        want = parse_on_own_tokens(ring, text)
+        got = ring.parse(text)
+        assert got == want and str(got) == str(want)
+
+    @given(st.sampled_from((R3, G3)), mangled_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_mangled_text(self, ring, text):
+        try:
+            want = _outcome(lambda t: parse_on_own_tokens(ring, t), text)
+        except ZeroDivisionError:
+            # the oracle let Fraction's error for a zero denominator out
+            want = None
+        assert _outcome(ring.parse, text) == want
 
 
 @st.composite
