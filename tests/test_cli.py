@@ -10,10 +10,10 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from cremona import rings
 from cremona.cli import (MAX_VARIABLES, ScriptError, _cmd_fixtures,
                          corpus_dir, main, parse_session, render_report,
                          render_session, run_script)
-from cremona import rings
 from cremona.groebner import deadline
 from cremona.ideals import Ideal
 from cremona.rings import PolyRing, QQ
