@@ -10,7 +10,9 @@ over QQ, residues over Fp.  A Polynomial stores the same terms in its
 ring's grevlex order, so other orders cost one key remap each way.  A
 run on weighted homogeneous input can be Hilbert-driven: given a lower
 bound of the Hilbert series of R/I, it drops the pairs of every degree
-that the bound shows complete.
+that the bound shows complete.  Elimination and syzygies finish only
+the elements they keep, those with leads free of the dropped variables
+or in the relation components (see _Engine).
 """
 
 from __future__ import annotations
@@ -89,12 +91,14 @@ def _normalize(terms, p):
     return terms if inv == 1 else {k: v * inv % p for k, v in terms.items()}
 
 
-def _reduce(fterms, basis, po, p, early=False):
-    """Full normal form of fterms against basis (ascending lead keys).
+def _reduce(fterms, basis, po, p, keep=None):
+    """Normal form of fterms against basis (ascending lead keys).
 
-    Mutates fterms to empty.  Returns (out, snum, sden) so the exact
-    remainder is (snum/sden) * out over QQ (snum = sden = 1 over Fp), or
-    None in early mode as soon as the remainder is known to be nonzero.
+    Returns (out, snum, sden) so the exact remainder is (snum/sden) * out
+    over QQ (snum = sden = 1 over Fp).  keep, when given, is a predicate
+    on keys: a remainder whose lead is irreducible and not kept is
+    returned at once, its tail unreduced, as fterms itself; a membership
+    test keeps nothing.  Otherwise fterms is mutated to empty.
     """
     down = po.down
     up = po.up
@@ -120,8 +124,8 @@ def _reduce(fterms, basis, po, p, early=False):
                 g = cand
                 break
         if g is None:
-            if early:
-                return None
+            if keep is not None and not out and not keep(k):
+                return fterms, snum, sden
             del fterms[k]
             out[k] = c
             continue
@@ -376,14 +380,22 @@ class _Engine:
     and numerator(z) / prod(1 - z^w_i) bounds the Hilbert series of R/I
     from below degree by degree: a _HilbertBound then drops the pairs
     of every degree it shows complete.
+
+    keep, a predicate on lead keys true on every key below a kept one
+    (an elimination order), marks the part a caller keeps; no other
+    element can reduce a term of it.  A remainder with a lead outside it
+    is reduced only until that lead is irreducible.  On homogeneous
+    input, taken degree by degree, the leads of each degree do not
+    depend on tails; on other input they can, and the run can lengthen.
     """
 
     __slots__ = ("po", "p", "ideal", "elts", "live", "dirty", "pairs",
-                 "heap", "degree", "bound")
+                 "heap", "degree", "bound", "keep")
 
-    def __init__(self, po, series=None):
+    def __init__(self, po, series=None, keep=None):
         self.po = po
         self.p = po.ring.field.characteristic
+        self.keep = keep
         self.ideal = not po.rank
         self.elts = []
         self.live = []
@@ -407,7 +419,7 @@ class _Engine:
 
     def reduce(self, terms):
         """Remainder of terms (consumed) against the live elements."""
-        return _reduce(terms, self.view(), self.po, self.p)[0]
+        return _reduce(terms, self.view(), self.po, self.p, self.keep)[0]
 
     def add(self, terms, sugar):
         """Append a nonzero remainder as a new element and update."""
@@ -496,16 +508,45 @@ class _Engine:
                 self.add(out, sug)
 
 
-def _buchberger(seeds, po, series=None):
-    """Reduced basis, as packed term dicts, of the (terms, sugar) seeds;
-    see _Engine for series."""
-    eng = _Engine(po, series)
+def _buchberger(seeds, po, series=None, keep=None, graded=False):
+    """Reduced basis, as packed term dicts, of the (terms, sugar) seeds,
+    or only its elements with leads in keep.  Only a graded run, on
+    homogeneous seeds, leaves the tails outside keep unreduced; see
+    _Engine."""
+    eng = _Engine(po, series, keep if graded else None)
     for terms, sugar in sorted(seeds, key=lambda s: max(s[0])):
         out = eng.reduce(dict(terms))
         if out:
             eng.add(out, sugar)
     eng.run()
-    return _interreduce([g.terms for g in eng.view()], po)
+    return _interreduce([g.terms for g in eng.view()
+                         if keep is None or keep(g.key)], po)
+
+
+def _seeds(gens, po, series):
+    """The (terms, sugar) seeds of the nonzero gens on the keys of po,
+    and series with its weights checked; see groebner_basis."""
+    if series is not None:
+        weights = tuple(series[0])
+        if any(not isinstance(w, int) or w < 1 for w in weights):
+            raise ValueError("weights must be positive integers")
+        degree = po.grading(weights)
+        series = (weights, series[1])
+    seeds = []
+    for g in gens:
+        if g.ring != po.ring:
+            raise ValueError("generators live in different rings")
+        if not g:
+            continue
+        terms = _terms(po, g)
+        if series is None:
+            seeds.append((terms, g.degree()))
+            continue
+        degs = {degree(k) for k in terms}
+        if len(degs) != 1:
+            raise ValueError("generators must be homogeneous for the weights")
+        seeds.append((terms, degs.pop()))
+    return seeds, series
 
 
 def _elements(dicts, po):
@@ -631,11 +672,11 @@ def live_bases():
 
 
 class GroebnerBasis:
-    """Groebner basis supporting exact normal forms; groebner_basis and
-    eliminate build reduced ones.  The elements are engine terms on the
-    keys of po, which also gives the ring and the order; their
-    polynomials are made when first asked for.  source holds the
-    generators it was computed from, None for a basis given as one."""
+    """Groebner basis supporting exact normal forms; groebner_basis builds
+    reduced ones.  The elements are engine terms on the keys of po,
+    which also gives the ring and the order; their polynomials are made
+    when first asked for.  source holds the generators it was computed
+    from, None for a basis given as one."""
 
     __slots__ = ("ring", "order", "leads", "source", "_polys", "_po",
                  "_elts", "__weakref__")
@@ -685,9 +726,9 @@ class GroebnerBasis:
         if not self._elts:
             return False
         po = self._po
-        red = _reduce(dict(_terms(po, f)), self._elts, po,
-                      self.ring.field.characteristic, early=True)
-        return red is not None
+        return not _reduce(dict(_terms(po, f)), self._elts, po,
+                           self.ring.field.characteristic,
+                           lambda k: False)[0]
 
     def certify(self):
         """Re-check the Buchberger criterion and source membership.  A
@@ -704,7 +745,7 @@ class GroebnerBasis:
                 if lk == ki + kj - po.key0:
                     continue
                 s = _spoly(elts[i], elts[j], lk, po)
-                if s and _reduce(s, elts, po, p, early=True) is None:
+                if s and _reduce(s, elts, po, p, lambda k: False)[0]:
                     return False
         return all(self.contains(f) for f in self.source or ())
 
@@ -725,29 +766,10 @@ def groebner_basis(gens, order=None, ring=None, *, series=None):
         if not gens:
             raise ValueError("need a ring for an empty generating set")
         ring = gens[0].ring
-    for g in gens:
-        if g.ring != ring:
-            raise ValueError("generators live in different rings")
     if order is None:
         order = MonomialOrder.grevlex()
     po = _packed_order(ring, order)
-    if series is None:
-        seeds = [(_terms(po, g), g.degree()) for g in gens if g]
-    else:
-        weights = tuple(series[0])
-        if any(not isinstance(w, int) or w < 1 for w in weights):
-            raise ValueError("weights must be positive integers")
-        degree = po.grading(weights)
-        seeds = []
-        for g in gens:
-            if g:
-                terms = _terms(po, g)
-                degs = {degree(k) for k in terms}
-                if len(degs) != 1:
-                    raise ValueError("generators must be homogeneous for "
-                                     "the weights")
-                seeds.append((terms, degs.pop()))
-        series = (weights, series[1])
+    seeds, series = _seeds(gens, po, series)
     return GroebnerBasis(po, gens, _buchberger(seeds, po, series))
 
 
@@ -758,7 +780,11 @@ def eliminate(gens, drop, ring=None, *, series=None):
     ideal, remapped into the subring, ascending in its default order.  It
     is the reduced basis in that (grevlex) order, to which the block
     order ((drop), (rest)) restricts, so the elements of the block basis
-    free of the drop variables come ascending already.  series goes to
+    free of the drop variables come ascending already.  The engine keeps
+    the leads free of the drop variables: by the Elimination Theorem
+    those elements alone are a basis of the elimination ideal, so only
+    they are interreduced, and on homogeneous input (for the weights of
+    series, if given) only they are fully reduced.  series is as for
     groebner_basis.
     """
     gens = [g for g in gens]
@@ -775,17 +801,17 @@ def eliminate(gens, drop, ring=None, *, series=None):
     if len(keep) == ring.nvars:
         raise ValueError("nothing to eliminate")
     first = tuple(nm for nm in ring.names if nm in dropset)
-    order = MonomialOrder.block(first, keep)
-    gb = groebner_basis(gens, order=order, ring=ring, series=series)
+    po = _packed_order(ring, MonomialOrder.block(first, keep))
+    seeds, series = _seeds(gens, po, series)
+    # in the block order a lead free of the drop variables has none below
+    dropped = po.grading([int(nm in dropset) for nm in ring.names])
+    graded = series is not None or all(g.is_homogeneous() for g in gens)
+    basis = _buchberger(seeds, po, series, lambda k: not dropped(k), graded)
     blocks = tuple(tuple(nm for nm in b if nm not in dropset)
                    for b in ring.blocks)
     blocks = tuple(b for b in blocks if b)
     sub = PolyRing(keep, ring.field, blocks=blocks or None)
-    po = gb._po
-    # in the block order a lead free of the drop variables has none below
-    dropped = po.grading([int(nm in dropset) for nm in ring.names])
-    return sub, tuple(_poly(sub, po, g.terms, sub._unit) for g in gb._elts
-                      if not dropped(g.key))
+    return sub, tuple(_poly(sub, po, t, sub._unit) for t in basis)
 
 
 # -- module Groebner bases and syzygies --------------------------------
@@ -844,7 +870,9 @@ def syzygies(mat):
 
     Returns a matrix S with mat @ S = 0 whose columns generate the whole
     column relation module, listed by ascending degree.  The matrix must
-    be graded (consistent row and column shifts).
+    be graded (consistent row and column shifts).  The engine keeps the
+    leads in the relation components: only those elements are fully
+    reduced, interreduced and then minimalized.
     """
     ring = mat.ring
     p = ring.field.characteristic
@@ -870,13 +898,13 @@ def syzygies(mat):
         seeds.append((v, sugar))
     # descending keys list leads in lower components first, as in
     # position over term; the minimalization keeps the first of
-    # equal-degree candidates.  The candidates stay in components r..,
-    # where the sugar of a column is its shifted degree.
+    # equal-degree candidates.  The kept part is components r.., whose
+    # keys lie below the others; there the sugar of a column is its
+    # shifted degree.
     graded = []
-    for terms in reversed(_buchberger(seeds, po)):
+    for terms in reversed(_buchberger(
+            seeds, po, keep=lambda k: po.component(k) >= r, graded=True)):
         lead = max(terms)
-        if po.component(lead) < r:
-            continue
         deg = delta[po.component(lead) - r] + po.tdeg(lead)
         if any(delta[po.component(k) - r] + po.tdeg(k) != deg
                for k in terms):

@@ -733,6 +733,11 @@ class Polynomial:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        # zero and constants take any exponent
+        d = self.degree()
+        if d and d * n > _MAXF:
+            raise ValueError("total degree %d exceeds the limit %d"
+                             % (d * n, _MAXF))
         out = self.ring.one
         base = self
         while n:

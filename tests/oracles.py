@@ -9,7 +9,9 @@ colon-based oracles at the end use the engine, but only through colons
 and intersections by elimination, one basis per span and Rabinowitsch's
 trick, not the saturation and graded minimalization code they check.
 The inverse oracle composes every coordinate of a candidate with the
-map, which the rank certificate of maps.invert avoids.  The Jacobian
+map, which the rank certificate of maps.invert avoids.  The elimination
+and syzygy oracles reduce the whole basis fully and then keep a part of
+it, where the program finishes only the part it keeps.  The Jacobian
 dual oracle reads terms as exponent tuples, not key fields, and the
 expression parser oracle is the one that tokenized each polynomial text
 on its own before sessions and PolyRing.parse shared one tokenizer.
@@ -18,7 +20,9 @@ on its own before sessions and PolyRing.parse shared one tokenizer.
 import itertools
 import re
 from fractions import Fraction
+from unittest import mock
 
+from cremona import groebner
 from cremona.groebner import groebner_basis, syzygies
 from cremona.ideals import Ideal, _extended_ring, _fresh_name
 from cremona.linalg import Echelon
@@ -466,6 +470,41 @@ def jacobian_dual_by_terms(P):
             row[xi][tuple(yexp)] = c
         rows.append([yring.from_terms(r) for r in row])
     return FormMatrix(yring, rows)
+
+
+# -- elimination and syzygies from a fully reduced basis --------------
+
+
+def eliminate_by_full_basis(gens, drop, ring=None, series=None):
+    """groebner.eliminate from the whole reduced basis in the block order
+    ((drop), (rest)): its elements free of the drop variables, moved into
+    the subring that eliminate builds."""
+    gens = list(gens)
+    ring = ring or gens[0].ring
+    keep = tuple(nm for nm in ring.names if nm not in drop)
+    first = tuple(nm for nm in ring.names if nm in drop)
+    gb = groebner_basis(gens, order=MonomialOrder.block(first, keep),
+                        ring=ring, series=series)
+    blocks = tuple(tuple(nm for nm in b if nm not in drop)
+                   for b in ring.blocks)
+    sub = PolyRing(keep, ring.field,
+                   blocks=tuple(b for b in blocks if b) or None)
+    return sub, tuple(transfer(g, sub) for g in gb.polys
+                      if not set(g.support()) & set(drop))
+
+
+def syzygies_by_full_basis(mat):
+    """groebner.syzygies from the whole reduced module basis: every
+    element fully reduced, then those with leads in the relation
+    components r.. handed to the same grading check and minimalization."""
+    full_basis = groebner._buchberger
+
+    def kept_afterwards(seeds, po, series=None, keep=None, graded=False):
+        return [t for t in full_basis(seeds, po, series)
+                if po.component(max(t)) >= mat.nrows]
+
+    with mock.patch.object(groebner, "_buchberger", kept_afterwards):
+        return syzygies(mat)
 
 
 # -- the expression parser on its own tokens -------------------------

@@ -128,6 +128,13 @@ class TestDiagnostics:
         assert (e.line, e.col) == (2, 15)
         assert "exceeds the limit" in str(e)
 
+    def test_power_past_the_limit_positioned(self):
+        # rejected before any squaring, so well inside the deadline
+        with deadline(1.0):
+            e = parse_err(HEADER + "ideal I = x1,\n  (x0^2+1)^8388607;")
+        assert (e.line, e.col) == (3, 3)
+        assert "total degree 16777214 exceeds the limit" in str(e)
+
     def test_zero_denominator_positioned(self):
         e = parse_err(HEADER + "ideal I = x1, x0 + 1/0;")
         assert (e.line, e.col) == (2, 15)
@@ -469,6 +476,14 @@ class TestMain:
         assert time.monotonic() - t0 < 10
         err = capsys.readouterr().err
         assert "line 3, column 3" in err and "time budget" in err
+
+    def test_power_past_the_limit_exit_two(self, tmp_path, capsys):
+        script = tmp_path / "pow.session"
+        script.write_text(HEADER + "ideal I = x1,\n  (x0^2+1)^8388607;\n",
+                          encoding="utf-8")
+        assert main(["run", str(script), "--deadline", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "line 3, column 3" in err and "exceeds the limit" in err
 
     @pytest.mark.parametrize("source", [
         "ring R = QQ[a, a];\n",

@@ -1,5 +1,6 @@
 """Groebner engine: bases, certificates, elimination, syzygies."""
 
+import itertools
 import random
 
 import pytest
@@ -10,13 +11,15 @@ from cremona import fixtures, groebner, rees
 from cremona.families import signed_minors, template_ideal
 from cremona.groebner import (DeadlineExceeded, deadline, eliminate,
                               groebner_basis, syzygies)
-from cremona.ideals import Ideal
+from cremona.ideals import Ideal, _extended_ring
 from cremona.rees import jacobian_dual, rees_ideal
 from cremona.groebner import _hilbert_numerator
-from cremona.rings import FormMatrix, GF, MonomialOrder, PolyRing, QQ
+from cremona.rings import (FormMatrix, GF, MonomialOrder, PolyRing, QQ,
+                           transfer)
 
-from oracles import (homogeneous_member, minimal_columns, random_form,
-                     random_homogeneous_ideal)
+from oracles import (eliminate_by_full_basis, homogeneous_member,
+                     minimal_columns, random_form, random_homogeneous_ideal,
+                     syzygies_by_full_basis)
 
 R3 = PolyRing(("x0", "x1", "x2"), QQ)
 
@@ -392,6 +395,178 @@ class TestSyzygyCrossChecks:
         s = syzygies(m)
         assert _column_degrees(s) == [2]
         assert [s[i, 0] for i in range(3)] == [x1**2, -x0 * x1, x0**2]
+
+
+# the rationals, the prime of the fixture studies and a second large one
+FIELDS = (QQ, GF(32003), GF(2147483647))
+
+
+def _draw_poly(draw, ring, weights=None, degree=None):
+    """A nonzero polynomial of up to four terms: of total degree at most
+    2, or of the given degree for the weights."""
+    if weights is None:
+        mons = [e for e in itertools.product(range(3), repeat=ring.nvars)
+                if sum(e) <= 2]
+    else:
+        mons = _monomials(weights, degree)
+    picked = draw(st.lists(st.sampled_from(mons), min_size=1, max_size=4,
+                           unique=True))
+    return ring.from_terms(
+        (e, draw(st.integers(-5, 5).filter(bool))) for e in picked)
+
+
+@st.composite
+def elimination_inputs(draw):
+    """(ring, generators, drop, series) for eliminate: generators
+    homogeneous for drawn weights, with no series, their exact one or
+    that of a larger ideal; inhomogeneous ones; or the (I, 1 - t*f) of a
+    saturation, t dropped."""
+    field = draw(st.sampled_from(FIELDS))
+    kind = draw(st.sampled_from(("homogeneous", "inhomogeneous",
+                                 "saturation")))
+    # inhomogeneous bases in block orders grow fast: at most three
+    # variables, degree 2
+    n = draw(st.integers(2, 4 if kind == "homogeneous" else 3))
+    ring = PolyRing(tuple("x%d" % i for i in range(n)), field)
+    drop = draw(st.lists(st.sampled_from(ring.names), min_size=1,
+                         max_size=n - 1, unique=True))
+    if kind == "homogeneous":
+        weights = tuple(draw(st.lists(st.integers(1, 3), min_size=n,
+                                      max_size=n)))
+        degrees = [d for d in range(1, 6) if _monomials(weights, d)]
+        gens = [_draw_poly(draw, ring, weights,
+                           draw(st.sampled_from(degrees)))
+                for _ in range(draw(st.integers(1, 4)))]
+        target = draw(st.sampled_from((None, [], [ring.gens[-1] ** 2])))
+        if target is None:
+            return ring, gens, drop, None
+        leads = groebner_basis(gens + target, ring=ring).leads
+        return ring, gens, drop, (weights, _hilbert_numerator(leads, weights))
+    gens = [_draw_poly(draw, ring) for _ in range(draw(st.integers(1, 3)))]
+    if kind == "inhomogeneous":
+        return ring, gens, drop, None
+    aux = _extended_ring(ring, "t")
+    f = transfer(_draw_poly(draw, ring), aux)
+    gens = [transfer(g, aux) for g in gens] + [aux.one - aux.var("t") * f]
+    return aux, gens, ["t"], None
+
+
+@st.composite
+def graded_matrices(draw):
+    """A graded matrix: entry (i, j) zero or a form of degree c_j + s_i."""
+    field = draw(st.sampled_from(FIELDS))
+    ring = PolyRing(tuple("x%d" % i for i in range(draw(st.integers(2, 3)))),
+                    field)
+    nrows = draw(st.integers(1, 2))
+    ncols = draw(st.integers(2, 4))
+    cols = draw(st.lists(st.integers(1, 3), min_size=ncols, max_size=ncols))
+    rows = draw(st.lists(st.integers(0, 1), min_size=nrows, max_size=nrows))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return FormMatrix(ring, [[random_form(ring, c + s, rng, sparsity=0.4)
+                              if draw(st.integers(0, 4)) else ring.zero
+                              for c in cols] for s in rows])
+
+
+def _strs(polys):
+    return [str(p) for p in polys]
+
+
+class TestKeptPart:
+    """eliminate and syzygies finish only the elements they keep; the
+    oracles reduce the whole basis fully and keep the part afterwards."""
+
+    @given(elimination_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_eliminate_matches_full_basis(self, drawn):
+        ring, gens, drop, series = drawn
+        sub, polys = eliminate(gens, drop, ring=ring, series=series)
+        osub, opolys = eliminate_by_full_basis(gens, drop, ring=ring,
+                                               series=series)
+        assert (sub.names, sub.blocks) == (osub.names, osub.blocks)
+        assert _strs(polys) == _strs(opolys)
+
+    @given(graded_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_syzygies_match_full_basis(self, mat):
+        s, oracle = syzygies(mat), syzygies_by_full_basis(mat)
+        assert s.ncols == oracle.ncols
+        assert ([_strs(row) for row in s.entries]
+                == [_strs(row) for row in oracle.entries])
+
+    @pytest.mark.parametrize("fx", fixtures.all_fixtures(),
+                             ids=lambda fx: fx.name)
+    def test_jacobian_duals_match_full_basis(self, fx):
+        for field in FIELDS:
+            mat = _jacobian_dual_matrix(fx, field)
+            assert ([_strs(row) for row in syzygies(mat).entries]
+                    == [_strs(row)
+                        for row in syzygies_by_full_basis(mat).entries])
+
+
+def _interreduced_sizes(monkeypatch):
+    """Record the number of elements each _interreduce call gets."""
+    sizes = []
+    real = groebner._interreduce
+
+    def spy(dicts, po):
+        sizes.append(len(dicts))
+        return real(dicts, po)
+
+    monkeypatch.setattr(groebner, "_interreduce", spy)
+    return sizes
+
+
+class TestKeptPartCost:
+    def test_rees_elimination_interreduces_the_kept_part(self, monkeypatch):
+        # the Rees elimination of the r = 3 template at seed 0: of the 29
+        # elements of the block basis, the 19 with t are not interreduced
+        calls = []
+
+        def spy(gens, drop, ring=None, series=None):
+            calls.append((list(gens), drop, ring, series))
+            return eliminate(gens, drop, ring=ring, series=series)
+
+        monkeypatch.setattr(rees, "eliminate", spy)
+        rees_ideal(template_ideal(3, 3, seed=0).ideal)
+        (gens, drop, ring, series), = calls
+        sizes = _interreduced_sizes(monkeypatch)
+        _sub, polys = eliminate(gens, drop, ring=ring, series=series)
+        assert sizes == [10] and len(polys) == 10
+        del sizes[:]
+        eliminate_by_full_basis(gens, drop, ring=ring, series=series)
+        assert sizes == [29]
+
+    def test_syzygies_interreduce_the_relation_components(self,
+                                                          monkeypatch):
+        # the polar quartic's Jacobian dual: the module basis has 9
+        # elements, and only the one in the relation components is
+        # interreduced
+        fx, = (fx for fx in fixtures.all_fixtures()
+               if fx.name == "polar-quartic")
+        mat = _jacobian_dual_matrix(fx, QQ)
+        sizes = _interreduced_sizes(monkeypatch)
+        assert syzygies(mat).ncols == 1
+        assert sizes == [1]
+        del sizes[:]
+        syzygies_by_full_basis(mat)
+        assert sizes == [9]
+
+    def test_inhomogeneous_elimination_reduces_every_tail(self,
+                                                         monkeypatch):
+        # a saturation's (I, 1 - t*f) is not homogeneous, and there the
+        # tails decide the leads: left unreduced outside the kept part,
+        # they made this run form 370 S-polynomials instead of 309 and
+        # take five times as long
+        R = PolyRing(("t", "x0", "x1", "x2", "x3"), GF(32003))
+        gens = [R.parse(g) for g in (
+            "5*x0*x1*x2^2 + 2*x1^2*x2^2 - x0*x1",
+            "-4*x0^2*x1^2*x2*x3^2 + 2*x0*x1^2*x2*x3 + 2*x1^2*x2*x3^2"
+            " + 5*x0^2*x2*x3",
+            "-x1*x2^2*x3 - x0^2*x2",
+            "1 - 3*t*x0^2*x1^2*x2^2*x3^2")]
+        count = _count_spolys(monkeypatch)
+        _sub, polys = eliminate(gens, ["t"], ring=R)
+        assert count[0] == 309 and len(polys) == 11
 
 
 class TestDeadline:

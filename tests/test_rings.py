@@ -227,6 +227,22 @@ class TestParsing:
             with pytest.raises(ParseError, match="exceeds the limit"):
                 R3.parse(bad)
 
+    def test_power_past_the_limit_rejected_before_squaring(self):
+        # degree 2 * (2^23 - 1): squaring up to it would outlast the
+        # deadline, which would end it with DeadlineExceeded
+        with deadline(1.0):
+            with pytest.raises(ParseError, match="total degree 16777214 "
+                               "exceeds the limit"):
+                R3.parse("(x0^2+1)^8388607")
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                R3.parse("x0*x1 + x2^2") ** 4194304
+        assert R3.parse("(x0^2+1)^0") == 1
+        # zero and constants take any exponent
+        for e in (8388609, 2**40 + 1):
+            assert R3.zero ** e == 0
+            assert R3.one ** e == 1
+            assert R3.const(-1) ** e == -1
+
     @given(polys())
     @settings(max_examples=60, deadline=None)
     def test_print_parse_round_trip(self, p):
