@@ -360,8 +360,9 @@ def render_session(script):
                                     _range_text(script.ring.names))]
     for name, (kind, value) in script.bindings.items():
         if kind == "ideal":
-            lines.append("ideal %s = %s;"
-                         % (name, ", ".join(str(g) for g in value.gens)))
+            # the zero ideal keeps no generator and is written as 0
+            lines.append("ideal %s = %s;" % (name, ", ".join(
+                str(g) for g in value.gens) or "0"))
         else:
             ents = ", ".join(str(value[i, j])
                              for i in range(value.nrows)

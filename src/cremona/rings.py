@@ -7,17 +7,22 @@ Products add keys, exact division is a heap division on keys, and
 degrees and supports are read from key fields.  Exponent tuples and
 field elements appear only at the edges, among them a canonical text
 form (terms descending in grevlex, explicit '*' and '^', rationals as
-a/b) in which equal values print identically and parse back.  The
-tokenizer and the expression parser of that text live here too, and
-session scripts use them as they are: a cursor walks one token stream
-with positions, from which PolyRing.parse reads a whole text and the
-session parser reads each polynomial in place.  The cooperative
-deadline lives here as well, so that large products, and the parser
-that builds them, can be interrupted.
+a/b) in which equal values print identically and parse back; the
+printer reads exponents from the key fields.  The tokenizer and the
+expression parser of that text live here too, and session scripts use
+them as they are: a cursor walks one token stream with offsets, from
+which PolyRing.parse reads a whole text and the session parser reads
+each polynomial in place.  A sum is read into one {key: coefficient}
+accumulator, each monomial term added as its key key0 + sum(w_i * e_i)
+with no Polynomial arithmetic, and made canonical once, so parsing is
+linear in the text.  The cooperative deadline lives here as well, so
+that large products, and the parser that builds them, can be
+interrupted.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import contextvars
 import functools
@@ -202,8 +207,8 @@ class PackedOrder:
     """
 
     __slots__ = ("ring", "order", "rank", "graded", "weights", "key0",
-                 "cstep", "cshift", "dfields", "down", "up", "guards",
-                 "dsums", "dclear", "tmask")
+                 "cstep", "cshift", "dfields", "shifts", "down", "up",
+                 "guards", "dsums", "dclear", "tmask")
 
     def __init__(self, ring, order, rank=0):
         n = ring.nvars
@@ -265,6 +270,8 @@ class PackedOrder:
         self.cstep = weights[n]
         self.cshift = _W * (len(raw) - 2)
         self.dfields = tuple(dfields)
+        # the exponent fields in variable order
+        self.shifts = tuple(f[0] for f in sorted(dfields, key=lambda f: f[1]))
         self.down = down
         self.up = up
         self.guards = guards
@@ -414,6 +421,18 @@ def _canonical(ring, terms, scale):
     return Polynomial(ring, terms, scale * g)
 
 
+def _from_sums(ring, sums):
+    """The Polynomial of {key: coefficient} on ring's keys, coefficients
+    ints or Fractions over QQ and ints over Fp, zeros among them."""
+    p = ring.field.characteristic
+    if p:
+        return Polynomial(ring, {k: r for k, v in sums.items()
+                                 if (r := v % p)}, 1)
+    den = math.lcm(*(c.denominator for c in sums.values()))
+    return _canonical(ring, {k: n for k, c in sums.items() if (
+        n := c.numerator * (den // c.denominator))}, Fraction(1, den))
+
+
 def _times(a, b, po):
     """Product of two nonzero packed term dicts in a graded order: keys
     add up to the constant key0.  A product of total degree above _MAXF
@@ -540,14 +559,7 @@ class PolyRing:
         for exps, c in terms.items() if isinstance(terms, dict) else terms:
             k = enc(tuple(exps))
             out[k] = out.get(k, 0) + coerce(c)
-        p = self.field.characteristic
-        if p:
-            return _canonical(self, {k: r for k, v in out.items()
-                                     if (r := v % p)}, 1)
-        den = math.lcm(*(c.denominator for c in out.values()))
-        return _canonical(self, {k: c.numerator * (den // c.denominator)
-                                 for k, c in out.items() if c},
-                          Fraction(1, den))
+        return _from_sums(self, out)
 
     def monomials_of_degree(self, d):
         """Yield all exponent vectors of total degree d."""
@@ -612,15 +624,6 @@ class Polynomial:
         s = self._s
         return [(dec(k), s * c) for k, c in self._t.items()]
 
-    def coefficient(self, exps):
-        ring = self.ring
-        exps = tuple(exps)
-        c = None
-        if (len(exps) == ring.nvars and min(exps, default=0) >= 0
-                and sum(exps) <= _MAXF):
-            c = self._t.get(ring._packed.encode(exps))
-        return ring.field.coerce(0) if c is None else self._s * c
-
     def __bool__(self):
         return bool(self._t)
 
@@ -670,11 +673,6 @@ class Polynomial:
         seen = sorted(i for shift, i, _comp in po.dfields
                       if (acc >> shift) & _MAXF)
         return tuple(self.ring.names[i] for i in seen)
-
-    def leading_monomial(self):
-        if not self._t:
-            raise ValueError("zero polynomial has no leading term")
-        return self.ring._packed.decode(max(self._t))
 
     def leading_coefficient(self):
         if not self._t:
@@ -944,20 +942,25 @@ class Polynomial:
 
     def __str__(self):
         ring = self.ring
-        text = ""
+        po = ring._packed
+        fields = tuple(zip(ring.names, po.shifts))
+        # the scale is 1 over Fp
+        sn, sd = self._s.numerator, self._s.denominator
+        parts = []
         for k in sorted(self._t, reverse=True):
-            c = self._s * self._t[k]
-            factors = [nm if x == 1 else "%s^%d" % (nm, x)
-                       for nm, x in zip(ring.names, ring._packed.decode(k))
-                       if x]
-            if not factors or abs(c) != 1:
-                factors.insert(0, str(abs(c)))
-            body = "*".join(factors)
-            if text:
-                text += (" - " if c < 0 else " + ") + body
-            else:
-                text = "-" + body if c < 0 else body
-        return text or "0"
+            # key XOR key0 holds each exponent in its field
+            z = k ^ po.key0
+            factors = [nm if x == 1 else "%s^%d" % (nm, x) for nm, shift
+                       in fields if (x := (z >> shift) & _MAXF)]
+            g = math.gcd(num := sn * self._t[k], sd)
+            num, den = num // g, sd // g
+            if den != 1:
+                factors.insert(0, "%d/%d" % (abs(num), den))
+            elif abs(num) != 1 or not factors:
+                factors.insert(0, "%d" % abs(num))
+            parts.append((" - " if num < 0 else " + ") + "*".join(factors))
+        text = "".join(parts) or " + 0"
+        return ("-" if text[1] == "-" else "") + text[3:]
 
     def __repr__(self):
         return str(self)
@@ -1145,56 +1148,47 @@ def _det(ring, rows):
 # int() refuses longer digit strings (Python's default conversion limit)
 MAX_TOKEN_LENGTH = 4300
 
-_TOKEN = re.compile(r"""
-    (?P<ws>\s+|\#[^\n]*)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+# whitespace and # comments, then one token; a stray character is "bad"
+_TOKEN = re.compile(r"""(?:\s+|\#[^\n]*)*(?:
+    (?P<name>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<number>\d+)
   | (?P<dots>\.\.)
   | (?P<punct>[][()=,;^*+\-/])
-""", re.VERBOSE)
+  | (?P<end>\Z)
+  | (?P<bad>.))""", re.VERBOSE | re.DOTALL)
 
 
 class _Token:
-    __slots__ = ("kind", "text", "line", "col", "start", "end")
+    """A token and its offset in the text; its line and column are found
+    when asked for, from the offsets where the text's lines start."""
 
-    def __init__(self, kind, text, line, col, start, end):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-        self.start = start
-        self.end = end
+    __slots__ = ("kind", "text", "start", "starts")
+
+    def __init__(self, kind, text, start, starts):
+        self.kind, self.text, self.start, self.starts = kind, text, start, starts
+
+    end = property(lambda self: self.start + len(self.text))
+    line = property(lambda self: bisect.bisect_right(self.starts, self.start))
+    col = property(lambda self: self.start - self.starts[self.line - 1] + 1)
 
 
 def _tokenize(text):
     """The tokens of text, whitespace and # comments left out, closed by
     an "end" token; a stray character or an overlong token is a
     ParseError at its position."""
+    starts = [0] + [m.end() for m in re.finditer("\n", text)]
     tokens = []
-    pos = 0
-    line = 1
-    linestart = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError("unexpected character %r" % text[pos],
-                             line, pos - linestart + 1)
+    for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        word = m.group()
-        if kind != "ws":
-            if len(word) > MAX_TOKEN_LENGTH:
-                raise ParseError("token of %d characters exceeds the limit "
-                                 "%d" % (len(word), MAX_TOKEN_LENGTH),
-                                 line, pos - linestart + 1)
-            tokens.append(_Token(kind, word, line, pos - linestart + 1,
-                                 pos, m.end()))
-        nl = word.count("\n")
-        if nl:
-            line += nl
-            linestart = pos + word.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(_Token("end", "", line, n - linestart + 1, n, n))
+        tok = _Token(kind, m[kind], m.start(kind), starts)
+        if kind == "bad":
+            raise ParseError("unexpected character %r" % tok.text,
+                             tok.line, tok.col)
+        if len(tok.text) > MAX_TOKEN_LENGTH:
+            raise ParseError("token of %d characters exceeds the limit %d"
+                             % (len(tok.text), MAX_TOKEN_LENGTH),
+                             tok.line, tok.col)
+        tokens.append(tok)
     return tokens
 
 
@@ -1235,7 +1229,9 @@ class _Cursor:
 class _ExprParser:
     """Recursive descent over a cursor: a sum of signed products of
     powers of numbers, fractions a/b, variables and parenthesized sums.
-    It stops at the first token that cannot continue the sum."""
+    It stops at the first token that cannot continue the sum.  A term
+    that is not a monomial is read again from its first token by
+    parse_term, as a Polynomial, and its terms are added to the sum's."""
 
     def __init__(self, ring, cur):
         self.ring = ring
@@ -1243,35 +1239,92 @@ class _ExprParser:
 
     def parse_expr(self):
         cur = self.cur
+        acc = {}
+        get = acc.get
         sign = cur.peek().text
         if sign in ("+", "-"):
             cur.next()
-        acc = self.parse_term()
-        if sign == "-":
-            acc = -acc
         for count in itertools.count(1):
-            op = cur.peek().text
-            if op not in ("+", "-"):
-                return acc
-            # each addition copies the sum so far, so a long sum is
-            # slow enough to overrun a deadline
             if not count % 256:
                 check_deadline()
+            s = -1 if sign == "-" else 1
+            got = self.monomial()
+            if got is None:
+                term = self.parse_term()
+                s *= term._s
+                s = s.numerator if s.denominator == 1 else s
+                for k, v in term._t.items():
+                    acc[k] = get(k, 0) + s * v
+            else:
+                acc[got[0]] = get(got[0], 0) + s * got[1]
+            sign = cur.peek().text
+            if sign not in ("+", "-"):
+                return _from_sums(self.ring, acc)
             cur.next()
-            term = self.parse_term()
-            acc = acc - term if op == "-" else acc + term
+
+    def monomial(self):
+        """(packed key, coefficient) of the term at the cursor, moved past
+        it, if the term is a monomial, else None.  Its degree is summed
+        factor by factor and rejected at the first factor past the limit,
+        unless the product so far is zero."""
+        ring = self.ring
+        cur = self.cur
+        toks = cur.tokens
+        p = ring.field.characteristic
+        first = cur.i
+        key = ring._packed.key0
+        deg = 0
+        c = 1
+        while True:
+            tok = toks[cur.i]
+            if tok.kind == "number":
+                if c != 1:
+                    # a product of long numbers grows with every factor
+                    check_deadline()
+                n, d = self.parse_number()
+                e = self.parse_exponent()
+                if p:
+                    c = c * pow(n, e, p) * pow(d, -e, p) % p
+                else:
+                    c *= (n if d == e == 1
+                          else _number_power(tok, Fraction(n, d), e))
+            elif (j := ring._index.get(tok.text)) is not None:
+                cur.i += 1
+                e = self.parse_exponent()
+                deg += e
+                if deg > _MAXF and c:
+                    raise ParseError("total degree %d exceeds the limit %d"
+                                     % (deg, _MAXF), tok.line, tok.col)
+                key += ring._packed.weights[j] * e
+            else:
+                cur.i = first
+                return None
+            if toks[cur.i].text != "*":
+                return key, c
+            cur.i += 1
 
     def parse_term(self):
         acc = self.parse_factor()
         while self.cur.peek().text == "*":
             self.cur.next()
+            check_deadline()
             acc = acc * self.parse_factor()
         return acc
 
     def parse_factor(self):
+        tok = self.cur.peek()
         base = self.parse_base()
-        if self.cur.peek().text != "^":
+        e = self.parse_exponent()
+        if e == 1:
             return base
+        if base.degree() == 0 and not self.ring.field.characteristic:
+            return self.ring.const(_number_power(tok, base._s, e))
+        return base ** e
+
+    def parse_exponent(self):
+        """The exponent after a '^' at the cursor, else 1."""
+        if self.cur.peek().text != "^":
+            return 1
         self.cur.next()
         tok = self.cur.next()
         if tok.kind != "number":
@@ -1281,22 +1334,36 @@ class _ExprParser:
         if e > _MAXF:
             raise ParseError("exponent %d exceeds the limit %d" % (e, _MAXF),
                              tok.line, tok.col)
-        return base ** e
+        return e
+
+    def parse_number(self):
+        """(n, d) for the number n or the fraction n/d at the cursor, in
+        lowest terms over Fp, where d must be a unit."""
+        cur = self.cur
+        n = int(cur.next().text)
+        if cur.peek().text != "/":
+            return n, 1
+        cur.next()
+        tok = cur.next()
+        if tok.kind != "number":
+            raise ParseError("expected integer denominator", tok.line, tok.col)
+        d = int(tok.text)
+        if not d:
+            raise ParseError("zero denominator", tok.line, tok.col)
+        p = self.ring.field.characteristic
+        g = math.gcd(n, d) if p else 1
+        if p and not d // g % p:
+            raise ParseError("denominator %s is not invertible in %s"
+                             % (tok.text, self.ring.field.label),
+                             tok.line, tok.col)
+        return n // g, d // g
 
     def parse_base(self):
         cur = self.cur
-        tok = cur.next()
+        tok = cur.peek()
         if tok.kind == "number":
-            if cur.peek().text != "/":
-                return self.ring.const(int(tok.text))
-            cur.next()
-            den = cur.next()
-            if den.kind != "number":
-                raise ParseError("expected integer denominator",
-                                 den.line, den.col)
-            if not int(den.text):
-                raise ParseError("zero denominator", den.line, den.col)
-            return self.ring.const(Fraction(int(tok.text), int(den.text)))
+            return self.ring.const(Fraction(*self.parse_number()))
+        cur.next()
         if tok.kind == "name":
             try:
                 return self.ring.var(tok.text)
@@ -1313,6 +1380,16 @@ class _ExprParser:
                          % (tok.text or "end of input"), tok.line, tok.col)
 
 
+def _number_power(tok, c, e):
+    """c^e for a Fraction c, or a ParseError at tok, before it is formed,
+    when it would have more digits than a literal may."""
+    b = max(abs(c.numerator), c.denominator)
+    if b > 1 and e * math.log10(b) >= MAX_TOKEN_LENGTH:
+        raise ParseError("power of a number has more than %d digits"
+                         % MAX_TOKEN_LENGTH, tok.line, tok.col)
+    return c ** e
+
+
 def _parse_expr(ring, cur):
     """The polynomial of the sum at cur, which is left on the first token
     after it."""
@@ -1322,6 +1399,5 @@ def _parse_expr(ring, cur):
     except ParseError:
         raise
     except ValueError as e:
-        # a product past the degree limit, or a denominator that is not
-        # invertible in the field
+        # a product or a power of a sum past the degree limit
         raise ParseError(str(e), start.line, start.col) from None

@@ -294,6 +294,12 @@ class TestGrammarFuzz:
 
 
 class TestRoundTrip:
+    def test_zero_ideal(self):
+        # the zero ideal keeps no generator; its text must parse back
+        rendered = render_session(parse_session(HEADER + "ideal I = 0;"))
+        assert rendered == HEADER + "ideal I = 0;\n"
+        assert not parse_session(rendered).bindings["I"][1].gens
+
     def test_polar_session(self):
         src = corpus_dir().joinpath("polar-quartic.session") \
                           .read_text(encoding="utf-8")
@@ -464,18 +470,20 @@ class TestMain:
         assert "line 3, column 3" in err and "time budget" in err
 
     def test_long_sum_parses_under_deadline(self, tmp_path, capsys):
-        # the expanded 24th power has 20475 terms; adding them one at a
-        # time takes tens of seconds
+        # the expanded 24th power has 20475 terms: its sum is read in
+        # linear time, in well under a second, and the parser checks the
+        # deadline every 256 terms
         R = PolyRing(("x0", "x1", "x2", "x3"), QQ)
         text = str(R.parse("(x0 + 2*x1 + 3*x2 + 5*x3 + 7)^24"))
         script = tmp_path / "long.session"
         script.write_text("ring R = QQ[x0..x3];\nideal I = x0,\n  %s;\n"
                           % text, encoding="utf-8")
-        t0 = time.monotonic()
-        assert main(["run", str(script), "--deadline", "1"]) == 2
-        assert time.monotonic() - t0 < 10
+        assert main(["run", str(script), "--deadline", "0.05"]) == 2
         err = capsys.readouterr().err
         assert "line 3, column 3" in err and "time budget" in err
+        t0 = time.monotonic()
+        assert main(["run", str(script), "--deadline", "30"]) == 0
+        assert time.monotonic() - t0 < 10
 
     def test_power_past_the_limit_exit_two(self, tmp_path, capsys):
         script = tmp_path / "pow.session"
@@ -484,6 +492,18 @@ class TestMain:
         assert main(["run", str(script), "--deadline", "1"]) == 2
         err = capsys.readouterr().err
         assert "line 3, column 3" in err and "exceeds the limit" in err
+
+    def test_number_power_past_the_limit_exit_two(self, tmp_path, capsys):
+        # 12345^1000000 has 4.1 million digits: it is rejected before any
+        # multiplication, which the deadline could not interrupt
+        script = tmp_path / "numpow.session"
+        script.write_text(HEADER + "ideal I = x1,\n  12345^1000000*x1;\n",
+                          encoding="utf-8")
+        t0 = time.monotonic()
+        assert main(["run", str(script), "--deadline", "1"]) == 2
+        assert time.monotonic() - t0 < 1
+        err = capsys.readouterr().err
+        assert "line 3, column 3" in err and "more than 4300 digits" in err
 
     @pytest.mark.parametrize("source", [
         "ring R = QQ[a, a];\n",

@@ -1,5 +1,6 @@
 """Polynomial arithmetic, orders, parsing and form matrices."""
 
+import random
 import time
 from fractions import Fraction
 
@@ -340,6 +341,123 @@ class TestParserOracle:
             # the oracle let Fraction's error for a zero denominator out
             want = None
         assert _outcome(ring.parse, text) == want
+
+
+@st.composite
+def long_sums(draw):
+    """A sum of 50-500 terms in x0..x2, built from a drawn seed so that
+    long texts cost Hypothesis little.  A term is a product of numbers,
+    fractions a/b, number powers and variables with exponents (0 among
+    them), in any order; some terms cancel an earlier one.  A drawn few
+    special terms are added: exponents at the limit 2^23 - 1, alone, past
+    the degree limit or times zero, an unknown name, and fractions whose
+    denominator is a multiple of 32003."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    specials = draw(st.lists(st.sampled_from((
+        "x1^8388607", "x0^8388607*x2", "0*x2^8388607*x1^5",
+        "x2^8388607*32003*x0", "y0*x1", "x0*y1^2", "5/64006*x2",
+        "32003/64006*x1^2", "2^10/3^7*x0^0")), max_size=3))
+    numbers = (lambda: str(rng.randint(0, 10 ** rng.randint(1, 30))),
+               lambda: "%d/%d" % (rng.randint(0, 99), rng.randint(1, 99)),
+               lambda: "%d^%d" % (rng.randint(0, 12), rng.randint(0, 40)),
+               lambda: "%d/%d^%d" % (rng.randint(0, 9), rng.randint(1, 9),
+                                     rng.randint(0, 9)))
+    terms = []
+    for _ in range(draw(st.integers(50, 500))):
+        if terms and rng.random() < 0.15:
+            sign, body = rng.choice(terms)
+            terms.append(("-" if sign == "+" else "+", body))
+            continue
+        factors = [rng.choice(("x0", "x1", "x2"))
+                   + rng.choice(("", "", "^0", "^2", "^3", "^11"))
+                   for _ in range(rng.randint(0, 3))]
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            factors.insert(rng.randint(0, len(factors)),
+                           rng.choice(numbers)())
+        terms.append((rng.choice("+-"), "*".join(factors) or "1"))
+    for body in specials:
+        terms.insert(rng.randint(0, len(terms)), (rng.choice("+-"), body))
+    return "".join(" %s %s" % t for t in terms)
+
+
+class TestMonomialSums:
+    """Long sums of monomials, which the parser adds up on packed keys
+    without Polynomial arithmetic, against the parser that adds every
+    term as a Polynomial, and the printer against oracles.tuple_str."""
+
+    @given(st.sampled_from((R3, G3)), long_sums())
+    @settings(max_examples=40, deadline=None)
+    def test_long_sums_match_the_oracle(self, ring, text):
+        assert _outcome(ring.parse, text) == _outcome(
+            lambda t: parse_on_own_tokens(ring, t), text)
+
+    def test_monomial_sum_adds_no_polynomials(self, monkeypatch):
+        calls = []
+        combine = rings._combine
+        monkeypatch.setattr(rings, "_combine",
+                            lambda *a: calls.append(a) or combine(*a))
+        text = " - ".join("%d/%d*x0^%d*x1^%d" % (k + 1, k % 7 + 1, k % 64,
+                                                  k // 64)
+                          for k in range(4096))
+        for ring in (R3, G3):
+            assert len(ring.parse(text)) == 4096
+        assert not calls
+
+    @given(st.sampled_from((R3, G3)),
+           st.lists(st.tuples(st.tuples(*[st.sampled_from(
+               (0, 1, 2, 7, 2**21)) for _ in range(3)]),
+               st.fractions(-50, 50, max_denominator=40)), max_size=8),
+           st.fractions(-9, 9, max_denominator=12).filter(bool))
+    @settings(max_examples=150, deadline=None)
+    def test_str_matches_tuple_str(self, ring, terms, scale):
+        p = ring.from_terms(terms) * ring.field.coerce(scale)
+        want = tuple_terms(ring, [(e, c * scale) for e, c in terms])
+        assert str(p) == tuple_str(ring, want)
+
+    def test_number_power_past_the_literal_limit(self):
+        cases = (("12345^1000000", 1), ("9^8388607", 1),
+                 ("12345^8388607", 1), ("10^4300", 1), ("-7^6000*x2", 2),
+                 ("x1*(2/3)^10000", 4), ("x0 - x1*(12345)^1000000", 9),
+                 ("x0*x1 + 3*x2^2*(1/2)^99999", 16))
+        for text, col in cases:
+            t0 = time.process_time()
+            with deadline(1.0):
+                with pytest.raises(ParseError, match="more than 4300 "
+                                   "digits") as info:
+                    R3.parse(text)
+            assert time.process_time() - t0 < 1
+            assert (info.value.line, info.value.col) == (1, col)
+        # the largest powers within the limit, and any power over Fp
+        assert R3.parse("10^4299") == 10**4299
+        assert R3.parse("(1/10)^4299*x0") == Fraction(1, 10**4299) * R3.var(
+            "x0")
+        assert R3.parse("(-1)^8388607 + 1^8388607 + 0^8388607") == 0
+        with deadline(1.0):
+            assert G3.parse("12345^8388607*x0") == pow(
+                12345, 8388607, 32003) * G3.var("x0")
+
+    def test_long_products_of_numbers_stop_at_deadline(self):
+        # every factor multiplies a longer running coefficient, in a
+        # monomial and in a term with a parenthesized factor
+        digits = "9" * 4000
+        for text in ("*".join([digits] * 2000),
+                     "x0*(1)*" + "*".join(["(%s)" % digits] * 2000)):
+            t0 = time.process_time()
+            with deadline(0.2):
+                with pytest.raises(DeadlineExceeded):
+                    R3.parse(text)
+            assert time.process_time() - t0 < 5
+
+    def test_denominator_not_invertible_over_fp(self):
+        G7 = PolyRing(("x0", "x1"), GF(7))
+        for text, pos in (("x0 +\n 1/14*x1", (2, 4)),
+                          ("(x0 + 3/7)^2", (1, 9))):
+            with pytest.raises(ParseError, match=r"denominator (14|7) is "
+                               r"not invertible in Fp\(7\)") as info:
+                G7.parse(text)
+            assert (info.value.line, info.value.col) == pos
+        # a fraction in lower terms may have a unit denominator
+        assert G7.parse("7/14*x1") == 4 * G7.var("x1")
 
 
 @st.composite
