@@ -91,6 +91,13 @@ def _normalize(terms, p):
     return terms if inv == 1 else {k: v * inv % p for k, v in terms.items()}
 
 
+# the deadline is checked every 256 reduction steps and whenever the
+# coefficients cancelled since the last check add up to this many bits
+# over QQ: a step costs about as much as its coefficients are long, so a
+# few steps on long coefficients can outlast many on short ones
+_STEP_BITS = 1 << 15
+
+
 def _reduce(fterms, basis, po, p, keep=None):
     """Normal form of fterms against basis (ascending lead keys).
 
@@ -108,6 +115,8 @@ def _reduce(fterms, basis, po, p, keep=None):
     heap = [-k for k in fterms]
     heapq.heapify(heap)
     steps = 0
+    # bits of the coefficients cancelled since the last deadline check
+    grown = 0
     while heap:
         k = -heapq.heappop(heap)
         c = fterms.get(k)
@@ -152,6 +161,7 @@ def _reduce(fterms, basis, po, p, keep=None):
             cg = gcd(c if c > 0 else -c, glc)
             a = glc // cg
             b = c // cg
+            grown += c.bit_length()
             if a != 1:
                 for kk in fterms:
                     fterms[kk] *= a
@@ -172,9 +182,10 @@ def _reduce(fterms, basis, po, p, keep=None):
                     else:
                         del fterms[nk]
         steps += 1
-        if not steps & 255:
+        if not steps & 255 or grown > _STEP_BITS:
+            grown = 0
             check_deadline()
-            if not p:
+            if not p and not steps & 255:
                 g0 = 0
                 for v in fterms.values():
                     g0 = gcd(g0, v)

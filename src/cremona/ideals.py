@@ -12,7 +12,8 @@ import math
 
 from .groebner import (GroebnerBasis, _colon_exponent, _divide_out,
                        _hilbert_numerator, _interreduce, _minimal_subset,
-                       _times, check_deadline, eliminate, groebner_basis)
+                       _series_add, _times, check_deadline, eliminate,
+                       groebner_basis)
 from .rings import MonomialOrder, PolyRing, Polynomial, transfer
 
 __all__ = ["HilbertData", "Ideal", "minors"]
@@ -207,6 +208,14 @@ class Ideal:
 
         K is the intersection of the saturations by the generators f of
         other (_saturation); one that lies in all the others is K itself.
+        For a homogeneous ideal and the irrelevant ideal m (generated by
+        the variables) the saturation by the last variable x comes first,
+        from the ideal's own grevlex basis.  It contains K, and it is
+        m-saturated since x is a nonzerodivisor modulo it, so it is K
+        exactly when it has the Hilbert polynomial of self
+        (_same_hilbert_polynomial); then no other basis is built.  Else,
+        as for any other target, every generator's saturation is taken
+        and the kept ones intersected.
         Returns (self, 0) when K lies in self.  Otherwise K comes as its
         reduced grevlex basis by ascending lead key, except for a single
         f with two or more terms: then, as self.quotient(f) would list
@@ -220,15 +229,23 @@ class Ideal:
         else:
             self._check(other)
             targets = other.gens
-        # the saturations that contain none of the others; of equal ones
-        # the first stays.  The last variable comes first: its Bayer basis
-        # is in the standard order, so it needs no conversion.
-        kept = []
-        for f in reversed(targets):
-            check_deadline()
-            gb = self._saturation(f)
-            if not any(_inside(k, gb) for k in kept):
-                kept = [k for k in kept if not _inside(gb, k)] + [gb]
+        kept = None
+        if self.is_homogeneous() and set(targets) == set(ring.gens):
+            gb = self._saturation(ring.gens[-1])
+            if _same_hilbert_polynomial(gb.leads, self.groebner().leads,
+                                        ring.nvars):
+                kept = [gb]
+        if kept is None:
+            # the saturations that contain none of the others; of equal
+            # ones the first stays.  The last variable comes first: its
+            # Bayer basis is in the standard order, so it needs no
+            # conversion.
+            kept = []
+            for f in reversed(targets):
+                check_deadline()
+                gb = self._saturation(f)
+                if not any(_inside(k, gb) for k in kept):
+                    kept = [k for k in kept if not _inside(gb, k)] + [gb]
         if not kept:
             gens = (ring.one,)
         elif len(kept) == 1:
@@ -372,13 +389,11 @@ def minors(mat, k):
     return out
 
 
-def _series_data(leads, n):
-    """Numerator, (1-t)-multiplicity and residual value for a lead set in
-    n variables."""
-    num = _hilbert_numerator(leads, (1,) * n)
-    codim = 0
-    q = dict(num)
-    while q and not sum(q.values()):
+def _one_minus_t_part(q, most):
+    """(k, q / (1-t)^k) for the numerator q, {degree: coefficient}, and
+    the largest k up to most for which 1-t divides it k times."""
+    k = 0
+    while q and k < most and not sum(q.values()):
         nq = {}
         acc = 0
         for d in range(max(q) + 1):
@@ -386,6 +401,25 @@ def _series_data(leads, n):
             if acc:
                 nq[d] = acc
         q = nq
-        codim += 1
+        k += 1
+    return k, q
+
+
+def _same_hilbert_polynomial(leads, other, n):
+    """Whether R/M and R/N have the same Hilbert polynomial, M and N the
+    monomial ideals of two lead sets in n variables: their series differ
+    by (numerator(M) - numerator(N)) / (1-t)^n, which is a polynomial
+    exactly when (1-t)^n divides the difference."""
+    ones = (1,) * n
+    q = _series_add(_hilbert_numerator(leads, ones),
+                    _hilbert_numerator(other, ones), 0, -1)
+    return not q or _one_minus_t_part(q, n)[0] == n
+
+
+def _series_data(leads, n):
+    """Numerator, (1-t)-multiplicity and residual value for a lead set in
+    n variables."""
+    num = _hilbert_numerator(leads, (1,) * n)
+    codim, q = _one_minus_t_part(num, n)
     mult = sum(q.values()) if q else 0
     return num, codim, mult

@@ -955,15 +955,28 @@ class Polynomial:
             g = math.gcd(num := sn * self._t[k], sd)
             num, den = num // g, sd // g
             if den != 1:
-                factors.insert(0, "%d/%d" % (abs(num), den))
+                factors.insert(0, _decimal(abs(num)) + "/" + _decimal(den))
             elif abs(num) != 1 or not factors:
-                factors.insert(0, "%d" % abs(num))
+                factors.insert(0, _decimal(abs(num)))
             parts.append((" - " if num < 0 else " + ") + "*".join(factors))
         text = "".join(parts) or " + 0"
         return ("-" if text[1] == "-" else "") + text[3:]
 
     def __repr__(self):
         return str(self)
+
+
+def _decimal(n):
+    """The decimal digits of the integer n >= 0.  An integer past
+    Python's limit on int-to-str conversion is written as two halves,
+    the lower one padded with zeros, each in the same way."""
+    try:
+        return "%d" % n
+    except ValueError:
+        # about half the digits: log10(2) is just over 3/10
+        k = n.bit_length() * 3 // 20
+        hi, lo = divmod(n, 10 ** k)
+        return _decimal(hi) + _decimal(lo).rjust(k, "0")
 
 
 def _combine(a, b, sign):

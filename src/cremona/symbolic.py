@@ -173,7 +173,10 @@ def condition_i(I, lmax, target=None, filtration=None):
 
     A variable x lies in the radical of power : level exactly when level
     lies in power : x^inf, one saturation per variable; the first
-    variable of the ring that fails is the witness.
+    variable of the ring that fails is the witness.  For the irrelevant
+    ideal as target no saturation is needed: the level is power : m^inf,
+    which lies in power : x^inf for every variable x, so a nonzero
+    quotient is PRIMARY by definition.
     """
     if lmax < 1:
         raise ValueError("lmax must be at least 1")
@@ -188,9 +191,11 @@ def condition_i(I, lmax, target=None, filtration=None):
         if power.contains_ideal(level):
             out.append(ConditionVerdict(ell, "ZERO"))
             continue
-        witness = next((str(x) for x in I.ring.gens
-                        if not all(map(power._saturation(x).contains,
-                                       level.gens))), None)
+        witness = None
+        if F.target.kind != "irrelevant-ideal":
+            witness = next((str(x) for x in I.ring.gens
+                            if not all(map(power._saturation(x).contains,
+                                           level.gens))), None)
         out.append(ConditionVerdict(
             ell, "PRIMARY" if witness is None else "FAILS", witness))
     return tuple(out)

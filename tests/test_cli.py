@@ -300,6 +300,20 @@ class TestRoundTrip:
         assert rendered == HEADER + "ideal I = 0;\n"
         assert not parse_session(rendered).bindings["I"][1].gens
 
+    def test_long_coefficients(self):
+        # (N*x0 + x1)^2 for a 3000-digit N has a 6000-digit coefficient:
+        # it is written in full, and reading it back stops at the
+        # 4300-digit literal limit with its position
+        n = int("7" + "3" * 2999)
+        script = parse_session(HEADER + "ideal J = (%d*x0 + x1)^2;" % n)
+        rendered = render_session(script)
+        (gen,) = script.bindings["J"][1].gens
+        assert rendered == HEADER + "ideal J = %s;\n" % gen
+        assert str(gen).endswith("*x0*x1 + x1^2")
+        e = parse_err(rendered)
+        assert (e.line, e.col) == (2, 11)
+        assert "exceeds the limit" in str(e)
+
     def test_polar_session(self):
         src = corpus_dir().joinpath("polar-quartic.session") \
                           .read_text(encoding="utf-8")

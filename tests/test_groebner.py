@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -586,6 +587,19 @@ class TestDeadline:
         with pytest.raises(DeadlineExceeded):
             with deadline(1e-4):
                 syzygies(row)
+
+    def test_few_steps_on_long_coefficients(self):
+        # eliminating x0 and x2 here builds coefficients of over 100k bits
+        # within a second; a single reduction then takes seconds in a few
+        # dozen steps, never reaching a 256-step check
+        gens = [R3.parse(t) for t in (
+            "-3*x0^2*x1 - 4*x0*x2^2 - x0*x2", "x0^3 + 2*x1^2",
+            "2*x0^3 - 3*x0*x1^2 + 4*x0*x1*x2 + x2")]
+        t0 = time.process_time()
+        with pytest.raises(DeadlineExceeded):
+            with deadline(0.5):
+                eliminate(gens, ["x0", "x2"], ring=R3)
+        assert time.process_time() - t0 < 2.5
 
     def test_zero_means_no_limit(self):
         with deadline(0):

@@ -161,9 +161,11 @@ class TestSaturation:
         assert time.monotonic() - t0 < 0.1
 
     def test_bases_per_level_two(self, monkeypatch):
-        """Cost guard: the base's basis (its unit check) and one basis per
-        variable, no elimination.  Iterated colons took 15 eliminations
-        and 19 bases (those inside the eliminations included) here."""
+        """Cost guard: the base's basis (its unit check) and the power's
+        grevlex basis, whose Bayer saturation by the last variable the
+        Hilbert polynomial certifies; no elimination.  One basis per
+        variable took 4 bases, iterated colons 15 eliminations and 19
+        bases (those inside the eliminations included) here."""
         calls = {"eliminate": 0, "groebner_basis": 0}
         for name in calls:
             original = getattr(groebner, name)
@@ -176,7 +178,123 @@ class TestSaturation:
                 monkeypatch.setattr(module, name, spy)
         inst = template_ideal(3, 2, seed=0)
         SymbolicFiltration(inst.ideal).level(2)
-        assert calls == {"eliminate": 0, "groebner_basis": 4}
+        assert calls == {"eliminate": 0, "groebner_basis": 2}
+
+    def test_uncertified_level_takes_every_variable(self, monkeypatch):
+        """Fallback guard: the Noether map's square has a component on
+        x3 = 0, so its saturation by x3 has a smaller Hilbert polynomial
+        and the certificate fails.  The level then takes the base's basis,
+        the power's, one basis per other variable and two intersections
+        of the three saturations that differ."""
+        fx = next(fx for fx in all_fixtures() if fx.name == "noether")
+        calls = {"eliminate": 0, "groebner_basis": 0, "intersect": 0}
+        for name in ("eliminate", "groebner_basis"):
+            original = getattr(groebner, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in (groebner, ideals):
+                monkeypatch.setattr(module, name, spy)
+        original = Ideal.intersect
+
+        def intersect(self, other):
+            calls["intersect"] += 1
+            return original(self, other)
+
+        monkeypatch.setattr(Ideal, "intersect", intersect)
+        F = SymbolicFiltration(fx.ideal)
+        P = F.power(2)
+        level = F.level(2)
+        gb = P._saturation(P.ring.gens[-1])
+        assert not ideals._same_hilbert_polynomial(
+            gb.leads, P.groebner().leads, P.ring.nvars)
+        assert calls == {"eliminate": 2, "groebner_basis": 5, "intersect": 2}
+        want, _ = saturate_by_quotients(P, Ideal(P.ring, P.ring.gens))
+        assert [str(g) for g in level.gens] == [str(g) for g in want.gens]
+
+
+@st.composite
+def homogeneous_cases(draw):
+    """A homogeneous ideal over QQ or GF(32003) in two or three
+    variables: random forms, some of them times a power of a variable
+    (an m-primary or embedded part), and sometimes all of them times one
+    variable, which adds a hypersurface component on which that variable
+    vanishes; for the last variable that sends saturate down the
+    per-variable path."""
+    field = draw(st.sampled_from((QQ, GF(32003))))
+    n = draw(st.integers(2, 3))
+    ring = PolyRing(tuple("x%d" % i for i in range(n)), field)
+    rng = draw(st.randoms(use_true_random=False))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        g = random_form(ring, rng.randint(1, 2), rng)
+        if draw(st.booleans()):
+            g = g * ring.gens[rng.randrange(n)] ** rng.randint(1, 2)
+        gens.append(g)
+    scale = draw(st.sampled_from((None, 0, n - 1)))
+    if scale is not None:
+        gens = [ring.gens[scale] * g for g in gens]
+    return Ideal(ring, gens)
+
+
+class TestIrrelevantSaturation:
+    @given(homogeneous_cases())
+    @settings(max_examples=50, deadline=None)
+    def test_matches_iterated_quotients(self, I):
+        m = Ideal(I.ring, I.ring.gens)
+        got, s = I.saturate(m)
+        want, t = saturate_by_quotients(I, m)
+        assert s == t
+        assert [str(g) for g in got.gens] == [str(g) for g in want.gens]
+
+    def test_hypersurface_component_falls_back(self):
+        I = ideal(R3, "x2*x0^2 - x2*x1^2", "x2*x0*x1")
+        gb = I._saturation(R3.var("x2"))
+        assert not ideals._same_hilbert_polynomial(
+            gb.leads, I.groebner().leads, 3)
+        sat, s = I.saturate(Ideal(R3, R3.gens))
+        assert (sat, s) == (I, 0)
+
+
+def _leads(I):
+    return I.groebner().leads
+
+
+class TestHilbertPolynomial:
+    m3 = Ideal(R3, R3.gens)
+
+    @pytest.mark.parametrize("texts", [
+        ("x0*x1 - x2^2",),
+        ("x0^2", "x0*x1"),
+        ("x0*x2 - x1^2", "x0*x1 - x2^2", "x1*x2 - x0^2"),
+        ("x0",),
+    ])
+    def test_agrees_with_intersection_by_power(self, texts):
+        I = ideal(R3, *texts)
+        for k in (1, 2, 4):
+            J = I.intersect(self.m3.power(k))
+            assert ideals._same_hilbert_polynomial(_leads(J), _leads(I), 3)
+            assert ideals._same_hilbert_polynomial(_leads(I), _leads(J), 3)
+
+    @pytest.mark.parametrize("texts, form", [
+        (("x0*x1 - x2^2",), "x0"),
+        (("x0^2", "x0*x1"), "x1 + x2"),
+        (("x0*x1",), "x2"),
+        ((), "x0 - 2*x1"),
+    ])
+    def test_differs_after_adding_a_form(self, texts, form):
+        I = ideal(R3, *texts)
+        J = I + ideal(R3, form)
+        assert not ideals._same_hilbert_polynomial(_leads(J), _leads(I), 3)
+
+    def test_points_and_unit(self):
+        # an m-primary ideal has Hilbert polynomial 0, as the unit ideal
+        assert ideals._same_hilbert_polynomial(
+            _leads(ideal(R2, "x0^2", "x1^3")), _leads(ideal(R2, "1")), 2)
+        assert not ideals._same_hilbert_polynomial(
+            _leads(ideal(R2, "x0")), _leads(ideal(R2, "1")), 2)
 
 
 class TestMinimalGenerators:

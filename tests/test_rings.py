@@ -460,6 +460,55 @@ class TestMonomialSums:
         assert G7.parse("7/14*x1") == 4 * G7.var("x1")
 
 
+def chunked_digits(n, width=1000):
+    """Decimal digits of n >= 0 by repeated division by 10^width, each
+    chunk short enough for str()."""
+    chunks = []
+    while True:
+        n, r = divmod(n, 10 ** width)
+        if not n:
+            return "".join(["%d" % r] + ["%0*d" % (width, c)
+                                          for c in reversed(chunks)])
+        chunks.append(r)
+
+
+def read_digits(text, width=4000):
+    """The integer of a digit string of any length, read in pieces short
+    enough for int()."""
+    n = 0
+    for i in range(0, len(text), width):
+        piece = text[i:i + width]
+        n = n * 10 ** len(piece) + int(piece)
+    return n
+
+
+class TestLongCoefficients:
+    # a 3000-digit literal: its square has 6000 digits, past the 4300
+    # digits that str() of an int allows by default
+    N = int("7" + "3" * 2999)
+
+    def test_square_of_a_sum_prints(self):
+        n = self.N
+        p = R3.parse("(%d*x0 + x1)^2" % n)
+        assert str(p) == "%s*x0^2 + %s*x0*x1 + x1^2" % (
+            chunked_digits(n * n), chunked_digits(2 * n))
+        q = R3.parse("(1/%d*x0 - x1)^2" % n)
+        assert str(q) == "1/%s*x0^2 - 2/%s*x0*x1 + x1^2" % (
+            chunked_digits(n * n), chunked_digits(n))
+
+    def test_digits_read_back(self):
+        n = self.N
+        for c in (n, n ** 2, n ** 5 + 1, 10 ** 4300, 10 ** 9001 - 1):
+            p = R3.parse("x0^2 - x1") * c
+            head, tail = str(p).split("*x0^2 - ")
+            assert read_digits(head) == c
+            assert read_digits(tail.split("*")[0]) == c
+            half = p * Fraction(1, 2 * c + 1)
+            num, den = str(half).split("*")[0].split("/")
+            assert Fraction(read_digits(num), read_digits(den)) == \
+                Fraction(c, 2 * c + 1)
+
+
 @st.composite
 def substitutions(draw):
     """A polynomial in x0..x2 with rational coefficients, not homogeneous
