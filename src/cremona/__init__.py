@@ -7,9 +7,8 @@ from .groebner import (DeadlineExceeded, GroebnerBasis, check_deadline,
 from .ideals import HilbertData, Ideal, minors
 from .rees import (JacobianDual, ReesPresentation, jacobian_dual, rees_ideal,
                    subalgebra_presentation)
-from .maps import (InverseData, RationalMapSpec, check_graph_identification,
-                   invert, inversion_factor, is_birational,
-                   plane_composition_oracle)
+from .maps import (InverseData, RationalMapSpec, invert, inversion_factor,
+                   is_birational)
 from .symbolic import (ConditionVerdict, ExpectedFormResult, SaturationTarget,
                        SymbolicFiltration, condition_i, depth_positive,
                        expected_form_check, grade_two_check,
@@ -28,11 +27,11 @@ __all__ = [
     "Polynomial", "QQ", "RationalMapSpec", "ReesPresentation",
     "SaturationTarget", "SylvesterChain", "SymbolicFiltration",
     "TemplateInstance", "TemplateMatrix",
-    "appendix_construct", "check_deadline", "check_graph_identification",
+    "appendix_construct", "check_deadline",
     "condition_i", "deadline", "depth_positive", "eliminate",
     "expected_form_check", "fixtures",
     "grade_two_check", "groebner_basis", "invert", "inversion_factor",
-    "is_birational", "jacobian_dual", "minors", "plane_composition_oracle",
+    "is_birational", "jacobian_dual", "minors",
     "rees_ideal", "signed_minors", "subalgebra_presentation",
     "sylvester_chain", "sylvester_form", "symbolic_presentation",
     "syzygies",

@@ -420,10 +420,9 @@ def _exec_sympow(script, cmd, cache, limits):
     F = _filtration(script, cmd.args["name"], cmd.args.get("sat"), cache)
     ell = cmd.args["level"]
     fresh = F.fresh(ell)
-    equals = F.power(ell).contains_ideal(F.level(ell))
     return ([str(g) for g in fresh],
             [g.homogeneous_degree() for g in fresh],
-            {"equals_power": equals})
+            {"equals_power": not F.grew(ell)})
 
 
 def _exec_symrees(script, cmd, cache, limits):

@@ -24,7 +24,7 @@ from operator import mul
 
 from .rings import (_MAXF, DeadlineExceeded, FormMatrix, MonomialOrder,
                     PolyRing, Polynomial, _canonical, _packed_order,
-                    _primitive, _times, check_deadline, deadline)
+                    _primitive, check_deadline, deadline)
 
 __all__ = [
     "DeadlineExceeded",
@@ -640,36 +640,6 @@ def _divide_out(gb, i):
     # the reduction loop wants ascending leads
     dicts.sort(key=max)
     return GroebnerBasis(po, None, dicts)
-
-
-def _colon_exponent(gb, gens, targets):
-    """Least s with J^s * K inside the ideal I of the basis gb, where K is
-    generated by gens and J by targets, and K lies in I : J^inf.
-
-    W_0 holds the nonzero normal forms modulo gb of the generators of K
-    and W_s those of the products f * w, f in targets and w in W_(s-1),
-    so W_s generates J^s * K modulo I; s is the first index where W_s is
-    empty.  Normal forms are kept as normalized packed terms, duplicates
-    once, and every product and reduction stays on packed terms.
-    """
-    po = gb._po
-    p = po.ring.field.characteristic
-    elts = gb._elts
-    fs = [_terms(po, f) for f in targets]
-    cur = [_terms(po, g) for g in gens]
-    s = 0
-    while True:
-        check_deadline()
-        seen = {}
-        for terms in cur:
-            out = _reduce(dict(terms), elts, po, p)[0]
-            if out:
-                out = _normalize(out, p)
-                seen.setdefault(frozenset(out.items()), out)
-        if not seen:
-            return s
-        cur = [_times(w, f, po) for w in seen.values() for f in fs]
-        s += 1
 
 
 # every basis still referenced somewhere; lets audits certify whatever

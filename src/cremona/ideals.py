@@ -1,8 +1,7 @@
 """Ideal arithmetic on top of the Groebner layer.
 
-Powers, colon quotients, intersections, saturations with stabilization
-exponents, graded minimal generators, minor ideals and Hilbert series
-data.  All computations are exact and deterministic.
+Powers, colon quotients, intersections, saturations, graded minimal
+generators, minor ideals and Hilbert series data.  All computations are exact and deterministic.
 """
 
 from __future__ import annotations
@@ -10,11 +9,10 @@ from __future__ import annotations
 import itertools
 import math
 
-from .groebner import (GroebnerBasis, _colon_exponent, _divide_out,
-                       _hilbert_numerator, _interreduce, _minimal_subset,
-                       _series_add, _times, check_deadline, eliminate,
-                       groebner_basis)
-from .rings import MonomialOrder, PolyRing, Polynomial, transfer
+from .groebner import (GroebnerBasis, _divide_out, _hilbert_numerator,
+                       _interreduce, _minimal_subset, check_deadline,
+                       eliminate, groebner_basis)
+from .rings import MonomialOrder, PolyRing, Polynomial, _times, transfer
 
 __all__ = ["HilbertData", "Ideal", "minors"]
 
@@ -203,8 +201,8 @@ class Ideal:
         return acc
 
     def saturate(self, other):
-        """Saturation K = self : other^inf and the least s with
-        other^s * K inside self; other is an ideal or one polynomial.
+        """Saturation K = self : other^inf and whether it is larger than
+        self; other is an ideal or one polynomial.
 
         K is the intersection of the saturations by the generators f of
         other (_saturation); one that lies in all the others is K itself.
@@ -212,14 +210,15 @@ class Ideal:
         the variables) the saturation by the last variable x comes first,
         from the ideal's own grevlex basis.  It contains K, and it is
         m-saturated since x is a nonzerodivisor modulo it, so it is K
-        exactly when it has the Hilbert polynomial of self
-        (_same_hilbert_polynomial); then no other basis is built.  Else,
-        as for any other target, every generator's saturation is taken
-        and the kept ones intersected.
-        Returns (self, 0) when K lies in self.  Otherwise K comes as its
-        reduced grevlex basis by ascending lead key, except for a single
-        f with two or more terms: then, as self.quotient(f) would list
-        K = (self : f^(s-1)) : f, the reduced basis of f*K divided by f.
+        exactly when it exceeds self by a module of finite length, which
+        the two lead sets decide (_finite_over); then no other basis is
+        built.  Else, as for any other target, every generator's
+        saturation is taken and the kept ones intersected.
+        Returns (self, False) when every generator of K lies in self.
+        Otherwise (K, True), K as its reduced grevlex basis by ascending
+        lead key, except for a single f with two or more terms: then the
+        reduced basis of f*K divided by f, as self.quotient(f) lists a
+        colon by f.
         """
         ring = self.ring
         if isinstance(other, Polynomial):
@@ -232,8 +231,7 @@ class Ideal:
         kept = None
         if self.is_homogeneous() and set(targets) == set(ring.gens):
             gb = self._saturation(ring.gens[-1])
-            if _same_hilbert_polynomial(gb.leads, self.groebner().leads,
-                                        ring.nvars):
+            if _finite_over(gb.leads, self.groebner().leads, ring.nvars):
                 kept = [gb]
         if kept is None:
             # the saturations that contain none of the others; of equal
@@ -256,14 +254,13 @@ class Ideal:
                 check_deadline()
                 acc = acc.intersect(Ideal(ring, gb.polys))
             gens = acc.gens
-        s = _colon_exponent(self.groebner(), gens, targets)
-        if not s:
-            return self, 0
+        if all(map(self.groebner().contains, gens)):
+            return self, False
         if len(kept) == 1:
             gens = _reduced_grevlex(kept[0])
         if len(targets) == 1 and len(targets[0]) > 1:
             gens = _divided_form(gens, targets[0])
-        return Ideal(ring, gens), s
+        return Ideal(ring, gens), True
 
     def _saturation(self, f):
         """Groebner basis of self : f^inf, in the order that found it.
@@ -405,15 +402,24 @@ def _one_minus_t_part(q, most):
     return k, q
 
 
-def _same_hilbert_polynomial(leads, other, n):
-    """Whether R/M and R/N have the same Hilbert polynomial, M and N the
-    monomial ideals of two lead sets in n variables: their series differ
-    by (numerator(M) - numerator(N)) / (1-t)^n, which is a polynomial
-    exactly when (1-t)^n divides the difference."""
-    ones = (1,) * n
-    q = _series_add(_hilbert_numerator(leads, ones),
-                    _hilbert_numerator(other, ones), 0, -1)
-    return not q or _one_minus_t_part(q, n)[0] == n
+def _finite_over(leads, other, n):
+    """Whether in(K)/in(I) has finite length, for the leads of an ideal
+    K containing I and those (other) of I in the same order; then so has
+    K/I, which has the same Hilbert function.  It does exactly when each
+    lead u of K times a power of every variable x_i lies in in(I): when
+    some lead of I divides u with the exponent of x_i ignored."""
+    for u in leads:
+        ignored = set()
+        for v in other:
+            over = [i for i, (a, b) in enumerate(zip(v, u)) if a > b]
+            if not over:
+                break
+            if len(over) == 1:
+                ignored.add(over[0])
+        else:
+            if len(ignored) < n:
+                return False
+    return True
 
 
 def _series_data(leads, n):

@@ -9,9 +9,8 @@ rank is certified by psi at the image f(a) of a random point a modulo a
 prime, where a nonzero minor proves a nonzero polynomial (Schwartz, J.
 ACM 27 (1980)); a draw that does not certify falls back to composing
 every coordinate.  Likewise the forms of a map are proved coprime by
-their restrictions to a random line, with the gcd by elimination as the
-fallback.  A product-based projective comparison is kept as an
-independent oracle.
+their restrictions to a random line, with the codimension of their
+ideal as the fallback.
 """
 
 from __future__ import annotations
@@ -23,9 +22,8 @@ from .ideals import Ideal
 from .rees import jacobian_dual, rees_ideal
 from .rings import NotDivisibleError, Polynomial
 
-__all__ = ["InverseData", "RationalMapSpec", "check_graph_identification",
-           "inversion_factor", "invert", "is_birational",
-           "plane_composition_oracle"]
+__all__ = ["InverseData", "RationalMapSpec", "inversion_factor", "invert",
+           "is_birational"]
 
 
 class RationalMapSpec:
@@ -96,26 +94,6 @@ class InverseData:
     def __repr__(self):
         return ("InverseData(degree %d, factor %s)"
                 % (self.degree, self.factor))
-
-
-def _poly_gcd(a, b):
-    if not a:
-        return b.normalized()
-    if not b:
-        return a.normalized()
-    ring = a.ring
-    inter = Ideal(ring, (a,)).intersect(Ideal(ring, (b,)))
-    lcm = inter.gens[0]
-    return (a * b).exact_divide(lcm).normalized()
-
-
-def _poly_gcd_list(polys):
-    acc = polys[0]
-    for f in polys[1:]:
-        if acc.degree() == 0:
-            break
-        acc = _poly_gcd(acc, f)
-    return acc
 
 
 # random points are drawn modulo this prime over QQ, from a generator
@@ -281,9 +259,10 @@ def _coprime_on_line(forms):
 
 def _coprime(forms):
     """Whether nonzero forms share no factor of positive degree: the line
-    certificate, else the gcd by elimination."""
+    certificate, else the codimension of their ideal, which is at most 1
+    exactly when they share one (in a UFD, over any field)."""
     return (_coprime_on_line(forms)
-            or _poly_gcd_list(forms).degree() == 0)
+            or Ideal(forms[0].ring, forms).codimension() >= 2)
 
 
 def _compose(candidate, F):
@@ -390,41 +369,3 @@ def inversion_factor(F, G):
     if d is None:
         raise ValueError("candidate fails the composition check")
     return d
-
-
-def plane_composition_oracle(F, G):
-    """Projective identity g_i(f)*x_j = g_j(f)*x_i, checked by products."""
-    comp = _compose(tuple(G), F)
-    if all(not h for h in comp):
-        return False
-    xs = F.ring.gens
-    n = len(comp)
-    for i in range(n):
-        for j in range(i + 1, n):
-            check_deadline()
-            if comp[i] * xs[j] != comp[j] * xs[i]:
-                return False
-    return True
-
-
-def check_graph_identification(I, J):
-    """Whether the Rees ideals of two square maps match after swapping
-    the x- and y-blocks."""
-    P = rees_ideal(I)
-    Q = rees_ideal(J)
-    if (len(P.xnames) != len(Q.ynames)
-            or len(P.ynames) != len(Q.xnames)):
-        return False
-    amb = P.ambient
-    images = {}
-    for n1, n2 in zip(Q.xnames, P.ynames):
-        images[n1] = amb.var(n2)
-    for n1, n2 in zip(Q.ynames, P.xnames):
-        images[n1] = amb.var(n2)
-    swapped = [g.substitute(images, ring=amb) for g in Q.generators]
-    gb = P.ideal.groebner()
-    if not all(gb.contains(g) for g in swapped):
-        return False
-    back = Ideal(amb, tuple(swapped))
-    gbb = back.groebner()
-    return all(gbb.contains(g) for g in P.generators)

@@ -106,10 +106,16 @@ class SymbolicFiltration:
             raise ValueError("levels start at 1")
         got = self._levels.get(ell)
         if got is None:
-            got, _ = self.power(ell).saturate(
+            # the level and whether it is larger than the power
+            got = self.power(ell).saturate(
                 self.target.saturand(self.base.ring))
             self._levels[ell] = got
-        return got
+        return got[0]
+
+    def grew(self, ell):
+        """Whether the level at ell is larger than the power."""
+        self.level(ell)
+        return self._levels[ell][1]
 
     def minimal(self, ell):
         got = self._mins.get(ell)
@@ -171,12 +177,13 @@ class ConditionVerdict:
 def condition_i(I, lmax, target=None, filtration=None):
     """Whether each level/power quotient is zero or irrelevant-primary.
 
-    A variable x lies in the radical of power : level exactly when level
-    lies in power : x^inf, one saturation per variable; the first
-    variable of the ring that fails is the witness.  For the irrelevant
-    ideal as target no saturation is needed: the level is power : m^inf,
-    which lies in power : x^inf for every variable x, so a nonzero
-    quotient is PRIMARY by definition.
+    The quotient is zero when the saturation of the power did not grow.
+    Otherwise a variable x lies in the radical of power : level exactly
+    when level lies in power : x^inf, one saturation per variable; the
+    first variable of the ring that fails is the witness.  For the
+    irrelevant ideal as target no saturation is needed: the level is
+    power : m^inf, which lies in power : x^inf for every variable x, so
+    a nonzero quotient is PRIMARY by definition.
     """
     if lmax < 1:
         raise ValueError("lmax must be at least 1")
@@ -186,13 +193,12 @@ def condition_i(I, lmax, target=None, filtration=None):
     out = []
     for ell in range(1, lmax + 1):
         check_deadline()
-        power = F.power(ell)
-        level = F.level(ell)
-        if power.contains_ideal(level):
+        if not F.grew(ell):
             out.append(ConditionVerdict(ell, "ZERO"))
             continue
         witness = None
         if F.target.kind != "irrelevant-ideal":
+            power, level = F.power(ell), F.level(ell)
             witness = next((str(x) for x in I.ring.gens
                             if not all(map(power._saturation(x).contains,
                                            level.gens))), None)
@@ -210,7 +216,7 @@ def depth_positive(I):
     if not I.is_homogeneous():
         raise ValueError("need a homogeneous ideal")
     m = Ideal(I.ring, I.ring.gens)
-    return I.saturate(m)[1] == 0
+    return not I.saturate(m)[1]
 
 
 class ExpectedFormResult:
@@ -296,4 +302,4 @@ def grade_two_check(presentation, elements=None):
     if presentation.saturate(a)[1]:
         return False
     bigger = presentation + Ideal(presentation.ring, (a,))
-    return bigger.saturate(b)[1] == 0
+    return not bigger.saturate(b)[1]

@@ -8,13 +8,20 @@ against sums, products, division and printing on exponent tuples.  The
 colon-based oracles at the end use the engine, but only through colons
 and intersections by elimination, one basis per span and Rabinowitsch's
 trick, not the saturation and graded minimalization code they check.
+The Hilbert-polynomial comparison of two lead sets, by their series
+numerators, is the reference for the lead-set certificate of saturate.
 The inverse oracle composes every coordinate of a candidate with the
-map, which the rank certificate of maps.invert avoids.  The elimination
-and syzygy oracles reduce the whole basis fully and then keep a part of
-it, where the program finishes only the part it keeps.  The Jacobian
-dual oracle reads terms as exponent tuples, not key fields, and the
-expression parser oracle is the one that tokenized each polynomial text
-on its own before sessions and PolyRing.parse shared one tokenizer.
+map, which the rank certificate of maps.invert avoids; the plane
+composition oracle compares g_i(f) * x_j with g_j(f) * x_i by products,
+and the graph identification compares two maps' Rees ideals by
+membership.  The gcd oracle takes lcms by intersection, where the
+program certifies coprime forms on a random line or by codimension.
+The elimination and syzygy oracles reduce the whole basis fully and
+then keep a part of it, where the program finishes only the part it
+keeps.  The Jacobian dual oracle reads terms as exponent tuples, not
+key fields, and the expression parser oracle is the one that tokenized
+each polynomial text on its own before sessions and PolyRing.parse
+shared one tokenizer.
 """
 
 import itertools
@@ -24,7 +31,8 @@ from unittest import mock
 
 from cremona import groebner
 from cremona.groebner import groebner_basis, syzygies
-from cremona.ideals import Ideal, _extended_ring, _fresh_name
+from cremona.ideals import (Ideal, _extended_ring, _fresh_name,
+                            _one_minus_t_part)
 from cremona.linalg import Echelon
 from cremona.maps import InverseData, _compose, _factor_from
 from cremona.rees import jacobian_dual, rees_ideal
@@ -339,6 +347,17 @@ def saturate_by_quotients(I, J):
         s += 1
 
 
+def same_hilbert_polynomial(leads, other, n):
+    """Whether R/M and R/N have the same Hilbert polynomial, M and N the
+    monomial ideals of two lead sets in n variables: their series differ
+    by (numerator(M) - numerator(N)) / (1-t)^n, which is a polynomial
+    exactly when (1-t)^n divides the difference."""
+    ones = (1,) * n
+    q = groebner._series_add(groebner._hilbert_numerator(leads, ones),
+                             groebner._hilbert_numerator(other, ones), 0, -1)
+    return not q or _one_minus_t_part(q, n)[0] == n
+
+
 def survivors_by_spans(F, ell, base):
     """Minimal module generators of level(ell) modulo the ideal base:
     sweep the level's minimal generators by ascending degree, keeping
@@ -441,6 +460,51 @@ def invert_by_composition(F, bound=None, all_candidates=False):
         found.append(data)
         found_deg = deg
     return tuple(found) if all_candidates else None
+
+
+def poly_gcd_list(polys):
+    """Greatest common divisor of nonzero polynomials, normalized, one
+    pair at a time: gcd(a, b) = a * b / lcm(a, b), the lcm read off the
+    intersection of the principal ideals."""
+    acc = polys[0].normalized()
+    for f in polys[1:]:
+        if acc.degree() == 0:
+            break
+        ring = f.ring
+        lcm = Ideal(ring, (acc,)).intersect(Ideal(ring, (f,))).gens[0]
+        acc = (acc * f).exact_divide(lcm).normalized()
+    return acc
+
+
+def plane_composition_oracle(F, G):
+    """Projective identity g_i(f)*x_j = g_j(f)*x_i, checked by products."""
+    comp = _compose(tuple(G), F)
+    if all(not h for h in comp):
+        return False
+    xs = F.ring.gens
+    n = len(comp)
+    return all(comp[i] * xs[j] == comp[j] * xs[i]
+               for i in range(n) for j in range(i + 1, n))
+
+
+def check_graph_identification(I, J):
+    """Whether the Rees ideals of two square maps match after swapping
+    the x- and y-blocks."""
+    P = rees_ideal(I)
+    Q = rees_ideal(J)
+    if (len(P.xnames) != len(Q.ynames)
+            or len(P.ynames) != len(Q.xnames)):
+        return False
+    amb = P.ambient
+    images = {}
+    for n1, n2 in zip(Q.xnames, P.ynames):
+        images[n1] = amb.var(n2)
+    for n1, n2 in zip(Q.ynames, P.xnames):
+        images[n1] = amb.var(n2)
+    swapped = [g.substitute(images, ring=amb) for g in Q.generators]
+    back = Ideal(amb, tuple(swapped))
+    return P.ideal.contains_ideal(back) and back.contains_ideal(
+        Ideal(amb, P.generators))
 
 
 def jacobian_dual_by_terms(P):

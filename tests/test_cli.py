@@ -10,11 +10,11 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from cremona import rings
+from cremona import cli, rings
 from cremona.cli import (MAX_VARIABLES, ScriptError, _cmd_fixtures,
                          corpus_dir, main, parse_session, render_report,
                          render_session, run_script)
-from cremona.groebner import deadline
+from cremona.groebner import GroebnerBasis, deadline
 from cremona.ideals import Ideal
 from cremona.rings import PolyRing, QQ
 from cremona.symbolic import SymbolicFiltration
@@ -425,6 +425,31 @@ class TestRunScript:
         records = run_script(parse_session(src))
         assert [rec["status"] for rec in records] == ["ok", "ok"]
         assert counts == {"filtrations": 1, "saturations": 2}
+
+    def test_equals_power_on_cached_level_tests_no_membership(
+            self, monkeypatch):
+        """Cost guard: sympow reads equals_power from the flag saturate
+        returned with the level, so a repeated command makes no
+        membership test; the first one makes those of the saturation."""
+        counts = []
+        contains, sympow = GroebnerBasis.contains, cli._EXEC["sympow"]
+
+        def counted_contains(self, f):
+            if counts:
+                counts[-1] += 1
+            return contains(self, f)
+
+        def counted_sympow(*args):
+            counts.append(0)
+            return sympow(*args)
+
+        monkeypatch.setattr(GroebnerBasis, "contains", counted_contains)
+        monkeypatch.setitem(cli._EXEC, "sympow", counted_sympow)
+        src = self.SOURCE.replace("inverse I;\n", "") + "sympow I 2;\n"
+        records = run_script(parse_session(src))
+        assert [rec["verdicts"] for rec in records] == [
+            {"equals_power": False}] * 2
+        assert counts[0] > 0 and counts[1] == 0
 
     def test_report_is_jsonl(self):
         records = run_script(parse_session(self.SOURCE))

@@ -10,8 +10,9 @@ from cremona.families import (DegenerateTemplate, TemplateMatrix,
                               template_ideal)
 from cremona.fixtures import alberich_matrix
 from cremona.ideals import Ideal
-from cremona.maps import plane_composition_oracle
 from cremona.rings import FormMatrix, PolyRing, QQ
+
+from oracles import plane_composition_oracle
 
 R3 = PolyRing(("x0", "x1", "x2"), QQ)
 SQUAREFREE = [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
@@ -75,7 +76,7 @@ class TestNumerology:
         # I defines reduced points, so e(R/I^(2)) = 3 e(R/I) = 3 * 11
         T = template_ideal(3, 2, seed=seed)
         ring = T.ring
-        sym2, _s = T.ideal.power(2).saturate(Ideal(ring, ring.gens))
+        sym2, _grew = T.ideal.power(2).saturate(Ideal(ring, ring.gens))
         assert T.ideal.hilbert().multiplicity == 11
         assert sym2.hilbert().multiplicity == 33
 

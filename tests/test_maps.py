@@ -17,14 +17,13 @@ from cremona.fixtures import (alberich_matrix, all_fixtures, polar_quartic,
                               polar_quartic_data)
 from cremona.ideals import Ideal
 from cremona.maps import (RationalMapSpec, _coprime, _coprime_on_line,
-                          _poly_gcd_list, check_graph_identification,
-                          inversion_factor, invert, is_birational,
-                          plane_composition_oracle)
+                          inversion_factor, invert, is_birational)
 from cremona.rees import jacobian_dual, rees_ideal
 from cremona.rings import GF, PolyRing, Polynomial, QQ
 
-from oracles import (invert_by_composition, jacobian_dual_by_terms,
-                     random_form, substitute_by_products)
+from oracles import (check_graph_identification, invert_by_composition,
+                     jacobian_dual_by_terms, plane_composition_oracle,
+                     poly_gcd_list, random_form, substitute_by_products)
 
 R3 = PolyRing(("x0", "x1", "x2"), QQ)
 SESSIONS = Path(__file__).resolve().parents[1] / "perfbench" / "sessions.py"
@@ -287,6 +286,19 @@ def _spy(monkeypatch, owner, name, calls):
     monkeypatch.setattr(owner, name, wrapper)
 
 
+def _spy_codimension(monkeypatch, calls):
+    """Record in calls["codimension"] the codimension of every ideal
+    that maps builds and asks for one: the fixed-part fallback."""
+
+    class SpyIdeal(Ideal):
+        def codimension(self):
+            out = super().codimension()
+            calls.setdefault("codimension", []).append(out)
+            return out
+
+    monkeypatch.setattr(cremona_maps, "Ideal", SpyIdeal)
+
+
 class TestCost:
     def test_benchmark_composites(self, monkeypatch):
         """Building and inverting the seed-0 composites eliminates only
@@ -313,14 +325,15 @@ class _Point:
 
 class TestFallback:
     """Which path each case takes: a certificate, or composition in
-    every coordinate and the gcd by elimination."""
+    every coordinate and the codimension of the forms' ideal."""
 
-    NAMES = ("_full_rank", "_coprime_on_line", "_compose", "_poly_gcd_list")
+    NAMES = ("_full_rank", "_coprime_on_line", "_compose")
 
     def _calls(self, monkeypatch):
         calls = {}
         for name in self.NAMES:
             _spy(monkeypatch, cremona_maps, name, calls)
+        _spy_codimension(monkeypatch, calls)
         return calls
 
     def _map(self, *texts):
@@ -347,7 +360,7 @@ class TestFallback:
         with pytest.raises(ValueError, match="share a common factor"):
             self._map("x0*x1", "x0*x2", "x0^2")
         assert calls["_coprime_on_line"] == [False]
-        assert [g.degree() for g in calls["_poly_gcd_list"]] == [1]
+        assert calls["codimension"] == [1]
 
     def test_certified(self, monkeypatch, std):
         calls = self._calls(monkeypatch)
@@ -406,7 +419,7 @@ class TestLineCertificate:
     @settings(max_examples=40, deadline=None)
     def test_agrees_with_gcd(self, seed, field):
         forms = _forms(seed, field, factor=False)
-        exact = _poly_gcd_list(forms).degree() == 0
+        exact = poly_gcd_list(forms).degree() == 0
         certified = _coprime_on_line(forms)
         assert exact or not certified
         # modulo 2^31 - 1 a coprime draw misses with odds below 1e-8
@@ -415,7 +428,7 @@ class TestLineCertificate:
 
     def test_alberich_verdict_certified(self, monkeypatch):
         calls = {}
-        _spy(monkeypatch, cremona_maps, "_poly_gcd_list", calls)
+        _spy_codimension(monkeypatch, calls)
         A = appendix_construct(alberich_matrix())
         assert A.verdicts["inverse_gcd_one"]
         assert calls == {}

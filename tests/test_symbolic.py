@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from cremona import groebner, ideals
 from cremona.families import template_ideal
 from cremona.fixtures import all_fixtures
+from cremona.groebner import GroebnerBasis
 from cremona.ideals import Ideal
 from cremona.maps import invert
 from cremona.rees import subalgebra_presentation
@@ -295,6 +296,28 @@ class TestCost:
         assert calls == {"eliminate": 0, "groebner_basis": 0, "quotient": 0}
         condition_i(I, 3, filtration=F)
         assert calls == {"eliminate": 0, "groebner_basis": 0, "quotient": 0}
+
+    def test_condition_i_on_cached_levels_tests_no_membership(
+            self, std, monkeypatch):
+        """Cost guard: condition_i reads the ZERO verdict from the flag
+        saturate returned with each level, so on cached levels it makes
+        no membership test (re-testing power against level made one per
+        generator of each level)."""
+        F = SymbolicFiltration(std.ideal)
+        for ell in (1, 2, 3):
+            F.level(ell)
+        calls = []
+        contains = GroebnerBasis.contains
+
+        def spy(self, f):
+            calls.append(f)
+            return contains(self, f)
+
+        monkeypatch.setattr(GroebnerBasis, "contains", spy)
+        verdicts = condition_i(std.ideal, 3, filtration=F)
+        assert [v.verdict for v in verdicts] == ["ZERO", "PRIMARY",
+                                                 "PRIMARY"]
+        assert calls == []
 
 
 class TestFieldAgreement:
