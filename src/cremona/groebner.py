@@ -526,6 +526,7 @@ def _buchberger(seeds, po, series=None, keep=None, graded=False):
     _Engine."""
     eng = _Engine(po, series, keep if graded else None)
     for terms, sugar in sorted(seeds, key=lambda s: max(s[0])):
+        check_deadline()
         out = eng.reduce(dict(terms))
         if out:
             eng.add(out, sugar)
@@ -585,6 +586,7 @@ def _interreduce(dicts, po):
     p = po.ring.field.characteristic
     reduced = []
     for g in final:
+        check_deadline()
         others = [h for h in final if h is not g]
         red = _reduce(dict(g.terms), others, po, p)
         reduced.append(_normalize(red[0], p))

@@ -206,14 +206,11 @@ class Ideal:
 
         K is the intersection of the saturations by the generators f of
         other (_saturation); one that lies in all the others is K itself.
-        For a homogeneous ideal and the irrelevant ideal m (generated by
-        the variables) the saturation by the last variable x comes first,
-        from the ideal's own grevlex basis.  It contains K, and it is
-        m-saturated since x is a nonzerodivisor modulo it, so it is K
-        exactly when it exceeds self by a module of finite length, which
-        the two lead sets decide (_finite_over); then no other basis is
-        built.  Else, as for any other target, every generator's
-        saturation is taken and the kept ones intersected.
+        A homogeneous ideal and the irrelevant ideal m (generated by the
+        variables) take _irrelevant_saturation, which stops at the first
+        intersection of per-variable saturations that is K.  Any other
+        target takes every generator's saturation and intersects the
+        kept ones.
         Returns (self, False) when every generator of K lies in self.
         Otherwise (K, True), K as its reduced grevlex basis by ascending
         lead key, except for a single f with two or more terms: then the
@@ -228,16 +225,11 @@ class Ideal:
         else:
             self._check(other)
             targets = other.gens
-        kept = None
         if self.is_homogeneous() and set(targets) == set(ring.gens):
-            gb = self._saturation(ring.gens[-1])
-            if _finite_over(gb.leads, self.groebner().leads, ring.nvars):
-                kept = [gb]
-        if kept is None:
+            kept = [self._irrelevant_saturation()]
+        else:
             # the saturations that contain none of the others; of equal
-            # ones the first stays.  The last variable comes first: its
-            # Bayer basis is in the standard order, so it needs no
-            # conversion.
+            # ones the first stays
             kept = []
             for f in reversed(targets):
                 check_deadline()
@@ -262,13 +254,57 @@ class Ideal:
             gens = _divided_form(gens, targets[0])
         return Ideal(ring, gens), True
 
+    def _irrelevant_saturation(self):
+        """Groebner basis of self : m^inf for a homogeneous ideal, m
+        generated by the variables.
+
+        Every candidate K below is an intersection of saturations by
+        variables, so it contains self : m^inf; it lies inside, and so is
+        it, exactly when K/self has finite length, which the lead sets
+        of K and self in one order decide (_failing_variables).  K
+        starts as the saturation by the last variable x_n, which comes
+        from the ideal's own grevlex basis.  While the certificate
+        fails, the next variable x_j is taken, first those it names,
+        ascending, then the rest: K stays when it lies in K_j = self :
+        x_j^inf, becomes K_j when K_j lies in K (certified by the leads
+        of self in K_j's order, which the Bayer step computed), and
+        otherwise K_j is intersected with it (certified by self's grevlex
+        leads, as intersect returns the reduced grevlex basis).  With
+        every variable taken K is the full intersection.
+        """
+        ring = self.ring
+        n = ring.nvars
+        leads = self.groebner().leads
+        k = self._saturation(ring.gens[-1])
+        failing = _failing_variables(k.leads, leads, n)
+        todo = list(range(n - 1))
+        while failing and todo:
+            check_deadline()
+            j = min(todo, key=lambda i: (i not in failing, i))
+            todo.remove(j)
+            kj = self._saturation(ring.gens[j])
+            if _inside(k, kj):
+                continue
+            if _inside(kj, k):
+                k = kj
+                own = self.groebner(_grevlex_last(ring, j)).leads
+                failing = _failing_variables(k.leads, own, n)
+            else:
+                both = Ideal(ring, k.polys).intersect(Ideal(ring, kj.polys))
+                k = GroebnerBasis(ring._packed, None,
+                                  [g._t for g in both.gens])
+                failing = _failing_variables(k.leads, leads, n)
+        return k
+
     def _saturation(self, f):
         """Groebner basis of self : f^inf, in the order that found it.
 
         For a homogeneous ideal and a term f, Bayer's trick once per
         variable of f (a term's saturation is the iterated one by its
         variables): a basis in the grevlex order with that variable last,
-        divided by the variable's largest powers.  Otherwise t is
+        divided by the variable's largest powers.  The first variable's
+        step is the saturation by that variable, from the ideal's basis
+        in that order, both kept in the cache.  Otherwise t is
         eliminated from (self, 1 - t*f).  The basis is kept in the
         ideal's cache and shared with later calls.
         """
@@ -284,14 +320,14 @@ class Ideal:
                 if not x:
                     continue
                 check_deadline()
+                if gb is None and f != ring.gens[i]:
+                    gb = self._saturation(ring.gens[i])
+                    continue
                 order = _grevlex_last(ring, i)
-                if gb is None and order == MonomialOrder.grevlex():
-                    gb = self.groebner()
-                else:
-                    # from the generators: faster than from another basis
-                    gens = self.gens if gb is None else gb.polys
-                    gb = groebner_basis(list(gens), order=order, ring=ring)
-                gb = _divide_out(gb, i)
+                gb = _divide_out(
+                    self.groebner(order) if gb is None else
+                    groebner_basis(list(gb.polys), order=order, ring=ring),
+                    i)
             if gb is None:
                 gb = self.groebner()
         else:
@@ -402,24 +438,27 @@ def _one_minus_t_part(q, most):
     return k, q
 
 
-def _finite_over(leads, other, n):
-    """Whether in(K)/in(I) has finite length, for the leads of an ideal
-    K containing I and those (other) of I in the same order; then so has
-    K/I, which has the same Hilbert function.  It does exactly when each
-    lead u of K times a power of every variable x_i lies in in(I): when
+def _failing_variables(leads, other, n):
+    """The indices i, ascending, for which some lead u of an ideal K
+    containing I times no power of x_i lies in in(I), for the leads
+    (other) of I in the same order.  There are none exactly when
+    in(K)/in(I) has finite length, and then so has K/I, which has the
+    same Hilbert function.  u times a power of x_i lies in in(I) when
     some lead of I divides u with the exponent of x_i ignored."""
+    out = set()
     for u in leads:
-        ignored = set()
+        pushed = set()
         for v in other:
             over = [i for i, (a, b) in enumerate(zip(v, u)) if a > b]
             if not over:
                 break
             if len(over) == 1:
-                ignored.add(over[0])
+                pushed.add(over[0])
         else:
-            if len(ignored) < n:
-                return False
-    return True
+            out.update(i for i in range(n) if i not in pushed)
+            if len(out) == n:
+                break
+    return sorted(out)
 
 
 def _series_data(leads, n):

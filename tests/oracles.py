@@ -8,6 +8,9 @@ against sums, products, division and printing on exponent tuples.  The
 colon-based oracles at the end use the engine, but only through colons
 and intersections by elimination, one basis per span and Rabinowitsch's
 trick, not the saturation and graded minimalization code they check.
+The saturation by every variable is the one saturate took by the
+irrelevant ideal before it stopped at the first certified intersection:
+every variable's Bayer basis, intersected.
 The Hilbert-polynomial comparison of two lead sets, by their series
 numerators, is the reference for the lead-set certificate of saturate.
 The inverse oracle composes every coordinate of a candidate with the
@@ -31,8 +34,8 @@ from unittest import mock
 
 from cremona import groebner
 from cremona.groebner import groebner_basis, syzygies
-from cremona.ideals import (Ideal, _extended_ring, _fresh_name,
-                            _one_minus_t_part)
+from cremona.ideals import (Ideal, _extended_ring, _fresh_name, _inside,
+                            _one_minus_t_part, _reduced_grevlex)
 from cremona.linalg import Echelon
 from cremona.maps import InverseData, _compose, _factor_from
 from cremona.rees import jacobian_dual, rees_ideal
@@ -345,6 +348,33 @@ def saturate_by_quotients(I, J):
             return cur, s
         cur = nxt
         s += 1
+
+
+def saturate_by_every_variable(I):
+    """I : m^inf for a homogeneous ideal I and m generated by the
+    variables, and whether it is larger than I, as saturate returns them:
+    the Bayer saturations by every variable (from a copy of I, so none
+    is shared with I's cache), of which those containing none of the
+    others are intersected."""
+    ring = I.ring
+    copy = Ideal(ring, I.gens)
+    kept = []
+    for x in reversed(ring.gens):
+        gb = copy._saturation(x)
+        if not any(_inside(k, gb) for k in kept):
+            kept = [k for k in kept if not _inside(gb, k)] + [gb]
+    if len(kept) == 1:
+        gens = kept[0].polys
+    else:
+        acc = Ideal(ring, kept[0].polys)
+        for gb in kept[1:]:
+            acc = acc.intersect(Ideal(ring, gb.polys))
+        gens = acc.gens
+    if all(map(copy.groebner().contains, gens)):
+        return I, False
+    if len(kept) == 1:
+        gens = _reduced_grevlex(kept[0])
+    return Ideal(ring, gens), True
 
 
 def same_hilbert_polynomial(leads, other, n):

@@ -18,8 +18,8 @@ from cremona.symbolic import SymbolicFiltration
 
 from oracles import (minimal_generators, power_gens, radical_contains,
                      random_form, random_homogeneous_ideal,
-                     same_hilbert_polynomial, saturate_by_quotients,
-                     span_dimension)
+                     same_hilbert_polynomial, saturate_by_every_variable,
+                     saturate_by_quotients, span_dimension)
 
 R2 = PolyRing(("x0", "x1"), QQ)
 R3 = PolyRing(("x0", "x1", "x2"), QQ)
@@ -27,6 +27,33 @@ R3 = PolyRing(("x0", "x1", "x2"), QQ)
 
 def ideal(ring, *texts):
     return Ideal(ring, tuple(ring.parse(t) for t in texts))
+
+
+def count_calls(monkeypatch):
+    """Counts of groebner_basis, eliminate and Ideal.intersect calls from
+    here on, in a dict that the spies keep current."""
+    calls = {"eliminate": 0, "groebner_basis": 0, "intersect": 0}
+    for name in ("eliminate", "groebner_basis"):
+        original = getattr(groebner, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (groebner, ideals):
+            monkeypatch.setattr(module, name, spy)
+    original = Ideal.intersect
+
+    def intersect(self, other):
+        calls["intersect"] += 1
+        return original(self, other)
+
+    monkeypatch.setattr(Ideal, "intersect", intersect)
+    return calls
+
+
+def fixture(name):
+    return next(fx for fx in all_fixtures() if fx.name == name)
 
 
 class TestBasics:
@@ -150,16 +177,17 @@ class TestSaturation:
 
     def test_deadline_checked(self):
         I = template_ideal(3, 3, seed=0).ideal
-        P = I.power(2)
+        P = I.power(4)
         m = Ideal(I.ring, I.ring.gens)
         t0 = time.monotonic()
         with pytest.raises(DeadlineExceeded):
             with deadline(0.01):
                 P.saturate(m)
-        # the checks sit between bases, in every S-pair and every 256
+        # the checks sit between bases, before each seed's reduction and
+        # each element's interreduction, in every S-pair and every 256
         # reduction steps, which the membership pass for the grew flag
-        # runs too; the overrun measured about 1 ms, the whole call
-        # 0.02-0.04 s on a shared 2-vCPU host
+        # runs too; the overrun measured 1-2 ms, while the whole call
+        # takes about 5 s (2-vCPU host, CPU time)
         assert time.monotonic() - t0 < 0.1
 
     def test_bases_per_level_two(self, monkeypatch):
@@ -168,53 +196,48 @@ class TestSaturation:
         two lead sets certify; no elimination.  One basis per
         variable took 4 bases, iterated colons 15 eliminations and 19
         bases (those inside the eliminations included) here."""
-        calls = {"eliminate": 0, "groebner_basis": 0}
-        for name in calls:
-            original = getattr(groebner, name)
-
-            def spy(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            for module in (groebner, ideals):
-                monkeypatch.setattr(module, name, spy)
+        calls = count_calls(monkeypatch)
         inst = template_ideal(3, 2, seed=0)
         SymbolicFiltration(inst.ideal).level(2)
-        assert calls == {"eliminate": 0, "groebner_basis": 2}
+        assert calls == {"eliminate": 0, "groebner_basis": 2, "intersect": 0}
 
-    def test_uncertified_level_takes_every_variable(self, monkeypatch):
-        """Fallback guard: the Noether map's square has a component on
-        x3 = 0, so its saturation by x3 exceeds the power by more than a
-        module of finite length and the lead-set certificate fails.  The level then takes the base's basis,
-        the power's, one basis per other variable and two intersections
-        of the three saturations that differ."""
-        fx = next(fx for fx in all_fixtures() if fx.name == "noether")
-        calls = {"eliminate": 0, "groebner_basis": 0, "intersect": 0}
-        for name in ("eliminate", "groebner_basis"):
-            original = getattr(groebner, name)
-
-            def spy(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            for module in (groebner, ideals):
-                monkeypatch.setattr(module, name, spy)
-        original = Ideal.intersect
-
-        def intersect(self, other):
-            calls["intersect"] += 1
-            return original(self, other)
-
-        monkeypatch.setattr(Ideal, "intersect", intersect)
-        F = SymbolicFiltration(fx.ideal)
+    def test_uncertified_level_stops_at_first_certified_intersection(
+            self, monkeypatch):
+        """Cost guard: the Noether map's square has a component on
+        x3 = 0, so its saturation K_3 by x3 exceeds the power by more
+        than a module of finite length and the lead-set certificate
+        fails, naming x0, x1 and x2.  The level then takes the base's
+        basis, the power's, x0's Bayer basis and one intersection of
+        K_3 and K_0, which the certificate accepts; x1's and x2's bases
+        are never built (taking every variable took 5 bases and 2
+        intersections)."""
+        base = fixture("noether").ideal
+        calls = count_calls(monkeypatch)
+        F = SymbolicFiltration(base)
         P = F.power(2)
         level = F.level(2)
         gb = P._saturation(P.ring.gens[-1])
-        assert not ideals._finite_over(gb.leads, P.groebner().leads,
-                                       P.ring.nvars)
-        assert calls == {"eliminate": 2, "groebner_basis": 5, "intersect": 2}
+        assert ideals._failing_variables(gb.leads, P.groebner().leads,
+                                         P.ring.nvars) == [0, 1, 2]
+        assert calls == {"eliminate": 1, "groebner_basis": 3, "intersect": 1}
         want, _ = saturate_by_quotients(P, Ideal(P.ring, P.ring.gens))
         assert [str(g) for g in level.gens] == [str(g) for g in want.gens]
+
+    def test_sub_hankel_level_four_takes_no_elimination(self, monkeypatch):
+        """Cost guard: K_3 of the sub-Hankel fourth power fails the
+        certificate, naming x0 and x1, and x0's Bayer basis lies in it
+        and passes; the bases are the base's, the power's, x0's and the
+        reduced grevlex basis of the level, converted from x0's order.
+        Taking every variable took 6 bases, x1's and x2's among them."""
+        base = fixture("sub-hankel").ideal
+        calls = count_calls(monkeypatch)
+        F = SymbolicFiltration(base)
+        P = F.power(4)
+        F.level(4)
+        gb = P._saturation(P.ring.gens[-1])
+        assert ideals._failing_variables(gb.leads, P.groebner().leads,
+                                         P.ring.nvars) == [0, 1]
+        assert calls == {"eliminate": 0, "groebner_basis": 4, "intersect": 0}
 
 
 @st.composite
@@ -256,15 +279,80 @@ class TestIrrelevantSaturation:
     def test_lead_certificate_matches_hilbert_polynomial(self, I):
         gb = I._saturation(I.ring.gens[-1])
         leads = I.groebner().leads
-        assert (ideals._finite_over(gb.leads, leads, I.ring.nvars)
+        assert (not ideals._failing_variables(gb.leads, leads, I.ring.nvars)
                 == same_hilbert_polynomial(gb.leads, leads, I.ring.nvars))
 
     def test_hypersurface_component_falls_back(self):
         I = ideal(R3, "x2*x0^2 - x2*x1^2", "x2*x0*x1")
         gb = I._saturation(R3.var("x2"))
-        assert not ideals._finite_over(gb.leads, I.groebner().leads, 3)
+        assert ideals._failing_variables(gb.leads, I.groebner().leads, 3)
         sat, grew = I.saturate(Ideal(R3, R3.gens))
         assert (sat, grew) == (I, False)
+
+
+@st.composite
+def uncertified_cases(draw):
+    """A homogeneous ideal over QQ or GF(32003) in four variables whose
+    saturation by the last variable x3 the lead sets do not certify:
+    one or two random forms, each times x3 (a component on x3 = 0) or
+    times both forms x3 and l of a line in x3 = 0, plus up to two
+    embedded parts (a generator replaced by its products with every
+    variable, which adds an m-primary component) or further generators
+    (a product of two powers of variables)."""
+    field = draw(st.sampled_from((QQ, GF(32003))))
+    ring = PolyRing(("x0", "x1", "x2", "x3"), field)
+    x = ring.gens
+    rng = draw(st.randoms(use_true_random=False))
+    factors = [x[3]]
+    if draw(st.booleans()):
+        lead = rng.randrange(3)
+        factors.append(x[lead] + sum(rng.randint(-4, 4) * x[i]
+                                     for i in range(3) if i != lead))
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        f = random_form(ring, rng.randint(1, 2), rng)
+        gens += [f * h for h in factors]
+    for part in draw(st.lists(st.sampled_from(("embedded", "power")),
+                              max_size=2)):
+        if part == "embedded":
+            g = gens.pop(rng.randrange(len(gens)))
+            gens += [g * v for v in x]
+        else:
+            gens.append(x[rng.randrange(4)] ** rng.randint(1, 2)
+                        * x[rng.randrange(4)] ** rng.randint(1, 2))
+    return Ideal(ring, gens)
+
+
+class TestSaturationByVariables:
+    """Saturation by m against taking every variable's Bayer basis, on
+    ideals where the last variable's basis alone is not certified."""
+
+    @given(uncertified_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_every_variable_and_quotients(self, I):
+        m = Ideal(I.ring, I.ring.gens)
+        got, grew = I.saturate(m)
+        every, every_grew = saturate_by_every_variable(I)
+        colons, t = saturate_by_quotients(I, m)
+        assert grew == every_grew == (t > 0)
+        strs = [str(g) for g in got.gens]
+        assert strs == [str(g) for g in every.gens]
+        assert strs == [str(g) for g in colons.gens]
+
+    @pytest.mark.parametrize("name, ell", [("sub-hankel", 2),
+                                           ("sub-hankel", 3),
+                                           ("sub-hankel", 4),
+                                           ("noether", 2), ("noether", 3)])
+    def test_pinned_levels(self, name, ell):
+        F = SymbolicFiltration(fixture(name).ideal)
+        P = F.power(ell)
+        gb = P._saturation(P.ring.gens[-1])
+        assert ideals._failing_variables(gb.leads, P.groebner().leads,
+                                         P.ring.nvars)
+        want, grew = saturate_by_every_variable(P)
+        assert F.grew(ell) == grew
+        assert ([str(g) for g in F.level(ell).gens]
+                == [str(g) for g in want.gens])
 
 
 def _leads(I):
@@ -290,7 +378,7 @@ class TestHilbertPolynomial:
             J = I.intersect(self.m3.power(k))
             assert same_hilbert_polynomial(_leads(J), _leads(I), 3)
             assert same_hilbert_polynomial(_leads(I), _leads(J), 3)
-            assert ideals._finite_over(_leads(I), _leads(J), 3)
+            assert not ideals._failing_variables(_leads(I), _leads(J), 3)
 
     @pytest.mark.parametrize("texts, form", [
         (("x0*x1 - x2^2",), "x0"),
@@ -302,7 +390,7 @@ class TestHilbertPolynomial:
         I = ideal(R3, *texts)
         J = I + ideal(R3, form)
         assert not same_hilbert_polynomial(_leads(J), _leads(I), 3)
-        assert not ideals._finite_over(_leads(J), _leads(I), 3)
+        assert ideals._failing_variables(_leads(J), _leads(I), 3)
 
     def test_points_and_unit(self):
         # an m-primary ideal has Hilbert polynomial 0, as the unit ideal
