@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
@@ -53,6 +54,11 @@ _COMMANDS = ("inverse", "invfactor", "sympow", "symrees", "appendix",
 # PackedOrder's set-up cost grows with the square of the variable count,
 # so rings are capped far above any study case
 MAX_VARIABLES = 1000
+
+# the terms of one degree-r entry of a drawn template, C(n+r-1, r); far
+# above the study cases, and each entry is drawn between two deadline
+# checks
+MAX_TEMPLATE_TERMS = 10000
 
 
 class ScriptError(Exception):
@@ -315,8 +321,16 @@ def _parse_statement(cur, ring, bindings, commands):
             cur, {"sat"} if op == "sympow" else {"lmax", "sat"}, ring,
             bindings))
     else:
-        args["n"] = int(cur.expect_kind("number", "a size").text)
-        args["r"] = int(cur.expect_kind("number", "a degree").text)
+        n = args["n"] = int(cur.expect_kind("number", "a size").text)
+        r = args["r"] = int(cur.expect_kind("number", "a degree").text)
+        _check_size(n, op_tok)
+        # C(n+r-1, r) grows with r, so a larger r exceeds the limit when
+        # the limit itself does
+        if n and math.comb(n + min(r, MAX_TEMPLATE_TERMS) - 1,
+                           n - 1) > MAX_TEMPLATE_TERMS:
+            raise ScriptError("a degree-%d form in %d variables has more "
+                              "than %d terms" % (r, n, MAX_TEMPLATE_TERMS),
+                              op_tok.line, op_tok.col)
         args.update(_parse_options(cur, {"seed"}, ring, bindings))
     # the tokens with one space wherever whitespace or a comment was
     span = cur.tokens[first:cur.i]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 
-from .groebner import _hilbert_numerator, groebner_basis
+from .groebner import _hilbert_numerator, check_deadline, groebner_basis
 from .ideals import Ideal, minors as minor_ideal
 from .maps import (InverseData, RationalMapSpec, _coprime,
                    inversion_factor)
@@ -105,11 +105,11 @@ def _draw_template(n, r, rng, ring):
     rows = []
     for _i in range(n + 1):
         row = []
-        for _j in range(n - 1):
+        for j in range(n):
+            check_deadline()
+            monos = pow_monos if j == n - 1 else lin_monos
             row.append(ring.from_terms(
-                [(m, rng.randint(-5, 5)) for m in lin_monos]))
-        row.append(ring.from_terms(
-            [(m, rng.randint(-5, 5)) for m in pow_monos]))
+                [(m, rng.randint(-5, 5)) for m in monos]))
         rows.append(row)
     return FormMatrix(ring, rows)
 

@@ -1,7 +1,8 @@
 """Ideal arithmetic on top of the Groebner layer.
 
 Powers, colon quotients, intersections, saturations, graded minimal
-generators, minor ideals and Hilbert series data.  All computations are exact and deterministic.
+generators, minor ideals and Hilbert series data.  All computations are
+exact and deterministic.
 """
 
 from __future__ import annotations
@@ -135,11 +136,7 @@ class Ideal:
         if isinstance(other, Polynomial):
             return Ideal(self.ring, tuple(other * g for g in self.gens))
         self._check(other)
-        prods = tuple(a * b for a in self.gens for b in other.gens)
-        out = Ideal(self.ring, prods)
-        if out.is_homogeneous():
-            return Ideal(self.ring, out.minimal_generators())
-        return out
+        return self._from_products(itertools.product(self.gens, other.gens))
 
     __rmul__ = __mul__
 
@@ -150,9 +147,16 @@ class Ideal:
             return Ideal(self.ring, (self.ring.one,))
         if ell == 1:
             return self
-        prods = tuple(
-            math.prod(c) for c in
+        return self._from_products(
             itertools.combinations_with_replacement(self.gens, ell))
+
+    def _from_products(self, factor_lists):
+        """The ideal of the products of the factor lists, minimalized when
+        homogeneous; the deadline is checked before each product."""
+        prods = []
+        for factors in factor_lists:
+            check_deadline()
+            prods.append(math.prod(factors))
         out = Ideal(self.ring, prods)
         if out.is_homogeneous():
             return Ideal(self.ring, out.minimal_generators())
@@ -204,13 +208,18 @@ class Ideal:
         """Saturation K = self : other^inf and whether it is larger than
         self; other is an ideal or one polynomial.
 
-        K is the intersection of the saturations by the generators f of
-        other (_saturation); one that lies in all the others is K itself.
-        A homogeneous ideal and the irrelevant ideal m (generated by the
-        variables) take _irrelevant_saturation, which stops at the first
-        intersection of per-variable saturations that is K.  Any other
-        target takes every generator's saturation and intersects the
-        kept ones.
+        K is the intersection of the saturations K_f = self : f^inf by
+        the generators f of other (_saturation), built in one loop that
+        takes them in reverse order: K_f is skipped when K lies in it,
+        becomes K when it lies in K, and is otherwise intersected with K.
+        For a homogeneous ideal and the irrelevant ideal m (the
+        variables, in any order) the last variable goes first, as its
+        K_f comes from self's own grevlex basis, and the loop stops at
+        the first K that the lead sets certify: K contains self : m^inf
+        and lies in it exactly when K/self has finite length, which the
+        leads of K and of self in K's order decide (_failing_variables).
+        The variables a failed certificate names go next, ascending,
+        then the rest.
         Returns (self, False) when every generator of K lies in self.
         Otherwise (K, True), K as its reduced grevlex basis by ascending
         lead key, except for a single f with two or more terms: then the
@@ -225,76 +234,38 @@ class Ideal:
         else:
             self._check(other)
             targets = other.gens
-        if self.is_homogeneous() and set(targets) == set(ring.gens):
-            kept = [self._irrelevant_saturation()]
-        else:
-            # the saturations that contain none of the others; of equal
-            # ones the first stays
-            kept = []
-            for f in reversed(targets):
-                check_deadline()
-                gb = self._saturation(f)
-                if not any(_inside(k, gb) for k in kept):
-                    kept = [k for k in kept if not _inside(gb, k)] + [gb]
-        if not kept:
-            gens = (ring.one,)
-        elif len(kept) == 1:
-            gens = kept[0].polys
-        else:
-            acc = Ideal(ring, kept[0].polys)
-            for gb in kept[1:]:
-                check_deadline()
-                acc = acc.intersect(Ideal(ring, gb.polys))
-            gens = acc.gens
-        if all(map(self.groebner().contains, gens)):
+        certify = self.is_homogeneous() and set(targets) == set(ring.gens)
+        todo = ([ring.gens[-1]] + list(ring.gens[:-1]) if certify
+                else list(reversed(targets)))
+        k = None
+        named = ()
+        while todo:
+            check_deadline()
+            f = min(todo, key=lambda g: g not in named)
+            todo.remove(f)
+            kf = self._saturation(f)
+            if k is not None and _inside(k, kf):
+                continue
+            if k is None or _inside(kf, k):
+                k = kf
+            else:
+                both = Ideal(ring, k.polys).intersect(Ideal(ring, kf.polys))
+                k = GroebnerBasis(ring._packed, None,
+                                  [g._t for g in both.gens])
+            if certify:
+                named = {ring.gens[i] for i in _failing_variables(
+                    k.leads, self.groebner(k.order).leads, ring.nvars)}
+                if not named:
+                    break
+        if k is None:
+            # no target: the whole ring
+            k = GroebnerBasis(ring._packed, None, [ring.one._t])
+        if all(map(self.groebner().contains, k.polys)):
             return self, False
-        if len(kept) == 1:
-            gens = _reduced_grevlex(kept[0])
+        gens = _reduced_grevlex(k)
         if len(targets) == 1 and len(targets[0]) > 1:
             gens = _divided_form(gens, targets[0])
         return Ideal(ring, gens), True
-
-    def _irrelevant_saturation(self):
-        """Groebner basis of self : m^inf for a homogeneous ideal, m
-        generated by the variables.
-
-        Every candidate K below is an intersection of saturations by
-        variables, so it contains self : m^inf; it lies inside, and so is
-        it, exactly when K/self has finite length, which the lead sets
-        of K and self in one order decide (_failing_variables).  K
-        starts as the saturation by the last variable x_n, which comes
-        from the ideal's own grevlex basis.  While the certificate
-        fails, the next variable x_j is taken, first those it names,
-        ascending, then the rest: K stays when it lies in K_j = self :
-        x_j^inf, becomes K_j when K_j lies in K (certified by the leads
-        of self in K_j's order, which the Bayer step computed), and
-        otherwise K_j is intersected with it (certified by self's grevlex
-        leads, as intersect returns the reduced grevlex basis).  With
-        every variable taken K is the full intersection.
-        """
-        ring = self.ring
-        n = ring.nvars
-        leads = self.groebner().leads
-        k = self._saturation(ring.gens[-1])
-        failing = _failing_variables(k.leads, leads, n)
-        todo = list(range(n - 1))
-        while failing and todo:
-            check_deadline()
-            j = min(todo, key=lambda i: (i not in failing, i))
-            todo.remove(j)
-            kj = self._saturation(ring.gens[j])
-            if _inside(k, kj):
-                continue
-            if _inside(kj, k):
-                k = kj
-                own = self.groebner(_grevlex_last(ring, j)).leads
-                failing = _failing_variables(k.leads, own, n)
-            else:
-                both = Ideal(ring, k.polys).intersect(Ideal(ring, kj.polys))
-                k = GroebnerBasis(ring._packed, None,
-                                  [g._t for g in both.gens])
-                failing = _failing_variables(k.leads, leads, n)
-        return k
 
     def _saturation(self, f):
         """Groebner basis of self : f^inf, in the order that found it.

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 
 from cremona import cli, rings
-from cremona.cli import (MAX_VARIABLES, ScriptError, _cmd_fixtures,
-                         corpus_dir, main, parse_session, render_report,
-                         render_session, run_script)
+from cremona.cli import (MAX_TEMPLATE_TERMS, MAX_VARIABLES, ScriptError,
+                         _cmd_fixtures, corpus_dir, main, parse_session,
+                         render_report, render_session, run_script)
 from cremona.groebner import GroebnerBasis, deadline
 from cremona.ideals import Ideal
 from cremona.rings import PolyRing, QQ
@@ -195,6 +195,19 @@ class TestDiagnostics:
         assert len(parse_session("ring R = QQ[x1..x%d];" % MAX_VARIABLES)
                    .ring.names) == MAX_VARIABLES
 
+    def test_oversized_template(self):
+        e = parse_err(HEADER + "template %d 1;" % (MAX_VARIABLES + 1))
+        assert (e.line, e.col) == (2, 1)
+        assert "exceed the limit" in str(e)
+        # a degree-r form in 3 variables has C(r+2, 2) terms
+        e = parse_err(HEADER + "ideal I = x0;\n  template 3 100000;")
+        assert (e.line, e.col) == (3, 3)
+        assert "more than %d terms" % MAX_TEMPLATE_TERMS in str(e)
+        r = max(r for r in range(200) if (r + 2) * (r + 1) // 2
+                <= MAX_TEMPLATE_TERMS)
+        parse_session(HEADER + "template 3 %d;" % r)
+        assert "terms" in str(parse_err(HEADER + "template 3 %d;" % (r + 1)))
+
     def test_overlong_number(self):
         e = parse_err(HEADER + "ideal I = %s*x0;" % ("1" * 5000))
         assert (e.line, e.col) == (2, 11)
@@ -374,6 +387,17 @@ class TestRunScript:
         src = (HEADER + "ideal I = x1*x2, x0*x2, x0*x1;\nsymrees I;\n")
         records = run_script(parse_session(src), deadline_s=1e-6)
         assert records[0]["status"] == "timeout"
+
+    @pytest.mark.parametrize("command", ["sympow I 20000;",
+                                         "template 120 1;"])
+    def test_long_command_times_out(self, command):
+        # the products of the power and the entries of the template are
+        # each taken between two deadline checks
+        src = HEADER + "ideal I = x0*x1, x1*x2, x0*x2;\n" + command
+        t0 = time.monotonic()
+        records = run_script(parse_session(src), deadline_s=1)
+        assert records[0]["status"] == "timeout"
+        assert time.monotonic() - t0 < 5
 
     def test_template_redraws_on_standing_assumption(self):
         # seed 236476 draws a linear part whose 2-minors are not

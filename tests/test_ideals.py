@@ -14,7 +14,7 @@ from cremona.groebner import DeadlineExceeded, deadline
 from cremona.ideals import Ideal, minors
 from cremona.rees import subalgebra_presentation
 from cremona.rings import FormMatrix, GF, PolyRing, QQ
-from cremona.symbolic import SymbolicFiltration
+from cremona.symbolic import SaturationTarget, SymbolicFiltration
 
 from oracles import (minimal_generators, power_gens, radical_contains,
                      random_form, random_homogeneous_ideal,
@@ -238,6 +238,33 @@ class TestSaturation:
         assert ideals._failing_variables(gb.leads, P.groebner().leads,
                                          P.ring.nvars) == [0, 1]
         assert calls == {"eliminate": 0, "groebner_basis": 4, "intersect": 0}
+        # the variables in reverse order are m too and take the same
+        # steps; the target's own basis (its unit check) is left out
+        ring = P.ring
+        target = SaturationTarget.ideal(Ideal(ring, ring.gens[::-1]))
+        want = dict(calls), [str(g) for g in F.level(4).gens]
+        calls.update(dict.fromkeys(calls, 0))
+        level = SymbolicFiltration(fixture("sub-hankel").ideal,
+                                   target).level(4)
+        assert (calls, [str(g) for g in level.gens]) == want
+
+    @pytest.mark.parametrize("ell", [2, 3])
+    def test_p4_monomial_levels_by_an_ideal(self, monkeypatch, ell):
+        """Cost guard for a target other than m: p4-monomial's five
+        products of two variables, taken in reverse order.  Each takes
+        two Bayer steps, the first from the power's basis with x0, x1 or
+        x2 last (three bases, shared through the cache) and the second
+        its own basis (five); each of the last four saturations is
+        intersected in (four eliminations), and the power's grevlex
+        basis settles whether the level grew."""
+        fx = fixture("p4-monomial")
+        F = SymbolicFiltration(fx.ideal, fx.target)
+        P = F.power(ell)
+        calls = count_calls(monkeypatch)
+        level = F.level(ell)
+        assert calls == {"eliminate": 4, "groebner_basis": 9, "intersect": 4}
+        want, _ = saturate_by_quotients(P, fx.target.saturand(P.ring))
+        assert [str(g) for g in level.gens] == [str(g) for g in want.gens]
 
 
 @st.composite
