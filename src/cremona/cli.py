@@ -48,9 +48,6 @@ from .symbolic import (SaturationTarget, SymbolicFiltration, condition_i,
 __all__ = ["ScriptError", "SessionScript", "parse_session", "run_script",
            "render_report", "main"]
 
-_COMMANDS = ("inverse", "invfactor", "sympow", "symrees", "appendix",
-             "template")
-
 # PackedOrder's set-up cost grows with the square of the variable count,
 # so rings are capped far above any study case
 MAX_VARIABLES = 1000
@@ -59,6 +56,10 @@ MAX_VARIABLES = 1000
 # above the study cases, and each entry is drawn between two deadline
 # checks
 MAX_TEMPLATE_TERMS = 10000
+
+# the terms of a whole drawn template, (n+1)((n-1)n + C(n+r-1, r)); the
+# draw is held in memory before any minor is taken
+MAX_TEMPLATE_DRAW = 2000000
 
 
 class ScriptError(Exception):
@@ -297,7 +298,7 @@ def _parse_statement(cur, ring, bindings, commands):
             raise ScriptError("matrix %s: %s" % (name, e),
                               eq.line, eq.col) from None
         return
-    if tok.text not in _COMMANDS:
+    if tok.text not in _EXEC:
         raise ScriptError("unknown statement %r" % tok.text,
                           tok.line, tok.col)
 
@@ -326,10 +327,16 @@ def _parse_statement(cur, ring, bindings, commands):
         _check_size(n, op_tok)
         # C(n+r-1, r) grows with r, so a larger r exceeds the limit when
         # the limit itself does
-        if n and math.comb(n + min(r, MAX_TEMPLATE_TERMS) - 1,
-                           n - 1) > MAX_TEMPLATE_TERMS:
+        terms = (math.comb(n + min(r, MAX_TEMPLATE_TERMS) - 1, n - 1)
+                 if n else 0)
+        if terms > MAX_TEMPLATE_TERMS:
             raise ScriptError("a degree-%d form in %d variables has more "
                               "than %d terms" % (r, n, MAX_TEMPLATE_TERMS),
+                              op_tok.line, op_tok.col)
+        if (n + 1) * ((n - 1) * n + terms) > MAX_TEMPLATE_DRAW:
+            raise ScriptError("a %d x %d template of degree %d draws more "
+                              "than %d terms" % (n + 1, n, r,
+                                                 MAX_TEMPLATE_DRAW),
                               op_tok.line, op_tok.col)
         args.update(_parse_options(cur, {"seed"}, ring, bindings))
     # the tokens with one space wherever whitespace or a comment was
@@ -441,7 +448,6 @@ def _exec_sympow(script, cmd, cache, limits):
 
 def _exec_symrees(script, cmd, cache, limits):
     lmax = cmd.args.get("lmax", limits["lmax"])
-    ideal = script.bindings[cmd.args["name"]][1]
     F = _filtration(script, cmd.args["name"], cmd.args.get("sat"), cache)
     inv = _inverse_of(script, cmd.args["name"], cache)
     degrees = {"fresh": {str(ell): [g.homogeneous_degree()
@@ -451,12 +457,11 @@ def _exec_symrees(script, cmd, cache, limits):
         "birational": inv is not None,
         "condition": {str(v.level): (v.verdict if v.witness is None
                                      else "%s:%s" % (v.verdict, v.witness))
-                      for v in condition_i(ideal, lmax, filtration=F)},
+                      for v in condition_i(F, lmax)},
     }
     if inv is None:
         return [], degrees, verdicts
-    expected = expected_form_check(ideal, inv.factor, inv.degree, lmax,
-                                   filtration=F)
+    expected = expected_form_check(F, inv.factor, inv.degree, lmax)
     verdicts["inverse_degree"] = inv.degree
     verdicts["expected_form"] = {str(ell): expected.levels[ell]
                                  for ell in sorted(expected.levels)}

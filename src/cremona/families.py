@@ -94,10 +94,6 @@ class TemplateMatrix:
                                                        self.ring)
 
 
-def _template_ring(n, field):
-    return PolyRing(tuple("x%d" % i for i in range(n)), field)
-
-
 def _draw_template(n, r, rng, ring):
     lin_monos = [tuple(1 if k == j else 0 for k in range(n))
                  for j in range(n)]
@@ -233,24 +229,21 @@ def _cross(u, v):
             u[0] * v[1] - u[1] * v[0])
 
 
-def template_ideal(n, r, seed=None, entries=None, ring=None, field=QQ):
-    """Draw or assemble a template instance; degenerate draws raise
-    DegenerateTemplate so the caller can reseed.
+def template_ideal(n, r, seed=None, entries=None, field=QQ):
+    """Draw or assemble a template instance over field[x0..x_{n-1}];
+    degenerate draws raise DegenerateTemplate so the caller can reseed.
 
     entries overrides the random draw with explicit rows (polynomials
-    or parseable strings over the given ring).
+    or parseable strings over that ring).
     """
     if n < 2 or r < 1:
         raise ValueError("need n >= 2 and r >= 1")
+    ring = PolyRing(tuple("x%d" % i for i in range(n)), field)
     if entries is not None:
-        if ring is None:
-            ring = _template_ring(n, field)
         rows = [[ring.parse(e) if isinstance(e, str) else e for e in row]
                 for row in entries]
         mat = FormMatrix(ring, rows)
     else:
-        if ring is None:
-            ring = _template_ring(n, field)
         mat = _draw_template(n, r, random.Random(seed), ring)
     inst = TemplateInstance(TemplateMatrix(mat, r), seed)
     if inst.codimension() < 2:
@@ -263,7 +256,7 @@ def template_ideal(n, r, seed=None, entries=None, ring=None, field=QQ):
 
 def sylvester_form(h1, h2, h3, wrt):
     """Determinant of the coefficient matrix writing three forms as
-    combinations of three variables.
+    combinations of three variables, named by wrt.
 
     Extraction is sequential: terms divisible by the first variable are
     collected and divided out, then the second on the remainder; the
@@ -271,10 +264,12 @@ def sylvester_form(h1, h2, h3, wrt):
     """
     forms = (h1, h2, h3)
     ring = h1.ring
-    names = [w if isinstance(w, str) else w.ring.names[_var_index(w)]
-             for w in wrt]
+    names = tuple(wrt)
     if len(names) != 3 or len(set(names)) != 3:
         raise ValueError("need three distinct variables")
+    for nm in names:
+        if nm not in ring.names:
+            raise ValueError("no variable %r in %r" % (nm, ring))
     positions = [ring.index(nm) for nm in names]
     rows = []
     for h in forms:
@@ -303,16 +298,6 @@ def sylvester_form(h1, h2, h3, wrt):
     return FormMatrix(ring, rows).det()
 
 
-def _var_index(p):
-    items = list(p.items())
-    if len(items) != 1:
-        raise ValueError("not a variable")
-    exps, _c = items[0]
-    if sum(exps) != 1:
-        raise ValueError("not a variable")
-    return exps.index(1)
-
-
 class SylvesterChain:
     """Sylvester forms f_1..f_r generated from the linear relations of a
     template presentation; f_i has bidegree (r-i, 2i+1)."""
@@ -336,27 +321,22 @@ class SylvesterChain:
                    self.conjecture_equal))
 
 
-def sylvester_chain(T, presentation=None):
-    """Build the chain for a template (matrix or instance) and verify
-    each form against the eliminated Rees ideal.
+def sylvester_chain(inst):
+    """Build the chain for a template instance and verify each form
+    against its Rees ideal, inst.rees().
 
     Requires the 2-minors of the linear part to be irrelevant-primary;
     records whether the linear relations plus the chain already give the
     whole Rees ideal.
     """
-    if isinstance(T, TemplateInstance):
-        if presentation is None:
-            presentation = T.rees()
-        T = T.template
+    T = inst.template
     if T.n != 3:
         raise ValueError("chains are defined over three variables")
     lin = Ideal(T.ring, T.linear_part().minors(2))
     if lin.codimension() != 3:
         raise DegenerateTemplate("standing assumption fails: 2-minors of "
                                  "the linear part are not irrelevant-primary")
-    if presentation is None:
-        presentation = rees_ideal(T.ideal())
-    P = presentation
+    P = inst.rees()
     amb = P.ambient
     ys = [amb.var(nm) for nm in P.ynames]
     cols = []

@@ -733,6 +733,15 @@ class GroebnerBasis:
         return all(self.contains(f) for f in self.source or ())
 
 
+def _ring_of(gens, ring):
+    """The given ring, else that of the first generator."""
+    if ring is not None:
+        return ring
+    if not gens:
+        raise ValueError("need a ring for an empty generating set")
+    return gens[0].ring
+
+
 def groebner_basis(gens, order=None, ring=None, *, series=None):
     """Reduced Groebner basis of the given generators.
 
@@ -744,11 +753,8 @@ def groebner_basis(gens, order=None, ring=None, *, series=None):
     the pairs of each degree the bound shows complete (see _Engine); the
     basis is the same.
     """
-    gens = [g for g in gens]
-    if ring is None:
-        if not gens:
-            raise ValueError("need a ring for an empty generating set")
-        ring = gens[0].ring
+    gens = list(gens)
+    ring = _ring_of(gens, ring)
     if order is None:
         order = MonomialOrder.grevlex()
     po = _packed_order(ring, order)
@@ -770,11 +776,8 @@ def eliminate(gens, drop, ring=None, *, series=None):
     series, if given) only they are fully reduced.  series is as for
     groebner_basis.
     """
-    gens = [g for g in gens]
-    if ring is None:
-        if not gens:
-            raise ValueError("need a ring for an empty generating set")
-        ring = gens[0].ring
+    gens = list(gens)
+    ring = _ring_of(gens, ring)
     dropset = set(drop)
     for nm in dropset:
         ring.index(nm)
@@ -802,8 +805,6 @@ def eliminate(gens, drop, ring=None, *, series=None):
 
 def _column_shifts(mat):
     """Column degree shifts making every entry graded; raises otherwise."""
-    if mat.col_degrees is not None:
-        return list(mat.col_degrees)
     r, c = mat.nrows, mat.ncols
     degs = {}
     for i in range(r):

@@ -18,13 +18,21 @@ from .rings import MonomialOrder, PolyRing, Polynomial, _times, transfer
 __all__ = ["HilbertData", "Ideal", "minors"]
 
 
-def _fresh_name(ring, base):
-    if base not in ring.names:
-        return base
+def _fresh_names(taken, bases, count=1, start=0):
+    """count names base<start>, base<start+1>, ... for the first of the
+    bases that gives none in taken, else bases[0]_<k>_<i> for the least
+    such k."""
+    for base in bases:
+        names = tuple("%s%d" % (base, i + start) for i in range(count))
+        if all(n not in taken for n in names):
+            return names
     k = 0
-    while "%s%d" % (base, k) in ring.names:
+    while True:
+        names = tuple("%s_%d_%d" % (bases[0], k, i + start)
+                      for i in range(count))
+        if all(n not in taken for n in names):
+            return names
         k += 1
-    return "%s%d" % (base, k)
 
 
 def _extended_ring(ring, name):
@@ -173,7 +181,7 @@ class Ideal:
         if self.is_zero() or other.is_zero():
             return Ideal(self.ring, ())
         ring = self.ring
-        w = _fresh_name(ring, "_w")
+        w, = _fresh_names(ring.names, ("_w",))
         aux = _extended_ring(ring, w)
         tw = aux.var(w)
         one = aux.one
@@ -302,7 +310,7 @@ class Ideal:
             if gb is None:
                 gb = self.groebner()
         else:
-            t = _fresh_name(ring, "_t")
+            t, = _fresh_names(ring.names, ("_t",))
             aux = _extended_ring(ring, t)
             gens = [transfer(g, aux) for g in self.gens]
             gens.append(aux.one - aux.var(t) * transfer(f, aux))
@@ -311,11 +319,6 @@ class Ideal:
                                [transfer(g, ring)._t for g in out])
         self._cache[key] = gb
         return gb
-
-    def eliminate(self, drop):
-        """Image of the ideal in the subring without the drop variables."""
-        sub, out = eliminate(list(self.gens), drop, ring=self.ring)
-        return Ideal(sub, out)
 
     # -- graded structure ----------------------------------------------
 

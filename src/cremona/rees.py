@@ -10,25 +10,11 @@ R[t].
 from __future__ import annotations
 
 from .groebner import _hilbert_numerator, eliminate
-from .ideals import Ideal, _with_basis
+from .ideals import Ideal, _fresh_names, _with_basis
 from .rings import FormMatrix, PolyRing, Polynomial, _canonical, transfer
 
 __all__ = ["JacobianDual", "ReesPresentation", "jacobian_dual",
            "rees_ideal", "subalgebra_presentation"]
-
-
-def _fresh_block(taken, bases, count, start=0):
-    for base in bases:
-        names = tuple("%s%d" % (base, i + start) for i in range(count))
-        if all(n not in taken for n in names):
-            return names
-    k = 0
-    while True:
-        names = tuple("%s_%d_%d" % (bases[0], k, i + start)
-                      for i in range(count))
-        if all(n not in taken for n in names):
-            return names
-        k += 1
 
 
 def _uniform_degree(gens):
@@ -174,13 +160,13 @@ def subalgebra_presentation(I, extra=()):
             raise ValueError("extra generators must be nonzero forms")
     xnames = ring.names
     taken = set(xnames)
-    ynames = _fresh_block(taken, ("y", "Y", "v"), len(gens))
+    ynames = _fresh_names(taken, ("y", "Y", "v"), len(gens))
     taken |= set(ynames)
     znames = ()
     if extras:
-        znames = _fresh_block(taken, ("z", "Z", "u"), len(extras), start=1)
+        znames = _fresh_names(taken, ("z", "Z", "u"), len(extras), start=1)
         taken |= set(znames)
-    tname = _fresh_block(taken, ("t", "s", "w"), 1)[0]
+    tname, = _fresh_names(taken, ("t", "s", "w"))
     blocks = ((tname,), xnames, ynames)
     if znames:
         blocks = blocks + (znames,)

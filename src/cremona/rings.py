@@ -1040,15 +1040,11 @@ def transfer(poly, target):
 
 
 class FormMatrix:
-    """Matrix of homogeneous forms (zero entries allowed).
+    """Matrix of homogeneous forms (zero entries allowed)."""
 
-    When col_degrees is given, entry (i, j) must be zero or homogeneous
-    of degree col_degrees[j].
-    """
+    __slots__ = ("ring", "entries")
 
-    __slots__ = ("ring", "entries", "col_degrees")
-
-    def __init__(self, ring, entries, col_degrees=None):
+    def __init__(self, ring, entries):
         rows = tuple(tuple(self._coerce(ring, e) for e in row) for row in entries)
         if not rows:
             raise ValueError("matrix needs at least one row")
@@ -1059,18 +1055,8 @@ class FormMatrix:
             for e in row:
                 if e and not e.is_homogeneous():
                     raise ValueError("matrix entries must be homogeneous")
-        if col_degrees is not None:
-            col_degrees = tuple(col_degrees)
-            if len(col_degrees) != width:
-                raise ValueError("col_degrees length mismatch")
-            for row in rows:
-                for j, e in enumerate(row):
-                    if e and e.homogeneous_degree() != col_degrees[j]:
-                        raise ValueError("entry degree differs from declared"
-                                         " column degree")
         self.ring = ring
         self.entries = rows
-        self.col_degrees = col_degrees
 
     @staticmethod
     def _coerce(ring, e):

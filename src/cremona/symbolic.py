@@ -11,8 +11,8 @@ algebra.
 from __future__ import annotations
 
 from .groebner import _minimal_subset, check_deadline
-from .ideals import Ideal
-from .rees import _fresh_block, rees_ideal
+from .ideals import Ideal, _fresh_names
+from .rees import rees_ideal
 from .rings import PolyRing, Polynomial, transfer
 
 __all__ = ["ConditionVerdict", "ExpectedFormResult", "SaturationTarget",
@@ -174,8 +174,9 @@ class ConditionVerdict:
                 == (other.level, other.verdict, other.witness))
 
 
-def condition_i(I, lmax, target=None, filtration=None):
-    """Whether each level/power quotient is zero or irrelevant-primary.
+def condition_i(F, lmax):
+    """Whether each level/power quotient of the filtration F is zero or
+    irrelevant-primary, for the levels 1 to lmax.
 
     The quotient is zero when the saturation of the power did not grow.
     Otherwise a variable x lies in the radical of power : level exactly
@@ -187,9 +188,6 @@ def condition_i(I, lmax, target=None, filtration=None):
     """
     if lmax < 1:
         raise ValueError("lmax must be at least 1")
-    F = filtration if filtration is not None else SymbolicFiltration(I, target)
-    if F.base != I:
-        raise ValueError("the filtration is not that of the given ideal")
     out = []
     for ell in range(1, lmax + 1):
         check_deadline()
@@ -199,7 +197,7 @@ def condition_i(I, lmax, target=None, filtration=None):
         witness = None
         if F.target.kind != "irrelevant-ideal":
             power, level = F.power(ell), F.level(ell)
-            witness = next((str(x) for x in I.ring.gens
+            witness = next((str(x) for x in F.base.ring.gens
                             if not all(map(power._saturation(x).contains,
                                            level.gens))), None)
         out.append(ConditionVerdict(
@@ -238,15 +236,12 @@ class ExpectedFormResult:
                 % (self.precondition, self.levels))
 
 
-def expected_form_check(I, D, dprime, lmax=DEFAULT_LMAX, target=None,
-                        filtration=None):
-    """Level-by-level test of level(ell) = sum_j D^j * power(ell - j*d')."""
+def expected_form_check(F, D, dprime, lmax=DEFAULT_LMAX):
+    """Level-by-level test of level(ell) = sum_j D^j * power(ell - j*d')
+    on the filtration F, for the levels 1 to lmax."""
     if dprime < 1:
         raise ValueError("the factor weight must be positive")
-    F = filtration if filtration is not None else SymbolicFiltration(I, target)
-    if F.base != I:
-        raise ValueError("the filtration is not that of the given ideal")
-    ring = I.ring
+    ring = F.base.ring
     if D.ring != ring or not D or not D.is_homogeneous():
         raise ValueError("factor must be a nonzero form of the base ring")
     if not F.level(dprime).contains(D):
@@ -282,7 +277,7 @@ def symbolic_presentation(I, G):
     G = tuple(G)
     if len(G) != len(P.xnames):
         raise ValueError("inverse representative has the wrong length")
-    zname = _fresh_block(set(amb.names), ("z", "Z", "u"), 1, start=1)[0]
+    zname, = _fresh_names(amb.names, ("z", "Z", "u"), start=1)
     ring2 = PolyRing(amb.names + (zname,), amb.field,
                      blocks=amb.blocks + ((zname,),))
     z = ring2.var(zname)

@@ -34,8 +34,8 @@ from unittest import mock
 
 from cremona import groebner
 from cremona.groebner import groebner_basis, syzygies
-from cremona.ideals import (Ideal, _extended_ring, _fresh_name, _inside,
-                            _one_minus_t_part, _reduced_grevlex)
+from cremona.ideals import (Ideal, _extended_ring, _fresh_names,
+                            _inside, _one_minus_t_part, _reduced_grevlex)
 from cremona.linalg import Echelon
 from cremona.maps import InverseData, _compose, _factor_from
 from cremona.rees import jacobian_dual, rees_ideal
@@ -424,7 +424,7 @@ def radical_contains(I, f):
         return True
     if I.is_zero():
         return False
-    w = _fresh_name(ring, "_w")
+    w, = _fresh_names(ring.names, ("_w",))
     aux = _extended_ring(ring, w)
     gens = [transfer(g, aux) for g in I.gens]
     gens.append(aux.one - aux.var(w) * transfer(f, aux))

@@ -61,7 +61,7 @@ class TestPolarQuartic:
             R = polar.ring
             data = polar_quartic_data()
             F = polar_filtration
-            verdicts = condition_i(polar.ideal, 2, filtration=F)
+            verdicts = condition_i(F, 2)
             ann = F.power(2).quotient(F.level(2))
             want_ann = Ideal(R, (R.parse("x1"), R.parse("x2"),
                                  R.parse("x0*x3")))
@@ -86,8 +86,7 @@ class TestPolarQuartic:
             D = c * c * q
             check("polar quartic: factor lies in level1 * level2",
                   (F.level(1) * F.level(2)).contains(D))
-            ef = expected_form_check(polar.ideal, D, 3, lmax=2,
-                                     filtration=F)
+            ef = expected_form_check(F, D, 3, lmax=2)
             check("polar quartic: expected form breaks at level 2",
                   ef.precondition and ef.levels == {1: True, 2: False})
             K = subalgebra_presentation(polar.ideal, extra=data["extras"])
@@ -107,11 +106,10 @@ class TestSubHankel:
                   hankel_inverse.degree == 3)
             D = hankel_inverse.factor
             check("sub-hankel: factor x3^5", str(D) == "x3^5")
-            verdicts = condition_i(hankel.ideal, 3, filtration=F)
+            verdicts = condition_i(F, 3)
             check("sub-hankel: quotients vanish or are irrelevant-primary",
                   all(v.verdict in ("ZERO", "PRIMARY") for v in verdicts))
-            ef = expected_form_check(hankel.ideal, D, 3, lmax=4,
-                                     filtration=F)
+            ef = expected_form_check(F, D, 3, lmax=4)
             check("sub-hankel: expected form holds through level 4",
                   ef.precondition
                   and ef.levels == {1: True, 2: True, 3: True, 4: True})
@@ -135,7 +133,7 @@ class TestDeterminantal:
             check("%s: factor generates level 2 freshly" % which,
                   normset(F.fresh(2)) == {str(inv.factor.normalized())}
                   and not F.power(2).contains(inv.factor))
-            verdicts = condition_i(fx.ideal, 2, filtration=F)
+            verdicts = condition_i(F, 2)
             check("%s: level-2 quotient irrelevant-primary" % which,
                   verdicts[1].verdict == "PRIMARY")
 

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 
 from cremona import cli, rings
-from cremona.cli import (MAX_TEMPLATE_TERMS, MAX_VARIABLES, ScriptError,
-                         _cmd_fixtures, corpus_dir, main, parse_session,
-                         render_report, render_session, run_script)
+from cremona.cli import (MAX_TEMPLATE_DRAW, MAX_TEMPLATE_TERMS,
+                         MAX_VARIABLES, ScriptError, _cmd_fixtures,
+                         corpus_dir, main, parse_session, render_report,
+                         render_session, run_script)
 from cremona.groebner import GroebnerBasis, deadline
 from cremona.ideals import Ideal
 from cremona.rings import PolyRing, QQ
@@ -207,6 +208,15 @@ class TestDiagnostics:
                 <= MAX_TEMPLATE_TERMS)
         parse_session(HEADER + "template 3 %d;" % r)
         assert "terms" in str(parse_err(HEADER + "template 3 %d;" % (r + 1)))
+
+    def test_oversized_template_draw(self):
+        # a 401 x 400 template of degree 1 holds 401 * 400 * 400 terms,
+        # each entry under the per-entry limit
+        e = parse_err(HEADER + "ideal I = x0;\n template 400 1;")
+        assert (e.line, e.col) == (3, 2)
+        assert "more than %d terms" % MAX_TEMPLATE_DRAW in str(e)
+        # 121 * (119 * 120 + 120) terms
+        parse_session(HEADER + "template 120 1;")
 
     def test_overlong_number(self):
         e = parse_err(HEADER + "ideal I = %s*x0;" % ("1" * 5000))

@@ -83,7 +83,7 @@ class TestNumerology:
     def test_degenerate_draw_raises(self):
         zero_rows = [["0", "0", "0"]] * 4
         with pytest.raises(DegenerateTemplate):
-            template_ideal(3, 1, entries=zero_rows, ring=R3)
+            template_ideal(3, 1, entries=zero_rows)
 
 
 class TestInverses:
@@ -117,7 +117,7 @@ class TestSylvesterForm:
     def test_sequential_extraction(self):
         x0, x1, x2 = R3.gens
         assert str(sylvester_form(x0 * x0 + x1 * x2, x1, x2,
-                                  (x0, x1, x2))) == "x0"
+                                  ("x0", "x1", "x2"))) == "x0"
 
     def test_content_failure(self):
         R4 = PolyRing(("x0", "x1", "x2", "x3"), QQ)
@@ -130,6 +130,11 @@ class TestSylvesterForm:
         x0, x1, x2 = R3.gens
         with pytest.raises(ValueError):
             sylvester_form(x0, x1, x2, ("x0", "x0", "x1"))
+
+    def test_unknown_variable(self):
+        x0, x1, x2 = R3.gens
+        with pytest.raises(ValueError, match="no variable 'x3'"):
+            sylvester_form(x0, x1, x2, ("x0", "x1", "x3"))
 
 
 class TestSylvesterChain:

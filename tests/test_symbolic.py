@@ -112,21 +112,15 @@ class TestFreshEssential:
 
 class TestConditionI:
     def test_standard_quadratic(self, std):
-        verdicts = condition_i(std.ideal, 3)
+        verdicts = condition_i(SymbolicFiltration(std.ideal), 3)
         assert [(v.level, v.verdict) for v in verdicts] == [
             (1, "ZERO"), (2, "PRIMARY"), (3, "PRIMARY")]
 
     def test_p4_fails_with_witness(self, p4, p4_filtration):
-        verdicts = condition_i(p4.ideal, 2, filtration=p4_filtration)
+        verdicts = condition_i(p4_filtration, 2)
         assert verdicts[0].verdict == "ZERO"
         assert verdicts[1].verdict == "FAILS"
         assert verdicts[1].witness == "x4"
-
-    def test_other_filtration_rejected(self, std):
-        R = std.ring
-        F = SymbolicFiltration(Ideal(R, (R.parse("x0^2"), R.parse("x0*x1"))))
-        with pytest.raises(ValueError):
-            condition_i(std.ideal, 2, filtration=F)
 
 
 class TestDepth:
@@ -143,27 +137,22 @@ class TestDepth:
 class TestExpectedForm:
     def test_standard_quadratic_holds(self, std):
         D = std.ring.parse("x0*x1*x2")
-        res = expected_form_check(std.ideal, D, 2, lmax=4)
+        res = expected_form_check(SymbolicFiltration(std.ideal), D, 2,
+                                  lmax=4)
         assert res.precondition
         assert res.levels == {1: True, 2: True, 3: True, 4: True}
 
     def test_precondition_failure_short_circuits(self, std):
         bad = std.ring.parse("x0^4")
-        res = expected_form_check(std.ideal, bad, 2, lmax=3)
+        res = expected_form_check(SymbolicFiltration(std.ideal), bad, 2,
+                                  lmax=3)
         assert not res.precondition
         assert res.levels == {}
 
     def test_weight_validated(self, std):
         D = std.ring.parse("x0*x1*x2")
         with pytest.raises(ValueError):
-            expected_form_check(std.ideal, D, 0)
-
-    def test_other_filtration_rejected(self, std):
-        R = std.ring
-        F = SymbolicFiltration(Ideal(R, (R.parse("x0^2"), R.parse("x0*x1"))))
-        with pytest.raises(ValueError):
-            expected_form_check(std.ideal, R.parse("x0*x1*x2"), 2, lmax=2,
-                                filtration=F)
+            expected_form_check(SymbolicFiltration(std.ideal), D, 0)
 
 
 class TestPresentation:
@@ -247,7 +236,7 @@ class TestOracles:
         for ell in (1, 2, 3):
             assert strs(F.fresh(ell)) == strs(fresh_by_spans(F, ell))
             assert strs(F.essential(ell)) == strs(essential_by_spans(F, ell))
-        assert (condition_i(I, depth, filtration=F)
+        assert (condition_i(F, depth)
                 == condition_by_annihilator(I, depth, F))
 
     @given(condition_cases())
@@ -255,8 +244,7 @@ class TestOracles:
     def test_condition_i_user_ideal_targets(self, case):
         I, target = case
         F = SymbolicFiltration(I, target)
-        assert condition_i(I, 2, filtration=F) == condition_by_annihilator(
-            I, 2, F)
+        assert condition_i(F, 2) == condition_by_annihilator(I, 2, F)
 
 
 class TestCost:
@@ -294,7 +282,7 @@ class TestCost:
             calls[name] = 0
         F.fresh(3)
         assert calls == {"eliminate": 0, "groebner_basis": 0, "quotient": 0}
-        condition_i(I, 3, filtration=F)
+        condition_i(F, 3)
         assert calls == {"eliminate": 0, "groebner_basis": 0, "quotient": 0}
 
     def test_condition_i_on_cached_levels_tests_no_membership(
@@ -314,7 +302,7 @@ class TestCost:
             return contains(self, f)
 
         monkeypatch.setattr(GroebnerBasis, "contains", spy)
-        verdicts = condition_i(std.ideal, 3, filtration=F)
+        verdicts = condition_i(F, 3)
         assert [v.verdict for v in verdicts] == ["ZERO", "PRIMARY",
                                                  "PRIMARY"]
         assert calls == []
@@ -331,5 +319,5 @@ class TestFieldAgreement:
                 [[g.homogeneous_degree() for g in F.fresh(ell)]
                  for ell in (1, 2, 3)],
                 [(v.verdict, v.witness)
-                 for v in condition_i(I, 3, filtration=F)]))
+                 for v in condition_i(F, 3)]))
         assert seen[0] == seen[1]
