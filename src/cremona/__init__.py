@@ -5,14 +5,12 @@ from .rings import (Field, FormMatrix, GF, MonomialOrder, NotDivisibleError,
 from .groebner import (DeadlineExceeded, GroebnerBasis, check_deadline,
                        deadline, eliminate, groebner_basis, syzygies)
 from .ideals import HilbertData, Ideal, minors
-from .rees import (JacobianDual, ReesPresentation, jacobian_dual, rees_ideal,
+from .rees import (ReesPresentation, jacobian_dual, rees_ideal,
                    subalgebra_presentation)
-from .maps import (InverseData, RationalMapSpec, invert, inversion_factor,
-                   is_birational)
+from .maps import InverseData, RationalMapSpec, invert, inversion_factor
 from .symbolic import (ConditionVerdict, ExpectedFormResult, SaturationTarget,
-                       SymbolicFiltration, condition_i, depth_positive,
-                       expected_form_check, grade_two_check,
-                       symbolic_presentation)
+                       SymbolicFiltration, condition_i, expected_form_check,
+                       grade_two_check, symbolic_presentation)
 from .families import (AppendixData, DegenerateTemplate, SylvesterChain,
                        TemplateInstance, TemplateMatrix, appendix_construct,
                        signed_minors, sylvester_chain, sylvester_form,
@@ -22,16 +20,16 @@ from . import fixtures
 __all__ = [
     "AppendixData", "ConditionVerdict", "DeadlineExceeded",
     "DegenerateTemplate", "ExpectedFormResult", "Field", "FormMatrix", "GF",
-    "GroebnerBasis", "HilbertData", "Ideal", "InverseData", "JacobianDual",
+    "GroebnerBasis", "HilbertData", "Ideal", "InverseData",
     "MonomialOrder", "NotDivisibleError", "ParseError", "PolyRing",
     "Polynomial", "QQ", "RationalMapSpec", "ReesPresentation",
     "SaturationTarget", "SylvesterChain", "SymbolicFiltration",
     "TemplateInstance", "TemplateMatrix",
     "appendix_construct", "check_deadline",
-    "condition_i", "deadline", "depth_positive", "eliminate",
+    "condition_i", "deadline", "eliminate",
     "expected_form_check", "fixtures",
     "grade_two_check", "groebner_basis", "invert", "inversion_factor",
-    "is_birational", "jacobian_dual", "minors",
+    "jacobian_dual", "minors",
     "rees_ideal", "signed_minors", "subalgebra_presentation",
     "sylvester_chain", "sylvester_form", "symbolic_presentation",
     "syzygies",

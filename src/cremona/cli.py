@@ -566,12 +566,12 @@ def render_report(records):
                    for rec in records)
 
 
-def _run_source(source, args):
-    """Parse under the deadline, then run the session."""
-    with deadline(args.deadline):
+def _run_source(source, deadline_s, **limits):
+    """Parse under the deadline, then run the session with run_script's
+    limits, its defaults where not given."""
+    with deadline(deadline_s):
         script = parse_session(source)
-    return run_script(script, lmax=args.lmax, deadline_s=args.deadline,
-                      seed=args.seed)
+    return run_script(script, deadline_s=deadline_s, **limits)
 
 
 def _strip_elapsed(records):
@@ -583,7 +583,8 @@ def _cmd_run(args):
     try:
         with open(args.script, encoding="utf-8") as fh:
             source = fh.read()
-        records = _run_source(source, args)
+        records = _run_source(source, args.deadline, lmax=args.lmax,
+                              seed=args.seed)
     except ScriptError as e:
         print("%s: %s" % (args.script, e), file=sys.stderr)
         return 2
@@ -617,7 +618,7 @@ def _cmd_fixtures(args, base=None):
         source = base.joinpath(name).read_text(encoding="utf-8")
         t0 = time.perf_counter()
         try:
-            records = _run_source(source, args)
+            records = _run_source(source, args.deadline)
         except ScriptError as e:
             print("%s: parse error: %s" % (stem, e))
             bad += 1
@@ -667,9 +668,7 @@ def main(argv=None):
     p_run.set_defaults(func=_cmd_run)
     p_fix = sub.add_parser("fixtures",
                            help="run the bundled corpus and diff reports")
-    p_fix.add_argument("--lmax", type=int, default=4)
     p_fix.add_argument("--deadline", type=float, default=600.0)
-    p_fix.add_argument("--seed", type=int, default=0)
     p_fix.set_defaults(func=_cmd_fixtures)
     args = parser.parse_args(argv)
     return args.func(args)

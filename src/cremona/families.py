@@ -16,7 +16,7 @@ import random
 
 from .groebner import _hilbert_numerator, check_deadline, groebner_basis
 from .ideals import Ideal, minors as minor_ideal
-from .maps import (InverseData, RationalMapSpec, _coprime,
+from .maps import (InverseData, RationalMapSpec, _coprime, _factor_at_zero,
                    inversion_factor)
 from .rees import rees_ideal
 from .rings import (FormMatrix, NotDivisibleError, PolyRing, Polynomial, QQ,
@@ -168,6 +168,14 @@ class TemplateInstance:
         over k[y] whose row cross product is a candidate; candidates are
         validated by the composition check.  r = 1 yields three pairs,
         r >= 2 just one.
+
+        One coordinate decides the check.  A row theta of a column c
+        satisfies theta(f) . x = sum_i f_i * M[i][c] = 0, as the signed
+        minors annihilate every column, so the cross product g of two
+        rows has g(f) orthogonal to both rows at f, as x is: g(f) is
+        lambda * x for a polynomial lambda (x_0 divides g_0(f) as
+        x_1 * g_0(f) = x_0 * g_1(f)), zero when the rows are dependent.
+        So g passes exactly when g_0(f) is nonzero, and D = g_0(f) / x_0.
         """
         if self._inverses is not None:
             return self._inverses
@@ -185,14 +193,13 @@ class TemplateInstance:
                 g = _cross(theta[0], theta[1])
                 if all(not gi for gi in g):
                     raise DegenerateTemplate("vanishing coefficient matrix")
-                try:
-                    d = inversion_factor(spec, g)
-                except ValueError:
+                d = _factor_at_zero(g[0], spec)
+                if d is None:
                     raise DegenerateTemplate(
                         "composition check failed for a column pair")
                 inv = self.ring.field.inv(d.leading_coefficient())
                 found.append(InverseData(tuple(gi * inv for gi in g),
-                                         d * inv, 2, yring, P))
+                                         d * inv, 2, yring))
         self._inverses = tuple(found)
         return self._inverses
 
@@ -229,22 +236,13 @@ def _cross(u, v):
             u[0] * v[1] - u[1] * v[0])
 
 
-def template_ideal(n, r, seed=None, entries=None, field=QQ):
-    """Draw or assemble a template instance over field[x0..x_{n-1}];
-    degenerate draws raise DegenerateTemplate so the caller can reseed.
-
-    entries overrides the random draw with explicit rows (polynomials
-    or parseable strings over that ring).
-    """
+def template_ideal(n, r, seed=None, field=QQ):
+    """Draw a template instance over field[x0..x_{n-1}]; degenerate
+    draws raise DegenerateTemplate so the caller can reseed."""
     if n < 2 or r < 1:
         raise ValueError("need n >= 2 and r >= 1")
     ring = PolyRing(tuple("x%d" % i for i in range(n)), field)
-    if entries is not None:
-        rows = [[ring.parse(e) if isinstance(e, str) else e for e in row]
-                for row in entries]
-        mat = FormMatrix(ring, rows)
-    else:
-        mat = _draw_template(n, r, random.Random(seed), ring)
+    mat = _draw_template(n, r, random.Random(seed), ring)
     inst = TemplateInstance(TemplateMatrix(mat, r), seed)
     if inst.codimension() < 2:
         raise DegenerateTemplate("codimension below 2 (seed %r)" % (seed,))
@@ -302,15 +300,9 @@ class SylvesterChain:
     """Sylvester forms f_1..f_r generated from the linear relations of a
     template presentation; f_i has bidegree (r-i, 2i+1)."""
 
-    __slots__ = ("presentation", "l1", "l2", "f0", "forms", "bidegrees",
-                 "conjecture_equal")
+    __slots__ = ("forms", "bidegrees", "conjecture_equal")
 
-    def __init__(self, presentation, l1, l2, f0, forms, bidegrees,
-                 conjecture_equal):
-        self.presentation = presentation
-        self.l1 = l1
-        self.l2 = l2
-        self.f0 = f0
+    def __init__(self, forms, bidegrees, conjecture_equal):
         self.forms = forms
         self.bidegrees = bidegrees
         self.conjecture_equal = conjecture_equal
@@ -369,8 +361,7 @@ def sylvester_chain(inst):
     series = (weights, _hilbert_numerator(gb.leads, weights))
     chain = groebner_basis([l1, l2, f0] + forms, ring=amb, series=series)
     conj = all(chain.contains(g) for g in P.ideal.gens)
-    return SylvesterChain(P, l1, l2, f0, tuple(forms), tuple(bidegrees),
-                          conj)
+    return SylvesterChain(tuple(forms), tuple(bidegrees), conj)
 
 
 # -- the plane quartic construction -----------------------------------
@@ -380,25 +371,15 @@ _SQUAREFREE2 = {(1, 1, 0): 0, (1, 0, 1): 1, (0, 1, 1): 2}
 
 
 class AppendixData:
-    """The 4x3 matrix built from a 3x2 syzygy matrix of quadrics, its
-    four maximal minors, the three quadrics from the top rows, and the
-    verdicts tying them to the Rees ideal and the inverse map."""
+    """The base ideal of a 3x2 syzygy matrix of quadrics, the inverse map
+    read off the quadrics from the top rows of the 4x3 matrix B, and the
+    verdicts tying them to the Rees ideal."""
 
-    __slots__ = ("syzygy_matrix", "base", "presentation", "b_matrix",
-                 "deltas", "quadrics", "phi_prime", "inverse", "factor",
-                 "verdicts")
+    __slots__ = ("base", "inverse", "verdicts")
 
-    def __init__(self, syzygy_matrix, base, presentation, b_matrix, deltas,
-                 quadrics, phi_prime, inverse, factor, verdicts):
-        self.syzygy_matrix = syzygy_matrix
+    def __init__(self, base, inverse, verdicts):
         self.base = base
-        self.presentation = presentation
-        self.b_matrix = b_matrix
-        self.deltas = deltas
-        self.quadrics = quadrics
-        self.phi_prime = phi_prime
         self.inverse = inverse
-        self.factor = factor
         self.verdicts = verdicts
 
     def __repr__(self):
@@ -457,7 +438,6 @@ def appendix_construct(phi):
     (a1, b1, c1), (a2, b2, c2) = yforms
     brows = (tuple(yforms[0]), tuple(yforms[1]),
              (-xs[2], xs[1], amb.zero), (-xs[2], amb.zero, xs[0]))
-    bmat = FormMatrix(amb, brows)
     deltas = []
     for i in range(4):
         rows = tuple(brows[k] for k in range(4) if k != i)
@@ -488,7 +468,6 @@ def appendix_construct(phi):
                                    (yring.zero, -qy[1]),
                                    (-qy[0], -qy[0])))
     inverse = None
-    factor = None
     if verdicts["q_nonzero"]:
         verdicts["codim_phi_prime"] = minor_ideal(phi_prime,
                                                   2).codimension()
@@ -501,7 +480,6 @@ def appendix_construct(phi):
         else:
             scale = ring.field.inv(d.leading_coefficient())
             inverse = tuple(gi * scale for gi in g)
-            factor = d * scale
             verdicts["inverse_ok"] = True
             verdicts["inverse_degree"] = max(
                 gi.homogeneous_degree() for gi in inverse if gi)
@@ -509,5 +487,4 @@ def appendix_construct(phi):
         verdicts["codim_phi_prime"] = None
         verdicts["inverse_gcd_one"] = False
         verdicts["inverse_ok"] = False
-    return AppendixData(phi, base, P, bmat, tuple(deltas),
-                        tuple(qy), phi_prime, inverse, factor, verdicts)
+    return AppendixData(base, inverse, verdicts)

@@ -18,7 +18,6 @@ or in the relation components (see _Engine).
 from __future__ import annotations
 
 import heapq
-import weakref
 from math import gcd, lcm
 from operator import mul
 
@@ -33,7 +32,6 @@ __all__ = [
     "deadline",
     "eliminate",
     "groebner_basis",
-    "live_bases",
     "syzygies",
 ]
 
@@ -99,10 +97,9 @@ _STEP_BITS = 1 << 15
 
 
 def _reduce(fterms, basis, po, p, keep=None):
-    """Normal form of fterms against basis (ascending lead keys).
-
-    Returns (out, snum, sden) so the exact remainder is (snum/sden) * out
-    over QQ (snum = sden = 1 over Fp).  keep, when given, is a predicate
+    """Normal form of fterms against basis (ascending lead keys), over QQ
+    up to a nonzero rational factor (the reduction is fraction-free and
+    divides out common contents).  keep, when given, is a predicate
     on keys: a remainder whose lead is irreducible and not kept is
     returned at once, its tail unreduced, as fterms itself; a membership
     test keeps nothing.  Otherwise fterms is mutated to empty.
@@ -111,7 +108,6 @@ def _reduce(fterms, basis, po, p, keep=None):
     up = po.up
     guards = po.guards
     out = {}
-    snum = sden = 1
     heap = [-k for k in fterms]
     heapq.heapify(heap)
     steps = 0
@@ -134,7 +130,7 @@ def _reduce(fterms, basis, po, p, keep=None):
                 break
         if g is None:
             if keep is not None and not out and not keep(k):
-                return fterms, snum, sden
+                return fterms
             del fterms[k]
             out[k] = c
             continue
@@ -167,7 +163,6 @@ def _reduce(fterms, basis, po, p, keep=None):
                     fterms[kk] *= a
                 for kk in out:
                     out[kk] *= a
-                sden *= a
             off = k - g.key
             for kk, cc in g.terms.items():
                 nk = kk + off
@@ -201,8 +196,7 @@ def _reduce(fterms, basis, po, p, keep=None):
                         fterms[kk] //= g0
                     for kk in out:
                         out[kk] //= g0
-                    snum *= g0
-    return out, snum, sden
+    return out
 
 
 def _spoly(gi, gj, lk, po):
@@ -430,7 +424,7 @@ class _Engine:
 
     def reduce(self, terms):
         """Remainder of terms (consumed) against the live elements."""
-        return _reduce(terms, self.view(), self.po, self.p, self.keep)[0]
+        return _reduce(terms, self.view(), self.po, self.p, self.keep)
 
     def add(self, terms, sugar):
         """Append a nonzero remainder as a new element and update."""
@@ -588,8 +582,7 @@ def _interreduce(dicts, po):
     for g in final:
         check_deadline()
         others = [h for h in final if h is not g]
-        red = _reduce(dict(g.terms), others, po, p)
-        reduced.append(_normalize(red[0], p))
+        reduced.append(_normalize(_reduce(dict(g.terms), others, po, p), p))
     return reduced
 
 
@@ -632,7 +625,7 @@ def _divide_out(gb, i):
     """
     po = gb._po
     w = po.weights[i]
-    shift = next(s for s, j, _comp in po.dfields if j == i)
+    shift = next(s for s, j in po.dfields if j == i)
     dicts = []
     for g in gb._elts:
         # the exponent of x_i in the lead, from its complement field
@@ -644,28 +637,17 @@ def _divide_out(gb, i):
     return GroebnerBasis(po, None, dicts)
 
 
-# every basis still referenced somewhere; lets audits certify whatever
-# a session is actually relying on
-_LIVE_BASES = weakref.WeakSet()
-
-
-def live_bases():
-    """Snapshot of all GroebnerBasis objects currently alive."""
-    return tuple(_LIVE_BASES)
-
-
 class GroebnerBasis:
-    """Groebner basis supporting exact normal forms; groebner_basis builds
+    """Groebner basis supporting membership tests; groebner_basis builds
     reduced ones.  The elements are engine terms on the keys of po,
     which also gives the ring and the order; their polynomials are made
     when first asked for.  source holds the generators it was computed
     from, None for a basis given as one."""
 
     __slots__ = ("ring", "order", "leads", "source", "_polys", "_po",
-                 "_elts", "__weakref__")
+                 "_elts")
 
     def __init__(self, po, source, term_dicts):
-        _LIVE_BASES.add(self)
         self.ring = po.ring
         self.order = po.order
         self._po = po
@@ -689,18 +671,6 @@ class GroebnerBasis:
     def __len__(self):
         return len(self._elts)
 
-    def normal_form(self, f):
-        if not isinstance(f, Polynomial) or f.ring != self.ring:
-            raise ValueError("polynomial from a different ring")
-        if not f or not self._elts:
-            return f
-        po = self._po
-        p = self.ring.field.characteristic
-        out, snum, sden = _reduce(dict(_terms(po, f)), self._elts, po, p)
-        if not out:
-            return self.ring.zero
-        return _poly(self.ring, po, out, f._s * snum / sden)
-
     def contains(self, f):
         if not isinstance(f, Polynomial) or f.ring != self.ring:
             raise ValueError("polynomial from a different ring")
@@ -711,7 +681,7 @@ class GroebnerBasis:
         po = self._po
         return not _reduce(dict(_terms(po, f)), self._elts, po,
                            self.ring.field.characteristic,
-                           lambda k: False)[0]
+                           lambda k: False)
 
     def certify(self):
         """Re-check the Buchberger criterion and source membership.  A
@@ -728,7 +698,7 @@ class GroebnerBasis:
                 if lk == ki + kj - po.key0:
                     continue
                 s = _spoly(elts[i], elts[j], lk, po)
-                if s and _reduce(s, elts, po, p, lambda k: False)[0]:
+                if s and _reduce(s, elts, po, p, lambda k: False):
                     return False
         return all(self.contains(f) for f in self.source or ())
 

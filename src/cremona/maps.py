@@ -22,8 +22,7 @@ from .ideals import Ideal
 from .rees import jacobian_dual, rees_ideal
 from .rings import NotDivisibleError, Polynomial
 
-__all__ = ["InverseData", "RationalMapSpec", "inversion_factor", "invert",
-           "is_birational"]
+__all__ = ["InverseData", "RationalMapSpec", "inversion_factor", "invert"]
 
 
 class RationalMapSpec:
@@ -82,14 +81,13 @@ class InverseData:
     leading coefficient 1 and the g_i are scaled to match.
     """
 
-    __slots__ = ("inverse", "factor", "degree", "yring", "presentation")
+    __slots__ = ("inverse", "factor", "degree", "yring")
 
-    def __init__(self, inverse, factor, degree, yring, presentation):
+    def __init__(self, inverse, factor, degree, yring):
         self.inverse = inverse
         self.factor = factor
         self.degree = degree
         self.yring = yring
-        self.presentation = presentation
 
     def __repr__(self):
         return ("InverseData(degree %d, factor %s)"
@@ -300,62 +298,39 @@ def _factor_at_zero(g0, F):
     return h.exact_divide(F.ring.gens[0]) if h else None
 
 
-def invert(F, bound=None, all_candidates=False):
+def invert(F):
     """Inverse data of a square map, or None when no candidate passes.
 
-    Minimal syzygies of the Jacobian dual are tried in increasing degree;
-    bound caps the candidate degree (no cap by default).  With
-    all_candidates=True, returns the tuple of every passing candidate of
-    the first passing degree.  A candidate g passes when g_i(f) = x_i * D
-    for all i; once the rank of psi(f) is certified, g_0(f) decides it.
+    Minimal syzygies of the Jacobian dual are tried in increasing degree.
+    A candidate g passes when g_i(f) = x_i * D for all i; once the rank
+    of psi(f) is certified, g_0(f) decides it.
     """
     if not F.is_square():
         raise ValueError("inverse extraction needs a square map")
     if any(not f for f in F.forms):
-        return () if all_candidates else None
-    P = rees_ideal(Ideal(F.ring, F.forms))
+        return None
     try:
-        psi = jacobian_dual(P)
+        psi = jacobian_dual(rees_ideal(Ideal(F.ring, F.forms)))
     except ValueError:
-        return () if all_candidates else None
-    S = syzygies(psi.matrix)
-    certified = _full_rank(F, psi.matrix)
-    yring = psi.matrix.ring
+        return None
+    S = syzygies(psi)
+    certified = _full_rank(F, psi)
     cols = []
     for j in range(S.ncols):
         col = tuple(S[i, j] for i in range(S.nrows))
         deg = max(g.homogeneous_degree() for g in col if g)
         cols.append((deg, j, col))
     cols.sort(key=lambda t: (t[0], t[1]))
-    found = []
-    found_deg = None
     for deg, _j, col in cols:
-        if bound is not None and deg > bound:
-            break
-        if found_deg is not None and deg > found_deg:
-            break
         if certified:
             d = _factor_at_zero(col[0], F)
         else:
             d = _factor_from(_compose(col, F), F)
-        if d is None:
-            continue
-        lc = d.leading_coefficient()
-        inv = F.ring.field.inv(lc)
-        data = InverseData(tuple(g * inv for g in col), d * inv,
-                           deg, yring, P)
-        if not all_candidates:
-            return data
-        found.append(data)
-        found_deg = deg
-    if all_candidates:
-        return tuple(found)
+        if d is not None:
+            inv = F.ring.field.inv(d.leading_coefficient())
+            return InverseData(tuple(g * inv for g in col), d * inv, deg,
+                               psi.ring)
     return None
-
-
-def is_birational(F):
-    """Whether a square map is birational; use invert for the witness."""
-    return invert(F) is not None
 
 
 def inversion_factor(F, G):

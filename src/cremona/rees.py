@@ -13,8 +13,8 @@ from .groebner import _hilbert_numerator, eliminate
 from .ideals import Ideal, _fresh_names, _with_basis
 from .rings import FormMatrix, PolyRing, Polynomial, _canonical, transfer
 
-__all__ = ["JacobianDual", "ReesPresentation", "jacobian_dual",
-           "rees_ideal", "subalgebra_presentation"]
+__all__ = ["ReesPresentation", "jacobian_dual", "rees_ideal",
+           "subalgebra_presentation"]
 
 
 def _uniform_degree(gens):
@@ -31,11 +31,10 @@ def _uniform_degree(gens):
 class ReesPresentation:
     """Bigraded presentation ideal of the Rees algebra of a base ideal."""
 
-    __slots__ = ("source", "ambient", "ideal", "xnames", "ynames",
-                 "generators", "bidegrees", "_image")
+    __slots__ = ("ambient", "ideal", "xnames", "ynames", "generators",
+                 "bidegrees", "_image")
 
-    def __init__(self, source, ambient, ideal, xnames, ynames):
-        self.source = source
+    def __init__(self, ambient, ideal, xnames, ynames):
         self.ambient = ambient
         self.ideal = ideal
         self.xnames = xnames
@@ -65,25 +64,6 @@ class ReesPresentation:
                 % (len(self.generators), sorted(set(self.bidegrees))))
 
 
-class JacobianDual:
-    """Coefficient matrix of the x-linear part of a Rees presentation.
-
-    Row r lists, per x-variable, the y-form coefficient inside the r-th
-    x-linear generator, so that generator equals sum(x_i * row[i]).
-    """
-
-    __slots__ = ("matrix", "generators", "presentation")
-
-    def __init__(self, matrix, generators, presentation):
-        self.matrix = matrix
-        self.generators = generators
-        self.presentation = presentation
-
-    def __repr__(self):
-        return ("JacobianDual(%d x %d over %s)"
-                % (self.matrix.nrows, self.matrix.ncols, self.matrix.ring))
-
-
 def rees_ideal(I):
     """Presentation ideal of the Rees algebra, minimal bigraded generators.
 
@@ -99,12 +79,14 @@ def rees_ideal(I):
     ordered = tuple(g for _, g in keyed)
     xnames = I.ring.names
     # the generators of J are its reduced grevlex basis
-    return ReesPresentation(I, J.ring, _with_basis(J.ring, ordered, J.gens),
+    return ReesPresentation(J.ring, _with_basis(J.ring, ordered, J.gens),
                             xnames, J.ring.names[len(xnames):])
 
 
 def jacobian_dual(P):
-    """Matrix of y-form coefficients of the x-linear generators.
+    """Matrix of y-form coefficients of the x-linear generators: row r
+    lists, per x-variable, the y-form coefficient inside the r-th x-linear
+    generator, so that generator equals sum(x_i * row[i]).
 
     Read on the ambient ring's packed keys: each term of an x-linear
     generator holds one x-variable x_i, the grading with weight i + 1 on
@@ -118,7 +100,6 @@ def jacobian_dual(P):
     xindex = {n: i for i, n in enumerate(P.xnames)}
     xpos = po.grading([xindex.get(n, -1) + 1 for n in ring.names])
     rows = []
-    used = []
     for g, (a, _b) in zip(P.generators, P.bidegrees):
         if a != 1:
             continue
@@ -126,10 +107,9 @@ def jacobian_dual(P):
         for k, c in g._t.items():
             row[xpos(k) - 1][ykey(k)] = c
         rows.append([_canonical(yring, r, g._s) for r in row])
-        used.append(g)
     if not rows:
         raise ValueError("no x-linear generators; Jacobian dual undefined")
-    return JacobianDual(FormMatrix(yring, rows), tuple(used), P)
+    return FormMatrix(yring, rows)
 
 
 def subalgebra_presentation(I, extra=()):

@@ -138,7 +138,8 @@ def GF(p):
 
 
 class MonomialOrder:
-    """Term order description: grevlex, lex, or block elimination.
+    """Term order description: grevlex or block elimination (lex is the
+    block order of one variable per group).
 
     Orders are specified by variable names so the same order value can be
     compiled against any ring containing those variables; PackedOrder
@@ -156,10 +157,6 @@ class MonomialOrder:
         """Graded reverse lex on the variables in the sequence names (the
         ring's own sequence when empty); the last one is the smallest."""
         return cls("grevlex", tuple(names))
-
-    @classmethod
-    def lex(cls):
-        return cls("lex")
 
     @classmethod
     def block(cls, *name_groups):
@@ -190,20 +187,20 @@ class PackedOrder:
 
     A key lays the order's fields out most significant first, each _W
     bits wide with a guard bit on top that stays clear: "deg" holds the
-    degree of a group of variables, "comp" the complement _MAXF - e_i
-    and "plain" e_i itself.  Integer comparison of keys is the term
-    order, the product of two monomials has key ka + kb - key0, and
-    divides() is a two-mask borrow test, which lcm() uses to pick
-    fields.  Every field is affine in the exponents, so encode() is
-    key0 + sum(e_i * w_i); the fields cannot overflow while the total
-    degree is at most _MAXF, and larger degrees are rejected.
+    degree of a group of variables and "comp" the complement _MAXF - e_i
+    of an exponent.  Integer comparison of keys is the term order, the
+    product of two monomials has key ka + kb - key0, and divides() is a
+    two-mask borrow test, which lcm() uses to pick fields.  Every field
+    is affine in the exponents, so encode() is key0 + sum(e_i * w_i);
+    the fields cannot overflow while the total degree is at most _MAXF,
+    and larger degrees are rejected.
 
     With rank > 0 the keys are terms of a free module of that rank,
-    position over term: two top fields hold _MAXF - c and c for the
-    component c, so a lower component gives the larger term.  The borrow
-    test lets neither field shrink from divisor to multiple, so it only
-    finds divisors within one component.  The key of the term e in
-    component c is encode(e) + c * cstep.
+    position over term: two top fields hold _MAXF - c and c ("plain")
+    for the component c, so a lower component gives the larger term.
+    The borrow test lets neither field shrink from divisor to multiple,
+    so it only finds divisors within one component.  The key of the
+    term e in component c is encode(e) + c * cstep.
     """
 
     __slots__ = ("ring", "order", "rank", "graded", "weights", "key0",
@@ -213,27 +210,23 @@ class PackedOrder:
     def __init__(self, ring, order, rank=0):
         n = ring.nvars
         kind = order.kind
-        raw = [("pos", n), ("plain", n)] if rank else []
-        if kind == "lex":
-            raw.extend(("plain", i) for i in range(n))
-        elif kind in ("grevlex", "block"):
-            # grevlex is the block order of one group
-            groups = (order.data if kind == "block"
-                      else (order.data or ring.names,))
-            seen = []
-            for group in groups:
-                idx = tuple(ring.index(v) for v in group)
-                seen.extend(idx)
-                raw.append(("deg", idx))
-                raw.extend(("comp", i) for i in reversed(idx))
-            if sorted(seen) != list(range(n)):
-                raise ValueError("%s order must cover the ring variables"
-                                 % kind)
-        else:
+        if kind not in ("grevlex", "block"):
             raise ValueError("unknown order kind %r" % kind)
+        # grevlex is the block order of one group
+        groups = (order.data if kind == "block"
+                  else (order.data or ring.names,))
+        raw = [("pos", n), ("plain", n)] if rank else []
+        seen = []
+        for group in groups:
+            idx = tuple(ring.index(v) for v in group)
+            seen.extend(idx)
+            raw.append(("deg", idx))
+            raw.extend(("comp", i) for i in reversed(idx))
+        if sorted(seen) != list(range(n)):
+            raise ValueError("%s order must cover the ring variables" % kind)
         # index n stands for the module component
         weights = [0] * (n + 1)
-        key0 = down = up = guards = dmask = emask = 0
+        key0 = down = up = guards = dmask = 0
         dfields = []
         degs = []
         fmask = {}
@@ -244,6 +237,8 @@ class PackedOrder:
             if k == "deg":
                 for i in arg:
                     weights[i] += unit
+                degs.append((shift, arg))
+                dmask |= _MAXF << shift
             elif k == "plain":
                 weights[arg] += unit
             else:
@@ -251,15 +246,10 @@ class PackedOrder:
                 weights[arg] -= unit
             if k == "comp":
                 up |= _MAXF << shift
+                dfields.append((shift, arg))
+                fmask[arg] = _MAXF << shift
             else:
                 down |= _MAXF << shift
-            if k in ("comp", "plain") and arg < n:
-                dfields.append((shift, arg, k == "comp"))
-                fmask[arg] = _MAXF << shift
-                emask |= _MAXF << shift
-            elif k == "deg":
-                degs.append((shift, arg))
-                dmask |= _MAXF << shift
         self.ring = ring
         self.order = order
         self.rank = rank
@@ -280,7 +270,7 @@ class PackedOrder:
                            for shift, idx in degs)
         self.dclear = ~dmask
         # the fields whose sum is the total degree
-        self.tmask = dmask if degs else emask
+        self.tmask = dmask
 
     def encode(self, exps):
         if sum(exps) > _MAXF:
@@ -290,9 +280,8 @@ class PackedOrder:
 
     def decode(self, key):
         e = [0] * self.ring.nvars
-        for shift, i, comp in self.dfields:
-            v = (key >> shift) & _MAXF
-            e[i] = _MAXF - v if comp else v
+        for shift, i in self.dfields:
+            e[i] = _MAXF - ((key >> shift) & _MAXF)
         return tuple(e)
 
     def component(self, key):
@@ -324,16 +313,12 @@ class PackedOrder:
         y = (kb & self.down) | (ka & self.up)
         take = ((x | g) - y) & g
         take -= take >> (_W - 1)
-        key = kb ^ ((ka ^ kb) & take)
-        if self.dsums:
-            key &= self.dclear
-            tdeg = 0
-            for shift, gmask in self.dsums:
-                d = ((key & gmask) ^ gmask) % _MOD
-                tdeg += d
-                key |= d << shift
-        else:
-            tdeg = (key & self.tmask) % _MOD
+        key = (kb ^ ((ka ^ kb) & take)) & self.dclear
+        tdeg = 0
+        for shift, gmask in self.dsums:
+            d = ((key & gmask) ^ gmask) % _MOD
+            tdeg += d
+            key |= d << shift
         if tdeg > _MAXF:
             raise ValueError("total degree %d exceeds the limit %d"
                              % (tdeg, _MAXF))
@@ -341,8 +326,7 @@ class PackedOrder:
 
     def tdeg(self, key):
         """Total degree of the term of a key, read from its fields: the
-        sum modulo _MOD of the degree fields, or of the exponent fields
-        when the order has none (lex)."""
+        sum modulo _MOD of the degree fields."""
         return (key & self.tmask) % _MOD
 
     def grading(self, weights):
@@ -354,18 +338,16 @@ class PackedOrder:
         if len(weights) != self.ring.nvars:
             raise ValueError("need one weight per variable")
         masks = {}
-        for shift, i, comp in self.dfields:
-            m, c = masks.get(weights[i], (0, 0))
-            f = _MAXF << shift
-            masks[weights[i]] = (m | f, c | f if comp else c)
+        for shift, i in self.dfields:
+            masks[weights[i]] = masks.get(weights[i], 0) | _MAXF << shift
         if len(masks) == 1 and 1 in masks:
             return self.tdeg
-        masks = tuple((w, m, c) for w, (m, c) in masks.items())
+        masks = tuple(masks.items())
 
         def degree(key):
             d = 0
-            for w, m, c in masks:
-                d += w * (((key & m) ^ c) % _MOD)
+            for w, m in masks:
+                d += w * (((key & m) ^ m) % _MOD)
             return d
 
         return degree
@@ -379,15 +361,14 @@ class PackedOrder:
             return None
         index = other.ring._index
         names = self.ring.names
-        fields = tuple((shift, _MAXF if comp else 0, other.weights[j])
-                       for shift, i, comp in self.dfields
+        fields = tuple((shift, other.weights[j]) for shift, i in self.dfields
                        if (j := index.get(names[i])) is not None)
         key0 = other.key0
 
         def convert(key):
             k = key0
-            for shift, flip, w in fields:
-                k += (((key >> shift) & _MAXF) ^ flip) * w
+            for shift, w in fields:
+                k += (((key >> shift) & _MAXF) ^ _MAXF) * w
             return k
 
         return convert
@@ -670,7 +651,7 @@ class Polynomial:
         acc = 0
         for k in self._t:
             acc |= k ^ po.key0
-        seen = sorted(i for shift, i, _comp in po.dfields
+        seen = sorted(i for shift, i in po.dfields
                       if (acc >> shift) & _MAXF)
         return tuple(self.ring.names[i] for i in seen)
 

@@ -16,9 +16,8 @@ from .rees import rees_ideal
 from .rings import PolyRing, Polynomial, transfer
 
 __all__ = ["ConditionVerdict", "ExpectedFormResult", "SaturationTarget",
-           "SymbolicFiltration", "condition_i", "depth_positive",
-           "expected_form_check", "grade_two_check",
-           "symbolic_presentation"]
+           "SymbolicFiltration", "condition_i", "expected_form_check",
+           "grade_two_check", "symbolic_presentation"]
 
 DEFAULT_LMAX = 4
 
@@ -203,18 +202,6 @@ def condition_i(F, lmax):
         out.append(ConditionVerdict(
             ell, "PRIMARY" if witness is None else "FAILS", witness))
     return tuple(out)
-
-
-def depth_positive(I):
-    """Whether the irrelevant ideal avoids the associated primes of R/I,
-    via the colon identity I : m = I, which holds exactly when
-    I : m^inf = I."""
-    if I.is_unit():
-        raise ValueError("need a proper ideal")
-    if not I.is_homogeneous():
-        raise ValueError("need a homogeneous ideal")
-    m = Ideal(I.ring, I.ring.gens)
-    return not I.saturate(m)[1]
 
 
 class ExpectedFormResult:

@@ -13,6 +13,8 @@ irrelevant ideal before it stopped at the first certified intersection:
 every variable's Bayer basis, intersected.
 The Hilbert-polynomial comparison of two lead sets, by their series
 numerators, is the reference for the lead-set certificate of saturate.
+The depth test, whether I : m^inf = I, has no caller in the program;
+the symbolic tests use it.
 The inverse oracle composes every coordinate of a candidate with the
 map, which the rank certificate of maps.invert avoids; the plane
 composition oracle compares g_i(f) * x_j with g_j(f) * x_i by products,
@@ -417,6 +419,18 @@ def essential_by_spans(F, ell):
     return survivors_by_spans(F, ell, acc)
 
 
+def depth_positive(I):
+    """Whether the irrelevant ideal avoids the associated primes of R/I,
+    via the colon identity I : m = I, which holds exactly when
+    I : m^inf = I."""
+    if I.is_unit():
+        raise ValueError("need a proper ideal")
+    if not I.is_homogeneous():
+        raise ValueError("need a homogeneous ideal")
+    m = Ideal(I.ring, I.ring.gens)
+    return not I.saturate(m)[1]
+
+
 def radical_contains(I, f):
     """Whether some power of f lies in I: 1 lies in (I, 1 - w*f)."""
     ring = I.ring
@@ -451,7 +465,7 @@ def condition_by_annihilator(I, lmax, F):
     return tuple(out)
 
 
-def invert_by_composition(F, bound=None, all_candidates=False):
+def invert_by_composition(F):
     """maps.invert as it was before the rank certificate: every syzygy
     column of the Jacobian dual, in increasing degree, is composed with
     the map in all n + 1 coordinates and passes when g_i(f) = x_i * D with
@@ -459,37 +473,27 @@ def invert_by_composition(F, bound=None, all_candidates=False):
     if not F.is_square():
         raise ValueError("inverse extraction needs a square map")
     if any(not f for f in F.forms):
-        return () if all_candidates else None
+        return None
     P = rees_ideal(Ideal(F.ring, F.forms))
     try:
         psi = jacobian_dual(P)
     except ValueError:
-        return () if all_candidates else None
-    S = syzygies(psi.matrix)
+        return None
+    S = syzygies(psi)
     cols = []
     for j in range(S.ncols):
         col = tuple(S[i, j] for i in range(S.nrows))
         deg = max(g.homogeneous_degree() for g in col if g)
         cols.append((deg, j, col))
     cols.sort(key=lambda t: (t[0], t[1]))
-    found = []
-    found_deg = None
     for deg, _j, col in cols:
-        if bound is not None and deg > bound:
-            break
-        if found_deg is not None and deg > found_deg:
-            break
         d = _factor_from(_compose(col, F), F)
         if d is None:
             continue
         inv = F.ring.field.inv(d.leading_coefficient())
-        data = InverseData(tuple(g * inv for g in col), d * inv, deg,
-                           psi.matrix.ring, P)
-        if not all_candidates:
-            return data
-        found.append(data)
-        found_deg = deg
-    return tuple(found) if all_candidates else None
+        return InverseData(tuple(g * inv for g in col), d * inv, deg,
+                           psi.ring)
+    return None
 
 
 def poly_gcd_list(polys):
@@ -538,7 +542,7 @@ def check_graph_identification(I, J):
 
 
 def jacobian_dual_by_terms(P):
-    """rees.jacobian_dual's matrix built from exponent tuples: each term
+    """rees.jacobian_dual built from exponent tuples: each term
     of an x-linear generator is split by variable name into its x-index
     and its y-exponents, and each entry is rebuilt with from_terms."""
     ring = P.ambient

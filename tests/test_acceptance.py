@@ -4,6 +4,7 @@ Each test prints PASS/FAIL lines and runs under the stated wall-clock
 budget; a budget overrun surfaces as DeadlineExceeded.
 """
 
+import gc
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from oracles import homogeneous_member, random_form, random_homogeneous_ideal
 from cremona.families import (DegenerateTemplate, appendix_construct,
                               sylvester_chain, template_ideal)
 from cremona.fixtures import alberich_matrix, all_fixtures, polar_quartic_data
-from cremona.groebner import deadline, live_bases
+from cremona.groebner import GroebnerBasis, deadline
 from cremona.ideals import Ideal
 from cremona.maps import RationalMapSpec, invert
 from cremona.rees import subalgebra_presentation
@@ -299,9 +300,10 @@ class TestPropertySuites:
                   "projectively on every fixture", ok)
 
     def test_certify_cached_bases(self):
-        # Runs last: audits whatever the whole session still holds.
+        # Runs last: audits every basis the whole session still holds.
         with deadline(300):
-            bases = live_bases()
+            bases = [obj for obj in gc.get_objects()
+                     if isinstance(obj, GroebnerBasis)]
             check("property: Buchberger certificate on %d cached bases"
                   % len(bases), bool(bases)
                   and all(gb.certify() for gb in bases))

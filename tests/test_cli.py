@@ -494,7 +494,7 @@ class TestRunScript:
 
 
 class TestFixtures:
-    ARGS = Namespace(lmax=4, deadline=600.0, seed=0)
+    ARGS = Namespace(deadline=600.0)
 
     def test_bundled_corpus_matches(self):
         assert _cmd_fixtures(self.ARGS) == 0

@@ -4,13 +4,15 @@ import random
 
 import pytest
 
+from cremona import families
 from cremona.families import (DegenerateTemplate, TemplateMatrix,
                               appendix_construct, signed_minors,
                               sylvester_chain, sylvester_form,
                               template_ideal)
 from cremona.fixtures import alberich_matrix
 from cremona.ideals import Ideal
-from cremona.rings import FormMatrix, PolyRing, QQ
+from cremona.maps import inversion_factor
+from cremona.rings import FormMatrix, GF, PolyRing, Polynomial, QQ
 
 from oracles import plane_composition_oracle
 
@@ -80,10 +82,13 @@ class TestNumerology:
         assert T.ideal.hilbert().multiplicity == 11
         assert sym2.hilbert().multiplicity == 33
 
-    def test_degenerate_draw_raises(self):
-        zero_rows = [["0", "0", "0"]] * 4
-        with pytest.raises(DegenerateTemplate):
-            template_ideal(3, 1, entries=zero_rows)
+    def test_degenerate_draw_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            families, "_draw_template",
+            lambda n, r, rng, ring: FormMatrix(ring, [[ring.zero] * n]
+                                               * (n + 1)))
+        with pytest.raises(DegenerateTemplate, match="codimension"):
+            template_ideal(3, 1)
 
 
 class TestInverses:
@@ -102,6 +107,33 @@ class TestInverses:
         invs = T.inverses()
         assert len(invs) == 1
         assert invs[0].factor.homogeneous_degree() == 7
+
+    @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_factor_matches_composition(self, r, field):
+        """The factor read from one coordinate is the common factor of
+        the composition in every coordinate, maps.inversion_factor."""
+        for seed in range(16):
+            T = template_ideal(3, r, seed=seed, field=field)
+            spec = T.map_spec()
+            invs = T.inverses()
+            assert len(invs) == (3 if r == 1 else 1)
+            for data in invs:
+                assert inversion_factor(spec, data.inverse) == data.factor
+
+    def test_one_substitution_per_candidate(self, monkeypatch):
+        T = template_ideal(3, 1, seed=7)
+        T.rees()
+        calls = []
+        orig = Polynomial.substitute
+
+        def counting(self, *args, **kwargs):
+            calls.append(self)
+            return orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(Polynomial, "substitute", counting)
+        assert len(T.inverses()) == 3
+        assert len(calls) == 3
 
 
 class TestSylvesterForm:

@@ -66,8 +66,8 @@ class TestJacobianDual:
         jd = jacobian_dual(P)
         amb = P.ideal.ring
         lin = [g for (a, _), g in zip(P.bidegrees, P.generators) if a == 1]
-        assert jd.matrix.nrows == len(lin)
-        for row, g in zip(jd.matrix.entries, lin):
+        assert jd.nrows == len(lin)
+        for row, g in zip(jd.entries, lin):
             s = amb.zero
             for e, xn in zip(row, P.xnames):
                 s = s + transfer(e, amb) * amb.var(xn)

@@ -13,12 +13,11 @@ from cremona.maps import invert
 from cremona.rees import subalgebra_presentation
 from cremona.rings import GF, PolyRing, QQ, transfer
 from cremona.symbolic import (SaturationTarget, SymbolicFiltration,
-                              condition_i, depth_positive,
-                              expected_form_check, grade_two_check,
-                              symbolic_presentation)
+                              condition_i, expected_form_check,
+                              grade_two_check, symbolic_presentation)
 
-from oracles import (condition_by_annihilator, essential_by_spans,
-                     fresh_by_spans)
+from oracles import (condition_by_annihilator, depth_positive,
+                     essential_by_spans, fresh_by_spans)
 
 R3 = PolyRing(("x0", "x1", "x2"), QQ)
 
