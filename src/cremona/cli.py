@@ -42,8 +42,8 @@ from .ideals import Ideal
 from .maps import RationalMapSpec, invert
 from .rings import (Field, FormMatrix, ParseError, PolyRing, QQ, _Cursor,
                     _parse_expr)
-from .symbolic import (SaturationTarget, SymbolicFiltration, condition_i,
-                       expected_form_check)
+from .symbolic import (DEFAULT_LMAX, SaturationTarget, SymbolicFiltration,
+                       condition_i, expected_form_check)
 
 __all__ = ["ScriptError", "SessionScript", "parse_session", "run_script",
            "render_report", "main"]
@@ -421,7 +421,7 @@ def _inverse_of(script, name, cache):
     return cache[key]
 
 
-def _exec_inverse(script, cmd, cache, limits):
+def _exec_inverse(script, cmd, cache):
     inv = _inverse_of(script, cmd.args["name"], cache)
     if inv is None:
         return [], [], {"birational": False}
@@ -429,7 +429,7 @@ def _exec_inverse(script, cmd, cache, limits):
             {"birational": True})
 
 
-def _exec_invfactor(script, cmd, cache, limits):
+def _exec_invfactor(script, cmd, cache):
     inv = _inverse_of(script, cmd.args["name"], cache)
     if inv is None:
         raise ValueError("map is not birational, no inversion factor")
@@ -437,7 +437,7 @@ def _exec_invfactor(script, cmd, cache, limits):
             {"birational": True, "inverse_degree": inv.degree})
 
 
-def _exec_sympow(script, cmd, cache, limits):
+def _exec_sympow(script, cmd, cache):
     F = _filtration(script, cmd.args["name"], cmd.args.get("sat"), cache)
     ell = cmd.args["level"]
     fresh = F.fresh(ell)
@@ -446,8 +446,8 @@ def _exec_sympow(script, cmd, cache, limits):
             {"equals_power": not F.grew(ell)})
 
 
-def _exec_symrees(script, cmd, cache, limits):
-    lmax = cmd.args.get("lmax", limits["lmax"])
+def _exec_symrees(script, cmd, cache):
+    lmax = cmd.args.get("lmax", DEFAULT_LMAX)
     F = _filtration(script, cmd.args["name"], cmd.args.get("sat"), cache)
     inv = _inverse_of(script, cmd.args["name"], cache)
     degrees = {"fresh": {str(ell): [g.homogeneous_degree()
@@ -469,7 +469,7 @@ def _exec_symrees(script, cmd, cache, limits):
     return [str(inv.factor)], degrees, verdicts
 
 
-def _exec_appendix(script, cmd, cache, limits):
+def _exec_appendix(script, cmd, cache):
     mat = script.bindings[cmd.args["name"]][1]
     res = appendix_construct(mat)
     values = ([str(g) for g in res.inverse]
@@ -479,11 +479,10 @@ def _exec_appendix(script, cmd, cache, limits):
     return values, degrees, dict(res.verdicts)
 
 
-def _exec_template(script, cmd, cache, limits):
+def _exec_template(script, cmd, cache):
     n, r = cmd.args["n"], cmd.args["r"]
-    base_seed = cmd.args.get("seed", limits["seed"])
+    seed = cmd.args.get("seed", 0)
     rejected = []
-    seed = base_seed
     for attempt in range(4):
         try:
             inst = template_ideal(n, r, seed=seed,
@@ -530,9 +529,10 @@ _EXEC = {
 }
 
 
-def run_script(script, lmax=4, deadline_s=600, seed=0):
-    """Run all commands; one record each, failures do not stop the run."""
-    limits = {"lmax": lmax, "seed": seed}
+def run_script(script, deadline_s=600):
+    """Run all commands; one record each, failures do not stop the run.
+    A symrees without lmax= goes to level symbolic.DEFAULT_LMAX, and a
+    template without seed= draws with seed 0."""
     cache = {}
     records = []
     for cmd in script.commands:
@@ -540,7 +540,7 @@ def run_script(script, lmax=4, deadline_s=600, seed=0):
         try:
             with deadline(deadline_s):
                 values, degrees, verdicts = _EXEC[cmd.op](script, cmd,
-                                                          cache, limits)
+                                                          cache)
             status = "ok"
         except DeadlineExceeded:
             status, values, degrees, verdicts = "timeout", [], [], {}
@@ -566,12 +566,11 @@ def render_report(records):
                    for rec in records)
 
 
-def _run_source(source, deadline_s, **limits):
-    """Parse under the deadline, then run the session with run_script's
-    limits, its defaults where not given."""
+def _run_source(source, deadline_s):
+    """Parse under the deadline, then run the session."""
     with deadline(deadline_s):
         script = parse_session(source)
-    return run_script(script, deadline_s=deadline_s, **limits)
+    return run_script(script, deadline_s=deadline_s)
 
 
 def _strip_elapsed(records):
@@ -583,8 +582,7 @@ def _cmd_run(args):
     try:
         with open(args.script, encoding="utf-8") as fh:
             source = fh.read()
-        records = _run_source(source, args.deadline, lmax=args.lmax,
-                              seed=args.seed)
+        records = _run_source(source, args.deadline)
     except ScriptError as e:
         print("%s: %s" % (args.script, e), file=sys.stderr)
         return 2
@@ -661,9 +659,7 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="subcommand", required=True)
     p_run = sub.add_parser("run", help="run a session script")
     p_run.add_argument("script")
-    p_run.add_argument("--lmax", type=int, default=4)
     p_run.add_argument("--deadline", type=float, default=600.0)
-    p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--out")
     p_run.set_defaults(func=_cmd_run)
     p_fix = sub.add_parser("fixtures",

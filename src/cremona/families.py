@@ -13,14 +13,14 @@ of a quartic map together with its inverse.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 from .groebner import _hilbert_numerator, check_deadline, groebner_basis
 from .ideals import Ideal, minors as minor_ideal
 from .maps import (InverseData, RationalMapSpec, _coprime, _factor_at_zero,
                    inversion_factor)
-from .rees import rees_ideal
-from .rings import (FormMatrix, NotDivisibleError, PolyRing, Polynomial, QQ,
-                    transfer)
+from .rees import _coefficients, _column_relations, rees_ideal
+from .rings import FormMatrix, PolyRing, Polynomial, QQ, transfer
 
 __all__ = ["AppendixData", "DegenerateTemplate", "SylvesterChain",
            "TemplateInstance", "TemplateMatrix", "appendix_construct",
@@ -164,8 +164,9 @@ class TemplateInstance:
     def inverses(self):
         """Degree-2 inverse representatives from the x-linear relations.
 
-        Each pair of linear columns gives a 2 x 3 coefficient matrix
-        over k[y] whose row cross product is a candidate; candidates are
+        Each linear column c gives the coefficient row theta over k[y]
+        of its relation sum_i y_i * M[i][c] = sum_j x_j * theta_j, and
+        the cross product of each pair of rows is a candidate; they are
         validated by the composition check.  r = 1 yields three pairs,
         r >= 2 just one.
 
@@ -183,39 +184,25 @@ class TemplateInstance:
             raise ValueError("inverse extraction implemented for n = 3")
         P = self.rees()
         yring = PolyRing(P.ynames, self.ring.field)
-        cols = [0, 1, 2] if self.r == 1 else [0, 1]
+        xs = [P.ambient.var(nm) for nm in P.xnames]
+        T = self.template
+        lin = T.matrix if self.r == 1 else T.linear_part()
+        theta = [_coefficients(rel, xs, yring)
+                 for rel in _column_relations(lin, P)]
         spec = self.map_spec()
         found = []
-        for a in range(len(cols)):
-            for b in range(a + 1, len(cols)):
-                theta = [self._ycoeff_row(cols[a], yring),
-                         self._ycoeff_row(cols[b], yring)]
-                g = _cross(theta[0], theta[1])
-                if all(not gi for gi in g):
-                    raise DegenerateTemplate("vanishing coefficient matrix")
-                d = _factor_at_zero(g[0], spec)
-                if d is None:
-                    raise DegenerateTemplate(
-                        "composition check failed for a column pair")
-                inv = self.ring.field.inv(d.leading_coefficient())
-                found.append(InverseData(tuple(gi * inv for gi in g),
-                                         d * inv, 2, yring))
+        for ta, tb in combinations(theta, 2):
+            g = _cross(ta, tb)
+            if all(not gi for gi in g):
+                raise DegenerateTemplate("vanishing coefficient matrix")
+            d = _factor_at_zero(g[0], spec)
+            if d is None:
+                raise DegenerateTemplate(
+                    "composition check failed for a column pair")
+            inv = self.ring.field.inv(d.leading_coefficient())
+            found.append(InverseData(tuple(gi * inv for gi in g), d * inv, 2))
         self._inverses = tuple(found)
         return self._inverses
-
-    def _ycoeff_row(self, col, yring):
-        # row j of the matrix: sum_i coeff(entry[i][col], x_j) * y_i
-        n = self.n
-        terms = [[] for _ in range(n)]
-        for i in range(n + 1):
-            e = self.template.matrix[i, col]
-            if not e:
-                continue
-            ymono = tuple(1 if k == i else 0 for k in range(n + 1))
-            for exps, c in e.items():
-                j = exps.index(1)
-                terms[j].append((ymono, c))
-        return tuple(yring.from_terms(t) for t in terms)
 
     def diagnostics(self):
         out = {"codimension": self.codimension(),
@@ -256,11 +243,9 @@ def sylvester_form(h1, h2, h3, wrt):
     """Determinant of the coefficient matrix writing three forms as
     combinations of three variables, named by wrt.
 
-    Extraction is sequential: terms divisible by the first variable are
-    collected and divided out, then the second on the remainder; the
-    last variable must divide the rest exactly (content check).
+    A term goes to the first of the variables that divides it; a form
+    with a term that none divides fails the content check.
     """
-    forms = (h1, h2, h3)
     ring = h1.ring
     names = tuple(wrt)
     if len(names) != 3 or len(set(names)) != 3:
@@ -268,31 +253,16 @@ def sylvester_form(h1, h2, h3, wrt):
     for nm in names:
         if nm not in ring.names:
             raise ValueError("no variable %r in %r" % (nm, ring))
-    positions = [ring.index(nm) for nm in names]
+    vs = [ring.var(nm) for nm in names]
     rows = []
-    for h in forms:
+    for h in (h1, h2, h3):
         if not isinstance(h, Polynomial) or h.ring != ring:
             raise ValueError("forms from a different ring")
-        rem = h
-        row = []
-        for k, pos in enumerate(positions):
-            v = ring.gens[pos]
-            if k == len(positions) - 1:
-                if not rem:
-                    row.append(ring.zero)
-                    break
-                try:
-                    row.append(rem.exact_divide(v))
-                except NotDivisibleError:
-                    raise ValueError(
-                        "content check failed: %s is not in (%s)"
-                        % (h, ", ".join(names)))
-                break
-            part = ring.from_terms({e: c for e, c in rem.items()
-                                    if e[pos] > 0})
-            row.append(part.exact_divide(v) if part else ring.zero)
-            rem = rem - part
-        rows.append(row)
+        try:
+            rows.append(_coefficients(h, vs, ring))
+        except ValueError:
+            raise ValueError("content check failed: %s is not in (%s)"
+                             % (h, ", ".join(names))) from None
     return FormMatrix(ring, rows).det()
 
 
@@ -330,16 +300,7 @@ def sylvester_chain(inst):
                                  "the linear part are not irrelevant-primary")
     P = inst.rees()
     amb = P.ambient
-    ys = [amb.var(nm) for nm in P.ynames]
-    cols = []
-    for j in range(3):
-        acc = amb.zero
-        for i in range(4):
-            e = T.matrix[i, j]
-            if e:
-                acc = acc + ys[i] * transfer(e, amb)
-        cols.append(acc)
-    l1, l2, f0 = cols
+    l1, l2, f0 = _column_relations(T.matrix, P)
     if not l1 or not l2 or not f0:
         raise DegenerateTemplate("vanishing linear relation")
     gb = P.ideal.groebner()
@@ -365,9 +326,6 @@ def sylvester_chain(inst):
 
 
 # -- the plane quartic construction -----------------------------------
-
-
-_SQUAREFREE2 = {(1, 1, 0): 0, (1, 0, 1): 1, (0, 1, 1): 2}
 
 
 class AppendixData:
@@ -399,8 +357,7 @@ def appendix_construct(phi):
         raise ValueError("need a 3 x 2 matrix")
     if ring.nvars != 3:
         raise ValueError("need three variables")
-    coeffs = [[[ring.field.coerce(0)] * 3 for _j in range(2)]
-              for _i in range(3)]
+    squarefree = [a * b for a, b in combinations(ring.gens, 2)]
     for i in range(3):
         for j in range(2):
             e = phi[i, j]
@@ -408,12 +365,11 @@ def appendix_construct(phi):
                 continue
             if not e.is_homogeneous() or e.homogeneous_degree() != 2:
                 raise ValueError("entry (%d, %d) is not a quadric" % (i, j))
-            for exps, c in e.items():
-                slot = _SQUAREFREE2.get(exps)
-                if slot is None:
-                    raise ValueError("pure power term in entry (%d, %d)"
-                                     % (i, j))
-                coeffs[i][j][slot] = c
+            try:
+                _coefficients(e, squarefree, ring)
+            except ValueError:
+                raise ValueError("pure power term in entry (%d, %d)"
+                                 % (i, j)) from None
     base_forms = signed_minors(phi)
     if any(not f for f in base_forms):
         raise ValueError("degenerate syzygy matrix: vanishing maximal minor")
@@ -421,34 +377,18 @@ def appendix_construct(phi):
     base = Ideal(ring, base_forms)
     P = rees_ideal(base)
     amb = P.ambient
-    ys = [amb.var(nm) for nm in P.ynames]
     xs = [amb.var(nm) for nm in P.xnames]
+    sym = _column_relations(phi, P)
     # rows 1..2 of B: the y-linear coefficient forms of the two columns
-    yforms = []
-    for j in range(2):
-        row = []
-        for slot in range(3):
-            acc = amb.zero
-            for i in range(3):
-                c = coeffs[i][j][slot]
-                if c:
-                    acc = acc + ys[i] * amb.const(c)
-            row.append(acc)
-        yforms.append(row)
+    squarefree = [a * b for a, b in combinations(xs, 2)]
+    yforms = [_coefficients(s, squarefree, amb) for s in sym]
     (a1, b1, c1), (a2, b2, c2) = yforms
-    brows = (tuple(yforms[0]), tuple(yforms[1]),
-             (-xs[2], xs[1], amb.zero), (-xs[2], amb.zero, xs[0]))
+    brows = (*yforms, (-xs[2], xs[1], amb.zero), (-xs[2], amb.zero, xs[0]))
     deltas = []
     for i in range(4):
         rows = tuple(brows[k] for k in range(4) if k != i)
         deltas.append(FormMatrix(amb, rows).det())
     d1, d2, d3, d4 = deltas
-    sym = [amb.zero, amb.zero]
-    for j in range(2):
-        for i in range(3):
-            e = phi[i, j]
-            if e:
-                sym[j] = sym[j] + ys[i] * transfer(e, amb)
     q1 = b1 * c2 - b2 * c1
     q2 = a1 * c2 - a2 * c1
     q3 = a1 * b2 - a2 * b1

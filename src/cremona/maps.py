@@ -81,13 +81,12 @@ class InverseData:
     leading coefficient 1 and the g_i are scaled to match.
     """
 
-    __slots__ = ("inverse", "factor", "degree", "yring")
+    __slots__ = ("inverse", "factor", "degree")
 
-    def __init__(self, inverse, factor, degree, yring):
+    def __init__(self, inverse, factor, degree):
         self.inverse = inverse
         self.factor = factor
         self.degree = degree
-        self.yring = yring
 
     def __repr__(self):
         return ("InverseData(degree %d, factor %s)"
@@ -328,8 +327,7 @@ def invert(F):
             d = _factor_from(_compose(col, F), F)
         if d is not None:
             inv = F.ring.field.inv(d.leading_coefficient())
-            return InverseData(tuple(g * inv for g in col), d * inv, deg,
-                               psi.ring)
+            return InverseData(tuple(g * inv for g in col), d * inv, deg)
     return None
 
 

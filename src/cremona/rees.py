@@ -86,30 +86,48 @@ def rees_ideal(I):
 def jacobian_dual(P):
     """Matrix of y-form coefficients of the x-linear generators: row r
     lists, per x-variable, the y-form coefficient inside the r-th x-linear
-    generator, so that generator equals sum(x_i * row[i]).
-
-    Read on the ambient ring's packed keys: each term of an x-linear
-    generator holds one x-variable x_i, the grading with weight i + 1 on
-    x_i and 0 on the y-variables reads i + 1 from its key, and the remap
-    to the y-ring drops the x-fields.
-    """
+    generator, so that generator equals sum(x_i * row[i])."""
     ring = P.ambient
     yring = PolyRing(P.ynames, ring.field)
-    po = ring._packed
-    ykey = po.remap(yring._packed)
-    xindex = {n: i for i, n in enumerate(P.xnames)}
-    xpos = po.grading([xindex.get(n, -1) + 1 for n in ring.names])
-    rows = []
-    for g, (a, _b) in zip(P.generators, P.bidegrees):
-        if a != 1:
-            continue
-        row = [{} for _ in P.xnames]
-        for k, c in g._t.items():
-            row[xpos(k) - 1][ykey(k)] = c
-        rows.append([_canonical(yring, r, g._s) for r in row])
+    xs = [ring.var(n) for n in P.xnames]
+    rows = [_coefficients(g, xs, yring)
+            for g, (a, _b) in zip(P.generators, P.bidegrees) if a == 1]
     if not rows:
         raise ValueError("no x-linear generators; Jacobian dual undefined")
     return FormMatrix(yring, rows)
+
+
+def _coefficients(g, monomials, ring):
+    """The forms c_j of ring with g = sum(m_j * c_j), for monomials m_j
+    of g's ring: each term of g goes to the first m_j that divides it,
+    divided by m_j.  A term that no m_j divides raises ValueError.
+
+    Read on packed keys: the quotient of the key k by the key mk is
+    k - mk + key0, and one remap moves the quotients into ring, which
+    must hold their variables.
+    """
+    po = g.ring._packed
+    move = po.remap(ring._packed) or (lambda k: k)
+    mkeys = [max(m._t) for m in monomials]
+    parts = [{} for _ in mkeys]
+    for k, c in g._t.items():
+        for mk, part in zip(mkeys, parts):
+            if po.divides(mk, k):
+                part[move(k - mk + po.key0)] = c
+                break
+        else:
+            raise ValueError("a term of %s is divisible by no monomial" % g)
+    return [_canonical(ring, t, g._s) for t in parts]
+
+
+def _column_relations(mat, P):
+    """One form sum(y_i * mat[i][j]) of P.ambient per column j of a
+    matrix over the base ring of P."""
+    amb = P.ambient
+    ys = [amb.var(nm) for nm in P.ynames]
+    return [sum((ys[i] * transfer(mat[i, j], amb)
+                 for i in range(mat.nrows) if mat[i, j]), amb.zero)
+            for j in range(mat.ncols)]
 
 
 def subalgebra_presentation(I, extra=()):

@@ -24,7 +24,9 @@ program certifies coprime forms on a random line or by codimension.
 The elimination and syzygy oracles reduce the whole basis fully and
 then keep a part of it, where the program finishes only the part it
 keeps.  The Jacobian dual oracle reads terms as exponent tuples, not
-key fields, and the expression parser oracle is the one that tokenized
+key fields, as do the coefficient reader's oracle and the Sylvester
+form oracle, the latter by the sequential extraction that the reader
+replaced; the expression parser oracle is the one that tokenized
 each polynomial text on its own before sessions and PolyRing.parse
 shared one tokenizer.
 """
@@ -491,8 +493,7 @@ def invert_by_composition(F):
         if d is None:
             continue
         inv = F.ring.field.inv(d.leading_coefficient())
-        return InverseData(tuple(g * inv for g in col), d * inv, deg,
-                           psi.ring)
+        return InverseData(tuple(g * inv for g in col), d * inv, deg)
     return None
 
 
@@ -568,6 +569,53 @@ def jacobian_dual_by_terms(P):
             row[xi][tuple(yexp)] = c
         rows.append([yring.from_terms(r) for r in row])
     return FormMatrix(yring, rows)
+
+
+def coefficients_by_terms(g, monomials, ring):
+    """rees._coefficients on exponent tuples: each term of g goes to the
+    first monomial whose exponents it bounds, the difference is rebuilt
+    in ring by variable name, which must hold every variable it uses,
+    and a term that no monomial divides raises ValueError."""
+    names = g.ring.names
+    mexps = [m.items()[0][0] for m in monomials]
+    parts = [[] for _ in monomials]
+    for exps, c in g.items():
+        for me, part in zip(mexps, parts):
+            if all(a >= b for a, b in zip(exps, me)):
+                quot = {nm: a - b for nm, a, b in zip(names, exps, me)}
+                assert all(not e for nm, e in quot.items()
+                           if nm not in ring.names)
+                part.append((tuple(quot.get(nm, 0) for nm in ring.names), c))
+                break
+        else:
+            raise ValueError("no monomial divides a term of %s" % g)
+    return [ring.from_terms(t) for t in parts]
+
+
+def sylvester_form_by_terms(h1, h2, h3, wrt):
+    """families.sylvester_form by sequential extraction on exponent
+    tuples: terms divisible by the first variable are collected and
+    divided out, then the second on the remainder; the last variable
+    must divide the rest exactly (content check)."""
+    ring = h1.ring
+    positions = [ring.index(nm) for nm in wrt]
+    rows = []
+    for h in (h1, h2, h3):
+        rem = h
+        row = []
+        for pos in positions[:-1]:
+            part = ring.from_terms({e: c for e, c in rem.items()
+                                    if e[pos] > 0})
+            row.append(part.exact_divide(ring.gens[pos]) if part
+                       else ring.zero)
+            rem = rem - part
+        try:
+            row.append(rem.exact_divide(ring.gens[positions[-1]]) if rem
+                       else ring.zero)
+        except NotDivisibleError:
+            raise ValueError("content check failed") from None
+        rows.append(row)
+    return FormMatrix(ring, rows).det()
 
 
 # -- elimination and syzygies from a fully reduced basis --------------

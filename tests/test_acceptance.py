@@ -279,13 +279,13 @@ class TestPropertySuites:
             ok = True
             for fx in all_fixtures():
                 data = invert(fx.spec)
-                G = RationalMapSpec(data.yring, data.inverse)
+                G = RationalMapSpec(data.inverse[0].ring, data.inverse)
                 back = invert(G)
                 if back is None or back.degree != fx.spec.degree:
                     ok = False
                     break
                 images = {nm: fx.ring.var(xn)
-                          for nm, xn in zip(back.yring.names,
+                          for nm, xn in zip(back.inverse[0].ring.names,
                                             fx.ring.names)}
                 h = [g.substitute(images, ring=fx.ring)
                      for g in back.inverse]

@@ -167,6 +167,11 @@ class TestDiagnostics:
         e = parse_err("ring R = Fp(6)[x0..x2];")
         assert e.line == 1
 
+    def test_strong_pseudoprime_characteristic(self):
+        e = parse_err("ring R = Fp(318665857834031151167461)[x0..x2];")
+        assert (e.line, e.col) == (1, 10)
+        assert "zero or prime" in str(e)
+
     def test_characteristic_zero_prime_field(self):
         e = parse_err("ring R = Fp(0)[x0..x2];")
         assert (e.line, e.col) == (1, 10)

@@ -1,5 +1,6 @@
 """Every exported name resolves, so no __all__ lists removed API, no
-module imports a name it never uses, and only rings imports fractions."""
+module imports a name it never uses, only rings imports fractions, and
+exponent tuples reach from_terms only where a template is drawn."""
 
 import ast
 import importlib
@@ -70,3 +71,39 @@ def test_only_rings_imports_fractions():
     users = sorted(path.name for path in package.glob("*.py")
                    if "fractions" in imported_modules(path.read_text()))
     assert users == ["rings.py"]
+
+
+def from_terms_callers(source):
+    """Qualified names of the functions whose bodies call from_terms."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "from_terms"):
+                out.append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return out
+
+
+def test_from_terms_callers_are_found():
+    assert from_terms_callers("class A:\n    def f(self, r):\n"
+                              "        return r.from_terms([])\n"
+                              "r.from_terms({})\n") == ["A.f", ""]
+
+
+def test_from_terms_only_at_the_edges():
+    """Polynomials are read and built on packed keys: outside rings,
+    only the draw of a template's entries passes exponent tuples."""
+    package = Path(cremona.__file__).parent
+    callers = sorted((path.stem, name) for path in package.glob("*.py")
+                     if path.name != "rings.py"
+                     for name in from_terms_callers(path.read_text()))
+    assert callers == [("families", "_draw_template")]

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from cremona import families
 from cremona.families import (DegenerateTemplate, TemplateMatrix,
@@ -14,7 +16,7 @@ from cremona.ideals import Ideal
 from cremona.maps import inversion_factor
 from cremona.rings import FormMatrix, GF, PolyRing, Polynomial, QQ
 
-from oracles import plane_composition_oracle
+from oracles import plane_composition_oracle, sylvester_form_by_terms
 
 R3 = PolyRing(("x0", "x1", "x2"), QQ)
 SQUAREFREE = [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
@@ -136,6 +138,21 @@ class TestInverses:
         assert len(calls) == 3
 
 
+@st.composite
+def sylvester_cases(draw):
+    """Three forms of one degree over a ring of four variables, and three
+    distinct of its variables; a form with a term in the fourth variable
+    alone fails the content check."""
+    field = draw(st.sampled_from((QQ, GF(32003))))
+    ring = PolyRing(("x0", "x1", "x2", "x3"), field)
+    mons = list(ring.monomials_of_degree(draw(st.integers(1, 3))))
+    forms = [ring.from_terms(draw(st.lists(
+        st.tuples(st.sampled_from(mons), st.integers(-5, 5)), max_size=5)))
+        for _ in range(3)]
+    wrt = draw(st.permutations(ring.names))[:3]
+    return forms, wrt
+
+
 class TestSylvesterForm:
     def test_coordinate_identity(self):
         x0, x1, x2 = R3.gens
@@ -167,6 +184,18 @@ class TestSylvesterForm:
         x0, x1, x2 = R3.gens
         with pytest.raises(ValueError, match="no variable 'x3'"):
             sylvester_form(x0, x1, x2, ("x0", "x1", "x3"))
+
+    @given(sylvester_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sequential_extraction(self, case):
+        forms, wrt = case
+        try:
+            want = sylvester_form_by_terms(*forms, wrt)
+        except ValueError:
+            with pytest.raises(ValueError, match="content check failed"):
+                sylvester_form(*forms, wrt)
+            return
+        assert sylvester_form(*forms, wrt) == want
 
 
 class TestSylvesterChain:

@@ -15,6 +15,8 @@ from cremona.ideals import Ideal
 from cremona.rees import jacobian_dual, rees_ideal, subalgebra_presentation
 from cremona.rings import GF, PolyRing, QQ, transfer
 
+from oracles import coefficients_by_terms
+
 R2 = PolyRing(("x0", "x1"), QQ)
 
 
@@ -173,3 +175,73 @@ class TestHilbertDriven:
         image = P.image_ideal()
         assert image.ring.names == sub.names
         assert _strs(image.gens) == _strs(polys)
+
+
+def _exponents(n, deg):
+    return st.lists(st.integers(0, deg), min_size=n, max_size=n).filter(
+        lambda e: sum(e) <= deg).map(tuple)
+
+
+@st.composite
+def coefficient_cases(draw):
+    """(g, monomials, ring) for rees._coefficients.  Either g and the
+    monomials are drawn freely and ring is g's own, or g is a sum of
+    m_j * c_j for distinct x-monomials m_j of one degree and forms c_j
+    in the y-variables, read into the ring of the y-variables alone, at
+    times with an added y-term that no m_j divides."""
+    field = draw(st.sampled_from((QQ, GF(32003))))
+    nx, ny = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    names = tuple("x%d" % i for i in range(nx)) + tuple(
+        "y%d" % i for i in range(ny))
+    ring = PolyRing(names, field)
+    coeff = st.integers(-5, 5)
+    if draw(st.booleans()):
+        monos = [ring.monomial(e) for e in draw(st.lists(
+            _exponents(nx + ny, 2), min_size=1, max_size=4))]
+        g = ring.from_terms(draw(st.lists(
+            st.tuples(_exponents(nx + ny, 4), coeff), max_size=8)))
+        return g, monos, ring
+    d = draw(st.integers(1, 2))
+    mexps = draw(st.lists(_exponents(nx, d).filter(lambda e: sum(e) == d),
+                          min_size=1, max_size=4, unique=True))
+    terms = []
+    for me in mexps:
+        for ye, c in draw(st.lists(st.tuples(_exponents(ny, 3), coeff),
+                                   max_size=4)):
+            terms.append((me + ye, c))
+    if draw(st.booleans()):
+        terms.append(((0,) * nx + draw(_exponents(ny, 3)), 1))
+    monos = [ring.monomial(me + (0,) * ny) for me in mexps]
+    return ring.from_terms(terms), monos, PolyRing(names[nx:], field)
+
+
+class TestCoefficients:
+    """rees._coefficients, read on packed keys, against
+    oracles.coefficients_by_terms, which reads exponent tuples."""
+
+    @given(coefficient_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_tuple_reader(self, case):
+        g, monos, ring = case
+        try:
+            want = coefficients_by_terms(g, monos, ring)
+        except ValueError:
+            with pytest.raises(ValueError):
+                rees._coefficients(g, monos, ring)
+            return
+        got = rees._coefficients(g, monos, ring)
+        assert got == want
+        assert [str(c) for c in got] == [str(c) for c in want]
+
+    def test_first_divisor_takes_the_term(self):
+        R = PolyRing(("x0", "x1", "x2"), QQ)
+        x0, x1, x2 = R.gens
+        got = rees._coefficients(R.parse("x0*x1 + 2*x1^2 - 1/3*x2^3"),
+                                 [x0, x1, x2], R)
+        assert [str(c) for c in got] == ["x1", "2*x1", "-1/3*x2^2"]
+
+    def test_undivided_term_raises(self):
+        R = PolyRing(("x0", "x1", "x2"), QQ)
+        x0, x1, _x2 = R.gens
+        with pytest.raises(ValueError):
+            rees._coefficients(R.parse("x0 + x2"), [x0, x1], R)

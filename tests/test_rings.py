@@ -66,6 +66,18 @@ class TestField:
             Field(6)
         assert GF(31991).characteristic == 31991
 
+    def test_strong_pseudoprimes_rejected(self):
+        # psi_12, a strong pseudoprime to the twelve prime bases up to 37
+        with pytest.raises(ValueError, match="zero or prime"):
+            Field(399165290221 * 798330580441)
+        # psi_13, past the bound where the bases up to 41 decide
+        with pytest.raises(ValueError,
+                           match="below 3317044064679887385961981"):
+            Field(1287836182261 * 2575672364521)
+
+    def test_large_prime_accepted(self):
+        assert GF(2**61 - 1).characteristic == 2**61 - 1
+
     def test_coerce(self):
         assert QQ.coerce(2) == Fraction(2)
         assert GF(7).coerce(-1) == 6
