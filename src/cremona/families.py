@@ -114,13 +114,15 @@ class TemplateInstance:
     """A template matrix with its minor ideal and lazily computed
     numerology."""
 
-    __slots__ = ("template", "ideal", "seed", "_rees", "_inverses")
+    __slots__ = ("template", "ideal", "seed", "_rees", "_relations",
+                 "_inverses")
 
     def __init__(self, template, seed=None):
         self.template = template
         self.ideal = template.ideal()
         self.seed = seed
         self._rees = None
+        self._relations = None
         self._inverses = None
 
     @property
@@ -150,6 +152,14 @@ class TemplateInstance:
             self._rees = rees_ideal(self.ideal)
         return self._rees
 
+    def relations(self):
+        """The forms sum_i y_i * M[i][j] of the Rees ambient, one per
+        column j of the template matrix M, the last of x-degree r."""
+        if self._relations is None:
+            self._relations = _column_relations(self.template.matrix,
+                                                self.rees())
+        return self._relations
+
     def edeg(self):
         """Degree of the implicit equation of the image hypersurface."""
         image = self.rees().image_ideal()
@@ -166,9 +176,9 @@ class TemplateInstance:
 
         Each linear column c gives the coefficient row theta over k[y]
         of its relation sum_i y_i * M[i][c] = sum_j x_j * theta_j, and
-        the cross product of each pair of rows is a candidate; they are
-        validated by the composition check.  r = 1 yields three pairs,
-        r >= 2 just one.
+        the signed minors of each pair of rows, their cross product, are
+        a candidate; they are validated by the composition check.  r = 1
+        yields three pairs, r >= 2 just one.
 
         One coordinate decides the check.  A row theta of a column c
         satisfies theta(f) . x = sum_i f_i * M[i][c] = 0, as the signed
@@ -185,14 +195,12 @@ class TemplateInstance:
         P = self.rees()
         yring = PolyRing(P.ynames, self.ring.field)
         xs = [P.ambient.var(nm) for nm in P.xnames]
-        T = self.template
-        lin = T.matrix if self.r == 1 else T.linear_part()
-        theta = [_coefficients(rel, xs, yring)
-                 for rel in _column_relations(lin, P)]
+        rels = self.relations()[:self.n if self.r == 1 else self.n - 1]
+        theta = [_coefficients(rel, xs, yring) for rel in rels]
         spec = self.map_spec()
         found = []
         for ta, tb in combinations(theta, 2):
-            g = _cross(ta, tb)
+            g = signed_minors(FormMatrix(yring, list(zip(ta, tb))))
             if all(not gi for gi in g):
                 raise DegenerateTemplate("vanishing coefficient matrix")
             d = _factor_at_zero(g[0], spec)
@@ -215,12 +223,6 @@ class TemplateInstance:
     def __repr__(self):
         return ("TemplateInstance(n=%d, r=%d, seed=%r)"
                 % (self.n, self.r, self.seed))
-
-
-def _cross(u, v):
-    return (u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0])
 
 
 def template_ideal(n, r, seed=None, field=QQ):
@@ -300,7 +302,7 @@ def sylvester_chain(inst):
                                  "the linear part are not irrelevant-primary")
     P = inst.rees()
     amb = P.ambient
-    l1, l2, f0 = _column_relations(T.matrix, P)
+    l1, l2, f0 = inst.relations()
     if not l1 or not l2 or not f0:
         raise DegenerateTemplate("vanishing linear relation")
     gb = P.ideal.groebner()

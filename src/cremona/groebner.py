@@ -773,65 +773,24 @@ def eliminate(gens, drop, ring=None, *, series=None):
 # -- module Groebner bases and syzygies --------------------------------
 
 
-def _column_shifts(mat):
-    """Column degree shifts making every entry graded; raises otherwise."""
-    r, c = mat.nrows, mat.ncols
-    degs = {}
-    for i in range(r):
-        for j in range(c):
-            e = mat[i, j]
-            if e:
-                degs[(i, j)] = e.homogeneous_degree()
-    rho = [None] * r
-    delta = [None] * c
-    for seed in range(r):
-        if rho[seed] is not None or not any((seed, j) in degs for j in range(c)):
-            continue
-        rho[seed] = 0
-        queue = [("r", seed)]
-        while queue:
-            kind, a = queue.pop()
-            if kind == "r":
-                for j in range(c):
-                    d = degs.get((a, j))
-                    if d is None:
-                        continue
-                    want = rho[a] + d
-                    if delta[j] is None:
-                        delta[j] = want
-                        queue.append(("c", j))
-                    elif delta[j] != want:
-                        raise ValueError("matrix is not graded")
-            else:
-                for i in range(r):
-                    d = degs.get((i, a))
-                    if d is None:
-                        continue
-                    want = delta[a] - d
-                    if rho[i] is None:
-                        rho[i] = want
-                        queue.append(("r", i))
-                    elif rho[i] != want:
-                        raise ValueError("matrix is not graded")
-    for j in range(c):
-        if delta[j] is None:
-            delta[j] = 0
-    return delta
-
-
 def syzygies(mat):
     """Minimal generating syzygies of the columns of mat.
 
     Returns a matrix S with mat @ S = 0 whose columns generate the whole
-    column relation module, listed by ascending degree.  The matrix must
-    be graded (consistent row and column shifts).  The engine keeps the
-    leads in the relation components: only those elements are fully
-    reduced, interreduced and then minimalized.
+    column relation module, by ascending degree, then input order.  Each
+    row of mat must be homogeneous of one degree (zero entries allowed),
+    as a row of a Jacobian dual is: it holds the y-coefficients of an
+    x-linear Rees generator of bidegree (1, b).  The relations are then
+    graded with the columns unshifted.  The engine keeps the leads in the
+    relation components: only those elements are fully reduced,
+    interreduced and then minimalized.
     """
     ring = mat.ring
     p = ring.field.characteristic
     r, c = mat.nrows, mat.ncols
-    delta = _column_shifts(mat)
+    for i in range(r):
+        if len({f.degree() for f in mat.row(i) if f}) > 1:
+            raise ValueError("row %d of the matrix mixes degrees" % i)
     # column j is seeded as (column j, e_{r+j}); the basis elements living
     # in components r.. alone are the relations among the columns
     po = _packed_order(ring, MonomialOrder.grevlex(), r + c)
@@ -839,8 +798,7 @@ def syzygies(mat):
     off = po.key0 - ring._packed.key0
     step = po.cstep
     seeds = []
-    for j in range(c):
-        col = [mat[i, j] for i in range(r)]
+    for j, col in enumerate(zip(*mat.entries)):
         # over QQ the column times the common denominator of its scales
         den = 1 if p else lcm(*(f._s.denominator for f in col))
         v = {po.key0 + (r + j) * step: den}
@@ -853,15 +811,12 @@ def syzygies(mat):
     # descending keys list leads in lower components first, as in
     # position over term; the minimalization keeps the first of
     # equal-degree candidates.  The kept part is components r.., whose
-    # keys lie below the others; there the sugar of a column is its
-    # shifted degree.
+    # keys lie below the others; there a column's sugar is its degree.
     graded = []
     for terms in reversed(_buchberger(
             seeds, po, keep=lambda k: po.component(k) >= r, graded=True)):
-        lead = max(terms)
-        deg = delta[po.component(lead) - r] + po.tdeg(lead)
-        if any(delta[po.component(k) - r] + po.tdeg(k) != deg
-               for k in terms):
+        deg = po.tdeg(max(terms))
+        if any(po.tdeg(k) != deg for k in terms):
             raise ValueError("syzygy grading inconsistent")
         graded.append((deg, terms))
     # the engine's canonical scaling (monic over Fp, primitive with a

@@ -35,6 +35,21 @@ def _fresh_names(taken, bases, count=1, start=0):
         k += 1
 
 
+def _exponent_vectors(m, ell):
+    """Exponent vectors of the products of ell of m factors, with
+    repetition, in the order of combinations_with_replacement (descending
+    lex).  A step is O(m): the rightmost nonzero entry before the last
+    moves one unit, and all of the last, to its right."""
+    e = [ell] + [0] * (m - 1)
+    while m:
+        yield tuple(e)
+        i = next((i for i in range(m - 2, -1, -1) if e[i]), -1)
+        if i < 0:
+            return
+        e[i] -= 1
+        e[i + 1:] = [e[-1] + 1] + [0] * (m - i - 2)
+
+
 def _extended_ring(ring, name):
     blocks = ((name,),) + ring.blocks
     return PolyRing((name,) + ring.names, ring.field, blocks=blocks)
@@ -155,8 +170,10 @@ class Ideal:
             return Ideal(self.ring, (self.ring.one,))
         if ell == 1:
             return self
+        # products of powers, each of which checks its degree first
         return self._from_products(
-            itertools.combinations_with_replacement(self.gens, ell))
+            [g if e == 1 else g ** e for g, e in zip(self.gens, exps) if e]
+            for exps in _exponent_vectors(len(self.gens), ell))
 
     def _from_products(self, factor_lists):
         """The ideal of the products of the factor lists, minimalized when

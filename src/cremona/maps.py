@@ -300,7 +300,8 @@ def _factor_at_zero(g0, F):
 def invert(F):
     """Inverse data of a square map, or None when no candidate passes.
 
-    Minimal syzygies of the Jacobian dual are tried in increasing degree.
+    Minimal syzygies of the Jacobian dual are tried in the order syzygies
+    lists them, by increasing degree.
     A candidate g passes when g_i(f) = x_i * D for all i; once the rank
     of psi(f) is certified, g_0(f) decides it.
     """
@@ -314,19 +315,14 @@ def invert(F):
         return None
     S = syzygies(psi)
     certified = _full_rank(F, psi)
-    cols = []
-    for j in range(S.ncols):
-        col = tuple(S[i, j] for i in range(S.nrows))
-        deg = max(g.homogeneous_degree() for g in col if g)
-        cols.append((deg, j, col))
-    cols.sort(key=lambda t: (t[0], t[1]))
-    for deg, _j, col in cols:
+    for col in zip(*S.entries):
         if certified:
             d = _factor_at_zero(col[0], F)
         else:
             d = _factor_from(_compose(col, F), F)
         if d is not None:
             inv = F.ring.field.inv(d.leading_coefficient())
+            deg = next(g for g in col if g).homogeneous_degree()
             return InverseData(tuple(g * inv for g in col), d * inv, deg)
     return None
 

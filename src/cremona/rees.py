@@ -18,12 +18,8 @@ __all__ = ["ReesPresentation", "jacobian_dual", "rees_ideal",
 
 
 def _uniform_degree(gens):
-    degs = set()
-    for g in gens:
-        if not g.is_homogeneous():
-            raise ValueError("mixed generator degrees")
-        degs.add(g.homogeneous_degree())
-    if len(degs) != 1:
+    degs = {g.degree() if g.is_homogeneous() else None for g in gens}
+    if len(degs) != 1 or None in degs:
         raise ValueError("mixed generator degrees")
     return degs.pop()
 

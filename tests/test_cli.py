@@ -414,6 +414,23 @@ class TestRunScript:
         assert records[0]["status"] == "timeout"
         assert time.monotonic() - t0 < 5
 
+    def test_huge_power_ends_at_once(self):
+        # a power's products are formed from powers of distinct factors,
+        # which check their degree first: level 5000000 exceeds the
+        # degree limit at once, and at level 4000000 each product is
+        # formed between two deadline checks
+        src = HEADER + "ideal I = x1*x2, x0*x2, x0*x1;\n"
+        t0 = time.process_time()
+        rec, = run_script(parse_session(src + "sympow I 5000000;"))
+        assert rec["status"] == "failed"
+        assert "exceeds the limit" in rec["verdicts"]["error"]
+        assert time.process_time() - t0 < 1
+        t0 = time.process_time()
+        rec, = run_script(parse_session(src + "sympow I 4000000;"),
+                          deadline_s=1)
+        assert rec["status"] == "timeout"
+        assert time.process_time() - t0 < 2
+
     def test_template_redraws_on_standing_assumption(self):
         # seed 236476 draws a linear part whose 2-minors are not
         # irrelevant-primary; the command redraws instead of failing

@@ -1,10 +1,12 @@
 """Every exported name resolves, so no __all__ lists removed API, no
-module imports a name it never uses, only rings imports fractions, and
-exponent tuples reach from_terms only where a template is drawn."""
+module imports a name it never uses, only rings imports fractions,
+exponent tuples reach from_terms only where a template is drawn, and
+every private module-level name has a reader in the program."""
 
 import ast
 import importlib
 import pkgutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -107,3 +109,52 @@ def test_from_terms_only_at_the_edges():
                      if path.name != "rings.py"
                      for name in from_terms_callers(path.read_text()))
     assert callers == [("families", "_draw_template")]
+
+
+def unreferenced_private_names(sources):
+    """module.name of each module-level _name defined in the sources, a
+    {module: text} dict, that no Name or attribute reads outside the
+    body of its own definition."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(module, name, node) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+
+    def reads(node):
+        return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                       for n in ast.walk(node)
+                       if isinstance(n, (ast.Name, ast.Attribute)))
+
+    everywhere = sum(map(reads, trees.values()), Counter())
+    return sorted("%s.%s" % (module, name) for module, name, node in defined
+                  if everywhere[name] == reads(node)[name])
+
+
+def test_unreferenced_private_names_are_found():
+    sources = {"a": "def _loop():\n    return _loop()\n"
+                    "class _Kept:\n    pass\n"
+                    "_CONST, _other = 1, 2\n"
+                    "def _used():\n    return _other\n",
+               "b": "import a\nfrom a import _used\n"
+                    "x = _used(a._Kept)\n"}
+    assert unreferenced_private_names(sources) == ["a._CONST", "a._loop"]
+
+
+def test_private_helpers_have_program_callers():
+    """A private helper that no program code reaches is dead: tests
+    alone do not keep it."""
+    package = Path(cremona.__file__).parent
+    sources = {path.stem: path.read_text()
+               for path in package.glob("*.py")}
+    assert unreferenced_private_names(sources) == []

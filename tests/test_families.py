@@ -7,6 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from cremona import families
+from cremona.cli import parse_session, run_script
 from cremona.families import (DegenerateTemplate, TemplateMatrix,
                               appendix_construct, signed_minors,
                               sylvester_chain, sylvester_form,
@@ -136,6 +137,22 @@ class TestInverses:
         monkeypatch.setattr(Polynomial, "substitute", counting)
         assert len(T.inverses()) == 3
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_template_command_builds_relations_once(self, r, monkeypatch):
+        # sylvester_chain and inverses share the instance's relations
+        calls = []
+        real = families._column_relations
+
+        def spy(mat, P):
+            calls.append(mat.ncols)
+            return real(mat, P)
+
+        monkeypatch.setattr(families, "_column_relations", spy)
+        rec, = run_script(parse_session("ring R = QQ[x0..x2];\n"
+                                        "template 3 %d;" % r))
+        assert rec["status"] == "ok"
+        assert calls == [3]
 
 
 @st.composite

@@ -364,23 +364,33 @@ class TestSyzygyCrossChecks:
             _check_minimalization(monkeypatch,
                                   _jacobian_dual_matrix(fx, field))
 
-    def test_minimalization_oracle_shifted_columns(self, monkeypatch):
-        # column degrees differ, so the sugar of a candidate is its
-        # shifted degree; 2 x 3 matrices of rank 2 have one syzygy, the
-        # wider ones give redundant candidates
+    def test_minimalization_oracle_shifted_rows(self, monkeypatch):
+        # the two row degrees differ, so the sugar of a seed, its larger
+        # row degree, is not the degree of its relation part; 2 x 3
+        # matrices of rank 2 have one syzygy, the wider ones give
+        # redundant candidates
         pruned = 0
         for seed in range(12):
             rng = random.Random(seed)
             ring = PolyRing(("x0", "x1", "x2"), (QQ, GF(32003))[seed % 2])
-            nrows, ncols = ((2, 3), (1, 4), (2, 4))[seed % 3]
-            degs = [1, 2, 3, rng.randint(1, 3)][:ncols]
-            rng.shuffle(degs)
+            ncols = (3, 4, 5)[seed % 3]
             mat = FormMatrix(ring, [[random_form(ring, d, rng, sparsity=0.3)
-                                     for d in degs] for _ in range(nrows)])
+                                     for _ in range(ncols)]
+                                    for d in rng.sample([1, 2, 3], 2)])
             s, ncands = _check_minimalization(monkeypatch, mat)
             assert all(not e for row in (mat @ s).entries for e in row)
             pruned += ncands - s.ncols
         assert pruned
+
+    def test_mixed_degree_row_rejected(self):
+        x0, x1, x2 = R3.gens
+        # graded by column shifts, which rows of one degree rule out
+        m = FormMatrix(R3, [[x0, x1 * x2], [R3.zero, x0 * x1], [x1, x2**2]])
+        with pytest.raises(ValueError, match="row 0 of the matrix mixes"):
+            syzygies(m)
+        m = FormMatrix(R3, [[x0, x1, x2], [x0, R3.zero, x1 * x2]])
+        with pytest.raises(ValueError, match="row 1 of the matrix mixes"):
+            syzygies(m)
 
     def test_components_kept_apart(self):
         x0, x1, x2 = R3.gens
@@ -449,18 +459,19 @@ def elimination_inputs(draw):
 
 @st.composite
 def graded_matrices(draw):
-    """A graded matrix: entry (i, j) zero or a form of degree c_j + s_i."""
+    """A matrix with rows of one degree each: entry (i, j) zero or a form
+    of degree c + s_i, one c per matrix."""
     field = draw(st.sampled_from(FIELDS))
     ring = PolyRing(tuple("x%d" % i for i in range(draw(st.integers(2, 3)))),
                     field)
     nrows = draw(st.integers(1, 2))
     ncols = draw(st.integers(2, 4))
-    cols = draw(st.lists(st.integers(1, 3), min_size=ncols, max_size=ncols))
+    c = draw(st.integers(1, 3))
     rows = draw(st.lists(st.integers(0, 1), min_size=nrows, max_size=nrows))
     rng = random.Random(draw(st.integers(0, 2**32)))
     return FormMatrix(ring, [[random_form(ring, c + s, rng, sparsity=0.4)
                               if draw(st.integers(0, 4)) else ring.zero
-                              for c in cols] for s in rows])
+                              for _ in range(ncols)] for s in rows])
 
 
 def _strs(polys):

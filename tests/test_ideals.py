@@ -1,5 +1,6 @@
 """Ideal arithmetic: products, colons, saturation, Hilbert data."""
 
+import math
 import random
 import time
 
@@ -70,6 +71,25 @@ class TestBasics:
                                                   max_gens=3, max_deg=2)
             I = Ideal(ring, gens)
             assert I.power(2) == Ideal(ring, power_gens(gens, 2))
+
+    @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+    def test_power_forms_the_textbook_products_in_order(self, field,
+                                                         monkeypatch):
+        # the products of powers of distinct factors are those of
+        # combinations_with_replacement, in its order, before the
+        # minimalization
+        seen = []
+        monkeypatch.setattr(Ideal, "_from_products", lambda self, lists:
+                            seen.append(tuple(map(math.prod, lists))))
+        rng = random.Random(11)
+        ring = PolyRing(("x0", "x1", "x2"), field)
+        for _ in range(4):
+            I = Ideal(ring, [random_form(ring, rng.randint(1, 2), rng)
+                             for _ in range(rng.randint(1, 4))])
+            for ell in range(2, 5):
+                del seen[:]
+                I.power(ell)
+                assert seen == [power_gens(I.gens, ell)]
 
     def test_sum_and_product(self):
         I = ideal(R2, "x0")
