@@ -43,12 +43,9 @@ def signed_minors(mat):
     m = mat.ncols
     if mat.nrows != m + 1:
         raise ValueError("need one more row than columns")
-    out = []
-    for i in range(mat.nrows):
-        rows = tuple(mat.row(k) for k in range(mat.nrows) if k != i)
-        d = FormMatrix(mat.ring, rows).det()
-        out.append(-d if i % 2 else d)
-    return tuple(out)
+    # minors() lists the minor that drops row m first
+    return tuple(-d if i % 2 else d
+                 for i, d in enumerate(reversed(mat.minors(m))))
 
 
 class TemplateMatrix:
@@ -316,7 +313,7 @@ def sylvester_chain(inst):
         if not gb.contains(fi):
             raise RuntimeError("chain form fell outside the Rees ideal")
         forms.append(fi)
-        bidegrees.append(fi.block_degrees())
+        bidegrees.append(P.bidegree(fi))
         prev = fi
     # the chain lies in P.ideal, so it generates it when P.ideal lies in
     # its ideal, whose basis the Hilbert series of P.ideal bounds
@@ -384,16 +381,12 @@ def appendix_construct(phi):
     # rows 1..2 of B: the y-linear coefficient forms of the two columns
     squarefree = [a * b for a, b in combinations(xs, 2)]
     yforms = [_coefficients(s, squarefree, amb) for s in sym]
-    (a1, b1, c1), (a2, b2, c2) = yforms
+    (_, b1, c1), (_, b2, c2) = yforms
     brows = (*yforms, (-xs[2], xs[1], amb.zero), (-xs[2], amb.zero, xs[0]))
-    deltas = []
-    for i in range(4):
-        rows = tuple(brows[k] for k in range(4) if k != i)
-        deltas.append(FormMatrix(amb, rows).det())
+    # delta_i drops row i of B; minors() drops the last row first
+    deltas = FormMatrix(amb, brows).minors(3)[::-1]
     d1, d2, d3, d4 = deltas
-    q1 = b1 * c2 - b2 * c1
-    q2 = a1 * c2 - a2 * c1
-    q3 = a1 * b2 - a2 * b1
+    q3, q2, q1 = FormMatrix(amb, yforms).minors(2)
     verdicts = {
         "pure_power_free": True,
         "sym_match": d2 == sym[0] and d1 == sym[1],

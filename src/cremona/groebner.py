@@ -90,9 +90,10 @@ def _normalize(terms, p):
 
 
 # the deadline is checked every 256 reduction steps and whenever the
-# coefficients cancelled since the last check add up to this many bits
-# over QQ: a step costs about as much as its coefficients are long, so a
-# few steps on long coefficients can outlast many on short ones
+# reducers used since the last check add up to _STEP_TERMS terms or the
+# coefficients cancelled add up to _STEP_BITS bits over QQ: a step costs
+# about its reducer's length times its coefficients' length
+_STEP_TERMS = 4096
 _STEP_BITS = 1 << 15
 
 
@@ -111,8 +112,8 @@ def _reduce(fterms, basis, po, p, keep=None):
     heap = [-k for k in fterms]
     heapq.heapify(heap)
     steps = 0
-    # bits of the coefficients cancelled since the last deadline check
-    grown = 0
+    # reducer terms and cancelled bits since the last deadline check
+    work = grown = 0
     while heap:
         k = -heapq.heappop(heap)
         c = fterms.get(k)
@@ -177,8 +178,9 @@ def _reduce(fterms, basis, po, p, keep=None):
                     else:
                         del fterms[nk]
         steps += 1
-        if not steps & 255 or grown > _STEP_BITS:
-            grown = 0
+        work += len(g.terms)
+        if not steps & 255 or work >= _STEP_TERMS or grown > _STEP_BITS:
+            work = grown = 0
             check_deadline()
             if not p and not steps & 255:
                 g0 = 0
@@ -763,10 +765,7 @@ def eliminate(gens, drop, ring=None, *, series=None):
     dropped = po.grading([int(nm in dropset) for nm in ring.names])
     graded = series is not None or all(g.is_homogeneous() for g in gens)
     basis = _buchberger(seeds, po, series, lambda k: not dropped(k), graded)
-    blocks = tuple(tuple(nm for nm in b if nm not in dropset)
-                   for b in ring.blocks)
-    blocks = tuple(b for b in blocks if b)
-    sub = PolyRing(keep, ring.field, blocks=blocks or None)
+    sub = PolyRing(keep, ring.field)
     return sub, tuple(_poly(sub, po, t, sub._unit) for t in basis)
 
 

@@ -50,11 +50,6 @@ def _exponent_vectors(m, ell):
         e[i + 1:] = [e[-1] + 1] + [0] * (m - i - 2)
 
 
-def _extended_ring(ring, name):
-    blocks = ((name,),) + ring.blocks
-    return PolyRing((name,) + ring.names, ring.field, blocks=blocks)
-
-
 # cache key of the polynomials of a reduced grevlex basis known in advance
 _KNOWN_BASIS = "known basis"
 
@@ -199,7 +194,7 @@ class Ideal:
             return Ideal(self.ring, ())
         ring = self.ring
         w, = _fresh_names(ring.names, ("_w",))
-        aux = _extended_ring(ring, w)
+        aux = PolyRing((w,) + ring.names, ring.field)
         tw = aux.var(w)
         one = aux.one
         gens = [tw * transfer(f, aux) for f in self.gens]
@@ -328,7 +323,7 @@ class Ideal:
                 gb = self.groebner()
         else:
             t, = _fresh_names(ring.names, ("_t",))
-            aux = _extended_ring(ring, t)
+            aux = PolyRing((t,) + ring.names, ring.field)
             gens = [transfer(g, aux) for g in self.gens]
             gens.append(aux.one - aux.var(t) * transfer(f, aux))
             _sub, out = eliminate(gens, [t], ring=aux)

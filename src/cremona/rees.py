@@ -25,19 +25,37 @@ def _uniform_degree(gens):
 
 
 class ReesPresentation:
-    """Bigraded presentation ideal of the Rees algebra of a base ideal."""
+    """Bigraded presentation ideal of the Rees algebra of a base ideal:
+    the minimal generators of ideal (whose gens are its reduced grevlex
+    basis) by total degree, then x-degree, read on the x-variables."""
 
     __slots__ = ("ambient", "ideal", "xnames", "ynames", "generators",
-                 "bidegrees", "_image")
+                 "bidegrees", "_xdeg", "_image")
 
     def __init__(self, ambient, ideal, xnames, ynames):
         self.ambient = ambient
-        self.ideal = ideal
         self.xnames = xnames
         self.ynames = ynames
-        self.generators = ideal.gens
-        self.bidegrees = tuple(g.block_degrees() for g in ideal.gens)
+        self._xdeg = ambient._packed.grading(
+            [int(nm in xnames) for nm in ambient.names])
+        keyed = sorted(((self.bidegree(g), g)
+                        for g in ideal.minimal_generators()),
+                       key=lambda bg: (sum(bg[0]), bg[0][0]))
+        self.generators = tuple(g for _, g in keyed)
+        self.bidegrees = tuple(b for b, _ in keyed)
+        self.ideal = _with_basis(ambient, self.generators, ideal.gens)
         self._image = None
+
+    def bidegree(self, g):
+        """(x-degree, y-degree) of a bihomogeneous form g of the ambient
+        ring; any other polynomial raises ValueError."""
+        t = g._t
+        if g.ring == self.ambient and t and g.is_homogeneous():
+            xdeg = self._xdeg
+            a = xdeg(max(t))
+            if all(xdeg(k) == a for k in t):
+                return a, g.degree() - a
+        raise ValueError("polynomial is not bihomogeneous")
 
     def image_ideal(self):
         """The y-only part of the ideal; zero exactly for dominant maps.
@@ -67,16 +85,8 @@ def rees_ideal(I):
     by total degree, then x-degree.
     """
     J = subalgebra_presentation(I)
-    keyed = []
-    for i, g in enumerate(J.minimal_generators()):
-        a, b = g.block_degrees()
-        keyed.append(((a + b, a, b, i), g))
-    keyed.sort(key=lambda kv: kv[0])
-    ordered = tuple(g for _, g in keyed)
     xnames = I.ring.names
-    # the generators of J are its reduced grevlex basis
-    return ReesPresentation(J.ring, _with_basis(J.ring, ordered, J.gens),
-                            xnames, J.ring.names[len(xnames):])
+    return ReesPresentation(J.ring, J, xnames, J.ring.names[len(xnames):])
 
 
 def jacobian_dual(P):
@@ -161,11 +171,7 @@ def subalgebra_presentation(I, extra=()):
         znames = _fresh_names(taken, ("z", "Z", "u"), len(extras), start=1)
         taken |= set(znames)
     tname, = _fresh_names(taken, ("t", "s", "w"))
-    blocks = ((tname,), xnames, ynames)
-    if znames:
-        blocks = blocks + (znames,)
-    work = PolyRing((tname,) + xnames + ynames + znames, ring.field,
-                    blocks=blocks)
+    work = PolyRing((tname,) + xnames + ynames + znames, ring.field)
     t = work.var(tname)
     rel = [work.var(yn) - t * transfer(f, work)
            for yn, f in zip(ynames, gens)]

@@ -464,32 +464,23 @@ class ParseError(ValueError):
 
 
 class PolyRing:
-    """Polynomial ring k[names] with an optional block structure.
-
-    Blocks partition the variables into consecutive groups and give the
-    multigraded degree used for bidegrees; they do not affect arithmetic
-    or the default (grevlex) term order, whose PackedOrder keys are the
-    stored form of every Polynomial of the ring.
+    """Polynomial ring k[names]: the variables and the field, nothing
+    more, so rings with equal names and field are equal.  The keys of its
+    default (grevlex) PackedOrder are the stored form of every Polynomial
+    of the ring.
     """
 
-    __slots__ = ("field", "names", "blocks", "_index", "_gens", "_packed",
-                 "_unit")
+    __slots__ = ("field", "names", "_index", "_gens", "_packed", "_unit")
 
-    def __init__(self, names, field=QQ, blocks=None):
+    def __init__(self, names, field=QQ):
         names = tuple(names)
         if len(set(names)) != len(names):
             raise ValueError("variable names must be distinct")
         for nm in names:
             if not _NAME_RE.match(nm):
                 raise ValueError("bad variable name %r" % nm)
-        if blocks is None:
-            blocks = (names,)
-        blocks = tuple(tuple(b) for b in blocks)
-        if tuple(v for b in blocks for v in b) != names:
-            raise ValueError("blocks must partition the variables in order")
         self.field = field
         self.names = names
-        self.blocks = blocks
         self._index = {nm: i for i, nm in enumerate(names)}
         self._gens = None
         self._packed = _packed_order(self, MonomialOrder.grevlex())
@@ -578,10 +569,10 @@ class PolyRing:
 
     def __eq__(self, other):
         return (isinstance(other, PolyRing) and self.field == other.field
-                and self.names == other.names and self.blocks == other.blocks)
+                and self.names == other.names)
 
     def __hash__(self):
-        return hash((self.field, self.names, self.blocks))
+        return hash((self.field, self.names))
 
     def __repr__(self):
         return "%s[%s]" % (self.field.label, ",".join(self.names))
@@ -638,20 +629,6 @@ class Polynomial:
         if not self.is_homogeneous():
             raise ValueError("polynomial is not homogeneous")
         return self.degree()
-
-    def block_degrees(self):
-        """Per-block degrees; requires homogeneity in every block."""
-        ring = self.ring
-        if not self._t:
-            raise ValueError("zero polynomial has no bidegree")
-        out = []
-        for b in ring.blocks:
-            grading = ring._packed.grading([int(nm in b) for nm in ring.names])
-            degs = set(map(grading, self._t))
-            if len(degs) != 1:
-                raise ValueError("polynomial is not multihomogeneous")
-            out.append(degs.pop())
-        return tuple(out)
 
     def support(self):
         """Names of variables occurring with positive exponent."""

@@ -72,7 +72,7 @@ class SymbolicFiltration:
     be a nonzerodivisor modulo the saturated base ideal.
     """
 
-    __slots__ = ("base", "target", "_powers", "_levels", "_mins")
+    __slots__ = ("base", "target", "_powers", "_levels", "_mins", "_fresh")
 
     def __init__(self, base, target=None):
         if not isinstance(base, Ideal) or base.is_zero() or base.is_unit():
@@ -84,6 +84,7 @@ class SymbolicFiltration:
         self._powers = {1: base}
         self._levels = {}
         self._mins = {}
+        self._fresh = {}
         if self.target.kind == "user-element":
             f = self.target.saturand(base.ring)
             sat, _ = base.saturate(Ideal(base.ring, base.ring.gens))
@@ -137,7 +138,9 @@ class SymbolicFiltration:
 
     def fresh(self, ell):
         """Minimal module generators of level/power."""
-        return self._survivors(ell, self.power(ell).gens)
+        if ell not in self._fresh:
+            self._fresh[ell] = self._survivors(ell, self.power(ell).gens)
+        return self._fresh[ell]
 
     def essential(self, ell):
         """Minimal module generators of the level modulo all products of
@@ -225,7 +228,10 @@ class ExpectedFormResult:
 
 def expected_form_check(F, D, dprime, lmax=DEFAULT_LMAX):
     """Level-by-level test of level(ell) = sum_j D^j * power(ell - j*d')
-    on the filtration F, for the levels 1 to lmax."""
+    on the filtration F, for the levels 1 to lmax.  Given D in level(d')
+    the right side lies in the level (level(a) * level(b) lies in
+    level(a + b)) and holds the power, so a level holds when its fresh
+    generators lie in the right side."""
     if dprime < 1:
         raise ValueError("the factor weight must be positive")
     ring = F.base.ring
@@ -236,6 +242,10 @@ def expected_form_check(F, D, dprime, lmax=DEFAULT_LMAX):
     levels = {}
     for ell in range(1, lmax + 1):
         check_deadline()
+        fresh = F.fresh(ell)
+        if not fresh:
+            levels[ell] = True
+            continue
         rhs_gens = []
         j = 0
         dj = ring.one
@@ -247,9 +257,7 @@ def expected_form_check(F, D, dprime, lmax=DEFAULT_LMAX):
                 rhs_gens.extend(dj * g for g in F.power(rest).gens)
             j += 1
             dj = dj * D
-        rhs = Ideal(ring, tuple(rhs_gens))
-        lvl = F.level(ell)
-        levels[ell] = rhs.contains_ideal(lvl) and lvl.contains_ideal(rhs)
+        levels[ell] = all(map(Ideal(ring, tuple(rhs_gens)).contains, fresh))
     return ExpectedFormResult(True, levels)
 
 
@@ -265,8 +273,7 @@ def symbolic_presentation(I, G):
     if len(G) != len(P.xnames):
         raise ValueError("inverse representative has the wrong length")
     zname, = _fresh_names(amb.names, ("z", "Z", "u"), start=1)
-    ring2 = PolyRing(amb.names + (zname,), amb.field,
-                     blocks=amb.blocks + ((zname,),))
+    ring2 = PolyRing(amb.names + (zname,), amb.field)
     z = ring2.var(zname)
     gens = [transfer(g, ring2) for g in P.ideal.gens]
     for xn, gi in zip(P.xnames, G):

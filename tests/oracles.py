@@ -38,8 +38,8 @@ from unittest import mock
 
 from cremona import groebner
 from cremona.groebner import groebner_basis, syzygies
-from cremona.ideals import (Ideal, _extended_ring, _fresh_names,
-                            _inside, _one_minus_t_part, _reduced_grevlex)
+from cremona.ideals import (Ideal, _fresh_names, _inside, _one_minus_t_part,
+                            _reduced_grevlex)
 from cremona.linalg import Echelon
 from cremona.maps import InverseData, _compose, _factor_from
 from cremona.rees import jacobian_dual, rees_ideal
@@ -441,7 +441,7 @@ def radical_contains(I, f):
     if I.is_zero():
         return False
     w, = _fresh_names(ring.names, ("_w",))
-    aux = _extended_ring(ring, w)
+    aux = PolyRing((w,) + ring.names, ring.field)
     gens = [transfer(g, aux) for g in I.gens]
     gens.append(aux.one - aux.var(w) * transfer(f, aux))
     return groebner_basis(gens, ring=aux).contains(aux.one)
@@ -465,6 +465,30 @@ def condition_by_annihilator(I, lmax, F):
         else:
             out.append(ConditionVerdict(ell, "FAILS", witness))
     return tuple(out)
+
+
+def expected_form_two_sided(F, D, dprime, lmax):
+    """symbolic.expected_form_check's levels by mutual containment: level
+    ell holds exactly when level(ell) = sum_j D^j * power(ell - j*d') as
+    ideals, with no use of the precondition D in level(d')."""
+    ring = F.base.ring
+    levels = {}
+    for ell in range(1, lmax + 1):
+        rhs_gens = []
+        j = 0
+        dj = ring.one
+        while j * dprime <= ell:
+            rest = ell - j * dprime
+            if rest == 0:
+                rhs_gens.append(dj)
+            else:
+                rhs_gens.extend(dj * g for g in F.power(rest).gens)
+            j += 1
+            dj = dj * D
+        rhs = Ideal(ring, tuple(rhs_gens))
+        lvl = F.level(ell)
+        levels[ell] = rhs.contains_ideal(lvl) and lvl.contains_ideal(rhs)
+    return levels
 
 
 def invert_by_composition(F):
@@ -631,10 +655,7 @@ def eliminate_by_full_basis(gens, drop, ring=None, series=None):
     first = tuple(nm for nm in ring.names if nm in drop)
     gb = groebner_basis(gens, order=MonomialOrder.block(first, keep),
                         ring=ring, series=series)
-    blocks = tuple(tuple(nm for nm in b if nm not in drop)
-                   for b in ring.blocks)
-    sub = PolyRing(keep, ring.field,
-                   blocks=tuple(b for b in blocks if b) or None)
+    sub = PolyRing(keep, ring.field)
     return sub, tuple(transfer(g, sub) for g in gb.polys
                       if not set(g.support()) & set(drop))
 

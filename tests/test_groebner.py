@@ -12,7 +12,7 @@ from cremona import fixtures, groebner, rees
 from cremona.families import signed_minors, template_ideal
 from cremona.groebner import (DeadlineExceeded, deadline, eliminate,
                               groebner_basis, syzygies)
-from cremona.ideals import Ideal, _extended_ring
+from cremona.ideals import Ideal
 from cremona.rees import jacobian_dual, rees_ideal
 from cremona.groebner import _hilbert_numerator
 from cremona.rings import (FormMatrix, GF, MonomialOrder, PolyRing, QQ,
@@ -293,7 +293,7 @@ def _column_degrees(s):
 
 
 def _jacobian_dual_matrix(fx, field):
-    ring = PolyRing(fx.ring.names, field, blocks=fx.ring.blocks)
+    ring = PolyRing(fx.ring.names, field)
     forms = tuple(ring.from_terms(f.items()) for f in fx.spec.forms)
     return jacobian_dual(rees_ideal(Ideal(ring, forms)))
 
@@ -451,7 +451,7 @@ def elimination_inputs(draw):
     gens = [_draw_poly(draw, ring) for _ in range(draw(st.integers(1, 3)))]
     if kind == "inhomogeneous":
         return ring, gens, drop, None
-    aux = _extended_ring(ring, "t")
+    aux = PolyRing(("t",) + ring.names, ring.field)
     f = transfer(_draw_poly(draw, ring), aux)
     gens = [transfer(g, aux) for g in gens] + [aux.one - aux.var("t") * f]
     return aux, gens, ["t"], None
@@ -489,7 +489,7 @@ class TestKeptPart:
         sub, polys = eliminate(gens, drop, ring=ring, series=series)
         osub, opolys = eliminate_by_full_basis(gens, drop, ring=ring,
                                                series=series)
-        assert (sub.names, sub.blocks) == (osub.names, osub.blocks)
+        assert sub.names == osub.names
         assert _strs(polys) == _strs(opolys)
 
     @given(graded_matrices())
@@ -606,6 +606,25 @@ class TestDeadline:
             with deadline(0.5):
                 eliminate(gens, ["x0", "x2"], ring=R3)
         assert time.process_time() - t0 < 2.5
+
+    @pytest.mark.parametrize("degree, checks", [(28, 20), (3, 0)])
+    def test_checks_by_reducer_terms(self, monkeypatch, degree, checks):
+        # f = c*g reduces to zero by g in one step per term of c; each
+        # step by the 4495 terms of a degree-28 form in four variables
+        # checks the deadline, steps by a 20-term cubic check none before
+        # step 256
+        R = PolyRing(("x0", "x1", "x2", "x3"), GF(32003))
+        rng = random.Random(0)
+        g = R.from_terms((e, rng.randrange(1, 32003))
+                         for e in R.monomials_of_degree(degree))
+        c = R.from_terms((e, 1) for e in itertools.islice(
+            R.monomials_of_degree(4), 20))
+        gb = groebner_basis([g], ring=R)
+        calls = []
+        monkeypatch.setattr(groebner, "check_deadline",
+                            lambda: calls.append(None))
+        assert gb.contains(c * g)
+        assert len(calls) == checks
 
     def test_zero_means_no_limit(self):
         with deadline(0):

@@ -161,7 +161,7 @@ def _reduced(f, ring):
 
 
 def _over(F, field):
-    ring = PolyRing(F.ring.names, field, blocks=F.ring.blocks)
+    ring = PolyRing(F.ring.names, field)
     return RationalMapSpec(ring, [_reduced(f, ring) for f in F.forms])
 
 

@@ -61,6 +61,23 @@ class TestReesIdeal:
         P = rees_ideal(Ideal(R, R.gens))
         assert not set(P.ynames) & set(P.xnames)
 
+    @pytest.mark.parametrize("fx", all_fixtures(), ids=lambda fx: fx.name)
+    def test_bidegree_matches_exponents(self, fx):
+        P = rees_ideal(fx.ideal)
+        amb = P.ambient
+        isx = [nm in P.xnames for nm in amb.names]
+        for g in P.ideal.gens:
+            summed = {(sum(e for e, x in zip(exps, isx) if x),
+                       sum(e for e, x in zip(exps, isx) if not x))
+                      for exps, _ in g.items()}
+            assert summed == {P.bidegree(g)}
+        assert P.bidegrees == tuple(map(P.bidegree, P.generators))
+        x0, y0 = amb.var(P.xnames[0]), amb.var(P.ynames[0])
+        for bad in (x0 + y0, x0 * y0 + y0 ** 2, amb.zero,
+                    PolyRing(amb.names, GF(7)).var(P.xnames[0])):
+            with pytest.raises(ValueError, match="not bihomogeneous"):
+                P.bidegree(bad)
+
 
 class TestJacobianDual:
     def test_rows_contract_to_generators(self):

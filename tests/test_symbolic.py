@@ -17,7 +17,8 @@ from cremona.symbolic import (SaturationTarget, SymbolicFiltration,
                               grade_two_check, symbolic_presentation)
 
 from oracles import (condition_by_annihilator, depth_positive,
-                     essential_by_spans, fresh_by_spans)
+                     essential_by_spans, expected_form_two_sided,
+                     fresh_by_spans)
 
 R3 = PolyRing(("x0", "x1", "x2"), QQ)
 
@@ -28,7 +29,7 @@ def strs(polys):
 
 def _over(fx, field):
     """The fixture's base ideal and saturation target over field."""
-    ring = PolyRing(fx.ring.names, field, blocks=fx.ring.blocks)
+    ring = PolyRing(fx.ring.names, field)
 
     def move(f):
         return ring.from_terms(f.items())
@@ -152,6 +153,30 @@ class TestExpectedForm:
         D = std.ring.parse("x0*x1*x2")
         with pytest.raises(ValueError):
             expected_form_check(SymbolicFiltration(std.ideal), D, 0)
+
+
+    @pytest.mark.parametrize("fx", all_fixtures(), ids=lambda fx: fx.name)
+    def test_matches_two_sided_oracle_on_fixtures(self, fx):
+        inv = invert(fx.spec)
+        F = SymbolicFiltration(fx.ideal, fx.target)
+        res = expected_form_check(F, inv.factor, inv.degree, lmax=3)
+        assert res.precondition
+        assert res.levels == expected_form_two_sided(
+            SymbolicFiltration(fx.ideal, fx.target), inv.factor,
+            inv.degree, 3)
+
+    # the template ideals of the benchmark's symbolic workload at seed 0:
+    # the corpus r = 3 instance and three r = 2 draws
+    @pytest.mark.parametrize("r, seed", [(3, 0), (2, 876093), (2, 198465),
+                                         (2, 516026)])
+    def test_matches_two_sided_oracle_on_templates(self, r, seed):
+        I = template_ideal(3, r, seed=seed).ideal
+        F = SymbolicFiltration(I)
+        D = F.fresh(2)[0]
+        res = expected_form_check(F, D, 2, lmax=3)
+        assert res.precondition
+        assert res.levels == expected_form_two_sided(
+            SymbolicFiltration(I), D, 2, 3)
 
 
 class TestPresentation:
