@@ -12,7 +12,8 @@ run on weighted homogeneous input can be Hilbert-driven: given a lower
 bound of the Hilbert series of R/I, it drops the pairs of every degree
 that the bound shows complete.  Elimination and syzygies finish only
 the elements they keep, those with leads free of the dropped variables
-or in the relation components (see _Engine).
+or in the relation components (see _Engine); elimination returns its
+reduced basis as a GroebnerBasis of the subring.
 """
 
 from __future__ import annotations
@@ -90,11 +91,9 @@ def _normalize(terms, p):
 
 
 # the deadline is checked every 256 reduction steps and whenever the
-# reducers used since the last check add up to _STEP_TERMS terms or the
-# coefficients cancelled add up to _STEP_BITS bits over QQ: a step costs
-# about its reducer's length times its coefficients' length
-_STEP_TERMS = 4096
-_STEP_BITS = 1 << 15
+# work since the last check reaches _STEP_WORK: a step costs about its
+# reducer's length times the 64-bit words of the coefficient it cancels
+_STEP_WORK = 4096
 
 
 def _reduce(fterms, basis, po, p, keep=None):
@@ -112,8 +111,8 @@ def _reduce(fterms, basis, po, p, keep=None):
     heap = [-k for k in fterms]
     heapq.heapify(heap)
     steps = 0
-    # reducer terms and cancelled bits since the last deadline check
-    work = grown = 0
+    # work since the last deadline check
+    work = 0
     while heap:
         k = -heapq.heappop(heap)
         c = fterms.get(k)
@@ -158,7 +157,6 @@ def _reduce(fterms, basis, po, p, keep=None):
             cg = gcd(c if c > 0 else -c, glc)
             a = glc // cg
             b = c // cg
-            grown += c.bit_length()
             if a != 1:
                 for kk in fterms:
                     fterms[kk] *= a
@@ -178,9 +176,9 @@ def _reduce(fterms, basis, po, p, keep=None):
                     else:
                         del fterms[nk]
         steps += 1
-        work += len(g.terms)
-        if not steps & 255 or work >= _STEP_TERMS or grown > _STEP_BITS:
-            work = grown = 0
+        work += len(g.terms) * (1 + (c.bit_length() >> 6))
+        if not steps & 255 or work >= _STEP_WORK:
+            work = 0
             check_deadline()
             if not p and not steps & 255:
                 g0 = 0
@@ -737,11 +735,11 @@ def groebner_basis(gens, order=None, ring=None, *, series=None):
 def eliminate(gens, drop, ring=None, *, series=None):
     """Intersect the ideal with the subring omitting the drop variables.
 
-    Returns (subring, generators): a Groebner basis of the elimination
-    ideal, remapped into the subring, ascending in its default order.  It
-    is the reduced basis in that (grevlex) order, to which the block
-    order ((drop), (rest)) restricts, so the elements of the block basis
-    free of the drop variables come ascending already.  The engine keeps
+    Returns the reduced GroebnerBasis of the elimination ideal in the
+    default (grevlex) order of the subring, its ring: the block order
+    ((drop), (rest)) restricts to that order, so the elements of the
+    block basis free of the drop variables, remapped once into the
+    subring, come ascending already.  The engine keeps
     the leads free of the drop variables: by the Elimination Theorem
     those elements alone are a basis of the elimination ideal, so only
     they are interreduced, and on homogeneous input (for the weights of
@@ -765,8 +763,10 @@ def eliminate(gens, drop, ring=None, *, series=None):
     dropped = po.grading([int(nm in dropset) for nm in ring.names])
     graded = series is not None or all(g.is_homogeneous() for g in gens)
     basis = _buchberger(seeds, po, series, lambda k: not dropped(k), graded)
-    sub = PolyRing(keep, ring.field)
-    return sub, tuple(_poly(sub, po, t, sub._unit) for t in basis)
+    sub = PolyRing(keep, ring.field)._packed
+    move = po.remap(sub)
+    return GroebnerBasis(sub, None, [{move(k): c for k, c in t.items()}
+                                     for t in basis])
 
 
 # -- module Groebner bases and syzygies --------------------------------

@@ -2,7 +2,9 @@
 
 Powers, colon quotients, intersections, saturations, graded minimal
 generators, minor ideals and Hilbert series data.  All computations are
-exact and deterministic.
+exact and deterministic.  An ideal keeps each Groebner basis it has in
+its cache; intersections and saturations are generated by the reduced
+grevlex basis they end in and keep it there.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from .groebner import (GroebnerBasis, _divide_out, _hilbert_numerator,
                        _interreduce, _minimal_subset, check_deadline,
                        eliminate, groebner_basis)
-from .rings import MonomialOrder, PolyRing, Polynomial, _times, transfer
+from .rings import MonomialOrder, PolyRing, Polynomial, transfer
 
 __all__ = ["HilbertData", "Ideal", "minors"]
 
@@ -50,16 +52,11 @@ def _exponent_vectors(m, ell):
         e[i + 1:] = [e[-1] + 1] + [0] * (m - i - 2)
 
 
-# cache key of the polynomials of a reduced grevlex basis known in advance
-_KNOWN_BASIS = "known basis"
-
-
-def _with_basis(ring, gens, basis):
-    """The ideal of gens, given its reduced grevlex basis as polynomials
-    ascending by lead, normalized as groebner_basis leaves them; the
-    GroebnerBasis is built from them when first asked for."""
-    out = Ideal(ring, gens)
-    out._cache[_KNOWN_BASIS] = tuple(basis)
+def _with_basis(gb, gens=None):
+    """The ideal of gens, or of gb's polynomials when gens is None, with
+    gb, a Groebner basis of it, cached under gb's order."""
+    out = Ideal(gb.ring, gb.polys if gens is None else gens)
+    out._cache[gb.order] = gb
     return out
 
 
@@ -107,14 +104,7 @@ class Ideal:
         key = order if order is not None else MonomialOrder.grevlex()
         gb = self._cache.get(key)
         if gb is None:
-            basis = None
-            if key == MonomialOrder.grevlex():
-                basis = self._cache.pop(_KNOWN_BASIS, None)
-            if basis is None:
-                gb = groebner_basis(list(self.gens), order=key, ring=self.ring)
-            else:
-                gb = GroebnerBasis(self.ring._packed, self.gens,
-                                   [g._t for g in basis])
+            gb = groebner_basis(list(self.gens), order=key, ring=self.ring)
             self._cache[key] = gb
         return gb
 
@@ -199,8 +189,7 @@ class Ideal:
         one = aux.one
         gens = [tw * transfer(f, aux) for f in self.gens]
         gens += [(one - tw) * transfer(f, aux) for f in other.gens]
-        _sub, out = eliminate(gens, [w], ring=aux)
-        return Ideal(ring, tuple(transfer(p, ring) for p in out))
+        return _with_basis(eliminate(gens, [w], ring=aux))
 
     def quotient(self, other):
         """Colon ideal self : other for an ideal or a single polynomial."""
@@ -241,10 +230,8 @@ class Ideal:
         The variables a failed certificate names go next, ascending,
         then the rest.
         Returns (self, False) when every generator of K lies in self.
-        Otherwise (K, True), K as its reduced grevlex basis by ascending
-        lead key, except for a single f with two or more terms: then the
-        reduced basis of f*K divided by f, as self.quotient(f) lists a
-        colon by f.
+        Otherwise (K, True), K generated by its reduced grevlex basis,
+        ascending by lead key, which it holds as its groebner().
         """
         ring = self.ring
         if isinstance(other, Polynomial):
@@ -269,9 +256,8 @@ class Ideal:
             if k is None or _inside(kf, k):
                 k = kf
             else:
-                both = Ideal(ring, k.polys).intersect(Ideal(ring, kf.polys))
-                k = GroebnerBasis(ring._packed, None,
-                                  [g._t for g in both.gens])
+                k = Ideal(ring, k.polys).intersect(
+                    Ideal(ring, kf.polys)).groebner()
             if certify:
                 named = {ring.gens[i] for i in _failing_variables(
                     k.leads, self.groebner(k.order).leads, ring.nvars)}
@@ -282,10 +268,7 @@ class Ideal:
             k = GroebnerBasis(ring._packed, None, [ring.one._t])
         if all(map(self.groebner().contains, k.polys)):
             return self, False
-        gens = _reduced_grevlex(k)
-        if len(targets) == 1 and len(targets[0]) > 1:
-            gens = _divided_form(gens, targets[0])
-        return Ideal(ring, gens), True
+        return _with_basis(_reduced_grevlex(k)), True
 
     def _saturation(self, f):
         """Groebner basis of self : f^inf, in the order that found it.
@@ -326,9 +309,7 @@ class Ideal:
             aux = PolyRing((t,) + ring.names, ring.field)
             gens = [transfer(g, aux) for g in self.gens]
             gens.append(aux.one - aux.var(t) * transfer(f, aux))
-            _sub, out = eliminate(gens, [t], ring=aux)
-            gb = GroebnerBasis(ring._packed, None,
-                               [transfer(g, ring)._t for g in out])
+            gb = eliminate(gens, [t], ring=aux)
         self._cache[key] = gb
         return gb
 
@@ -380,23 +361,11 @@ def _inside(small, big):
 
 
 def _reduced_grevlex(gb):
-    """The reduced grevlex basis of the ideal of gb, ascending."""
+    """The reduced grevlex basis of the ideal of gb."""
     if gb.order != MonomialOrder.grevlex():
-        return groebner_basis(list(gb.polys), ring=gb.ring).polys
-    ring = gb.ring
-    return tuple(Polynomial(ring, t, ring._unit) for t in
-                 _interreduce([g.terms for g in gb._elts], gb._po))
-
-
-def _divided_form(basis, f):
-    """The reduced basis of f*K divided by f, for the reduced grevlex
-    basis of K: the products f*g form a basis of f*K with the leads of
-    the g times that of f, so interreducing them is all it takes."""
-    ring = f.ring
-    po = ring._packed
-    prods = _interreduce([_times(g._t, f._t, po) for g in basis], po)
-    return tuple(Polynomial(ring, t, ring._unit).exact_divide(f).normalized()
-                 for t in prods)
+        return groebner_basis(list(gb.polys), ring=gb.ring)
+    return GroebnerBasis(gb._po, None,
+                         _interreduce([g.terms for g in gb._elts], gb._po))
 
 
 def minors(mat, k):

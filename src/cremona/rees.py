@@ -4,13 +4,14 @@ The presentation ideal of the Rees algebra of a base ideal lives in
 k[x, y] with one y-variable per generator.  Its x-linear part packs into
 the Jacobian dual matrix, whose syzygies drive inverse extraction.
 Weighted extra generators give presentations of larger subalgebras of
-R[t].
+R[t].  A presentation ideal and its image ideal each keep the reduced
+grevlex basis that their elimination leaves.
 """
 
 from __future__ import annotations
 
-from .groebner import _hilbert_numerator, eliminate
-from .ideals import Ideal, _fresh_names, _with_basis
+from .groebner import GroebnerBasis, _hilbert_numerator, eliminate
+from .ideals import _fresh_names, _with_basis
 from .rings import FormMatrix, PolyRing, Polynomial, _canonical, transfer
 
 __all__ = ["ReesPresentation", "jacobian_dual", "rees_ideal",
@@ -43,7 +44,11 @@ class ReesPresentation:
                        key=lambda bg: (sum(bg[0]), bg[0][0]))
         self.generators = tuple(g for _, g in keyed)
         self.bidegrees = tuple(b for b, _ in keyed)
-        self.ideal = _with_basis(ambient, self.generators, ideal.gens)
+        # ideal's basis, whose certificate checks the minimal generators
+        gb = ideal.groebner()
+        self.ideal = _with_basis(GroebnerBasis(
+            gb._po, self.generators, [g.terms for g in gb._elts]),
+            self.generators)
         self._image = None
 
     def bidegree(self, g):
@@ -68,9 +73,9 @@ class ReesPresentation:
             weights = (1,) * self.ambient.nvars
             series = (weights, _hilbert_numerator(self.ideal.groebner().leads,
                                                   weights))
-            sub, polys = eliminate(list(self.ideal.gens), list(self.xnames),
-                                   ring=self.ambient, series=series)
-            self._image = Ideal(sub, polys)
+            self._image = _with_basis(eliminate(
+                list(self.ideal.gens), list(self.xnames), ring=self.ambient,
+                series=series))
         return self._image
 
     def __repr__(self):
@@ -184,5 +189,4 @@ def subalgebra_presentation(I, extra=()):
     yz = [tuple(int(i == j) for i in range(n))
           for j in range(1 + len(xnames), n)]
     series = (weights, _hilbert_numerator(yz, weights))
-    sub, polys = eliminate(rel, [tname], ring=work, series=series)
-    return _with_basis(sub, polys, polys)
+    return _with_basis(eliminate(rel, [tname], ring=work, series=series))

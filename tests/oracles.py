@@ -377,7 +377,7 @@ def saturate_by_every_variable(I):
     if all(map(copy.groebner().contains, gens)):
         return I, False
     if len(kept) == 1:
-        gens = _reduced_grevlex(kept[0])
+        gens = _reduced_grevlex(kept[0]).polys
     return Ideal(ring, gens), True
 
 

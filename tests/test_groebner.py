@@ -204,8 +204,8 @@ class TestHilbertDriven:
             results.append(eliminate(gens, drop, ring=ring, series=s))
             counts.append(count[0])
         assert counts == [82, 29]
-        assert [str(g) for g in results[0][1]] == [
-            str(g) for g in results[1][1]]
+        assert [str(g) for g in results[0].polys] == [
+            str(g) for g in results[1].polys]
 
     def test_target_above_the_ideal_raises(self):
         # the twisted cubic; the series of R itself is above that of R/I
@@ -257,15 +257,15 @@ class TestMembershipOracle:
 class TestElimination:
     def test_classical_twisted_curve(self):
         R = PolyRing(("t", "y", "z"), QQ)
-        sub, polys = eliminate((R.parse("t^2 - y"), R.parse("t^3 - z")),
-                               ("t",), ring=R)
-        assert sub.names == ("y", "z")
-        assert [str(p) for p in polys] == ["y^3 - z^2"]
+        gb = eliminate((R.parse("t^2 - y"), R.parse("t^3 - z")), ("t",),
+                       ring=R)
+        assert gb.ring.names == ("y", "z")
+        assert [str(p) for p in gb.polys] == ["y^3 - z^2"]
 
     def test_drop_everything_from_unit(self):
-        sub, polys = eliminate((R3.parse("x0 - 1"), R3.parse("x0")),
-                               ("x0",), ring=R3)
-        assert [str(p) for p in polys] == ["1"]
+        gb = eliminate((R3.parse("x0 - 1"), R3.parse("x0")), ("x0",),
+                       ring=R3)
+        assert [str(p) for p in gb.polys] == ["1"]
 
 
 class TestSyzygies:
@@ -486,11 +486,11 @@ class TestKeptPart:
     @settings(max_examples=300, deadline=None)
     def test_eliminate_matches_full_basis(self, drawn):
         ring, gens, drop, series = drawn
-        sub, polys = eliminate(gens, drop, ring=ring, series=series)
+        gb = eliminate(gens, drop, ring=ring, series=series)
         osub, opolys = eliminate_by_full_basis(gens, drop, ring=ring,
                                                series=series)
-        assert sub.names == osub.names
-        assert _strs(polys) == _strs(opolys)
+        assert gb.ring.names == osub.names
+        assert _strs(gb.polys) == _strs(opolys)
 
     @given(graded_matrices())
     @settings(max_examples=200, deadline=None)
@@ -537,8 +537,8 @@ class TestKeptPartCost:
         rees_ideal(template_ideal(3, 3, seed=0).ideal)
         (gens, drop, ring, series), = calls
         sizes = _interreduced_sizes(monkeypatch)
-        _sub, polys = eliminate(gens, drop, ring=ring, series=series)
-        assert sizes == [10] and len(polys) == 10
+        gb = eliminate(gens, drop, ring=ring, series=series)
+        assert sizes == [10] and len(gb.polys) == 10
         del sizes[:]
         eliminate_by_full_basis(gens, drop, ring=ring, series=series)
         assert sizes == [29]
@@ -572,8 +572,8 @@ class TestKeptPartCost:
             "-x1*x2^2*x3 - x0^2*x2",
             "1 - 3*t*x0^2*x1^2*x2^2*x3^2")]
         count = _count_spolys(monkeypatch)
-        _sub, polys = eliminate(gens, ["t"], ring=R)
-        assert count[0] == 309 and len(polys) == 11
+        gb = eliminate(gens, ["t"], ring=R)
+        assert count[0] == 309 and len(gb.polys) == 11
 
 
 class TestDeadline:
@@ -625,6 +625,24 @@ class TestDeadline:
                             lambda: calls.append(None))
         assert gb.contains(c * g)
         assert len(calls) == checks
+
+    def test_checks_by_coefficient_words(self, monkeypatch):
+        # over QQ a step costs its reducer's length times the 64-bit words
+        # of the coefficient it cancels: each of the 20 steps by a 64-term
+        # form with 4096-bit coefficients checks the deadline
+        R = PolyRing(("x0", "x1", "x2", "x3"), QQ)
+        rng = random.Random(0)
+        g = R.from_terms((e, rng.randrange(1 << 4095, 1 << 4096))
+                         for e in itertools.islice(
+                             R.monomials_of_degree(6), 64))
+        c = R.from_terms((e, 1) for e in itertools.islice(
+            R.monomials_of_degree(4), 20))
+        gb = groebner_basis([g], ring=R)
+        calls = []
+        monkeypatch.setattr(groebner, "check_deadline",
+                            lambda: calls.append(None))
+        assert gb.contains(c * g)
+        assert len(calls) == 20
 
     def test_zero_means_no_limit(self):
         with deadline(0):

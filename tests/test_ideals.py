@@ -13,7 +13,7 @@ from cremona.families import template_ideal
 from cremona.fixtures import all_fixtures
 from cremona.groebner import DeadlineExceeded, deadline
 from cremona.ideals import Ideal, minors
-from cremona.rees import subalgebra_presentation
+from cremona.rees import rees_ideal, subalgebra_presentation
 from cremona.rings import FormMatrix, GF, PolyRing, QQ
 from cremona.symbolic import SaturationTarget, SymbolicFiltration
 
@@ -51,6 +51,16 @@ def count_calls(monkeypatch):
 
     monkeypatch.setattr(Ideal, "intersect", intersect)
     return calls
+
+
+def _strs(polys):
+    return [str(g) for g in polys]
+
+
+def _listing(want, grew):
+    """How saturate lists the oracle's saturation want: by its reduced
+    grevlex basis when it grew, else as the ideal it was given."""
+    return _strs(want.groebner().polys if grew else want.gens)
 
 
 def fixture(name):
@@ -182,7 +192,7 @@ class TestSaturation:
         want, t = saturate_by_quotients(I, J)
         assert grew == (t > 0)
         assert got == want
-        assert [str(g) for g in got.gens] == [str(g) for g in want.gens]
+        assert _strs(got.gens) == _listing(want, grew)
 
     @pytest.mark.parametrize("fx", all_fixtures(), ids=lambda fx: fx.name)
     def test_fixture_level_two_as_iterated_quotients(self, fx):
@@ -193,7 +203,7 @@ class TestSaturation:
         got, grew = P.saturate(J)
         want, t = saturate_by_quotients(P, J)
         assert grew == (t > 0)
-        assert [str(g) for g in got.gens] == [str(g) for g in want.gens]
+        assert _strs(got.gens) == _listing(want, grew)
 
     def test_deadline_checked(self):
         I = template_ideal(3, 3, seed=0).ideal
@@ -400,6 +410,35 @@ class TestSaturationByVariables:
         assert F.grew(ell) == grew
         assert ([str(g) for g in F.level(ell).gens]
                 == [str(g) for g in want.gens])
+
+
+class TestKeptBasis:
+    """A level, an intersection and an image ideal hold the reduced
+    grevlex basis they were built from: asking for it runs no
+    Buchberger, and it certifies."""
+
+    @pytest.mark.parametrize("name, ell", [("standard-quadratic", 2),
+                                           ("sub-hankel", 4)])
+    def test_level(self, monkeypatch, name, ell):
+        F = SymbolicFiltration(fixture(name).ideal)
+        level = F.level(ell)
+        assert F.grew(ell)
+        calls = count_calls(monkeypatch)
+        gb = level.groebner()
+        assert calls["groebner_basis"] == 0
+        assert _strs(gb.polys) == _strs(level.gens)
+        assert gb.certify()
+
+    @pytest.mark.parametrize("name", ["standard-quadratic", "sub-hankel"])
+    def test_intersection_and_image(self, monkeypatch, name):
+        I = fixture(name).ideal
+        ring = I.ring
+        both = I.intersect(Ideal(ring, ring.gens[:1]))
+        image = rees_ideal(I).image_ideal()
+        calls = count_calls(monkeypatch)
+        bases = [both.groebner(), image.groebner()]
+        assert calls["groebner_basis"] == 0
+        assert all(gb.certify() for gb in bases)
 
 
 def _leads(I):

@@ -187,11 +187,11 @@ class TestHilbertDriven:
         assert gb.leads == fresh.leads
         assert gb.source == P.ideal.gens
         assert gb.certify()
-        sub, polys = eliminate(list(P.ideal.gens), list(P.xnames),
-                               ring=P.ambient)
+        plain = eliminate(list(P.ideal.gens), list(P.xnames),
+                          ring=P.ambient)
         image = P.image_ideal()
-        assert image.ring.names == sub.names
-        assert _strs(image.gens) == _strs(polys)
+        assert image.ring.names == plain.ring.names
+        assert _strs(image.gens) == _strs(plain.polys)
 
 
 def _exponents(n, deg):

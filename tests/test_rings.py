@@ -759,8 +759,8 @@ class TestOrders:
         assert a._packed.ring == b
         assert PolyRing(names, GF(7))._packed is not a._packed
         # the subring eliminate builds is a plain ring of its names
-        sub, _ = eliminate([a.parse("x0 - x1*x2")], ["x0"], ring=a)
-        assert sub._packed is PolyRing(("x1", "x2"), QQ)._packed
+        gb = eliminate([a.parse("x0 - x1*x2")], ["x0"], ring=a)
+        assert gb.ring._packed is PolyRing(("x1", "x2"), QQ)._packed
 
     def test_module_keys_divide_within_a_component(self):
         po = PackedOrder(R3, MonomialOrder.grevlex(), rank=3)
