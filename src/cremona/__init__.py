@@ -4,7 +4,7 @@ from .rings import (Field, FormMatrix, GF, MonomialOrder, NotDivisibleError,
                     ParseError, PolyRing, Polynomial, QQ, transfer)
 from .groebner import (DeadlineExceeded, GroebnerBasis, check_deadline,
                        deadline, eliminate, groebner_basis, syzygies)
-from .ideals import HilbertData, Ideal, minors
+from .ideals import HilbertData, Ideal
 from .rees import (ReesPresentation, jacobian_dual, rees_ideal,
                    subalgebra_presentation)
 from .maps import InverseData, RationalMapSpec, invert, inversion_factor
@@ -29,8 +29,7 @@ __all__ = [
     "condition_i", "deadline", "eliminate",
     "expected_form_check", "fixtures",
     "grade_two_check", "groebner_basis", "invert", "inversion_factor",
-    "jacobian_dual", "minors",
-    "rees_ideal", "signed_minors", "subalgebra_presentation",
+    "jacobian_dual", "rees_ideal", "signed_minors", "subalgebra_presentation",
     "sylvester_chain", "sylvester_form", "symbolic_presentation",
     "syzygies",
     "template_ideal", "transfer",

@@ -579,22 +579,29 @@ def _strip_elapsed(records):
 
 
 def _cmd_run(args):
+    """Exit 0 when every record is ok, 1 when some record is not, and 2
+    when the script cannot be read or parsed or the report not written."""
     try:
         with open(args.script, encoding="utf-8") as fh:
             source = fh.read()
         records = _run_source(source, args.deadline)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(render_report(records))
+        else:
+            sys.stdout.write(render_report(records))
+    except UnicodeDecodeError as e:
+        head = e.object[:e.start].decode("utf-8")
+        print("%s: %s" % (args.script, ScriptError(
+            "not UTF-8: " + e.reason, head.count("\n") + 1,
+            len(head) - head.rfind("\n"))), file=sys.stderr)
+        return 2
     except ScriptError as e:
         print("%s: %s" % (args.script, e), file=sys.stderr)
         return 2
     except OSError as e:
         print(str(e), file=sys.stderr)
         return 2
-    text = render_report(records)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0 if all(rec["status"] == "ok" for rec in records) else 1
 
 

@@ -16,7 +16,7 @@ import random
 from itertools import combinations
 
 from .groebner import _hilbert_numerator, check_deadline, groebner_basis
-from .ideals import Ideal, minors as minor_ideal
+from .ideals import Ideal
 from .maps import (InverseData, RationalMapSpec, _coprime, _factor_at_zero,
                    inversion_factor)
 from .rees import _coefficients, _column_relations, rees_ideal
@@ -159,11 +159,11 @@ class TemplateInstance:
 
     def edeg(self):
         """Degree of the implicit equation of the image hypersurface."""
-        image = self.rees().image_ideal()
-        mins = image.minimal_generators()
-        if len(mins) != 1:
+        # principal exactly when its reduced basis has one element
+        gens = self.rees().image_ideal().gens
+        if len(gens) != 1:
             raise DegenerateTemplate("image is not a hypersurface")
-        return mins[0].homogeneous_degree()
+        return gens[0].homogeneous_degree()
 
     def map_spec(self):
         return RationalMapSpec(self.ring, self.ideal.gens)
@@ -404,8 +404,8 @@ def appendix_construct(phi):
                                    (-qy[0], -qy[0])))
     inverse = None
     if verdicts["q_nonzero"]:
-        verdicts["codim_phi_prime"] = minor_ideal(phi_prime,
-                                                  2).codimension()
+        verdicts["codim_phi_prime"] = Ideal(
+            yring, phi_prime.minors(2)).codimension()
         g = signed_minors(phi_prime)
         verdicts["inverse_gcd_one"] = _coprime([gi for gi in g if gi])
         try:

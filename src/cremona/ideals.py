@@ -1,10 +1,10 @@
 """Ideal arithmetic on top of the Groebner layer.
 
 Powers, colon quotients, intersections, saturations, graded minimal
-generators, minor ideals and Hilbert series data.  All computations are
-exact and deterministic.  An ideal keeps each Groebner basis it has in
-its cache; intersections and saturations are generated by the reduced
-grevlex basis they end in and keep it there.
+generators and Hilbert series data.  All computations are exact and
+deterministic.  An ideal keeps each Groebner basis it has in its cache;
+intersections and saturations are generated by the reduced grevlex
+basis they end in and keep it there.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .groebner import (GroebnerBasis, _divide_out, _hilbert_numerator,
                        eliminate, groebner_basis)
 from .rings import MonomialOrder, PolyRing, Polynomial, transfer
 
-__all__ = ["HilbertData", "Ideal", "minors"]
+__all__ = ["HilbertData", "Ideal"]
 
 
 def _fresh_names(taken, bases, count=1, start=0):
@@ -149,6 +149,8 @@ class Ideal:
     __rmul__ = __mul__
 
     def power(self, ell):
+        """The ideal of the products of ell generators, with repetition,
+        in the order of _exponent_vectors; they are not minimalized."""
         if not isinstance(ell, int) or ell < 0:
             raise ValueError("exponent must be a nonnegative integer")
         if ell == 0:
@@ -161,16 +163,13 @@ class Ideal:
             for exps in _exponent_vectors(len(self.gens), ell))
 
     def _from_products(self, factor_lists):
-        """The ideal of the products of the factor lists, minimalized when
-        homogeneous; the deadline is checked before each product."""
+        """The ideal of the products of the factor lists, in their order
+        and not minimalized; the deadline is checked before each product."""
         prods = []
         for factors in factor_lists:
             check_deadline()
             prods.append(math.prod(factors))
-        out = Ideal(self.ring, prods)
-        if out.is_homogeneous():
-            return Ideal(self.ring, out.minimal_generators())
-        return out
+        return Ideal(self.ring, prods)
 
     def _check(self, other):
         if not isinstance(other, Ideal) or other.ring != self.ring:
@@ -366,15 +365,6 @@ def _reduced_grevlex(gb):
         return groebner_basis(list(gb.polys), ring=gb.ring)
     return GroebnerBasis(gb._po, None,
                          _interreduce([g.terms for g in gb._elts], gb._po))
-
-
-def minors(mat, k):
-    """Ideal of k x k minors of a form matrix, minimalized."""
-    vals = mat.minors(k)
-    out = Ideal(mat.ring, tuple(vals))
-    if out.is_homogeneous() and out.gens:
-        return Ideal(mat.ring, out.minimal_generators())
-    return out
 
 
 def _one_minus_t_part(q, most):

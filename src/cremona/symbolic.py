@@ -127,17 +127,20 @@ class SymbolicFiltration:
     def _survivors(self, ell, seeds):
         """Minimal module generators of the level modulo the ideal of the
         seeds: one graded minimalization of the seeds followed by the
-        level's minimal generators, of which the kept ones are returned.
-        Within a degree the seeds come first, so a generator is kept when
-        it is outside the seeds plus the generators kept before it."""
-        mins = self.minimal(ell)
-        cands = [(g.homogeneous_degree(), g._t) for g in tuple(seeds) + mins]
-        n = len(cands) - len(mins)
-        return tuple(mins[i - n] for i in _minimal_subset(
+        level's generators, normalized, of which the kept ones are
+        returned.  Within a degree the seeds come first, so a generator
+        is kept when it is outside the seeds plus those kept before it.
+        A generator that the level's own minimalization would drop lies
+        in the ideal of the generators before it, so it is dropped here
+        too: the kept ones are those of a pass over the minimal ones."""
+        gens = tuple(g.normalized() for g in self.level(ell).gens)
+        cands = [(g.homogeneous_degree(), g._t) for g in tuple(seeds) + gens]
+        n = len(cands) - len(gens)
+        return tuple(gens[i - n] for i in _minimal_subset(
             self.base.ring._packed, cands) if i >= n)
 
     def fresh(self, ell):
-        """Minimal module generators of level/power."""
+        """Minimal module generators of level/power (_survivors)."""
         if ell not in self._fresh:
             self._fresh[ell] = self._survivors(ell, self.power(ell).gens)
         return self._fresh[ell]

@@ -8,6 +8,8 @@ against sums, products, division and printing on exponent tuples.  The
 colon-based oracles at the end use the engine, but only through colons
 and intersections by elimination, one basis per span and Rabinowitsch's
 trick, not the saturation and graded minimalization code they check.
+The two-pass survivors minimalize a level on its own before the pass
+over the seeds and the level, which the program makes on its basis.
 The saturation by every variable is the one saturate took by the
 irrelevant ideal before it stopped at the first certified intersection:
 every variable's Bayer basis, intersected.
@@ -37,7 +39,7 @@ from fractions import Fraction
 from unittest import mock
 
 from cremona import groebner
-from cremona.groebner import groebner_basis, syzygies
+from cremona.groebner import _minimal_subset, groebner_basis, syzygies
 from cremona.ideals import (Ideal, _fresh_names, _inside, _one_minus_t_part,
                             _reduced_grevlex)
 from cremona.linalg import Echelon
@@ -419,6 +421,32 @@ def essential_by_spans(F, ell):
     for s in range(1, ell):
         acc = acc + Ideal(ring, F.minimal(s)) * Ideal(ring, F.minimal(ell - s))
     return survivors_by_spans(F, ell, acc)
+
+
+def survivors_two_pass(F, ell, seeds):
+    """Minimal module generators of level(ell) modulo the ideal of the
+    seeds by two graded minimalizations: the level's minimal generators
+    first, then the seeds followed by those, of which the kept ones are
+    returned (SymbolicFiltration._survivors makes the second pass over
+    the level's basis)."""
+    mins = F.minimal(ell)
+    cands = [(g.homogeneous_degree(), g._t) for g in tuple(seeds) + mins]
+    n = len(cands) - len(mins)
+    return tuple(mins[i - n] for i in _minimal_subset(
+        F.base.ring._packed, cands) if i >= n)
+
+
+def fresh_two_pass(F, ell):
+    """SymbolicFiltration.fresh by survivors_two_pass."""
+    return survivors_two_pass(F, ell, F.power(ell).gens)
+
+
+def essential_two_pass(F, ell):
+    """SymbolicFiltration.essential by survivors_two_pass over the
+    products of the minimal generators of complementary lower levels."""
+    return survivors_two_pass(F, ell, [
+        a * b for s in range(1, ell // 2 + 1)
+        for a in F.minimal(s) for b in F.minimal(ell - s)])
 
 
 def depth_positive(I):

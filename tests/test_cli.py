@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import tempfile
 import time
 from argparse import Namespace
 from pathlib import Path
@@ -618,3 +619,34 @@ class TestMain:
                           "invfactor I;\n", encoding="utf-8")
         assert main(["run", str(script), "--out",
                      str(tmp_path / "r.jsonl")]) == 1
+
+    def test_non_utf8_script_exit_two(self, tmp_path, capsys):
+        # the column counts characters: "ideal I = é" is 11 of them
+        script = tmp_path / "latin1.session"
+        script.write_bytes(HEADER.encode() + b"ideal I = x0\xff;\n"
+                           + "ideal J = é".encode() + b"\xff;\n")
+        assert main(["run", str(script)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "%s: line 2, column 13: not UTF-8" % script)
+        script.write_bytes(HEADER.encode() + "ideal J = é".encode()
+                           + b"\xff;\n")
+        assert main(["run", str(script)]) == 2
+        assert "line 2, column 12: not UTF-8" in capsys.readouterr().err
+
+    def test_unwritable_out_exit_two(self, tmp_path, capsys):
+        script = tmp_path / "s.session"
+        script.write_text(TestRunScript.SOURCE, encoding="utf-8")
+        out = tmp_path / "missing" / "r.jsonl"
+        assert main(["run", str(script), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "No such file or directory" in captured.err
+        assert "Traceback" not in captured.err and not captured.out
+
+    @given(st.binary(max_size=200), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_arbitrary_bytes_exit_codes(self, data, after_ring):
+        with tempfile.TemporaryDirectory() as tmp:
+            script = Path(tmp) / "any.session"
+            script.write_bytes(HEADER.encode() + data if after_ring
+                               else data)
+            assert main(["run", str(script), "--deadline", "5"]) in (0, 1, 2)

@@ -12,7 +12,7 @@ from cremona import groebner, ideals
 from cremona.families import template_ideal
 from cremona.fixtures import all_fixtures
 from cremona.groebner import DeadlineExceeded, deadline
-from cremona.ideals import Ideal, minors
+from cremona.ideals import Ideal
 from cremona.rees import rees_ideal, subalgebra_presentation
 from cremona.rings import FormMatrix, GF, PolyRing, QQ
 from cremona.symbolic import SaturationTarget, SymbolicFiltration
@@ -86,8 +86,7 @@ class TestBasics:
     def test_power_forms_the_textbook_products_in_order(self, field,
                                                          monkeypatch):
         # the products of powers of distinct factors are those of
-        # combinations_with_replacement, in its order, before the
-        # minimalization
+        # combinations_with_replacement, in its order
         seen = []
         monkeypatch.setattr(Ideal, "_from_products", lambda self, lists:
                             seen.append(tuple(map(math.prod, lists))))
@@ -577,7 +576,7 @@ class TestMinors:
     def test_two_by_two(self):
         x0, x1 = R2.gens
         m = FormMatrix(R2, [[x0, x1], [x1, x0]])
-        I = minors(m, 2)
+        I = Ideal(R2, m.minors(2))
         assert I == ideal(R2, "x0^2 - x1^2")
 
 

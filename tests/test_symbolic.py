@@ -17,8 +17,8 @@ from cremona.symbolic import (SaturationTarget, SymbolicFiltration,
                               grade_two_check, symbolic_presentation)
 
 from oracles import (condition_by_annihilator, depth_positive,
-                     essential_by_spans, expected_form_two_sided,
-                     fresh_by_spans)
+                     essential_by_spans, essential_two_pass,
+                     expected_form_two_sided, fresh_by_spans, fresh_two_pass)
 
 R3 = PolyRing(("x0", "x1", "x2"), QQ)
 
@@ -221,13 +221,14 @@ def _pinned_case(key):
 
 
 @st.composite
-def condition_cases(draw):
+def condition_cases(draw, field=QQ):
     """A base ideal of monomials and binomials of degree 2 or 3 in three
-    or four variables, and a user-ideal target of one or two monomials of
-    degree 1 or 2: most levels FAIL, some are ZERO or PRIMARY."""
+    or four variables over field, and a user-ideal target of one or two
+    monomials of degree 1 or 2: most levels FAIL, some are ZERO or
+    PRIMARY."""
     rng = draw(st.randoms(use_true_random=False))
     n = draw(st.integers(3, 4))
-    ring = PolyRing(tuple("x%d" % i for i in range(n)), QQ)
+    ring = PolyRing(tuple("x%d" % i for i in range(n)), field)
 
     def monomial(deg):
         e = [0] * n
@@ -270,16 +271,27 @@ class TestOracles:
         F = SymbolicFiltration(I, target)
         assert condition_i(F, 2) == condition_by_annihilator(I, 2, F)
 
+    @given(st.sampled_from((QQ, GF(32003))).flatmap(condition_cases))
+    @settings(max_examples=40, deadline=None)
+    def test_survivors_match_two_passes(self, case):
+        I, target = case
+        for F in (SymbolicFiltration(I), SymbolicFiltration(I, target)):
+            for ell in (1, 2, 3):
+                assert strs(F.fresh(ell)) == strs(fresh_two_pass(F, ell))
+                assert (strs(F.essential(ell))
+                        == strs(essential_two_pass(F, ell)))
+
 
 class TestCost:
     def test_fresh_and_condition_i_level_three(self, monkeypatch):
-        """Cost guard on the r = 2 template at seed 0.  With the level's
-        minimal generators cached, fresh(3) is one graded minimalization
-        and takes no basis (the span loop took one per kept generator
-        plus one).  With levels 1-3 cached, condition_i takes no basis,
-        elimination or colon: it reuses the per-variable saturations the
-        levels made (the annihilator route took eliminations and colons,
-        and rebuilding the saturations took 4 bases)."""
+        """Cost guard on the r = 2 template at seed 0.  With the level
+        cached, fresh(3) is one graded minimalization of the power's and
+        the level's generators and takes no basis (the span loop took one
+        per kept generator plus one).  With levels 1-3 cached,
+        condition_i takes no basis, elimination or colon: it reuses the
+        per-variable saturations the levels made (the annihilator route
+        took eliminations and colons, and rebuilding the saturations took
+        4 bases)."""
         calls = {"eliminate": 0, "groebner_basis": 0, "quotient": 0}
         for name in ("eliminate", "groebner_basis"):
             original = getattr(groebner, name)
@@ -308,6 +320,27 @@ class TestCost:
         assert calls == {"eliminate": 0, "groebner_basis": 0, "quotient": 0}
         condition_i(F, 3)
         assert calls == {"eliminate": 0, "groebner_basis": 0, "quotient": 0}
+
+    def test_power_fresh_and_edeg_minimalize_nothing(self, std,
+                                                     monkeypatch):
+        """Cost guard: a power keeps its products, fresh minimalizes the
+        level's basis only in its pass over the seeds, and edeg reads the
+        image's reduced basis; none lists an ideal's minimal generators
+        (each made one Ideal.minimal_generators call or more)."""
+        T = template_ideal(3, 2, seed=0)
+        T.rees()  # the presentation lists its minimal generators
+        calls = []
+        minimal = Ideal.minimal_generators
+
+        def spy(self):
+            calls.append(self)
+            return minimal(self)
+
+        monkeypatch.setattr(Ideal, "minimal_generators", spy)
+        std.ideal.power(3)
+        SymbolicFiltration(std.ideal).fresh(2)
+        T.edeg()
+        assert calls == []
 
     def test_condition_i_on_cached_levels_tests_no_membership(
             self, std, monkeypatch):
