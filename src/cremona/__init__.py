@@ -8,9 +8,9 @@ from .ideals import HilbertData, Ideal
 from .rees import (ReesPresentation, jacobian_dual, rees_ideal,
                    subalgebra_presentation)
 from .maps import InverseData, RationalMapSpec, invert, inversion_factor
-from .symbolic import (ConditionVerdict, ExpectedFormResult, SaturationTarget,
-                       SymbolicFiltration, condition_i, expected_form_check,
-                       grade_two_check, symbolic_presentation)
+from .symbolic import (SaturationTarget, SymbolicFiltration, condition_i,
+                       expected_form_check, grade_two_check,
+                       symbolic_presentation)
 from .families import (AppendixData, DegenerateTemplate, SylvesterChain,
                        TemplateInstance, TemplateMatrix, appendix_construct,
                        signed_minors, sylvester_chain, sylvester_form,
@@ -18,9 +18,9 @@ from .families import (AppendixData, DegenerateTemplate, SylvesterChain,
 from . import fixtures
 
 __all__ = [
-    "AppendixData", "ConditionVerdict", "DeadlineExceeded",
-    "DegenerateTemplate", "ExpectedFormResult", "Field", "FormMatrix", "GF",
-    "GroebnerBasis", "HilbertData", "Ideal", "InverseData",
+    "AppendixData", "DeadlineExceeded", "DegenerateTemplate", "Field",
+    "FormMatrix", "GF", "GroebnerBasis", "HilbertData", "Ideal",
+    "InverseData",
     "MonomialOrder", "NotDivisibleError", "ParseError", "PolyRing",
     "Polynomial", "QQ", "RationalMapSpec", "ReesPresentation",
     "SaturationTarget", "SylvesterChain", "SymbolicFiltration",

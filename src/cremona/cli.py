@@ -28,6 +28,7 @@ once, into ``"m"``, an ideal's name or a polynomial.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import re
@@ -395,22 +396,21 @@ def render_session(script):
     return "\n".join(lines) + "\n"
 
 
-def _target_for(script, sat):
-    if sat is None or sat == "m":
-        return None, "m"
-    if isinstance(sat, str):
-        return (SaturationTarget.ideal(script.bindings[sat][1]),
-                "ideal:" + sat)
-    return SaturationTarget.element(sat), "elem:" + str(sat)
-
-
 def _filtration(script, name, sat, cache):
-    target, key = _target_for(script, sat)
-    full = ("filtration", name, key)
-    if full not in cache:
-        ideal = script.bindings[name][1]
-        cache[full] = SymbolicFiltration(ideal, target)
-    return cache[full]
+    """The filtration of an ideal against sat=, which is "m", an ideal's
+    name or a polynomial (all hashable), and "m" when not given; a zero
+    polynomial is kept, and rejected as a target."""
+    sat = "m" if sat is None else sat
+    key = ("filtration", name, sat)
+    if key not in cache:
+        if sat == "m":
+            target = None
+        elif isinstance(sat, str):
+            target = SaturationTarget.ideal(script.bindings[sat][1])
+        else:
+            target = SaturationTarget.element(sat)
+        cache[key] = SymbolicFiltration(script.bindings[name][1], target)
+    return cache[key]
 
 
 def _inverse_of(script, name, cache):
@@ -455,17 +455,15 @@ def _exec_symrees(script, cmd, cache):
                          for ell in range(1, lmax + 1)}}
     verdicts = {
         "birational": inv is not None,
-        "condition": {str(v.level): (v.verdict if v.witness is None
-                                     else "%s:%s" % (v.verdict, v.witness))
-                      for v in condition_i(F, lmax)},
+        "condition": {str(ell): v for ell, v in condition_i(F, lmax).items()},
     }
     if inv is None:
         return [], degrees, verdicts
-    expected = expected_form_check(F, inv.factor, inv.degree, lmax)
+    levels = expected_form_check(F, inv.factor, inv.degree, lmax)
     verdicts["inverse_degree"] = inv.degree
-    verdicts["expected_form"] = {str(ell): expected.levels[ell]
-                                 for ell in sorted(expected.levels)}
-    verdicts["factor_in_symbolic"] = expected.precondition
+    verdicts["expected_form"] = {str(ell): ok
+                                 for ell, ok in (levels or {}).items()}
+    verdicts["factor_in_symbolic"] = levels is not None
     return [str(inv.factor)], degrees, verdicts
 
 
@@ -566,11 +564,10 @@ def render_report(records):
                    for rec in records)
 
 
-def _run_source(source, deadline_s):
-    """Parse under the deadline, then run the session."""
+def _parse_source(source, deadline_s):
+    """Parse under the deadline."""
     with deadline(deadline_s):
-        script = parse_session(source)
-    return run_script(script, deadline_s=deadline_s)
+        return parse_session(source)
 
 
 def _strip_elapsed(records):
@@ -580,16 +577,17 @@ def _strip_elapsed(records):
 
 def _cmd_run(args):
     """Exit 0 when every record is ok, 1 when some record is not, and 2
-    when the script cannot be read or parsed or the report not written."""
+    when the script cannot be read or parsed or the report not written.
+    --out is opened after parsing and before any command runs, so a
+    parse error leaves no file and an unwritable one costs no work."""
     try:
         with open(args.script, encoding="utf-8") as fh:
             source = fh.read()
-        records = _run_source(source, args.deadline)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(render_report(records))
-        else:
-            sys.stdout.write(render_report(records))
+        script = _parse_source(source, args.deadline)
+        with (open(args.out, "w", encoding="utf-8") if args.out
+              else contextlib.nullcontext(sys.stdout)) as out:
+            records = run_script(script, deadline_s=args.deadline)
+            out.write(render_report(records))
     except UnicodeDecodeError as e:
         head = e.object[:e.start].decode("utf-8")
         print("%s: %s" % (args.script, ScriptError(
@@ -623,7 +621,8 @@ def _cmd_fixtures(args, base=None):
         source = base.joinpath(name).read_text(encoding="utf-8")
         t0 = time.perf_counter()
         try:
-            records = _run_source(source, args.deadline)
+            records = run_script(_parse_source(source, args.deadline),
+                                 deadline_s=args.deadline)
         except ScriptError as e:
             print("%s: parse error: %s" % (stem, e))
             bad += 1

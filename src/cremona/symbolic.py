@@ -15,9 +15,8 @@ from .ideals import Ideal, _fresh_names
 from .rees import rees_ideal
 from .rings import PolyRing, Polynomial, transfer
 
-__all__ = ["ConditionVerdict", "ExpectedFormResult", "SaturationTarget",
-           "SymbolicFiltration", "condition_i", "expected_form_check",
-           "grade_two_check", "symbolic_presentation"]
+__all__ = ["SaturationTarget", "SymbolicFiltration", "condition_i",
+           "expected_form_check", "grade_two_check", "symbolic_presentation"]
 
 DEFAULT_LMAX = 4
 
@@ -50,17 +49,6 @@ class SaturationTarget:
             raise ValueError("target element must be a nonconstant form")
         return cls("user-element", f)
 
-    def saturand(self, ring):
-        if self.kind == "irrelevant-ideal":
-            return Ideal(ring, ring.gens)
-        if self.kind == "user-ideal":
-            if self.payload.ring != ring:
-                raise ValueError("target ideal from a different ring")
-            return self.payload
-        if self.payload.ring != ring:
-            raise ValueError("target element from a different ring")
-        return self.payload
-
     def __repr__(self):
         return "SaturationTarget(%s)" % self.kind
 
@@ -68,26 +56,36 @@ class SaturationTarget:
 class SymbolicFiltration:
     """Levels of the symbolic filtration of a base ideal, cached.
 
-    A user-element target is screened at construction: the element must
-    be a nonzerodivisor modulo the saturated base ideal.
+    The target is resolved once, at construction, into what every level
+    is saturated against: the irrelevant ideal, the user ideal or the
+    user element, which must lie in the base ring.  A user-element
+    target must also be a nonzerodivisor modulo the saturated base ideal.
     """
 
-    __slots__ = ("base", "target", "_powers", "_levels", "_mins", "_fresh")
+    __slots__ = ("base", "target", "_against", "_powers", "_levels",
+                 "_mins", "_fresh")
 
     def __init__(self, base, target=None):
         if not isinstance(base, Ideal) or base.is_zero() or base.is_unit():
             raise ValueError("base must be a nonzero proper ideal")
         if not base.is_homogeneous():
             raise ValueError("base must be homogeneous")
+        ring = base.ring
         self.base = base
         self.target = target if target is not None else SaturationTarget.irrelevant()
         self._powers = {1: base}
         self._levels = {}
         self._mins = {}
         self._fresh = {}
+        if self.target.kind == "irrelevant-ideal":
+            self._against = Ideal(ring, ring.gens)
+            return
+        self._against = f = self.target.payload
+        if f.ring != ring:
+            raise ValueError("target %s from a different ring" % (
+                "ideal" if self.target.kind == "user-ideal" else "element"))
         if self.target.kind == "user-element":
-            f = self.target.saturand(base.ring)
-            sat, _ = base.saturate(Ideal(base.ring, base.ring.gens))
+            sat, _ = base.saturate(Ideal(ring, ring.gens))
             # sat : f = sat exactly when sat : f^inf = sat
             if sat.saturate(f)[1]:
                 raise ValueError(
@@ -107,8 +105,7 @@ class SymbolicFiltration:
         got = self._levels.get(ell)
         if got is None:
             # the level and whether it is larger than the power
-            got = self.power(ell).saturate(
-                self.target.saturand(self.base.ring))
+            got = self.power(ell).saturate(self._against)
             self._levels[ell] = got
         return got[0]
 
@@ -156,32 +153,10 @@ class SymbolicFiltration:
         return self._survivors(ell, prods)
 
 
-class ConditionVerdict:
-    """Per-level status of the quotient level/power: ZERO, PRIMARY or
-    FAILS with a witness variable outside the annihilator's radical."""
-
-    __slots__ = ("level", "verdict", "witness")
-
-    def __init__(self, level, verdict, witness=None):
-        self.level = level
-        self.verdict = verdict
-        self.witness = witness
-
-    def __repr__(self):
-        if self.witness is not None:
-            return ("ConditionVerdict(%d, %s, witness=%s)"
-                    % (self.level, self.verdict, self.witness))
-        return "ConditionVerdict(%d, %s)" % (self.level, self.verdict)
-
-    def __eq__(self, other):
-        return (isinstance(other, ConditionVerdict)
-                and (self.level, self.verdict, self.witness)
-                == (other.level, other.verdict, other.witness))
-
-
 def condition_i(F, lmax):
     """Whether each level/power quotient of the filtration F is zero or
-    irrelevant-primary, for the levels 1 to lmax.
+    irrelevant-primary, for the levels 1 to lmax: a map from each level
+    to "ZERO", "PRIMARY" or "FAILS:<witness variable>".
 
     The quotient is zero when the saturation of the power did not grow.
     Otherwise a variable x lies in the radical of power : level exactly
@@ -193,55 +168,36 @@ def condition_i(F, lmax):
     """
     if lmax < 1:
         raise ValueError("lmax must be at least 1")
-    out = []
+    out = {}
     for ell in range(1, lmax + 1):
         check_deadline()
         if not F.grew(ell):
-            out.append(ConditionVerdict(ell, "ZERO"))
+            out[ell] = "ZERO"
             continue
         witness = None
         if F.target.kind != "irrelevant-ideal":
             power, level = F.power(ell), F.level(ell)
-            witness = next((str(x) for x in F.base.ring.gens
+            witness = next((x for x in F.base.ring.gens
                             if not all(map(power._saturation(x).contains,
                                            level.gens))), None)
-        out.append(ConditionVerdict(
-            ell, "PRIMARY" if witness is None else "FAILS", witness))
-    return tuple(out)
-
-
-class ExpectedFormResult:
-    """Outcome of the expected-form check.
-
-    precondition records whether the factor lies in the level-d' symbolic
-    power; levels maps each checked level to a boolean (empty when the
-    precondition failed).
-    """
-
-    __slots__ = ("precondition", "levels")
-
-    def __init__(self, precondition, levels):
-        self.precondition = precondition
-        self.levels = dict(levels)
-
-    def __repr__(self):
-        return ("ExpectedFormResult(precondition=%s, levels=%s)"
-                % (self.precondition, self.levels))
+        out[ell] = "PRIMARY" if witness is None else "FAILS:%s" % witness
+    return out
 
 
 def expected_form_check(F, D, dprime, lmax=DEFAULT_LMAX):
     """Level-by-level test of level(ell) = sum_j D^j * power(ell - j*d')
-    on the filtration F, for the levels 1 to lmax.  Given D in level(d')
-    the right side lies in the level (level(a) * level(b) lies in
-    level(a + b)) and holds the power, so a level holds when its fresh
-    generators lie in the right side."""
+    on the filtration F, for the levels 1 to lmax: None when D is not in
+    level(d'), else a map from each level to whether it holds.  Given D
+    in level(d') the right side lies in the level (level(a) * level(b)
+    lies in level(a + b)) and holds the power, so a level holds when its
+    fresh generators lie in the right side."""
     if dprime < 1:
         raise ValueError("the factor weight must be positive")
     ring = F.base.ring
     if D.ring != ring or not D or not D.is_homogeneous():
         raise ValueError("factor must be a nonzero form of the base ring")
     if not F.level(dprime).contains(D):
-        return ExpectedFormResult(False, {})
+        return None
     levels = {}
     for ell in range(1, lmax + 1):
         check_deadline()
@@ -261,7 +217,7 @@ def expected_form_check(F, D, dprime, lmax=DEFAULT_LMAX):
             j += 1
             dj = dj * D
         levels[ell] = all(map(Ideal(ring, tuple(rhs_gens)).contains, fresh))
-    return ExpectedFormResult(True, levels)
+    return levels
 
 
 def symbolic_presentation(I, G):

@@ -48,7 +48,6 @@ from cremona.rees import jacobian_dual, rees_ideal
 from cremona.rings import (_MAXF, FormMatrix, MonomialOrder,
                            NotDivisibleError, ParseError, PolyRing,
                            Polynomial, QQ, transfer)
-from cremona.symbolic import ConditionVerdict
 
 
 def span_dimension(ring, polys, deg):
@@ -478,21 +477,18 @@ def radical_contains(I, f):
 def condition_by_annihilator(I, lmax, F):
     """condition_i through the annihilator power : level, by colons, and
     radical membership of each variable in it."""
-    out = []
+    out = {}
     for ell in range(1, lmax + 1):
         power = F.power(ell)
         level = F.level(ell)
         if power.contains_ideal(level):
-            out.append(ConditionVerdict(ell, "ZERO"))
+            out[ell] = "ZERO"
             continue
         ann = power.quotient(level)
         witness = next((str(x) for x in I.ring.gens
                         if not radical_contains(ann, x)), None)
-        if witness is None:
-            out.append(ConditionVerdict(ell, "PRIMARY"))
-        else:
-            out.append(ConditionVerdict(ell, "FAILS", witness))
-    return tuple(out)
+        out[ell] = "PRIMARY" if witness is None else "FAILS:" + witness
+    return out
 
 
 def expected_form_two_sided(F, D, dprime, lmax):

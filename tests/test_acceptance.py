@@ -67,7 +67,7 @@ class TestPolarQuartic:
             want_ann = Ideal(R, (R.parse("x1"), R.parse("x2"),
                                  R.parse("x0*x3")))
             check("polar quartic: primality fails at level 2",
-                  verdicts[1].verdict == "FAILS")
+                  verdicts[2].startswith("FAILS:"))
             check("polar quartic: annihilator (x1, x2, x0*x3)",
                   ann == want_ann)
             by_level = {}
@@ -89,7 +89,7 @@ class TestPolarQuartic:
                   (F.level(1) * F.level(2)).contains(D))
             ef = expected_form_check(F, D, 3, lmax=2)
             check("polar quartic: expected form breaks at level 2",
-                  ef.precondition and ef.levels == {1: True, 2: False})
+                  ef == {1: True, 2: False})
             K = subalgebra_presentation(polar.ideal, extra=data["extras"])
             lift = Ideal(K.ring, tuple(transfer(g, K.ring)
                                        for g in data["grade_witness"].gens))
@@ -109,11 +109,10 @@ class TestSubHankel:
             check("sub-hankel: factor x3^5", str(D) == "x3^5")
             verdicts = condition_i(F, 3)
             check("sub-hankel: quotients vanish or are irrelevant-primary",
-                  all(v.verdict in ("ZERO", "PRIMARY") for v in verdicts))
+                  all(v in ("ZERO", "PRIMARY") for v in verdicts.values()))
             ef = expected_form_check(F, D, 3, lmax=4)
             check("sub-hankel: expected form holds through level 4",
-                  ef.precondition
-                  and ef.levels == {1: True, 2: True, 3: True, 4: True})
+                  ef == {1: True, 2: True, 3: True, 4: True})
             SP = symbolic_presentation(hankel.ideal,
                                        hankel_inverse.inverse)
             SA = subalgebra_presentation(hankel.ideal, extra=((D, 3),))
@@ -136,7 +135,7 @@ class TestDeterminantal:
                   and not F.power(2).contains(inv.factor))
             verdicts = condition_i(F, 2)
             check("%s: level-2 quotient irrelevant-primary" % which,
-                  verdicts[1].verdict == "PRIMARY")
+                  verdicts[2] == "PRIMARY")
 
 
 def _draw_valid(r, k, log):

@@ -16,10 +16,13 @@ from cremona.cli import (MAX_TEMPLATE_DRAW, MAX_TEMPLATE_TERMS,
                          MAX_VARIABLES, ScriptError, _cmd_fixtures,
                          corpus_dir, main, parse_session, render_report,
                          render_session, run_script)
+from cremona.fixtures import all_fixtures
 from cremona.groebner import GroebnerBasis, deadline
 from cremona.ideals import Ideal
+from cremona.maps import invert
 from cremona.rings import PolyRing, QQ
-from cremona.symbolic import SymbolicFiltration
+from cremona.symbolic import (SymbolicFiltration, condition_i,
+                              expected_form_check)
 
 HEADER = "ring R = QQ[x0..x2];\n"
 FIELD_KEYS = ["command", "status", "values", "degrees", "verdicts",
@@ -464,6 +467,14 @@ class TestRunScript:
             "birational": False,
             "condition": {"1": "PRIMARY", "2": "PRIMARY"}}
 
+    def test_zero_sat_is_not_the_default_target(self):
+        # sat=0 is a zero polynomial, rejected as a target, not "m"
+        src = (HEADER + "ideal I = x1*x2, x0*x2, x0*x1;\n"
+               + "sympow I 2 sat=0;\nsympow I 2;\n")
+        records = run_script(parse_session(src))
+        assert [rec["status"] for rec in records] == ["failed", "ok"]
+        assert "nonconstant form" in records[0]["verdicts"]["error"]
+
     def test_symrees_reuses_the_sympow_filtration(self, monkeypatch):
         counts = {"filtrations": 0, "saturations": 0}
         init, saturate = SymbolicFiltration.__init__, Ideal.saturate
@@ -507,6 +518,63 @@ class TestRunScript:
         assert [rec["verdicts"] for rec in records] == [
             {"equals_power": False}] * 2
         assert counts[0] > 0 and counts[1] == 0
+
+    def test_ring_taking_the_fresh_name_bases(self):
+        """On QQ[y0, Y0, v0] the Rees ring's y-names y0.., Y0.. and v0..
+        are all taken, so they fall back to y_0_0, y_0_1, y_0_2; every
+        record is that of QQ[x0..x2] after renaming."""
+        commands = ("inverse I;\ninvfactor I;\nsympow I 2;\n"
+                    "symrees I lmax=2;\n")
+        x_records = run_script(parse_session(
+            HEADER + "ideal I = x1*x2, x0*x2, x0*x1;\n" + commands))
+        y_records = run_script(parse_session(
+            "ring R = QQ[y0, Y0, v0];\nideal I = Y0*v0, y0*v0, y0*Y0;\n"
+            + commands))
+        renames = [("y0", "y_0_0"), ("y1", "y_0_1"), ("y2", "y_0_2"),
+                   ("x0", "y0"), ("x1", "Y0"), ("x2", "v0")]
+
+        def stripped(rec):
+            return {k: v for k, v in rec.items() if k != "elapsed_ms"}
+
+        def renamed(rec):
+            text = json.dumps(stripped(rec))
+            for old, new in renames:
+                text = text.replace(old, new)
+            return json.loads(text)
+
+        assert [rec["status"] for rec in y_records] == ["ok"] * 4
+        assert y_records[0]["values"] == [
+            "y_0_1*y_0_2", "y_0_0*y_0_2", "y_0_0*y_0_1"]
+        assert [renamed(rec) for rec in x_records] == [
+            stripped(rec) for rec in y_records]
+
+    @pytest.mark.parametrize("fx", all_fixtures(), ids=lambda fx: fx.name)
+    def test_symrees_maps_are_the_library_values(self, fx):
+        """The condition and expected_form maps of a fixture's symrees
+        record are condition_i and expected_form_check, levels as
+        strings."""
+        ring = fx.ring
+        lines = ["ring R = QQ[%s];" % ", ".join(ring.names),
+                 "ideal I = %s;" % ", ".join(map(str, fx.spec.forms))]
+        target = fx.target
+        if target is None:
+            sat = "m"
+        elif target.kind == "user-ideal":
+            lines.append("ideal J = %s;" % ", ".join(
+                map(str, target.payload.gens)))
+            sat = "J"
+        else:
+            sat = str(target.payload)
+        lines.append("symrees I lmax=3 sat=%s;" % sat)
+        rec, = run_script(parse_session("\n".join(lines)))
+        F = SymbolicFiltration(fx.ideal, target)
+        inv = invert(fx.spec)
+        levels = expected_form_check(F, inv.factor, inv.degree, 3)
+        assert rec["verdicts"]["condition"] == {
+            str(ell): v for ell, v in condition_i(F, 3).items()}
+        assert rec["verdicts"]["expected_form"] == {
+            str(ell): ok for ell, ok in levels.items()}
+        assert rec["verdicts"]["factor_in_symbolic"] is True
 
     def test_report_is_jsonl(self):
         records = run_script(parse_session(self.SOURCE))
@@ -641,6 +709,25 @@ class TestMain:
         captured = capsys.readouterr()
         assert "No such file or directory" in captured.err
         assert "Traceback" not in captured.err and not captured.out
+
+    def test_unwritable_out_runs_no_command(self, tmp_path, capsys,
+                                            monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run_script",
+                            lambda *args, **kw: calls.append(args))
+        script = tmp_path / "s.session"
+        script.write_text(TestRunScript.SOURCE, encoding="utf-8")
+        out = tmp_path / "missing" / "r.jsonl"
+        assert main(["run", str(script), "--out", str(out)]) == 2
+        assert calls == []
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_parse_error_leaves_no_report(self, tmp_path):
+        script = tmp_path / "bad.session"
+        script.write_text(HEADER + "ideal I = ;", encoding="utf-8")
+        out = tmp_path / "r.jsonl"
+        assert main(["run", str(script), "--out", str(out)]) == 2
+        assert not out.exists()
 
     @given(st.binary(max_size=200), st.booleans())
     @settings(max_examples=100, deadline=None)

@@ -196,7 +196,7 @@ class TestSaturation:
     @pytest.mark.parametrize("fx", all_fixtures(), ids=lambda fx: fx.name)
     def test_fixture_level_two_as_iterated_quotients(self, fx):
         ring = fx.ring
-        J = (fx.target.saturand(ring) if fx.target is not None
+        J = (fx.target.payload if fx.target is not None
              else Ideal(ring, ring.gens))
         P = fx.ideal.power(2)
         got, grew = P.saturate(J)
@@ -292,7 +292,7 @@ class TestSaturation:
         calls = count_calls(monkeypatch)
         level = F.level(ell)
         assert calls == {"eliminate": 4, "groebner_basis": 9, "intersect": 4}
-        want, _ = saturate_by_quotients(P, fx.target.saturand(P.ring))
+        want, _ = saturate_by_quotients(P, fx.target.payload)
         assert [str(g) for g in level.gens] == [str(g) for g in want.gens]
 
 

@@ -108,11 +108,24 @@ class TestNonBirational:
                                  R3.parse("x2^2")))
         assert invert(F) is None
 
+    def test_zero_coordinate(self):
+        F = RationalMapSpec(R3, (R3.parse("x0^2"), R3.zero,
+                                 R3.parse("x1^2")))
+        assert invert(F) is None
+
     def test_factor_rejects_bad_candidate(self, std):
         inv = invert(std.spec)
         y = inv.inverse[0].ring
         bad = (y.parse("y0^2"), y.parse("y1^2"), y.parse("y2^2"))
         with pytest.raises(ValueError, match="composition"):
+            inversion_factor(std.spec, bad)
+
+    def test_factor_rejects_unequal_quotients(self, std):
+        # g_i(f) = x_i * D_i with D_2 = 2 * D_0 = 2 * D_1
+        y = invert(std.spec).inverse[0].ring
+        bad = (y.parse("y1*y2"), y.parse("y0*y2"), y.parse("2*y0*y1"))
+        with pytest.raises(ValueError,
+                           match="candidate fails the composition check"):
             inversion_factor(std.spec, bad)
 
 
