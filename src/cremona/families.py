@@ -288,7 +288,11 @@ def sylvester_chain(inst):
 
     Requires the 2-minors of the linear part to be irrelevant-primary;
     records whether the linear relations plus the chain already give the
-    whole Rees ideal.
+    whole Rees ideal J.  Every form of the chain lies in J: each Sylvester
+    form passes a membership test, and the column relations
+    sum(y_i * M[i][j]) map to 0 as the f_i are the signed maximal minors
+    of M.  So the chain generates J exactly when its reduced grevlex
+    basis has the leads of J's, inst.rees().basis.
     """
     T = inst.template
     if T.n != 3:
@@ -302,7 +306,7 @@ def sylvester_chain(inst):
     l1, l2, f0 = inst.relations()
     if not l1 or not l2 or not f0:
         raise DegenerateTemplate("vanishing linear relation")
-    gb = P.ideal.groebner()
+    gb = P.basis
     forms = []
     bidegrees = []
     prev = f0
@@ -315,13 +319,14 @@ def sylvester_chain(inst):
         forms.append(fi)
         bidegrees.append(P.bidegree(fi))
         prev = fi
-    # the chain lies in P.ideal, so it generates it when P.ideal lies in
-    # its ideal, whose basis the Hilbert series of P.ideal bounds
+    # the chain lies in the Rees ideal, whose Hilbert series bounds that
+    # of its ideal; the two are equal exactly when their lead ideals
+    # are, and both reduced grevlex bases list them ascending
     weights = (1,) * amb.nvars
     series = (weights, _hilbert_numerator(gb.leads, weights))
     chain = groebner_basis([l1, l2, f0] + forms, ring=amb, series=series)
-    conj = all(chain.contains(g) for g in P.ideal.gens)
-    return SylvesterChain(tuple(forms), tuple(bidegrees), conj)
+    return SylvesterChain(tuple(forms), tuple(bidegrees),
+                          chain.leads == gb.leads)
 
 
 # -- the plane quartic construction -----------------------------------
@@ -396,7 +401,7 @@ def appendix_construct(phi):
     }
     i3b = Ideal(amb, tuple(deltas))
     verdicts["codim_b"] = i3b.codimension()
-    verdicts["rees_match"] = i3b == P.ideal
+    verdicts["rees_match"] = i3b.groebner().polys == P.basis.polys
     yring = PolyRing(P.ynames, ring.field)
     qy = [transfer(q, yring) if q else yring.zero for q in (q1, q2, q3)]
     phi_prime = FormMatrix(yring, ((qy[2], yring.zero),

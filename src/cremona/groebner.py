@@ -443,7 +443,10 @@ class _Engine:
         A candidate's lcm is dropped when another one divides it.  The
         candidates are sorted by lcm, and a later lcm divides an earlier
         one only when they are equal, so of the later ones only the next
-        needs a look."""
+        needs a look.  A pair with coprime leads, or of two monomials,
+        has an S-polynomial that reduces to zero by the pair itself (of
+        two monomials it is zero): it is kept for the chain criterion and
+        never queued."""
         po = self.po
         elts = self.elts
         pairs = self.pairs
@@ -455,6 +458,7 @@ class _Engine:
         key0 = po.key0
         h = elts[hidx]
         lmh = h.key
+        mono = len(h.terms) == 1
         cand = []
         for g in elts:
             if g.idx != hidx and g.alive:
@@ -465,7 +469,9 @@ class _Engine:
         last = len(cand) - 1
         kept = []
         for pos, (lk, gi) in enumerate(cand):
-            cop = ideal and lk == lmh + elts[gi].key - key0
+            g = elts[gi]
+            cop = ((mono and len(g.terms) == 1)
+                   or (ideal and lk == lmh + g.key - key0))
             if not cop:
                 if pos < last and cand[pos + 1][0] == lk:
                     continue
@@ -686,7 +692,8 @@ class GroebnerBasis:
     def certify(self):
         """Re-check the Buchberger criterion and source membership.  A
         pair with coprime leads is skipped (Buchberger's first criterion:
-        its S-polynomial reduces to zero by the pair itself)."""
+        its S-polynomial reduces to zero by the pair itself), and so is a
+        pair of two monomials, whose S-polynomial is zero."""
         po = self._po
         p = self.ring.field.characteristic
         elts = self._elts
@@ -695,7 +702,8 @@ class GroebnerBasis:
                 check_deadline()
                 ki, kj = elts[i].key, elts[j].key
                 lk = po.lcm(ki, kj)
-                if lk == ki + kj - po.key0:
+                if (lk == ki + kj - po.key0
+                        or len(elts[i].terms) == 1 == len(elts[j].terms)):
                     continue
                 s = _spoly(elts[i], elts[j], lk, po)
                 if s and _reduce(s, elts, po, p, lambda k: False):

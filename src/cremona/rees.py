@@ -4,14 +4,14 @@ The presentation ideal of the Rees algebra of a base ideal lives in
 k[x, y] with one y-variable per generator.  Its x-linear part packs into
 the Jacobian dual matrix, whose syzygies drive inverse extraction.
 Weighted extra generators give presentations of larger subalgebras of
-R[t].  A presentation ideal and its image ideal each keep the reduced
-grevlex basis that their elimination leaves.
+R[t].  A presentation keeps the reduced grevlex basis that its
+elimination leaves and reads its image ideal off it.
 """
 
 from __future__ import annotations
 
 from .groebner import GroebnerBasis, _hilbert_numerator, eliminate
-from .ideals import _fresh_names, _with_basis
+from .ideals import Ideal, _fresh_names, _with_basis
 from .rings import FormMatrix, PolyRing, Polynomial, _canonical, transfer
 
 __all__ = ["ReesPresentation", "jacobian_dual", "rees_ideal",
@@ -26,30 +26,52 @@ def _uniform_degree(gens):
 
 
 class ReesPresentation:
-    """Bigraded presentation ideal of the Rees algebra of a base ideal:
-    the minimal generators of ideal (whose gens are its reduced grevlex
-    basis) by total degree, then x-degree, read on the x-variables."""
+    """Bigraded presentation ideal J of the Rees algebra of a base ideal,
+    kept as basis, its reduced grevlex basis, ascending by lead key.
+    Everything else is read off that basis when first asked for: the
+    minimal generators of J (generators), sorted by total degree, then
+    x-degree, with their bidegrees read on the x-variables, the ideal
+    they generate, which holds basis as its groebner(), and the image
+    ideal."""
 
-    __slots__ = ("ambient", "ideal", "xnames", "ynames", "generators",
-                 "bidegrees", "_xdeg", "_image")
+    __slots__ = ("ambient", "basis", "xnames", "ynames", "_xdeg",
+                 "_minimal", "_image")
 
-    def __init__(self, ambient, ideal, xnames, ynames):
+    def __init__(self, ambient, basis, xnames, ynames):
         self.ambient = ambient
+        self.basis = basis
         self.xnames = xnames
         self.ynames = ynames
         self._xdeg = ambient._packed.grading(
             [int(nm in xnames) for nm in ambient.names])
-        keyed = sorted(((self.bidegree(g), g)
-                        for g in ideal.minimal_generators()),
-                       key=lambda bg: (sum(bg[0]), bg[0][0]))
-        self.generators = tuple(g for _, g in keyed)
-        self.bidegrees = tuple(b for b, _ in keyed)
-        # ideal's basis, whose certificate checks the minimal generators
-        gb = ideal.groebner()
-        self.ideal = _with_basis(GroebnerBasis(
-            gb._po, self.generators, [g.terms for g in gb._elts]),
-            self.generators)
+        self._minimal = None
         self._image = None
+
+    def _minimalized(self):
+        """(generators, bidegrees, ideal), made on the first call."""
+        if self._minimal is None:
+            keyed = sorted(((self.bidegree(g), g) for g in Ideal(
+                self.ambient, self.basis.polys).minimal_generators()),
+                           key=lambda bg: (sum(bg[0]), bg[0][0]))
+            gens = tuple(g for _, g in keyed)
+            # the basis, whose certificate checks the minimal generators
+            gb = self.basis
+            ideal = _with_basis(GroebnerBasis(
+                gb._po, gens, [g.terms for g in gb._elts]), gens)
+            self._minimal = (gens, tuple(b for b, _ in keyed), ideal)
+        return self._minimal
+
+    @property
+    def generators(self):
+        return self._minimalized()[0]
+
+    @property
+    def bidegrees(self):
+        return self._minimalized()[1]
+
+    @property
+    def ideal(self):
+        return self._minimalized()[2]
 
     def bidegree(self, g):
         """(x-degree, y-degree) of a bihomogeneous form g of the ambient
@@ -63,19 +85,27 @@ class ReesPresentation:
         raise ValueError("polynomial is not bihomogeneous")
 
     def image_ideal(self):
-        """The y-only part of the ideal; zero exactly for dominant maps.
+        """The y-only part of J, its intersection with k[y]; zero exactly
+        for dominant maps.
 
-        The elimination is Hilbert-driven: the ideal is bihomogeneous, and
-        the leads of its grevlex basis give its Hilbert series in the
-        standard grading.
+        Read off the basis with no elimination.  J is bihomogeneous for
+        deg x = (1, 0), deg y = (0, 1), so its reduced basis consists of
+        bihomogeneous forms.  The lead of a y-only element of J is
+        divisible by the lead of some g in the basis, which is then free
+        of x; g has x-degree 0, as all its terms have that of its lead,
+        so g lies in k[y].  The basis elements of x-degree 0 are thus the
+        reduced grevlex basis of the y-only part: grevlex on (x, y)
+        restricts to grevlex on y.  They are moved once into k[y],
+        ascending still.
         """
         if self._image is None:
-            weights = (1,) * self.ambient.nvars
-            series = (weights, _hilbert_numerator(self.ideal.groebner().leads,
-                                                  weights))
-            self._image = _with_basis(eliminate(
-                list(self.ideal.gens), list(self.xnames), ring=self.ambient,
-                series=series))
+            gb = self.basis
+            sub = PolyRing(self.ynames, self.ambient.field)._packed
+            move = gb._po.remap(sub)
+            xdeg = self._xdeg
+            self._image = _with_basis(GroebnerBasis(
+                sub, None, [{move(k): c for k, c in g.terms.items()}
+                            for g in gb._elts if not xdeg(g.key)]))
         return self._image
 
     def __repr__(self):
@@ -84,14 +114,14 @@ class ReesPresentation:
 
 
 def rees_ideal(I):
-    """Presentation ideal of the Rees algebra, minimal bigraded generators.
-
-    Minimalizes subalgebra_presentation(I); generators come back sorted
-    by total degree, then x-degree.
+    """Presentation of the Rees algebra of I, from the reduced basis
+    that subalgebra_presentation(I) leaves; its minimal bigraded
+    generators come sorted by total degree, then x-degree.
     """
     J = subalgebra_presentation(I)
     xnames = I.ring.names
-    return ReesPresentation(J.ring, J, xnames, J.ring.names[len(xnames):])
+    return ReesPresentation(J.ring, J.groebner(), xnames,
+                            J.ring.names[len(xnames):])
 
 
 def jacobian_dual(P):

@@ -25,21 +25,28 @@ membership.  The gcd oracle takes lcms by intersection, where the
 program certifies coprime forms on a random line or by codimension.
 The elimination and syzygy oracles reduce the whole basis fully and
 then keep a part of it, where the program finishes only the part it
-keeps.  The Jacobian dual oracle reads terms as exponent tuples, not
-key fields, as do the coefficient reader's oracle and the Sylvester
-form oracle, the latter by the sequential extraction that the reader
-replaced; the expression parser oracle is the one that tokenized
-each polynomial text on its own before sessions and PolyRing.parse
-shared one tokenizer.
+keeps.  The image oracle eliminates the x-variables from a Rees
+presentation, where the program reads the image off the presentation's
+basis; the chain oracle tests every minimal generator of the Rees ideal
+for membership in the chain's ideal, where the program compares leads.
+The pair-update oracle queues the pairs of two monomials, as the engine
+did before it treated them as coprime pairs.  The Jacobian dual oracle
+reads terms as exponent tuples, not key fields, as do the coefficient
+reader's oracle and the Sylvester form oracle, the latter by the
+sequential extraction that the reader replaced; the expression parser
+oracle is the one that tokenized each polynomial text on its own before
+sessions and PolyRing.parse shared one tokenizer.
 """
 
+import heapq
 import itertools
 import re
 from fractions import Fraction
 from unittest import mock
 
 from cremona import groebner
-from cremona.groebner import _minimal_subset, groebner_basis, syzygies
+from cremona.groebner import (_hilbert_numerator, _minimal_subset,
+                              eliminate, groebner_basis, syzygies)
 from cremona.ideals import (Ideal, _fresh_names, _inside, _one_minus_t_part,
                             _reduced_grevlex)
 from cremona.linalg import Echelon
@@ -682,6 +689,80 @@ def eliminate_by_full_basis(gens, drop, ring=None, series=None):
     sub = PolyRing(keep, ring.field)
     return sub, tuple(transfer(g, sub) for g in gb.polys
                       if not set(g.support()) & set(drop))
+
+
+def image_by_elimination(P):
+    """ReesPresentation.image_ideal by elimination: the reduced basis of
+    the x-variables eliminated from the presentation's basis, under the
+    Hilbert series its leads give in the standard grading."""
+    weights = (1,) * P.ambient.nvars
+    series = (weights, _hilbert_numerator(P.basis.leads, weights))
+    return eliminate(list(P.basis.polys), list(P.xnames), ring=P.ambient,
+                     series=series)
+
+
+def generates_by_membership(gens, P):
+    """Whether forms of P.ambient lying in the Rees ideal of P generate
+    it: each minimal generator of P is tested for membership in the
+    basis of gens, which the Hilbert series of P bounds."""
+    amb = P.ambient
+    weights = (1,) * amb.nvars
+    series = (weights, _hilbert_numerator(P.basis.leads, weights))
+    chain = groebner_basis(gens, ring=amb, series=series)
+    return all(chain.contains(g) for g in P.ideal.gens)
+
+
+def _update_queueing_monomial_pairs(self, hidx):
+    """groebner._Engine.update with only coprime leads exempted from the
+    queue: a pair of two monomials is queued as any other."""
+    po = self.po
+    elts = self.elts
+    pairs = self.pairs
+    heap = self.heap
+    lcmf = po.lcm
+    divides = po.divides
+    h = elts[hidx]
+    lmh = h.key
+    cand = []
+    for g in elts:
+        if g.idx != hidx and g.alive:
+            lk = lcmf(lmh, g.key)
+            if lk is not None:
+                cand.append((lk, g.idx))
+    cand.sort()
+    kept = []
+    for pos, (lk, gi) in enumerate(cand):
+        cop = self.ideal and lk == lmh + elts[gi].key - po.key0
+        if not cop:
+            if pos < len(cand) - 1 and cand[pos + 1][0] == lk:
+                continue
+            if any(divides(l2, lk) for l2, _g, _c in kept):
+                continue
+        kept.append((lk, gi, cop))
+    for key, (_sug, lk) in list(pairs.items()):
+        if divides(lmh, lk):
+            i, j = key
+            if lcmf(elts[i].key, lmh) != lk and lcmf(lmh, elts[j].key) != lk:
+                del pairs[key]
+    for lk, gi, cop in kept:
+        if cop:
+            continue
+        g = elts[gi]
+        dl = self.degree(lk)
+        sug = max(g.sugar + dl - g.tdeg, h.sugar + dl - h.tdeg)
+        pairs[(gi, hidx)] = (sug, lk)
+        heapq.heappush(heap, (sug, lk, gi, hidx))
+    for g in elts:
+        if g.alive and g.idx != hidx and divides(lmh, g.key):
+            g.alive = False
+    self.dirty = True
+
+
+def groebner_basis_queueing_monomial_pairs(gens, order=None, ring=None):
+    """groebner_basis with every pair of two monomials reduced."""
+    with mock.patch.object(groebner._Engine, "update",
+                           _update_queueing_monomial_pairs):
+        return groebner_basis(gens, order=order, ring=ring)
 
 
 def syzygies_by_full_basis(mat):

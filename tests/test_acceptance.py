@@ -9,7 +9,8 @@ import random
 
 import pytest
 
-from oracles import homogeneous_member, random_form, random_homogeneous_ideal
+from oracles import (generates_by_membership, homogeneous_member,
+                     random_form, random_homogeneous_ideal)
 from cremona.families import (DegenerateTemplate, appendix_construct,
                               sylvester_chain, template_ideal)
 from cremona.fixtures import alberich_matrix, all_fixtures, polar_quartic_data
@@ -178,6 +179,16 @@ class TestTemplateFamily:
             check("template family: numerology and chain bidegrees "
                   "on 20 instances per degree (%d reseeds logged)"
                   % len(log), ok)
+
+    def test_chain_verdict_matches_membership(self, template_sweep):
+        with deadline(300):
+            draws, _log = template_sweep
+            ok = all(chain.conjecture_equal == generates_by_membership(
+                list(inst.relations()) + list(chain.forms), inst.rees())
+                for r in (1, 2, 3) for inst, chain, _invs in draws[r])
+            check("template family: the chain verdict read off the leads "
+                  "is the membership verdict on 20 instances per degree",
+                  ok)
 
     def test_r1_factors_generate_minimally(self, template_sweep):
         with deadline(300):

@@ -17,7 +17,8 @@ from cremona.ideals import Ideal
 from cremona.maps import inversion_factor
 from cremona.rings import FormMatrix, GF, PolyRing, Polynomial, QQ
 
-from oracles import plane_composition_oracle, sylvester_form_by_terms
+from oracles import (generates_by_membership, plane_composition_oracle,
+                     sylvester_form_by_terms)
 
 R3 = PolyRing(("x0", "x1", "x2"), QQ)
 SQUAREFREE = [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
@@ -226,6 +227,45 @@ class TestSylvesterChain:
     def test_chain_generates_rees(self):
         ch = sylvester_chain(template_ideal(3, 2, seed=7))
         assert ch.conjecture_equal
+
+
+class TestChainVerdict:
+    """The chain verdict compares the leads of the chain's basis with
+    those of the Rees ideal's; oracles.generates_by_membership tests
+    every minimal generator of the Rees ideal in the chain's ideal."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_matches_membership(self, r):
+        for seed in range(4):
+            T = template_ideal(3, r, seed=seed)
+            ch = sylvester_chain(T)
+            gens = list(T.relations()) + list(ch.forms)
+            assert ch.conjecture_equal == generates_by_membership(
+                gens, T.rees())
+
+    def test_dropped_form_matches_membership(self, monkeypatch):
+        """With one Sylvester form left out of the chain's basis, the
+        verdict still agrees with membership, and some case reads
+        False."""
+        real = families.groebner_basis
+        verdicts = []
+        for r in (1, 2, 3):
+            for drop in range(r):
+                T = template_ideal(3, r, seed=7)
+                kept = []
+
+                def dropping(gens, _drop=drop, **kwargs):
+                    kept.extend(gens[:3 + _drop] + gens[4 + _drop:])
+                    return real(kept, **kwargs)
+
+                with monkeypatch.context() as m:
+                    m.setattr(families, "groebner_basis", dropping)
+                    ch = sylvester_chain(T)
+                assert len(kept) == 2 + r
+                assert ch.conjecture_equal == generates_by_membership(
+                    kept, T.rees())
+                verdicts.append(ch.conjecture_equal)
+        assert False in verdicts
 
 
 class TestAppendix:

@@ -18,9 +18,10 @@ from cremona.groebner import _hilbert_numerator
 from cremona.rings import (FormMatrix, GF, MonomialOrder, PolyRing, QQ,
                            transfer)
 
-from oracles import (eliminate_by_full_basis, homogeneous_member,
-                     minimal_columns, random_form, random_homogeneous_ideal,
-                     syzygies_by_full_basis)
+from oracles import (eliminate_by_full_basis,
+                     groebner_basis_queueing_monomial_pairs,
+                     homogeneous_member, minimal_columns, random_form,
+                     random_homogeneous_ideal, syzygies_by_full_basis)
 
 R3 = PolyRing(("x0", "x1", "x2"), QQ)
 # lex on R3: the block order of one variable per group
@@ -231,12 +232,57 @@ class TestHilbertDriven:
 class TestPairCriteria:
     def test_pinned_pair_count(self, monkeypatch):
         # a plain run (no Hilbert bound): the grevlex basis of the r = 3
-        # template's Rees ideal forms 19 S-polynomials
+        # template's Rees ideal forms 19 S-polynomials; its minimal
+        # generators are listed before the count starts
         P = rees_ideal(template_ideal(3, 3, seed=0).ideal)
+        P.ideal
         count = _count_spolys(monkeypatch)
         gb = groebner_basis(list(P.ideal.gens), ring=P.ambient)
         assert count[0] == 19
         assert len(gb) == 10
+
+
+@st.composite
+def monomials_and_binomials(draw):
+    """Monomials and binomials of a ring of two to four variables over QQ
+    or GF(32003), with a drawn term order."""
+    n = draw(st.integers(2, 4))
+    field = draw(st.sampled_from((QQ, GF(32003))))
+    ring = PolyRing(tuple("x%d" % i for i in range(n)), field)
+    order = draw(st.sampled_from((MonomialOrder.grevlex(),
+                                  MonomialOrder.block(*zip(ring.names)))))
+    exps = st.tuples(*([st.integers(0, 3)] * n))
+    coeffs = st.integers(-5, 5).filter(bool)
+    gens = []
+    for _ in range(draw(st.integers(1, 6))):
+        picked = draw(st.lists(exps, min_size=1, max_size=2, unique=True))
+        gens.append(ring.from_terms((e, draw(coeffs)) for e in picked))
+    return ring, order, gens
+
+
+class TestMonomialPairs:
+    """A pair of two monomials has S-polynomial zero: the engine keeps
+    it for the chain criterion and never forms it."""
+
+    @pytest.mark.parametrize("ell", (2, 3))
+    def test_monomial_power_forms_no_spolynomial(self, p4, monkeypatch,
+                                                 ell):
+        gens = list(p4.ideal.power(ell).gens)
+        count = _count_spolys(monkeypatch)
+        gb = groebner_basis(gens, ring=p4.ring)
+        assert count[0] == 0
+        assert len(gb) and all(len(g) == 1 for g in gb.polys)
+        assert gb.certify()
+
+    @given(monomials_and_binomials())
+    @settings(max_examples=150, deadline=None)
+    def test_same_basis_as_queueing_them(self, drawn):
+        ring, order, gens = drawn
+        gb = groebner_basis(gens, order=order, ring=ring)
+        want = groebner_basis_queueing_monomial_pairs(gens, order=order,
+                                                      ring=ring)
+        assert [str(p) for p in gb.polys] == [str(p) for p in want.polys]
+        assert gb.certify()
 
 
 class TestMembershipOracle:

@@ -6,16 +6,18 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from cremona import rees
+from cremona import groebner, ideals, rees
+from cremona.cli import parse_session, run_script
 from cremona.families import template_ideal
 from cremona.fixtures import (all_fixtures, de_jonquieres, p4_monomial,
-                              standard_quadratic)
+                              standard_quadratic, sub_hankel)
 from cremona.groebner import eliminate, groebner_basis
 from cremona.ideals import Ideal
+from cremona.maps import invert
 from cremona.rees import jacobian_dual, rees_ideal, subalgebra_presentation
 from cremona.rings import GF, PolyRing, QQ, transfer
 
-from oracles import coefficients_by_terms
+from oracles import coefficients_by_terms, image_by_elimination
 
 R2 = PolyRing(("x0", "x1"), QQ)
 
@@ -192,6 +194,131 @@ class TestHilbertDriven:
         image = P.image_ideal()
         assert image.ring.names == plain.ring.names
         assert _strs(image.gens) == _strs(plain.polys)
+
+
+def _over(I, field):
+    """The ideal of I's generators read over field, by their texts."""
+    R = PolyRing(I.ring.names, field)
+    return Ideal(R, [R.parse(str(g)) for g in I.gens])
+
+
+def _check_image(I):
+    """The image read off the basis is the eliminated one, string for
+    string, and the ideal holds it as its basis."""
+    P = rees_ideal(I)
+    want = image_by_elimination(P)
+    image = P.image_ideal()
+    assert image.ring.names == want.ring.names == P.ynames
+    assert _strs(image.gens) == _strs(want.polys)
+    assert image.groebner().leads == want.leads
+    return image
+
+
+FIELDS = pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+
+
+@st.composite
+def binary_forms(draw):
+    """Three or four forms of one degree in x0, x1 only, inside
+    k[x0, x1, x2]: a map that is not dominant."""
+    field = draw(st.sampled_from((QQ, GF(32003))))
+    ring = PolyRing(("x0", "x1", "x2"), field)
+    d = draw(st.integers(1, 3))
+    mons = [(a, d - a, 0) for a in range(d + 1)]
+    coeffs = st.integers(-3, 3).filter(bool)
+    gens = []
+    for _ in range(draw(st.integers(3, 4))):
+        picked = draw(st.lists(st.sampled_from(mons), min_size=1,
+                               max_size=3, unique=True))
+        gens.append(ring.from_terms((e, draw(coeffs)) for e in picked))
+    return Ideal(ring, gens)
+
+
+class TestImageIdeal:
+    """image_ideal, read off the presentation's basis, against
+    oracles.image_by_elimination."""
+
+    @FIELDS
+    @pytest.mark.parametrize("fx", all_fixtures(), ids=lambda fx: fx.name)
+    def test_fixtures_zero(self, fx, field):
+        assert _check_image(_over(fx.ideal, field)).is_zero()
+
+    @FIELDS
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_template_hypersurface(self, r, field):
+        for seed in range(3):
+            image = _check_image(template_ideal(3, r, seed=seed,
+                                                field=field).ideal)
+            assert len(image.gens) == 1
+
+    @FIELDS
+    def test_twisted_cubic(self, field):
+        R = PolyRing(("s", "u"), field)
+        image = _check_image(Ideal(R, [R.parse(t) for t in (
+            "s^3", "s^2*u", "s*u^2", "u^3")]))
+        assert [g.homogeneous_degree() for g in image.gens] == [2, 2, 2]
+
+    @FIELDS
+    def test_linear_equation(self, field):
+        R = PolyRing(("x0", "x1", "x2"), field)
+        image = _check_image(Ideal(R, [R.parse(t) for t in (
+            "x0^2", "x0*x1", "x0^2 - 2*x0*x1")]))
+        assert _strs(image.gens) == [str(image.ring.parse(
+            "y0 - 2*y1 - y2"))]
+
+    @given(binary_forms())
+    @settings(max_examples=40, deadline=None)
+    def test_binary_forms(self, I):
+        assert not _check_image(I).is_zero()
+
+
+class TestLaziness:
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_template_command_cost(self, r, monkeypatch):
+        """Cost guard: a template command makes one elimination, the
+        presentation's, and lists no minimal generators (the image took
+        a second elimination, and the presentation minimalized J)."""
+        calls = {"eliminate": 0, "minimal_generators": 0}
+        original = groebner.eliminate
+
+        def spy(*args, **kwargs):
+            calls["eliminate"] += 1
+            return original(*args, **kwargs)
+
+        for module in (groebner, ideals, rees):
+            monkeypatch.setattr(module, "eliminate", spy)
+        minimal = Ideal.minimal_generators
+
+        def minimal_spy(self):
+            calls["minimal_generators"] += 1
+            return minimal(self)
+
+        monkeypatch.setattr(Ideal, "minimal_generators", minimal_spy)
+        rec, = run_script(parse_session("ring R = QQ[x0..x2];\n"
+                                        "template 3 %d;" % r))
+        assert rec["status"] == "ok"
+        assert calls == {"eliminate": 1, "minimal_generators": 0}
+
+    def test_invert_minimalizes_once(self, monkeypatch):
+        calls = []
+        minimal = Ideal.minimal_generators
+
+        def spy(self):
+            calls.append(self)
+            return minimal(self)
+
+        monkeypatch.setattr(Ideal, "minimal_generators", spy)
+        fx = sub_hankel()
+        assert invert(fx.spec) is not None
+        assert len(calls) == 1
+
+    def test_listed_on_first_access(self):
+        P = rees_ideal(standard_quadratic().ideal)
+        assert P._minimal is None
+        gens = P.generators
+        assert P.ideal.gens == gens
+        assert P.ideal.groebner().polys == P.basis.polys
+        assert P.generators is gens
 
 
 def _exponents(n, deg):

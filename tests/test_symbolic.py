@@ -331,7 +331,7 @@ class TestCost:
         image's reduced basis; none lists an ideal's minimal generators
         (each made one Ideal.minimal_generators call or more)."""
         T = template_ideal(3, 2, seed=0)
-        T.rees()  # the presentation lists its minimal generators
+        T.rees()  # the presentation, built before the spy
         calls = []
         minimal = Ideal.minimal_generators
 
