@@ -643,6 +643,14 @@ def _divide_out(gb, i):
     return GroebnerBasis(po, None, dicts)
 
 
+def _reduced_grevlex(gb):
+    """The reduced grevlex basis of the ideal of gb."""
+    if gb.order != MonomialOrder.grevlex():
+        return groebner_basis(list(gb.polys), ring=gb.ring)
+    return GroebnerBasis(gb._po, None,
+                         _interreduce([g.terms for g in gb._elts], gb._po))
+
+
 class GroebnerBasis:
     """Groebner basis supporting membership tests; groebner_basis builds
     reduced ones.  The elements are engine terms on the keys of po,
@@ -688,6 +696,11 @@ class GroebnerBasis:
         return not _reduce(dict(_terms(po, f)), self._elts, po,
                            self.ring.field.characteristic,
                            lambda k: False)
+
+    def restrict(self, names):
+        """The elements whose leads use only the names, as a basis of the
+        subring on names; see _restrict."""
+        return _restrict(self._po, [g.terms for g in self._elts], names)
 
     def certify(self):
         """Re-check the Buchberger criterion and source membership.  A
@@ -744,10 +757,8 @@ def eliminate(gens, drop, ring=None, *, series=None):
     """Intersect the ideal with the subring omitting the drop variables.
 
     Returns the reduced GroebnerBasis of the elimination ideal in the
-    default (grevlex) order of the subring, its ring: the block order
-    ((drop), (rest)) restricts to that order, so the elements of the
-    block basis free of the drop variables, remapped once into the
-    subring, come ascending already.  The engine keeps
+    default (grevlex) order of the subring, its ring, read off the basis
+    in the block order ((drop), (rest)) by _restrict.  The engine keeps
     the leads free of the drop variables: by the Elimination Theorem
     those elements alone are a basis of the elimination ideal, so only
     they are interreduced, and on homogeneous input (for the weights of
@@ -771,10 +782,24 @@ def eliminate(gens, drop, ring=None, *, series=None):
     dropped = po.grading([int(nm in dropset) for nm in ring.names])
     graded = series is not None or all(g.is_homogeneous() for g in gens)
     basis = _buchberger(seeds, po, series, lambda k: not dropped(k), graded)
-    sub = PolyRing(keep, ring.field)._packed
+    return _restrict(po, basis, keep)
+
+
+def _restrict(po, dicts, names):
+    """GroebnerBasis, in the grevlex order of the subring on names, of
+    the term dicts on the keys of po, ascending by lead key, whose leads
+    use only the names, each remapped once.  For a reduced basis in an
+    order that restricts to grevlex on the subring and puts every
+    element with such a lead inside it (a block order ending in names,
+    or grevlex on a basis bihomogeneous for the split, as a Rees
+    presentation's is) that is the reduced grevlex basis of the
+    ideal's part in the subring, ascending still."""
+    ring = po.ring
+    sub = PolyRing(names, ring.field)._packed
     move = po.remap(sub)
+    outside = po.grading([int(nm not in names) for nm in ring.names])
     return GroebnerBasis(sub, None, [{move(k): c for k, c in t.items()}
-                                     for t in basis])
+                                     for t in dicts if not outside(max(t))])
 
 
 # -- module Groebner bases and syzygies --------------------------------

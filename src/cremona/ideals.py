@@ -13,7 +13,7 @@ import itertools
 import math
 
 from .groebner import (GroebnerBasis, _divide_out, _hilbert_numerator,
-                       _interreduce, _minimal_subset, check_deadline,
+                       _minimal_subset, _reduced_grevlex, check_deadline,
                        eliminate, groebner_basis)
 from .rings import MonomialOrder, PolyRing, Polynomial, transfer
 
@@ -52,10 +52,9 @@ def _exponent_vectors(m, ell):
         e[i + 1:] = [e[-1] + 1] + [0] * (m - i - 2)
 
 
-def _with_basis(gb, gens=None):
-    """The ideal of gens, or of gb's polynomials when gens is None, with
-    gb, a Groebner basis of it, cached under gb's order."""
-    out = Ideal(gb.ring, gb.polys if gens is None else gens)
+def _with_basis(gb):
+    """The ideal of gb's polynomials, with gb cached under its order."""
+    out = Ideal(gb.ring, gb.polys)
     out._cache[gb.order] = gb
     return out
 
@@ -357,14 +356,6 @@ def _grevlex_last(ring, i):
 def _inside(small, big):
     """Whether the ideal of the basis small lies in that of big."""
     return all(big.contains(g) for g in small.polys)
-
-
-def _reduced_grevlex(gb):
-    """The reduced grevlex basis of the ideal of gb."""
-    if gb.order != MonomialOrder.grevlex():
-        return groebner_basis(list(gb.polys), ring=gb.ring)
-    return GroebnerBasis(gb._po, None,
-                         _interreduce([g.terms for g in gb._elts], gb._po))
 
 
 def _one_minus_t_part(q, most):

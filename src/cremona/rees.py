@@ -5,13 +5,13 @@ k[x, y] with one y-variable per generator.  Its x-linear part packs into
 the Jacobian dual matrix, whose syzygies drive inverse extraction.
 Weighted extra generators give presentations of larger subalgebras of
 R[t].  A presentation keeps the reduced grevlex basis that its
-elimination leaves and reads its image ideal off it.
+elimination leaves and reads its Jacobian dual and image ideal off it.
 """
 
 from __future__ import annotations
 
-from .groebner import GroebnerBasis, _hilbert_numerator, eliminate
-from .ideals import Ideal, _fresh_names, _with_basis
+from .groebner import _hilbert_numerator, eliminate
+from .ideals import _fresh_names, _with_basis
 from .rings import FormMatrix, PolyRing, Polynomial, _canonical, transfer
 
 __all__ = ["ReesPresentation", "jacobian_dual", "rees_ideal",
@@ -27,15 +27,13 @@ def _uniform_degree(gens):
 
 class ReesPresentation:
     """Bigraded presentation ideal J of the Rees algebra of a base ideal,
-    kept as basis, its reduced grevlex basis, ascending by lead key.
-    Everything else is read off that basis when first asked for: the
-    minimal generators of J (generators), sorted by total degree, then
-    x-degree, with their bidegrees read on the x-variables, the ideal
-    they generate, which holds basis as its groebner(), and the image
-    ideal."""
+    kept as basis, its reduced grevlex basis, ascending by lead key, of
+    bihomogeneous elements; the Jacobian dual reads its x-linear
+    elements and the image ideal, made when first asked for, its
+    elements of x-degree 0."""
 
     __slots__ = ("ambient", "basis", "xnames", "ynames", "_xdeg",
-                 "_minimal", "_image")
+                 "_image")
 
     def __init__(self, ambient, basis, xnames, ynames):
         self.ambient = ambient
@@ -44,34 +42,7 @@ class ReesPresentation:
         self.ynames = ynames
         self._xdeg = ambient._packed.grading(
             [int(nm in xnames) for nm in ambient.names])
-        self._minimal = None
         self._image = None
-
-    def _minimalized(self):
-        """(generators, bidegrees, ideal), made on the first call."""
-        if self._minimal is None:
-            keyed = sorted(((self.bidegree(g), g) for g in Ideal(
-                self.ambient, self.basis.polys).minimal_generators()),
-                           key=lambda bg: (sum(bg[0]), bg[0][0]))
-            gens = tuple(g for _, g in keyed)
-            # the basis, whose certificate checks the minimal generators
-            gb = self.basis
-            ideal = _with_basis(GroebnerBasis(
-                gb._po, gens, [g.terms for g in gb._elts]), gens)
-            self._minimal = (gens, tuple(b for b, _ in keyed), ideal)
-        return self._minimal
-
-    @property
-    def generators(self):
-        return self._minimalized()[0]
-
-    @property
-    def bidegrees(self):
-        return self._minimalized()[1]
-
-    @property
-    def ideal(self):
-        return self._minimalized()[2]
 
     def bidegree(self, g):
         """(x-degree, y-degree) of a bihomogeneous form g of the ambient
@@ -93,30 +64,22 @@ class ReesPresentation:
         bihomogeneous forms.  The lead of a y-only element of J is
         divisible by the lead of some g in the basis, which is then free
         of x; g has x-degree 0, as all its terms have that of its lead,
-        so g lies in k[y].  The basis elements of x-degree 0 are thus the
-        reduced grevlex basis of the y-only part: grevlex on (x, y)
+        so g lies in k[y].  The basis elements with x-free leads are thus
+        the reduced grevlex basis of the y-only part: grevlex on (x, y)
         restricts to grevlex on y.  They are moved once into k[y],
         ascending still.
         """
         if self._image is None:
-            gb = self.basis
-            sub = PolyRing(self.ynames, self.ambient.field)._packed
-            move = gb._po.remap(sub)
-            xdeg = self._xdeg
-            self._image = _with_basis(GroebnerBasis(
-                sub, None, [{move(k): c for k, c in g.terms.items()}
-                            for g in gb._elts if not xdeg(g.key)]))
+            self._image = _with_basis(self.basis.restrict(self.ynames))
         return self._image
 
     def __repr__(self):
-        return ("ReesPresentation(%d gens, bidegrees %s)"
-                % (len(self.generators), sorted(set(self.bidegrees))))
+        return "ReesPresentation(%d basis elements)" % len(self.basis)
 
 
 def rees_ideal(I):
-    """Presentation of the Rees algebra of I, from the reduced basis
-    that subalgebra_presentation(I) leaves; its minimal bigraded
-    generators come sorted by total degree, then x-degree.
+    """Presentation of the Rees algebra of I, kept as the reduced basis
+    that subalgebra_presentation(I) leaves.
     """
     J = subalgebra_presentation(I)
     xnames = I.ring.names
@@ -125,14 +88,28 @@ def rees_ideal(I):
 
 
 def jacobian_dual(P):
-    """Matrix of y-form coefficients of the x-linear generators: row r
-    lists, per x-variable, the y-form coefficient inside the r-th x-linear
-    generator, so that generator equals sum(x_i * row[i])."""
+    """Matrix of y-form coefficients of the x-linear elements of J's
+    reduced basis, ascending by lead key: row r lists, per x-variable,
+    the y-form coefficient inside the r-th of them, so that element
+    equals sum(x_i * row[i]).
+
+    These elements generate the x-linear part of J over k[y] when J has
+    no y-only part (the map is dominant): J and its reduced basis are
+    bihomogeneous, dividing an element of bidegree (1, b) by the basis
+    uses only basis elements of x-degree at most 1, and none has
+    x-degree 0, so every cofactor lies in k[y].  The rows then span the
+    same k[y]-module as those of the x-linear minimal generators of J:
+    the same rank at every point, and the same column relation module,
+    whose reduced basis syzygies reads, so the same syzygy columns.  A
+    map that is not dominant has no inverse by any rows: a column g
+    passing g(f) = x * D with D nonzero would make it birational onto
+    P^n.
+    """
     ring = P.ambient
     yring = PolyRing(P.ynames, ring.field)
     xs = [ring.var(n) for n in P.xnames]
-    rows = [_coefficients(g, xs, yring)
-            for g, (a, _b) in zip(P.generators, P.bidegrees) if a == 1]
+    rows = [_coefficients(g, xs, yring) for g in P.basis.polys
+            if P.bidegree(g)[0] == 1]
     if not rows:
         raise ValueError("no x-linear generators; Jacobian dual undefined")
     return FormMatrix(yring, rows)

@@ -221,7 +221,8 @@ def expected_form_check(F, D, dprime, lmax=DEFAULT_LMAX):
 
 
 def symbolic_presentation(I, G):
-    """The ideal (Rees presentation, {x_i*z - g_i(y)}) in k[x, y, z1].
+    """The ideal (Rees presentation, {x_i*z - g_i(y)}) in k[x, y, z1],
+    the presentation given by its reduced basis.
 
     Ambient naming matches subalgebra_presentation(I, [(D, w)]) so the
     two routes can be compared by mutual membership.
@@ -234,7 +235,7 @@ def symbolic_presentation(I, G):
     zname, = _fresh_names(amb.names, ("z", "Z", "u"), start=1)
     ring2 = PolyRing(amb.names + (zname,), amb.field)
     z = ring2.var(zname)
-    gens = [transfer(g, ring2) for g in P.ideal.gens]
+    gens = [transfer(g, ring2) for g in P.basis.polys]
     for xn, gi in zip(P.xnames, G):
         gens.append(ring2.var(xn) * z - transfer(gi, ring2))
     return Ideal(ring2, tuple(gens))

@@ -30,8 +30,12 @@ presentation, where the program reads the image off the presentation's
 basis; the chain oracle tests every minimal generator of the Rees ideal
 for membership in the chain's ideal, where the program compares leads.
 The pair-update oracle queues the pairs of two monomials, as the engine
-did before it treated them as coprime pairs.  The Jacobian dual oracle
-reads terms as exponent tuples, not key fields, as do the coefficient
+did before it treated them as coprime pairs.  The Rees minimal
+generators come from the graded minimalization of the presentation's
+basis that the program ran before its Jacobian dual read the basis's
+x-linear elements; the Jacobian dual of those generators is the
+reference for the one of the basis.  The Jacobian dual oracles
+read terms as exponent tuples, not key fields, as do the coefficient
 reader's oracle and the Sylvester form oracle, the latter by the
 sequential extraction that the reader replaced; the expression parser
 oracle is the one that tokenized each polynomial text on its own before
@@ -46,9 +50,9 @@ from unittest import mock
 
 from cremona import groebner
 from cremona.groebner import (_hilbert_numerator, _minimal_subset,
-                              eliminate, groebner_basis, syzygies)
-from cremona.ideals import (Ideal, _fresh_names, _inside, _one_minus_t_part,
-                            _reduced_grevlex)
+                              _reduced_grevlex, eliminate, groebner_basis,
+                              syzygies)
+from cremona.ideals import Ideal, _fresh_names, _inside, _one_minus_t_part
 from cremona.linalg import Echelon
 from cremona.maps import InverseData, _compose, _factor_from
 from cremona.rees import jacobian_dual, rees_ideal
@@ -591,24 +595,35 @@ def check_graph_identification(I, J):
         images[n1] = amb.var(n2)
     for n1, n2 in zip(Q.ynames, P.xnames):
         images[n1] = amb.var(n2)
-    swapped = [g.substitute(images, ring=amb) for g in Q.generators]
+    swapped = [g.substitute(images, ring=amb)
+               for g in rees_minimal_generators(Q)[0]]
     back = Ideal(amb, tuple(swapped))
-    return P.ideal.contains_ideal(back) and back.contains_ideal(
-        Ideal(amb, P.generators))
+    mine = Ideal(amb, rees_minimal_generators(P)[0])
+    return mine.contains_ideal(back) and back.contains_ideal(mine)
 
 
-def jacobian_dual_by_terms(P):
-    """rees.jacobian_dual built from exponent tuples: each term
-    of an x-linear generator is split by variable name into its x-index
-    and its y-exponents, and each entry is rebuilt with from_terms."""
+def rees_minimal_generators(P):
+    """(generators, bidegrees) of a Rees presentation: the minimal
+    generators of J by one graded minimalization of its reduced basis,
+    sorted by total degree, then x-degree, as the presentation listed
+    them before the Jacobian dual read its rows off the basis."""
+    keyed = sorted(((P.bidegree(g), g) for g in Ideal(
+        P.ambient, P.basis.polys).minimal_generators()),
+                   key=lambda bg: (sum(bg[0]), bg[0][0]))
+    return tuple(g for _, g in keyed), tuple(b for b, _ in keyed)
+
+
+def _rows_by_terms(P, gens):
+    """The Jacobian dual rows of x-linear forms of P.ambient, read from
+    exponent tuples: each term is split by variable name into its
+    x-index and its y-exponents, and each entry is rebuilt with
+    from_terms.  No rows raise ValueError, as in rees.jacobian_dual."""
     ring = P.ambient
     yring = PolyRing(P.ynames, ring.field)
     xindex = {n: i for i, n in enumerate(P.xnames)}
     yindex = {n: i for i, n in enumerate(P.ynames)}
     rows = []
-    for g, (a, _b) in zip(P.generators, P.bidegrees):
-        if a != 1:
-            continue
+    for g in gens:
         row = [{} for _ in P.xnames]
         for exps, c in g.items():
             xi = None
@@ -623,7 +638,25 @@ def jacobian_dual_by_terms(P):
                     yexp[yindex[name]] = e
             row[xi][tuple(yexp)] = c
         rows.append([yring.from_terms(r) for r in row])
+    if not rows:
+        raise ValueError("no x-linear generators; Jacobian dual undefined")
     return FormMatrix(yring, rows)
+
+
+def jacobian_dual_by_terms(P):
+    """rees.jacobian_dual built from exponent tuples: the rows of the
+    x-linear elements of P.basis, ascending by lead key."""
+    return _rows_by_terms(P, [g for g in P.basis.polys
+                              if P.bidegree(g)[0] == 1])
+
+
+def jacobian_dual_of_minimal_generators(P):
+    """rees.jacobian_dual as it was before it read the basis: the rows,
+    read from exponent tuples, of the x-linear minimal generators of J
+    in the order rees_minimal_generators lists them."""
+    gens, bidegrees = rees_minimal_generators(P)
+    return _rows_by_terms(P, [g for g, (a, _b) in zip(gens, bidegrees)
+                              if a == 1])
 
 
 def coefficients_by_terms(g, monomials, ring):
@@ -709,7 +742,7 @@ def generates_by_membership(gens, P):
     weights = (1,) * amb.nvars
     series = (weights, _hilbert_numerator(P.basis.leads, weights))
     chain = groebner_basis(gens, ring=amb, series=series)
-    return all(chain.contains(g) for g in P.ideal.gens)
+    return all(map(chain.contains, rees_minimal_generators(P)[0]))
 
 
 def _update_queueing_monomial_pairs(self, hidx):

@@ -1,7 +1,8 @@
 """Every exported name resolves, so no __all__ lists removed API, no
 module imports a name it never uses, only rings imports fractions,
-exponent tuples reach from_terms only where a template is drawn, and
-every private module-level name has a reader in the program."""
+exponent tuples reach from_terms only where a template is drawn, only
+groebner reads the inside of a GroebnerBasis, and every private
+module-level name has a reader in the program."""
 
 import ast
 import importlib
@@ -109,6 +110,30 @@ def test_from_terms_only_at_the_edges():
                      if path.name != "rings.py"
                      for name in from_terms_callers(path.read_text()))
     assert callers == [("families", "_draw_template")]
+
+
+def basis_internals_read(source):
+    """Lines at which the source reads the attribute _elts or _po, the
+    engine terms and packed order inside a GroebnerBasis."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in ("_elts", "_po"))
+
+
+def test_basis_internals_read_are_found():
+    assert basis_internals_read("po = gb._po\nn = 1\n"
+                                "ts = [g.terms for g in gb._elts]\n"
+                                "x = gb.polys\n") == [1, 3]
+
+
+def test_only_groebner_reads_basis_internals():
+    """The format of a basis, engine terms on packed keys, is known by
+    groebner alone: other modules go through GroebnerBasis and the
+    helpers beside it."""
+    package = Path(cremona.__file__).parent
+    readers = sorted(path.name for path in package.glob("*.py")
+                     if basis_internals_read(path.read_text()))
+    assert readers == ["groebner.py"]
 
 
 def unreferenced_private_names(sources):

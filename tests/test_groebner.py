@@ -21,7 +21,8 @@ from cremona.rings import (FormMatrix, GF, MonomialOrder, PolyRing, QQ,
 from oracles import (eliminate_by_full_basis,
                      groebner_basis_queueing_monomial_pairs,
                      homogeneous_member, minimal_columns, random_form,
-                     random_homogeneous_ideal, syzygies_by_full_basis)
+                     random_homogeneous_ideal, rees_minimal_generators,
+                     syzygies_by_full_basis)
 
 R3 = PolyRing(("x0", "x1", "x2"), QQ)
 # lex on R3: the block order of one variable per group
@@ -232,12 +233,12 @@ class TestHilbertDriven:
 class TestPairCriteria:
     def test_pinned_pair_count(self, monkeypatch):
         # a plain run (no Hilbert bound): the grevlex basis of the r = 3
-        # template's Rees ideal forms 19 S-polynomials; its minimal
-        # generators are listed before the count starts
+        # template's Rees ideal, from its minimal generators, forms 19
+        # S-polynomials; they are listed before the count starts
         P = rees_ideal(template_ideal(3, 3, seed=0).ideal)
-        P.ideal
+        gens, _bidegrees = rees_minimal_generators(P)
         count = _count_spolys(monkeypatch)
-        gb = groebner_basis(list(P.ideal.gens), ring=P.ambient)
+        gb = groebner_basis(list(gens), ring=P.ambient)
         assert count[0] == 19
         assert len(gb) == 10
 

@@ -5,6 +5,7 @@ import importlib.util
 import itertools
 import random
 from pathlib import Path
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -12,9 +13,11 @@ from hypothesis import given, settings
 
 from cremona import maps as cremona_maps
 from cremona.cli import parse_session
-from cremona.families import appendix_construct
-from cremona.fixtures import (alberich_matrix, all_fixtures, polar_quartic,
-                              polar_quartic_data)
+from cremona.families import appendix_construct, template_ideal
+from cremona.fixtures import (alberich_matrix, all_fixtures, de_jonquieres,
+                              polar_quartic, polar_quartic_data,
+                              standard_quadratic)
+from cremona.groebner import syzygies
 from cremona.ideals import Ideal
 from cremona.maps import (RationalMapSpec, _coprime, _coprime_on_line,
                           inversion_factor, invert)
@@ -22,8 +25,10 @@ from cremona.rees import jacobian_dual, rees_ideal
 from cremona.rings import GF, PolyRing, Polynomial, QQ
 
 from oracles import (check_graph_identification, invert_by_composition,
-                     jacobian_dual_by_terms, plane_composition_oracle,
-                     poly_gcd_list, random_form, substitute_by_products)
+                     jacobian_dual_by_terms,
+                     jacobian_dual_of_minimal_generators,
+                     plane_composition_oracle, poly_gcd_list, random_form,
+                     substitute_by_products)
 
 R3 = PolyRing(("x0", "x1", "x2"), QQ)
 SESSIONS = Path(__file__).resolve().parents[1] / "perfbench" / "sessions.py"
@@ -260,6 +265,87 @@ class TestJacobianDualOnKeys:
     def test_benchmark_composites(self, field):
         for F in _inverse_composites(0):
             self._agree(F if field == QQ else _over(F, field))
+
+
+def _invertible(m):
+    return sum(m[0][i] * (m[1][(i + 1) % 3] * m[2][(i + 2) % 3]
+                          - m[1][(i + 2) % 3] * m[2][(i + 1) % 3])
+               for i in range(3)) != 0
+
+
+@st.composite
+def plane_composites(draw):
+    """base o L o sigma over QQ or GF(32003): base is the standard
+    quadratic map sigma or de Jonquieres' cubic map, L an invertible
+    integer matrix, and the common factor of the forms divided out."""
+    field = draw(st.sampled_from([QQ, GF(32003)]))
+    ring = PolyRing(("x0", "x1", "x2"), field)
+    sigma = [_reduced(f, ring) for f in standard_quadratic().spec.forms]
+    base = [_reduced(f, ring) for f in draw(st.sampled_from(
+        [standard_quadratic(), de_jonquieres()])).spec.forms]
+    # |det L| <= 48, so L stays invertible modulo 32003
+    m = draw(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+                      min_size=3, max_size=3).filter(_invertible))
+    inner = [sum((c * f for c, f in zip(row, sigma)), ring.zero)
+             for row in m]
+    forms = [f.substitute(dict(zip(ring.names, inner)), ring=ring)
+             for f in base]
+    common = poly_gcd_list(forms)
+    return RationalMapSpec(ring, [f.exact_divide(common) for f in forms])
+
+
+def _syzygy_texts(psi):
+    return [[str(g) for g in row] for row in syzygies(psi).entries]
+
+
+def _invert_by_minimal_generators(F):
+    """invert with the Jacobian dual of J's minimal generators."""
+    with mock.patch.object(cremona_maps, "jacobian_dual",
+                           jacobian_dual_of_minimal_generators):
+        return invert(F)
+
+
+class TestBasisRows:
+    """The Jacobian dual read off J's reduced basis against the one of
+    J's x-linear minimal generators: string for string the same
+    syzygies, and invert finds the same inverse through either."""
+
+    @staticmethod
+    def _agree(F, square=True):
+        P = rees_ideal(Ideal(F.ring, F.forms))
+        assert (_syzygy_texts(jacobian_dual(P)) == _syzygy_texts(
+            jacobian_dual_of_minimal_generators(P)))
+        if square:
+            assert (_summary(invert(F))
+                    == _summary(_invert_by_minimal_generators(F)))
+
+    @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+    @pytest.mark.parametrize("name", list(FIXTURES))
+    def test_fixture(self, name, field):
+        F = FIXTURES[name].spec
+        self._agree(F if field == QQ else _over(F, field))
+
+    @given(plane_composites())
+    @settings(max_examples=20, deadline=None)
+    def test_plane_composites(self, F):
+        self._agree(F)
+
+    @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+    def test_template_r1(self, field):
+        # P^2 to P^3 onto a hypersurface: there is no inverse to compare
+        for seed in range(3):
+            self._agree(template_ideal(3, 1, seed=seed,
+                                       field=field).map_spec(),
+                        square=False)
+
+    @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+    def test_not_dominant(self, field):
+        # the image is a conic, and psi(f) has rank 1
+        R = PolyRing(("x0", "x1", "x2"), field)
+        F = RationalMapSpec(R, [R.parse(t) for t in ("x0^2", "x0*x1",
+                                                     "x1^2")])
+        assert invert(F) is None
+        assert _invert_by_minimal_generators(F) is None
 
 
 def _spy(monkeypatch, owner, name, calls):
