@@ -110,6 +110,11 @@ def _expand_names(first, last):
         raise ScriptError("range endpoints %r..%r need a shared letter "
                           "prefix and numeric suffixes"
                           % (first.text, last.text), first.line, first.col)
+    for tok, m in ((first, m1), (last, m2)):
+        if len(m.group(2)) > 1 and m.group(2)[0] == "0":
+            raise ScriptError("range endpoint %r is zero-padded: a range "
+                              "names x0, x1, ..., so its suffixes have no "
+                              "leading zeros" % tok.text, tok.line, tok.col)
     prefix = m1.group(1)
     lo, hi = int(m1.group(2)), int(m2.group(2))
     if hi < lo:
@@ -675,6 +680,3 @@ def main(argv=None):
     args = parser.parse_args(argv)
     return args.func(args)
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -5,15 +5,17 @@ agrees with the term order.  Multiplication then becomes integer
 addition up to a constant and divisibility a two-mask borrow test, so
 the reduction loop never touches exponent tuples.  One engine serves
 ideals and submodules of free modules (keys with a component field,
-position over term).  Coefficients stay exact: fraction-free integers
-over QQ, residues over Fp.  A Polynomial stores the same terms in its
-ring's grevlex order, so other orders cost one key remap each way.  A
-run on weighted homogeneous input can be Hilbert-driven: given a lower
-bound of the Hilbert series of R/I, it drops the pairs of every degree
-that the bound shows complete.  Elimination and syzygies finish only
-the elements they keep, those with leads free of the dropped variables
-or in the relation components (see _Engine); elimination returns its
-reduced basis as a GroebnerBasis of the subring.
+position over term).  Coefficients stay exact: one fraction-free
+reduction step serves both fields, over Fp taking residues as it reads
+terms, and an element is normalized once, as the engine adds it (see
+_normalize).  A Polynomial stores the same terms in its ring's grevlex
+order, so other orders cost one key remap each way.  A run on weighted
+homogeneous input can be Hilbert-driven: given a lower bound of the
+Hilbert series of R/I, it drops the pairs of every degree that the bound
+shows complete.  Elimination and syzygies finish only the elements they
+keep, those with leads free of the dropped variables or in the relation
+components (see _Engine); elimination returns its reduced basis as a
+GroebnerBasis of the subring.
 """
 
 from __future__ import annotations
@@ -82,12 +84,13 @@ def _poly(ring, po, terms, scale):
 
 
 def _normalize(terms, p):
-    """The canonical multiple of nonzero terms, which may be the same
-    dict: monic over Fp, primitive with a positive lead over QQ."""
+    """The canonical multiple of nonzero terms: primitive with a positive
+    lead over QQ, which may be the same dict; over Fp, where the terms
+    may be any integers, monic residues without zeros."""
     if not p:
         return _primitive(terms)[1]
     inv = pow(terms[max(terms)], -1, p)
-    return terms if inv == 1 else {k: v * inv % p for k, v in terms.items()}
+    return {k: r for k, v in terms.items() if (r := v * inv % p)}
 
 
 # the deadline is checked every 256 reduction steps and whenever the
@@ -97,12 +100,15 @@ _STEP_WORK = 4096
 
 
 def _reduce(fterms, basis, po, p, keep=None):
-    """Normal form of fterms against basis (ascending lead keys), over QQ
-    up to a nonzero rational factor (the reduction is fraction-free and
-    divides out common contents).  keep, when given, is a predicate
-    on keys: a remainder whose lead is irreducible and not kept is
-    returned at once, its tail unreduced, as fterms itself; a membership
-    test keeps nothing.  Otherwise fterms is mutated to empty.
+    """Normal form of fterms against basis (ascending lead keys) up to a
+    nonzero factor, by one fraction-free step for both fields.  Over Fp
+    a coefficient is taken mod p when its term is read, the basis is
+    monic, and every 256 steps the remainder is taken mod p, where over
+    QQ its content is divided out.  keep, when given, is a predicate on
+    keys: a remainder whose lead is irreducible and not kept is returned
+    at once as fterms itself, its tail unreduced (and over Fp not taken
+    mod p); a membership test keeps nothing.  Otherwise fterms is
+    mutated to empty and the normal form holds residues over Fp.
     """
     down = po.down
     up = po.up
@@ -118,6 +124,12 @@ def _reduce(fterms, basis, po, p, keep=None):
         c = fterms.get(k)
         if c is None:
             continue
+        if p:
+            c %= p
+            if not c:
+                del fterms[k]
+                continue
+            fterms[k] = c
         g = None
         for cand in basis:
             ck = cand.key
@@ -136,51 +148,37 @@ def _reduce(fterms, basis, po, p, keep=None):
             continue
         if g.over:
             _check_multiple(po, k, g)
-        if p:
-            off = k - g.key
-            for kk, cc in g.terms.items():
-                nk = kk + off
-                v = fterms.get(nk)
-                if v is None:
-                    nv = -c * cc % p
-                    if nv:
-                        fterms[nk] = nv
-                        heapq.heappush(heap, -nk)
+        glc = g.lc
+        cg = gcd(c if c > 0 else -c, glc)
+        a = glc // cg
+        b = c // cg
+        if a != 1:
+            for kk in fterms:
+                fterms[kk] *= a
+            for kk in out:
+                out[kk] *= a
+        off = k - g.key
+        for kk, cc in g.terms.items():
+            nk = kk + off
+            v = fterms.get(nk)
+            if v is None:
+                fterms[nk] = -b * cc
+                heapq.heappush(heap, -nk)
+            else:
+                nv = v - b * cc
+                if nv:
+                    fterms[nk] = nv
                 else:
-                    nv = (v - c * cc) % p
-                    if nv:
-                        fterms[nk] = nv
-                    else:
-                        del fterms[nk]
-        else:
-            glc = g.lc
-            cg = gcd(c if c > 0 else -c, glc)
-            a = glc // cg
-            b = c // cg
-            if a != 1:
-                for kk in fterms:
-                    fterms[kk] *= a
-                for kk in out:
-                    out[kk] *= a
-            off = k - g.key
-            for kk, cc in g.terms.items():
-                nk = kk + off
-                v = fterms.get(nk)
-                if v is None:
-                    fterms[nk] = -b * cc
-                    heapq.heappush(heap, -nk)
-                else:
-                    nv = v - b * cc
-                    if nv:
-                        fterms[nk] = nv
-                    else:
-                        del fterms[nk]
+                    del fterms[nk]
         steps += 1
         work += len(g.terms) * (1 + (c.bit_length() >> 6))
         if not steps & 255 or work >= _STEP_WORK:
             work = 0
             check_deadline()
-            if not p and not steps & 255:
+            if p and not steps & 255:
+                for kk in fterms:
+                    fterms[kk] %= p
+            elif not steps & 255:
                 g0 = 0
                 for v in fterms.values():
                     g0 = gcd(g0, v)
@@ -201,11 +199,11 @@ def _reduce(fterms, basis, po, p, keep=None):
 
 def _spoly(gi, gj, lk, po):
     """S-polynomial of two engine elements over the lcm key lk, with
-    fraction-free cofactors over QQ."""
+    fraction-free cofactors over QQ; over Fp both are monic and the
+    coefficients lie in (-p, p)."""
     for g in (gi, gj):
         if g.over:
             _check_multiple(po, lk, g)
-    p = po.ring.field.characteristic
     cg = gcd(gi.lc, gj.lc)
     a = gj.lc // cg
     b = gi.lc // cg
@@ -215,8 +213,6 @@ def _spoly(gi, gj, lk, po):
     for kk, cc in gj.terms.items():
         nk = kk + offj
         nv = s.get(nk, 0) - b * cc
-        if p:
-            nv %= p
         if nv:
             s[nk] = nv
         elif nk in s:
@@ -531,7 +527,7 @@ def _buchberger(seeds, po, series=None, keep=None, graded=False):
         if out:
             eng.add(out, sugar)
     eng.run()
-    return _interreduce([g.terms for g in eng.view()
+    return _interreduce([g for g in eng.view()
                          if keep is None or keep(g.key)], po)
 
 
@@ -561,26 +557,15 @@ def _seeds(gens, po, series):
     return seeds, series
 
 
-def _elements(dicts, po):
-    """Engine elements of nonzero packed term dicts in any scaling; the
-    reduction wants them normalized (monic over Fp)."""
-    p = po.ring.field.characteristic
-    out = []
-    for idx, terms in enumerate(dicts):
-        terms = _normalize(terms, p)
-        key = max(terms)
-        out.append(_Elt(key, terms, po.tdeg(key), 0, idx, po))
-    return out
-
-
-def _interreduce(dicts, po):
+def _interreduce(elts, po):
     """Reduced basis, as packed term dicts by ascending lead key, of a
-    Groebner basis given as term dicts.  An element whose lead is
-    divisible by another lead is dropped first (of equal leads the first
-    stays); then each tail is reduced by the other elements."""
+    Groebner basis given as normalized engine elements.  An element
+    whose lead is divisible by another lead is dropped first (of equal
+    leads the first stays); then each tail is reduced by the other
+    elements, and each remainder normalized once."""
     divides = po.divides
     final = []
-    for g in sorted(_elements(dicts, po), key=lambda g: g.key):
+    for g in sorted(elts, key=lambda g: g.key):
         if not any(divides(h.key, g.key) for h in final):
             final.append(g)
     p = po.ring.field.characteristic
@@ -647,8 +632,7 @@ def _reduced_grevlex(gb):
     """The reduced grevlex basis of the ideal of gb."""
     if gb.order != MonomialOrder.grevlex():
         return groebner_basis(list(gb.polys), ring=gb.ring)
-    return GroebnerBasis(gb._po, None,
-                         _interreduce([g.terms for g in gb._elts], gb._po))
+    return GroebnerBasis(gb._po, None, _interreduce(gb._elts, gb._po))
 
 
 class GroebnerBasis:
@@ -656,7 +640,8 @@ class GroebnerBasis:
     reduced ones.  The elements are engine terms on the keys of po,
     which also gives the ring and the order; their polynomials are made
     when first asked for.  source holds the generators it was computed
-    from, None for a basis given as one."""
+    from, None for a basis given as one.  The term dicts are wrapped as
+    they come, so they must be normalized (see _normalize)."""
 
     __slots__ = ("ring", "order", "leads", "source", "_polys", "_po",
                  "_elts")
@@ -665,7 +650,8 @@ class GroebnerBasis:
         self.ring = po.ring
         self.order = po.order
         self._po = po
-        self._elts = _elements(term_dicts, po)
+        self._elts = [_Elt(max(t), t, po.tdeg(max(t)), 0, idx, po)
+                      for idx, t in enumerate(term_dicts)]
         self._polys = None
         self.source = None if source is None else tuple(source)
         # leading exponent vectors, ascending in the basis order

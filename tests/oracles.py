@@ -39,13 +39,16 @@ read terms as exponent tuples, not key fields, as do the coefficient
 reader's oracle and the Sylvester form oracle, the latter by the
 sequential extraction that the reader replaced; the expression parser
 oracle is the one that tokenized each polynomial text on its own before
-sessions and PolyRing.parse shared one tokenizer.
+sessions and PolyRing.parse shared one tokenizer.  The two-loop
+reduction is the engine's kernel as it was before both fields ran the
+one fraction-free step: over Fp it takes every new coefficient mod p.
 """
 
 import heapq
 import itertools
 import re
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 from cremona import groebner
@@ -810,6 +813,106 @@ def syzygies_by_full_basis(mat):
 
     with mock.patch.object(groebner, "_buchberger", kept_afterwards):
         return syzygies(mat)
+
+
+def reduce_two_loops(fterms, basis, po, p, keep=None):
+    """groebner._reduce as it was with one subtraction loop per field:
+    over Fp every new coefficient is taken mod p as it is formed, over
+    QQ the step is fraction-free and the content is divided out every
+    256 steps.  Same contract as _reduce."""
+    down = po.down
+    up = po.up
+    guards = po.guards
+    out = {}
+    heap = [-k for k in fterms]
+    heapq.heapify(heap)
+    steps = 0
+    # work since the last deadline check
+    work = 0
+    while heap:
+        k = -heapq.heappop(heap)
+        c = fterms.get(k)
+        if c is None:
+            continue
+        g = None
+        for cand in basis:
+            ck = cand.key
+            if ck > k:
+                break
+            x = (k & down) | (ck & up)
+            y = (ck & down) | (k & up)
+            if ((x | guards) - y) & guards == guards:
+                g = cand
+                break
+        if g is None:
+            if keep is not None and not out and not keep(k):
+                return fterms
+            del fterms[k]
+            out[k] = c
+            continue
+        if g.over:
+            groebner._check_multiple(po, k, g)
+        if p:
+            off = k - g.key
+            for kk, cc in g.terms.items():
+                nk = kk + off
+                v = fterms.get(nk)
+                if v is None:
+                    nv = -c * cc % p
+                    if nv:
+                        fterms[nk] = nv
+                        heapq.heappush(heap, -nk)
+                else:
+                    nv = (v - c * cc) % p
+                    if nv:
+                        fterms[nk] = nv
+                    else:
+                        del fterms[nk]
+        else:
+            glc = g.lc
+            cg = gcd(c if c > 0 else -c, glc)
+            a = glc // cg
+            b = c // cg
+            if a != 1:
+                for kk in fterms:
+                    fterms[kk] *= a
+                for kk in out:
+                    out[kk] *= a
+            off = k - g.key
+            for kk, cc in g.terms.items():
+                nk = kk + off
+                v = fterms.get(nk)
+                if v is None:
+                    fterms[nk] = -b * cc
+                    heapq.heappush(heap, -nk)
+                else:
+                    nv = v - b * cc
+                    if nv:
+                        fterms[nk] = nv
+                    else:
+                        del fterms[nk]
+        steps += 1
+        work += len(g.terms) * (1 + (c.bit_length() >> 6))
+        if not steps & 255 or work >= groebner._STEP_WORK:
+            work = 0
+            groebner.check_deadline()
+            if not p and not steps & 255:
+                g0 = 0
+                for v in fterms.values():
+                    g0 = gcd(g0, v)
+                    if g0 == 1:
+                        break
+                if g0 > 1:
+                    for v in out.values():
+                        g0 = gcd(g0, v)
+                        if g0 == 1:
+                            break
+                if g0 > 1:
+                    for kk in fterms:
+                        fterms[kk] //= g0
+                    for kk in out:
+                        out[kk] //= g0
+    return out
 
 
 # -- the expression parser on its own tokens -------------------------

@@ -1,7 +1,10 @@
 """Session grammar, report records, and the bundled corpus."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import time
 from argparse import Namespace
@@ -11,6 +14,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import cremona
 from cremona import cli, rings
 from cremona.cli import (MAX_TEMPLATE_DRAW, MAX_TEMPLATE_TERMS,
                          MAX_VARIABLES, ScriptError, _cmd_fixtures,
@@ -184,6 +188,24 @@ class TestDiagnostics:
     def test_empty_range(self):
         e = parse_err("ring R = QQ[x4..x0];")
         assert "empty variable range" in str(e)
+
+    def test_zero_padded_range_endpoint(self):
+        # x00..x02 would declare x0, x1 and x2, leaving x00 unknown
+        e = parse_err("ring R = QQ[x00..x02];")
+        assert (e.line, e.col) == (1, 13)
+        assert "'x00' is zero-padded" in str(e)
+        e = parse_err("ring R = QQ[x0..\n  x02];")
+        assert (e.line, e.col) == (2, 3)
+        assert "'x02' is zero-padded" in str(e)
+
+    def test_ranges_across_digit_counts(self):
+        assert parse_session("ring R = QQ[x0..x10];").ring.names == tuple(
+            "x%d" % k for k in range(11))
+        assert parse_session("ring R = QQ[x8..x12];").ring.names == (
+            "x8", "x9", "x10", "x11", "x12")
+        script = parse_session("ring R = QQ[x00, x01];\n"
+                               "ideal I = x00*x01;")
+        assert script.ring.names == ("x00", "x01")
 
     def test_duplicate_variables_at_ring_name(self):
         e = parse_err("ring R = QQ[a, a];")
@@ -615,6 +637,28 @@ class TestMain:
         lines = out.read_text().splitlines()
         assert len(lines) == 2
         assert json.loads(lines[0])["status"] == "ok"
+
+    def test_zero_padded_range_exit_two(self, tmp_path, capsys):
+        script = tmp_path / "padded.session"
+        script.write_text("ring R = QQ[x00..x02];\nideal I = x00*x01;\n",
+                          encoding="utf-8")
+        assert main(["run", str(script)]) == 2
+        assert "line 1, column 13" in capsys.readouterr().err
+
+    def test_python_dash_m(self, tmp_path):
+        # python -m cremona runs the same command line, from a checkout too
+        src = corpus_dir().joinpath("standard-quadratic.session")
+        out = tmp_path / "report.jsonl"
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(cremona.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-m", "cremona", "run",
+                               str(src), "--out", str(out)], env=env,
+                              cwd=str(tmp_path), timeout=300)
+        assert done.returncode == 0
+        script = parse_session(src.read_text(encoding="utf-8"))
+        lines = out.read_text().splitlines()
+        assert len(lines) == len(script.commands)
+        assert all(json.loads(line)["status"] == "ok" for line in lines)
 
     def test_run_parse_error_exit_two(self, tmp_path, capsys):
         script = tmp_path / "bad.session"

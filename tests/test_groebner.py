@@ -1,14 +1,16 @@
 """Groebner engine: bases, certificates, elimination, syzygies."""
 
 import itertools
+import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from cremona import fixtures, groebner, rees
+from cremona import cli, fixtures, groebner, rees
 from cremona.families import signed_minors, template_ideal
 from cremona.groebner import (DeadlineExceeded, deadline, eliminate,
                               groebner_basis, syzygies)
@@ -21,8 +23,8 @@ from cremona.rings import (FormMatrix, GF, MonomialOrder, PolyRing, QQ,
 from oracles import (eliminate_by_full_basis,
                      groebner_basis_queueing_monomial_pairs,
                      homogeneous_member, minimal_columns, random_form,
-                     random_homogeneous_ideal, rees_minimal_generators,
-                     syzygies_by_full_basis)
+                     random_homogeneous_ideal, reduce_two_loops,
+                     rees_minimal_generators, syzygies_by_full_basis)
 
 R3 = PolyRing(("x0", "x1", "x2"), QQ)
 # lex on R3: the block order of one variable per group
@@ -621,6 +623,170 @@ class TestKeptPartCost:
         count = _count_spolys(monkeypatch)
         gb = eliminate(gens, ["t"], ring=R)
         assert count[0] == 309 and len(gb.polys) == 11
+
+
+# the fields of the reduction kernel's reference checks, the largest
+# prime below 2^61 among them
+KERNEL_FIELDS = (GF(2), GF(3), GF(32003), GF(2**61 - 1), QQ)
+
+
+def _normal(terms, p):
+    """A remainder's canonical form, {} for zero."""
+    return groebner._normalize(terms, p) if terms else {}
+
+
+def _basis_elements(po, dicts):
+    """Engine elements of normalized term dicts, ascending lead keys."""
+    out = []
+    for t in sorted(dicts, key=max):
+        key = max(t)
+        out.append(groebner._Elt(key, t, po.tdeg(key), 0, len(out), po))
+    return out
+
+
+@st.composite
+def reduction_inputs(draw):
+    """A field, the packed order of a ring in three variables over it, a
+    random normalized basis and a term dict to reduce, its coefficients
+    in (-p, p) over Fp as an S-polynomial's are."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    p = field.characteristic
+    po = PolyRing(("x0", "x1", "x2"), field)._packed
+    bound = p - 1 if p else 50
+    coeffs = st.integers(-bound, bound).filter(bool)
+    exps = st.tuples(*[st.integers(0, 3)] * 3)
+
+    def terms(most):
+        d = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=most))
+        return {po.encode(e): c for e, c in d.items()}
+
+    basis = [groebner._normalize(terms(5), p)
+             for _ in range(draw(st.integers(1, 4)))]
+    return (po, p, _basis_elements(po, basis), terms(12),
+            draw(st.integers(2, 5)))
+
+
+class TestOneReductionStep:
+    """The kernel runs one fraction-free step for both fields; the
+    reference takes every new coefficient mod p over Fp.  Both give the
+    same remainder up to a nonzero factor."""
+
+    @given(reduction_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_two_loops(self, drawn):
+        po, p, basis, f, m = drawn
+        for keep in (None, lambda k: k % m != 0, lambda k: False):
+            old = reduce_two_loops(dict(f), basis, po, p, keep)
+            new = groebner._reduce(dict(f), basis, po, p, keep)
+            assert _normal(new, p) == _normal(old, p)
+
+    @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+    def test_long_reduction_matches_two_loops(self, field, monkeypatch):
+        # c * g + r with c of 364 terms takes more than 256 steps, so
+        # over Fp the remainder is taken mod p once on the way
+        R = PolyRing(("x0", "x1", "x2", "x3"), field)
+        rng = random.Random(1)
+        top = field.characteristic or 1000
+
+        def form(d, count=None):
+            mons = list(R.monomials_of_degree(d))
+            return R.from_terms((e, rng.randrange(1, top))
+                                for e in mons[:count])
+
+        g = form(2)
+        gb = groebner_basis([g], ring=R)
+        po, p = gb._po, field.characteristic
+        checks = []
+        monkeypatch.setattr(groebner, "check_deadline",
+                            lambda: checks.append(None))
+        f = form(11) * g + form(13, 40)
+        old = reduce_two_loops(dict(groebner._terms(po, f)), gb._elts, po,
+                               p)
+        new = groebner._reduce(dict(groebner._terms(po, f)), gb._elts, po,
+                               p)
+        assert new and _normal(new, p) == _normal(old, p)
+        assert checks
+        assert gb.contains(form(11) * g)
+
+
+def _replay(stem, field):
+    """Records of a bundled session with its ring taken over field."""
+    source = cli.corpus_dir().joinpath(stem + ".session").read_text(
+        encoding="utf-8")
+    return cli.run_script(cli.parse_session(
+        source.replace("QQ[", field.label + "[")))
+
+
+CORPUS = sorted(p.name[:-len(".session")] for p in cli.corpus_dir().iterdir()
+                if p.name.endswith(".session"))
+PINNED = Path(__file__).parent / "data"
+
+
+class TestCorpusOverPrimeFields:
+    """The bundled sessions with QQ[ replaced by Fp(p)[, against records
+    pinned under tests/data before both fields shared one reduction
+    step (elapsed_ms left out)."""
+
+    @pytest.mark.parametrize("p", [32003, 2**61 - 1])
+    @pytest.mark.parametrize("stem", CORPUS)
+    def test_matches_pinned(self, stem, p):
+        want = [json.loads(line) for line in PINNED.joinpath(
+            "%s.fp%d.jsonl" % (stem, p)).read_text().splitlines()]
+        assert [{k: v for k, v in rec.items() if k != "elapsed_ms"}
+                for rec in _replay(stem, GF(p))] == want
+
+
+class TestNormalizedOnce:
+    """The engine's canonical form is the only normalization a basis
+    gets: a GroebnerBasis wraps its elements as they come."""
+
+    def test_normalize_calls(self, monkeypatch):
+        calls = []
+        normalize = groebner._normalize
+        monkeypatch.setattr(groebner, "_normalize",
+                            lambda t, p: calls.append(None) or normalize(t, p))
+        interreduced = []
+        interreduce = groebner._interreduce
+
+        def spy_interreduce(elts, po):
+            before = len(calls)
+            out = interreduce(elts, po)
+            interreduced.append((len(calls) - before, len(out)))
+            return out
+
+        monkeypatch.setattr(groebner, "_interreduce", spy_interreduce)
+        wrapped = []
+        init = groebner.GroebnerBasis.__init__
+
+        def spy_init(self, po, source, dicts):
+            before = len(calls)
+            init(self, po, source, dicts)
+            wrapped.append(len(calls) - before)
+
+        monkeypatch.setattr(groebner.GroebnerBasis, "__init__", spy_init)
+        for field in (QQ, GF(32003)):
+            for stem in ("standard-quadratic", "sub-hankel"):
+                assert all(rec["status"] == "ok"
+                           for rec in _replay(stem, field))
+        assert wrapped and not any(wrapped)
+        assert interreduced and all(n == m for n, m in interreduced)
+
+    @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+    def test_wrapped_elements_are_normalized(self, field, monkeypatch):
+        seen = []
+        init = groebner.GroebnerBasis.__init__
+
+        def checking_init(self, po, source, dicts):
+            dicts = list(dicts)
+            p = po.ring.field.characteristic
+            seen.extend(groebner._normalize(dict(t), p) == t for t in dicts)
+            init(self, po, source, dicts)
+
+        monkeypatch.setattr(groebner.GroebnerBasis, "__init__",
+                            checking_init)
+        for stem in CORPUS:
+            _replay(stem, field)
+        assert seen and all(seen)
 
 
 class TestDeadline:
