@@ -380,10 +380,8 @@ def _range_text(names):
 def render_session(script):
     """Canonical source text; parsing it back restores the same ring,
     bindings, and command list."""
-    field = script.ring.field
-    ftxt = ("QQ" if field.characteristic == 0
-            else "Fp(%d)" % field.characteristic)
-    lines = ["ring %s = %s[%s];" % (script.ring_name, ftxt,
+    lines = ["ring %s = %s[%s];" % (script.ring_name,
+                                    script.ring.field.label,
                                     _range_text(script.ring.names))]
     for name, (kind, value) in script.bindings.items():
         if kind == "ideal":

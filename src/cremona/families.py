@@ -19,8 +19,9 @@ from .groebner import _hilbert_numerator, check_deadline, groebner_basis
 from .ideals import Ideal
 from .maps import (InverseData, RationalMapSpec, _coprime, _factor_at_zero,
                    inversion_factor)
-from .rees import _coefficients, _column_relations, rees_ideal
-from .rings import FormMatrix, PolyRing, Polynomial, QQ, transfer
+from .rees import _column_relations, rees_ideal
+from .rings import (FormMatrix, PolyRing, Polynomial, QQ, _coefficients,
+                    transfer)
 
 __all__ = ["AppendixData", "DegenerateTemplate", "SylvesterChain",
            "TemplateInstance", "TemplateMatrix", "appendix_construct",

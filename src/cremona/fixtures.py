@@ -2,9 +2,7 @@
 
 Each constructor returns a ``MapFixture`` holding the map together with
 the saturation target that matches its geometry (``None`` means the
-irrelevant maximal ideal is the right target).  Auxiliary data that only
-one example needs (distinguished forms, subalgebra weights) comes from
-the companion ``*_data`` helpers.
+irrelevant maximal ideal is the right target).
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ __all__ = [
     "standard_quadratic",
     "p4_monomial",
     "polar_quartic",
-    "polar_quartic_data",
     "sub_hankel",
     "noether",
     "no_name",
@@ -86,31 +83,6 @@ def polar_quartic():
     element = R.parse("x1^2+x2^2+x0*x3")
     return MapFixture("polar-quartic", RationalMapSpec(R, forms),
                       SaturationTarget.element(element))
-
-
-def polar_quartic_data():
-    """Named forms attached to the polar quartic example.
-
-    Keys: ``q`` and ``c`` (the conic and cubic factors of the fixture's
-    distinguished products), ``element`` (the saturation witness),
-    ``extras`` (generator/weight pairs adjoined to the Rees algebra) and
-    ``grade_witness`` (the ideal whose extension should have grade two in
-    the presented subalgebra).
-    """
-    fx = polar_quartic()
-    R = fx.ring
-    q = R.parse("x1^2-x0*x2")
-    c = R.parse("x2^2*x3")
-    element = R.parse("x1^2+x2^2+x0*x3")
-    extras = (
-        (c * q, 2),
-        (R.parse("x2*x3") * c, 2),
-        (R.var("x1") * c * q * q, 3),
-        (R.var("x2") * c * q * q * q, 4),
-    )
-    witness = Ideal(R, (element, R.parse("x1*x2*x3")))
-    return {"q": q, "c": c, "element": element, "extras": extras,
-            "grade_witness": witness}
 
 
 def sub_hankel():

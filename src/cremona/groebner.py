@@ -604,6 +604,13 @@ def _minimal_subset(po, cands):
     return kept
 
 
+def _minimal_forms(ring, forms):
+    """Positions of a minimal generating subset of nonzero forms of ring,
+    by _minimal_subset on their degrees and stored terms."""
+    return _minimal_subset(ring._packed, [(f.homogeneous_degree(), f._t)
+                                          for f in forms])
+
+
 def _divide_out(gb, i):
     """Basis of I : x_i^inf from a basis gb of a homogeneous ideal I in a
     grevlex order whose smallest variable is x_i (Bayer's trick).
@@ -708,6 +715,11 @@ class GroebnerBasis:
                 if s and _reduce(s, elts, po, p, lambda k: False):
                     return False
         return all(self.contains(f) for f in self.source or ())
+
+
+def _unit_basis(ring):
+    """The reduced basis of the whole ring, in its grevlex order."""
+    return GroebnerBasis(ring._packed, None, [ring.one._t])
 
 
 def _ring_of(gens, ring):

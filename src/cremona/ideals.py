@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 import math
 
-from .groebner import (GroebnerBasis, _divide_out, _hilbert_numerator,
-                       _minimal_subset, _reduced_grevlex, check_deadline,
+from .groebner import (_divide_out, _hilbert_numerator, _minimal_forms,
+                       _reduced_grevlex, _unit_basis, check_deadline,
                        eliminate, groebner_basis)
 from .rings import MonomialOrder, PolyRing, Polynomial, transfer
 
@@ -109,10 +109,6 @@ class Ideal:
 
     def contains(self, f):
         return self.groebner().contains(f)
-
-    def contains_ideal(self, other):
-        gb = self.groebner()
-        return all(gb.contains(g) for g in other.gens)
 
     def is_zero(self):
         return not self.gens
@@ -263,7 +259,7 @@ class Ideal:
                     break
         if k is None:
             # no target: the whole ring
-            k = GroebnerBasis(ring._packed, None, [ring.one._t])
+            k = _unit_basis(ring)
         if all(map(self.groebner().contains, k.polys)):
             return self, False
         return _with_basis(_reduced_grevlex(k)), True
@@ -320,9 +316,7 @@ class Ideal:
             return ()
         if any(not g.is_homogeneous() for g in gens):
             raise ValueError("minimal generators need a homogeneous ideal")
-        cands = [(g.homogeneous_degree(), g._t) for g in gens]
-        return tuple(gens[i] for i in _minimal_subset(self.ring._packed,
-                                                      cands))
+        return tuple(gens[i] for i in _minimal_forms(self.ring, gens))
 
     def hilbert(self):
         """Hilbert series data of R/I from the leading-term ideal."""

@@ -20,7 +20,7 @@ import random
 from .groebner import check_deadline, syzygies
 from .ideals import Ideal
 from .rees import jacobian_dual, rees_ideal
-from .rings import NotDivisibleError, Polynomial
+from .rings import NotDivisibleError, Polynomial, _values
 
 __all__ = ["InverseData", "RationalMapSpec", "inversion_factor", "invert"]
 
@@ -102,41 +102,6 @@ _SEED = 2014
 def _draws(ring):
     """The modulus of ring's random points and their generator."""
     return ring.field.characteristic or _PRIME, random.Random(_SEED)
-
-
-def _values(polys, points, p):
-    """Values modulo p of polynomials of one ring at each point, a list
-    per polynomial; None when a scale has no inverse mod p (over QQ a
-    polynomial is its scale times primitive integer terms)."""
-    ring = polys[0].ring
-    decode = ring._packed.decode
-    top = max(f.degree() for f in polys)
-    powers = []
-    for pt in points:
-        rows = []
-        for a in pt:
-            row = [1]
-            for _ in range(top):
-                row.append(row[-1] * a % p)
-            rows.append(row)
-        powers.append(rows)
-    out = []
-    for f in polys:
-        unit = 1
-        if not ring.field.characteristic:
-            if not f._s.denominator % p:
-                return None
-            unit = f._s.numerator * pow(f._s.denominator, -1, p)
-        vals = [0] * len(points)
-        for k, c in f._t.items():
-            exps = decode(k)
-            for j, rows in enumerate(powers):
-                m = c
-                for row, e in zip(rows, exps):
-                    m *= row[e]
-                vals[j] += m
-        out.append([v * unit % p for v in vals])
-    return out
 
 
 def _rank(rows, p):

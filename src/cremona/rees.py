@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .groebner import _hilbert_numerator, eliminate
 from .ideals import _fresh_names, _with_basis
-from .rings import FormMatrix, PolyRing, Polynomial, _canonical, transfer
+from .rings import FormMatrix, PolyRing, Polynomial, _coefficients, transfer
 
 __all__ = ["ReesPresentation", "jacobian_dual", "rees_ideal",
            "subalgebra_presentation"]
@@ -40,18 +40,17 @@ class ReesPresentation:
         self.basis = basis
         self.xnames = xnames
         self.ynames = ynames
-        self._xdeg = ambient._packed.grading(
+        self._xdeg = ambient.grading(
             [int(nm in xnames) for nm in ambient.names])
         self._image = None
 
     def bidegree(self, g):
         """(x-degree, y-degree) of a bihomogeneous form g of the ambient
         ring; any other polynomial raises ValueError."""
-        t = g._t
-        if g.ring == self.ambient and t and g.is_homogeneous():
-            xdeg = self._xdeg
-            a = xdeg(max(t))
-            if all(xdeg(k) == a for k in t):
+        if g.ring == self.ambient and g.is_homogeneous():
+            xdegs = self._xdeg(g)
+            if len(xdegs) == 1:
+                a, = xdegs
                 return a, g.degree() - a
         raise ValueError("polynomial is not bihomogeneous")
 
@@ -113,29 +112,6 @@ def jacobian_dual(P):
     if not rows:
         raise ValueError("no x-linear generators; Jacobian dual undefined")
     return FormMatrix(yring, rows)
-
-
-def _coefficients(g, monomials, ring):
-    """The forms c_j of ring with g = sum(m_j * c_j), for monomials m_j
-    of g's ring: each term of g goes to the first m_j that divides it,
-    divided by m_j.  A term that no m_j divides raises ValueError.
-
-    Read on packed keys: the quotient of the key k by the key mk is
-    k - mk + key0, and one remap moves the quotients into ring, which
-    must hold their variables.
-    """
-    po = g.ring._packed
-    move = po.remap(ring._packed) or (lambda k: k)
-    mkeys = [max(m._t) for m in monomials]
-    parts = [{} for _ in mkeys]
-    for k, c in g._t.items():
-        for mk, part in zip(mkeys, parts):
-            if po.divides(mk, k):
-                part[move(k - mk + po.key0)] = c
-                break
-        else:
-            raise ValueError("a term of %s is divisible by no monomial" % g)
-    return [_canonical(ring, t, g._s) for t in parts]
 
 
 def _column_relations(mat, P):

@@ -17,7 +17,9 @@ accumulator, each monomial term added as its key key0 + sum(w_i * e_i)
 with no Polynomial arithmetic, and made canonical once, so parsing is
 linear in the text.  The cooperative deadline lives here as well, so
 that large products, and the parser that builds them, can be
-interrupted.
+interrupted.  Outside this module only groebner reads the stored form;
+the reader of a form's coefficients in monomials and the values of
+forms modulo p, which read it too, live here.
 """
 
 from __future__ import annotations
@@ -542,6 +544,14 @@ class PolyRing:
             out[k] = out.get(k, 0) + coerce(c)
         return _from_sums(self, out)
 
+    def grading(self, weights):
+        """Function from a polynomial of the ring to the set of weighted
+        degrees sum(w_i * e_i) of its terms, for nonnegative integer
+        weights of the variables (see PackedOrder.grading); the zero
+        polynomial has none."""
+        degree = self._packed.grading(weights)
+        return lambda f: set(map(degree, f._t))
+
     def monomials_of_degree(self, d):
         """Yield all exponent vectors of total degree d."""
         n = self.nvars
@@ -1006,6 +1016,64 @@ def transfer(poly, target):
                       poly._s)
 
 
+def _coefficients(g, monomials, ring):
+    """The forms c_j of ring with g = sum(m_j * c_j), for monomials m_j
+    of g's ring: each term of g goes to the first m_j that divides it,
+    divided by m_j.  A term that no m_j divides raises ValueError.
+
+    Read on packed keys: the quotient of the key k by the key mk is
+    k - mk + key0, and one remap moves the quotients into ring, which
+    must hold their variables.
+    """
+    po = g.ring._packed
+    move = po.remap(ring._packed) or (lambda k: k)
+    mkeys = [max(m._t) for m in monomials]
+    parts = [{} for _ in mkeys]
+    for k, c in g._t.items():
+        for mk, part in zip(mkeys, parts):
+            if po.divides(mk, k):
+                part[move(k - mk + po.key0)] = c
+                break
+        else:
+            raise ValueError("a term of %s is divisible by no monomial" % g)
+    return [_canonical(ring, t, g._s) for t in parts]
+
+
+def _values(polys, points, p):
+    """Values modulo p of polynomials of one ring at each point, a list
+    per polynomial; None when a scale has no inverse mod p (over QQ a
+    polynomial is its scale times primitive integer terms)."""
+    ring = polys[0].ring
+    decode = ring._packed.decode
+    top = max(f.degree() for f in polys)
+    powers = []
+    for pt in points:
+        rows = []
+        for a in pt:
+            row = [1]
+            for _ in range(top):
+                row.append(row[-1] * a % p)
+            rows.append(row)
+        powers.append(rows)
+    out = []
+    for f in polys:
+        unit = 1
+        if not ring.field.characteristic:
+            if not f._s.denominator % p:
+                return None
+            unit = f._s.numerator * pow(f._s.denominator, -1, p)
+        vals = [0] * len(points)
+        for k, c in f._t.items():
+            exps = decode(k)
+            for j, rows in enumerate(powers):
+                m = c
+                for row, e in zip(rows, exps):
+                    m *= row[e]
+                vals[j] += m
+        out.append([v * unit % p for v in vals])
+    return out
+
+
 class FormMatrix:
     """Matrix of homogeneous forms (zero entries allowed)."""
 
@@ -1047,22 +1115,6 @@ class FormMatrix:
 
     def row(self, i):
         return self.entries[i]
-
-    def __matmul__(self, other):
-        if not isinstance(other, FormMatrix) or other.ring != self.ring:
-            raise ValueError("can only multiply matrices over the same ring")
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = self.ring.zero
-                for k in range(self.ncols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return FormMatrix(self.ring, out)
 
     def det(self):
         if self.nrows != self.ncols:

@@ -10,7 +10,7 @@ algebra.
 
 from __future__ import annotations
 
-from .groebner import _minimal_subset, check_deadline
+from .groebner import _minimal_forms, check_deadline
 from .ideals import Ideal, _fresh_names
 from .rees import rees_ideal
 from .rings import PolyRing, Polynomial, transfer
@@ -131,10 +131,10 @@ class SymbolicFiltration:
         in the ideal of the generators before it, so it is dropped here
         too: the kept ones are those of a pass over the minimal ones."""
         gens = tuple(g.normalized() for g in self.level(ell).gens)
-        cands = [(g.homogeneous_degree(), g._t) for g in tuple(seeds) + gens]
-        n = len(cands) - len(gens)
-        return tuple(gens[i - n] for i in _minimal_subset(
-            self.base.ring._packed, cands) if i >= n)
+        forms = tuple(seeds) + gens
+        n = len(forms) - len(gens)
+        return tuple(gens[i - n] for i in _minimal_forms(self.base.ring, forms)
+                     if i >= n)
 
     def fresh(self, ell):
         """Minimal module generators of level/power (_survivors)."""
@@ -241,11 +241,9 @@ def symbolic_presentation(I, G):
     return Ideal(ring2, tuple(gens))
 
 
-def grade_two_check(presentation, elements=None):
+def grade_two_check(presentation, elements):
     """Grade >= 2 of the variable ideal on the presented quotient, via a
-    supplied length-two regular sequence; None means not verified."""
-    if elements is None:
-        return None
+    supplied length-two regular sequence."""
     a, b = elements
     # X : f = X exactly when X : f^inf = X
     if presentation.saturate(a)[1]:

@@ -35,13 +35,16 @@ generators come from the graded minimalization of the presentation's
 basis that the program ran before its Jacobian dual read the basis's
 x-linear elements; the Jacobian dual of those generators is the
 reference for the one of the basis.  The Jacobian dual oracles
-read terms as exponent tuples, not key fields, as do the coefficient
-reader's oracle and the Sylvester form oracle, the latter by the
-sequential extraction that the reader replaced; the expression parser
-oracle is the one that tokenized each polynomial text on its own before
-sessions and PolyRing.parse shared one tokenizer.  The two-loop
+read terms as exponent tuples, not key fields, as do the oracle of the
+coefficient reader rings._coefficients and the Sylvester form oracle,
+the latter by the sequential extraction that the reader replaced; the
+expression parser oracle is the one that tokenized each polynomial
+text on its own before sessions and PolyRing.parse shared one
+tokenizer.  The two-loop
 reduction is the engine's kernel as it was before both fields ran the
 one fraction-free step: over Fp it takes every new coefficient mod p.
+The product of two form matrices, by which the tests check syzygies,
+and the named forms of the polar quartic fixture serve the tests alone.
 """
 
 import heapq
@@ -52,6 +55,7 @@ from math import gcd
 from unittest import mock
 
 from cremona import groebner
+from cremona.fixtures import polar_quartic
 from cremona.groebner import (_hilbert_numerator, _minimal_subset,
                               _reduced_grevlex, eliminate, groebner_basis,
                               syzygies)
@@ -363,7 +367,7 @@ def saturate_by_quotients(I, J):
     s = 0
     while True:
         nxt = cur.quotient(J)
-        if cur.contains_ideal(nxt):
+        if all(map(cur.contains, nxt.gens)):
             return cur, s
         cur = nxt
         s += 1
@@ -495,7 +499,7 @@ def condition_by_annihilator(I, lmax, F):
     for ell in range(1, lmax + 1):
         power = F.power(ell)
         level = F.level(ell)
-        if power.contains_ideal(level):
+        if all(map(power.contains, level.gens)):
             out[ell] = "ZERO"
             continue
         ann = power.quotient(level)
@@ -525,7 +529,8 @@ def expected_form_two_sided(F, D, dprime, lmax):
             dj = dj * D
         rhs = Ideal(ring, tuple(rhs_gens))
         lvl = F.level(ell)
-        levels[ell] = rhs.contains_ideal(lvl) and lvl.contains_ideal(rhs)
+        levels[ell] = (all(map(rhs.contains, lvl.gens))
+                       and all(map(lvl.contains, rhs.gens)))
     return levels
 
 
@@ -602,7 +607,8 @@ def check_graph_identification(I, J):
                for g in rees_minimal_generators(Q)[0]]
     back = Ideal(amb, tuple(swapped))
     mine = Ideal(amb, rees_minimal_generators(P)[0])
-    return mine.contains_ideal(back) and back.contains_ideal(mine)
+    return (all(map(mine.contains, back.gens))
+            and all(map(back.contains, mine.gens)))
 
 
 def rees_minimal_generators(P):
@@ -663,7 +669,7 @@ def jacobian_dual_of_minimal_generators(P):
 
 
 def coefficients_by_terms(g, monomials, ring):
-    """rees._coefficients on exponent tuples: each term of g goes to the
+    """rings._coefficients on exponent tuples: each term of g goes to the
     first monomial whose exponents it bounds, the difference is rebuilt
     in ring by variable name, which must hold every variable it uses,
     and a term that no monomial divides raises ValueError."""
@@ -799,6 +805,19 @@ def groebner_basis_queueing_monomial_pairs(gens, order=None, ring=None):
     with mock.patch.object(groebner._Engine, "update",
                            _update_queueing_monomial_pairs):
         return groebner_basis(gens, order=order, ring=ring)
+
+
+def matmul(a, b):
+    """The product of two FormMatrix objects over one ring, entry by
+    entry as sums of Polynomial products."""
+    if a.ring != b.ring:
+        raise ValueError("can only multiply matrices over the same ring")
+    if a.ncols != b.nrows:
+        raise ValueError("shape mismatch")
+    return FormMatrix(a.ring, [[sum((a[i, k] * b[k, j]
+                                     for k in range(a.ncols)), a.ring.zero)
+                                for j in range(b.ncols)]
+                               for i in range(a.nrows)])
 
 
 def syzygies_by_full_basis(mat):
@@ -1038,3 +1057,27 @@ def parse_on_own_tokens(ring, text):
     if kind != "end":
         raise ParseError("trailing input in %r" % text)
     return value
+
+
+def polar_quartic_data():
+    """Named forms attached to the polar quartic fixture.
+
+    Keys: ``q`` and ``c`` (the conic and cubic factors of the fixture's
+    distinguished products), ``element`` (the saturation witness),
+    ``extras`` (generator/weight pairs adjoined to the Rees algebra) and
+    ``grade_witness`` (the ideal whose extension should have grade two in
+    the presented subalgebra).
+    """
+    R = polar_quartic().ring
+    q = R.parse("x1^2-x0*x2")
+    c = R.parse("x2^2*x3")
+    element = R.parse("x1^2+x2^2+x0*x3")
+    extras = (
+        (c * q, 2),
+        (R.parse("x2*x3") * c, 2),
+        (R.var("x1") * c * q * q, 3),
+        (R.var("x2") * c * q * q * q, 4),
+    )
+    witness = Ideal(R, (element, R.parse("x1*x2*x3")))
+    return {"q": q, "c": c, "element": element, "extras": extras,
+            "grade_witness": witness}

@@ -10,10 +10,10 @@ import random
 import pytest
 
 from oracles import (generates_by_membership, homogeneous_member,
-                     random_form, random_homogeneous_ideal)
+                     polar_quartic_data, random_form, random_homogeneous_ideal)
 from cremona.families import (DegenerateTemplate, appendix_construct,
                               sylvester_chain, template_ideal)
-from cremona.fixtures import alberich_matrix, all_fixtures, polar_quartic_data
+from cremona.fixtures import alberich_matrix, all_fixtures
 from cremona.groebner import GroebnerBasis, deadline
 from cremona.ideals import Ideal
 from cremona.maps import RationalMapSpec, invert
@@ -280,7 +280,8 @@ class TestPropertySuites:
                 F = SymbolicFiltration(fx.ideal, fx.target)
                 for a, b in ((1, 1), (1, 2)):
                     prod = F.level(a) * F.level(b)
-                    ok = ok and F.level(a + b).contains_ideal(prod)
+                    ok = ok and all(map(F.level(a + b).contains,
+                                        prod.gens))
             check("property: level products land in the level sum "
                   "on every fixture", ok)
 

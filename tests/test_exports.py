@@ -1,8 +1,9 @@
 """Every exported name resolves, so no __all__ lists removed API, no
 module imports a name it never uses, only rings imports fractions,
 exponent tuples reach from_terms only where a template is drawn, only
-groebner reads the inside of a GroebnerBasis, and every private
-module-level name has a reader in the program."""
+groebner reads the inside of a GroebnerBasis, only rings and groebner
+read how a polynomial is stored, and every private module-level name
+has a reader in the program."""
 
 import ast
 import importlib
@@ -134,6 +135,46 @@ def test_only_groebner_reads_basis_internals():
     readers = sorted(path.name for path in package.glob("*.py")
                      if basis_internals_read(path.read_text()))
     assert readers == ["groebner.py"]
+
+
+# a Polynomial's terms and scale, its ring's packed order and unit scale
+STORAGE_ATTRS = ("_t", "_s", "_packed", "_unit")
+# the rings helpers that build or take apart that stored form
+STORAGE_HELPERS = ("_canonical", "_primitive", "_from_sums", "_times",
+                   "_packed_order")
+
+
+def storage_read(source):
+    """Lines at which the source reads an attribute of STORAGE_ATTRS or
+    imports a name of STORAGE_HELPERS from rings."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in STORAGE_ATTRS:
+            out.append(node.lineno)
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").rpartition(".")[2] == "rings"
+              and any(a.name in STORAGE_HELPERS for a in node.names)):
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_storage_reads_are_found():
+    assert storage_read("from .rings import PolyRing, _canonical\n"
+                        "from .rings import transfer\n"
+                        "k = ring._packed\nn = f._s * 2\n"
+                        "x = f.terms\nt = g._t\nu = R._unit\n"
+                        "from cremona.rings import _times\n"
+                        "ok = I.is_unit()\n") == [1, 3, 4, 6, 7, 8]
+
+
+def test_only_rings_and_groebner_read_polynomial_storage():
+    """A polynomial is stored as a scale times integer terms on packed
+    keys, and only rings and groebner know it: other modules go through
+    Polynomial, PolyRing and the helpers of those two modules."""
+    package = Path(cremona.__file__).parent
+    readers = sorted(path.name for path in package.glob("*.py")
+                     if storage_read(path.read_text()))
+    assert readers == ["groebner.py", "rings.py"]
 
 
 def unreferenced_private_names(sources):

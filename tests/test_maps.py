@@ -15,8 +15,7 @@ from cremona import maps as cremona_maps
 from cremona.cli import parse_session
 from cremona.families import appendix_construct, template_ideal
 from cremona.fixtures import (alberich_matrix, all_fixtures, de_jonquieres,
-                              polar_quartic, polar_quartic_data,
-                              standard_quadratic)
+                              polar_quartic, standard_quadratic)
 from cremona.groebner import syzygies
 from cremona.ideals import Ideal
 from cremona.maps import (RationalMapSpec, _coprime, _coprime_on_line,
@@ -27,8 +26,8 @@ from cremona.rings import GF, PolyRing, Polynomial, QQ
 from oracles import (check_graph_identification, invert_by_composition,
                      jacobian_dual_by_terms,
                      jacobian_dual_of_minimal_generators,
-                     plane_composition_oracle, poly_gcd_list, random_form,
-                     substitute_by_products)
+                     plane_composition_oracle, polar_quartic_data,
+                     poly_gcd_list, random_form, substitute_by_products)
 
 R3 = PolyRing(("x0", "x1", "x2"), QQ)
 SESSIONS = Path(__file__).resolve().parents[1] / "perfbench" / "sessions.py"

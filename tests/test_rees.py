@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from cremona import groebner, ideals, rees
+from cremona import groebner, ideals, rees, rings
 from cremona.cli import parse_session, run_script
 from cremona.families import template_ideal
 from cremona.fixtures import (all_fixtures, de_jonquieres, p4_monomial,
@@ -332,7 +332,7 @@ def _exponents(n, deg):
 
 @st.composite
 def coefficient_cases(draw):
-    """(g, monomials, ring) for rees._coefficients.  Either g and the
+    """(g, monomials, ring) for rings._coefficients.  Either g and the
     monomials are drawn freely and ring is g's own, or g is a sum of
     m_j * c_j for distinct x-monomials m_j of one degree and forms c_j
     in the y-variables, read into the ring of the y-variables alone, at
@@ -364,7 +364,7 @@ def coefficient_cases(draw):
 
 
 class TestCoefficients:
-    """rees._coefficients, read on packed keys, against
+    """rings._coefficients, read on packed keys, against
     oracles.coefficients_by_terms, which reads exponent tuples."""
 
     @given(coefficient_cases())
@@ -375,16 +375,16 @@ class TestCoefficients:
             want = coefficients_by_terms(g, monos, ring)
         except ValueError:
             with pytest.raises(ValueError):
-                rees._coefficients(g, monos, ring)
+                rings._coefficients(g, monos, ring)
             return
-        got = rees._coefficients(g, monos, ring)
+        got = rings._coefficients(g, monos, ring)
         assert got == want
         assert [str(c) for c in got] == [str(c) for c in want]
 
     def test_first_divisor_takes_the_term(self):
         R = PolyRing(("x0", "x1", "x2"), QQ)
         x0, x1, x2 = R.gens
-        got = rees._coefficients(R.parse("x0*x1 + 2*x1^2 - 1/3*x2^3"),
+        got = rings._coefficients(R.parse("x0*x1 + 2*x1^2 - 1/3*x2^3"),
                                  [x0, x1, x2], R)
         assert [str(c) for c in got] == ["x1", "2*x1", "-1/3*x2^2"]
 
@@ -392,4 +392,4 @@ class TestCoefficients:
         R = PolyRing(("x0", "x1", "x2"), QQ)
         x0, x1, _x2 = R.gens
         with pytest.raises(ValueError):
-            rees._coefficients(R.parse("x0 + x2"), [x0, x1], R)
+            rings._coefficients(R.parse("x0 + x2"), [x0, x1], R)

@@ -15,7 +15,7 @@ from cremona.rings import (DeadlineExceeded, Field, FormMatrix, GF,
                            ParseError, PolyRing, Polynomial, QQ, deadline,
                            transfer)
 
-from oracles import (lcm_by_decoding, order_key, parse_on_own_tokens,
+from oracles import (lcm_by_decoding, matmul, order_key, parse_on_own_tokens,
                      substitute_by_products, tuple_exact_divide,
                      tuple_product, tuple_str, tuple_sum, tuple_terms)
 
@@ -778,6 +778,32 @@ class TestOrders:
             x0x1 + po.cstep)
 
 
+class TestGrading:
+    """PolyRing.grading, read from key fields, against the weighted
+    degrees of the exponent vectors that items() decodes."""
+
+    @given(st.sampled_from((QQ, GF(32003))), st.integers(1, 6), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_exponent_vectors(self, field, n, data):
+        ring = PolyRing(tuple("x%d" % i for i in range(n)), field)
+        f = ring.from_terms(data.draw(term_lists(n, nterms=8)))
+        weights = data.draw(st.lists(st.integers(0, 4), min_size=n,
+                                     max_size=n))
+        assert ring.grading(weights)(f) == {
+            sum(w * e for w, e in zip(weights, exps))
+            for exps, _c in f.items()}
+
+    @pytest.mark.parametrize("ring", (R3, G3), ids=("QQ", "GF(32003)"))
+    def test_zero_weights(self, ring):
+        grading = ring.grading([0, 0, 0])
+        assert grading(ring.parse("x0^3 + 2*x1*x2 + 5")) == {0}
+        assert grading(ring.zero) == set()
+
+    def test_one_weight_per_variable(self):
+        with pytest.raises(ValueError, match="one weight per variable"):
+            R3.grading([1, 1])
+
+
 class TestNormalization:
     def test_normalized_monic_over_qq(self):
         p = R3.parse("2*x0^2 + 4*x1^2")
@@ -820,7 +846,7 @@ class TestFormMatrix:
         x0, x1, x2 = R3.gens
         a = FormMatrix(R3, [[x0, x1]])
         b = FormMatrix(R3, [[x1], [x2]])
-        assert (a @ b).entries[0][0] == x0 * x1 + x1 * x2
+        assert matmul(a, b).entries[0][0] == x0 * x1 + x1 * x2
 
     def test_transfer_matches_variables_by_name(self):
         big = PolyRing(("x0", "x1", "x2", "x3"), QQ)
