@@ -8,14 +8,17 @@ ideals and submodules of free modules (keys with a component field,
 position over term).  Coefficients stay exact: one fraction-free
 reduction step serves both fields, over Fp taking residues as it reads
 terms, and an element is normalized once, as the engine adds it (see
-_normalize).  A Polynomial stores the same terms in its ring's grevlex
-order, so other orders cost one key remap each way.  A run on weighted
-homogeneous input can be Hilbert-driven: given a lower bound of the
-Hilbert series of R/I, it drops the pairs of every degree that the bound
-shows complete.  Elimination and syzygies finish only the elements they
-keep, those with leads free of the dropped variables or in the relation
-components (see _Engine); elimination returns its reduced basis as a
-GroebnerBasis of the subring.
+_normalize); an interreduction reduces only the tails that another
+lead divides a term of (see _interreduce).  A Polynomial stores the
+same terms in its ring's grevlex order, so other orders cost one key
+remap each way.  A run on weighted homogeneous input can be
+Hilbert-driven: given a lower bound of the Hilbert series of R/I, it
+drops the pairs of every degree that the bound shows complete.
+Elimination and syzygies finish only the elements they keep, those
+with leads free of the dropped variables or in the relation components
+(see _Engine); elimination returns its reduced basis as a GroebnerBasis
+of the subring.  Two monomial ideals intersect by the lcms of their
+generator pairs, with no engine run.
 """
 
 from __future__ import annotations
@@ -557,23 +560,45 @@ def _seeds(gens, po, series):
     return seeds, series
 
 
+def _tail_reducible(g, leads, divides):
+    """Whether one of the ascending lead keys divides a tail term of g.
+    A divisor's key is at most the key it divides, so g's own lead,
+    above every tail term, is never tried."""
+    for k in g.terms:
+        if k == g.key:
+            continue
+        for hk in leads:
+            if hk > k:
+                break
+            if divides(hk, k):
+                return True
+    return False
+
+
 def _interreduce(elts, po):
     """Reduced basis, as packed term dicts by ascending lead key, of a
     Groebner basis given as normalized engine elements.  An element
     whose lead is divisible by another lead is dropped first (of equal
-    leads the first stays); then each tail is reduced by the other
-    elements, and each remainder normalized once."""
+    leads the first stays).  A tail is reduced by the other elements,
+    and the remainder normalized, only when one of their leads divides
+    a term of it; else the tail is in normal form already and the
+    element goes out as it is."""
     divides = po.divides
     final = []
     for g in sorted(elts, key=lambda g: g.key):
         if not any(divides(h.key, g.key) for h in final):
             final.append(g)
+    leads = [g.key for g in final]
     p = po.ring.field.characteristic
     reduced = []
     for g in final:
         check_deadline()
-        others = [h for h in final if h is not g]
-        reduced.append(_normalize(_reduce(dict(g.terms), others, po, p), p))
+        if _tail_reducible(g, leads, divides):
+            others = [h for h in final if h is not g]
+            reduced.append(_normalize(_reduce(dict(g.terms), others, po, p),
+                                      p))
+        else:
+            reduced.append(g.terms)
     return reduced
 
 
@@ -715,6 +740,29 @@ class GroebnerBasis:
                 if s and _reduce(s, elts, po, p, lambda k: False):
                     return False
         return all(self.contains(f) for f in self.source or ())
+
+
+def _monomial_intersection(fs, gs):
+    """The reduced grevlex basis of the intersection of the ideals of the
+    nonzero polynomials fs and gs of one ring when every one of them is
+    a term, else None.  The intersection of two monomial ideals is
+    generated by the lcms of their generator pairs (Cox, Little and
+    O'Shea, Ideals, Varieties, and Algorithms, 4.3); the minimal ones
+    with coefficient 1, ascending by key, are its reduced basis.  In a
+    graded order a proper divisor has the smaller key, so a key is kept
+    when no smaller kept key divides it."""
+    if any(len(f._t) != 1 for f in fs) or any(len(g._t) != 1 for g in gs):
+        return None
+    po = fs[0].ring._packed
+    lcmf = po.lcm
+    divides = po.divides
+    gkeys = [max(g._t) for g in gs]
+    kept = []
+    for k in sorted({lcmf(max(f._t), kb) for f in fs for kb in gkeys}):
+        check_deadline()
+        if not any(divides(h, k) for h in kept):
+            kept.append(k)
+    return GroebnerBasis(po, None, [{k: 1} for k in kept])
 
 
 def _unit_basis(ring):

@@ -4,7 +4,8 @@ Powers, colon quotients, intersections, saturations, graded minimal
 generators and Hilbert series data.  All computations are exact and
 deterministic.  An ideal keeps each Groebner basis it has in its cache;
 intersections and saturations are generated by the reduced grevlex
-basis they end in and keep it there.
+basis they end in and keep it there.  Two monomial ideals intersect
+by lcms, any others by elimination.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ import itertools
 import math
 
 from .groebner import (_divide_out, _hilbert_numerator, _minimal_forms,
-                       _reduced_grevlex, _unit_basis, check_deadline,
-                       eliminate, groebner_basis)
+                       _monomial_intersection, _reduced_grevlex,
+                       _unit_basis, check_deadline, eliminate,
+                       groebner_basis)
 from .rings import MonomialOrder, PolyRing, Polynomial, transfer
 
 __all__ = ["HilbertData", "Ideal"]
@@ -173,9 +175,16 @@ class Ideal:
     # -- quotients and intersections -----------------------------------
 
     def intersect(self, other):
+        """The intersection with other, generated by its reduced grevlex
+        basis, which it holds as its groebner(): of two monomial ideals
+        the minimal lcms of the generator pairs, else the elimination of
+        w from (w*self, (1 - w)*other)."""
         self._check(other)
         if self.is_zero() or other.is_zero():
             return Ideal(self.ring, ())
+        gb = _monomial_intersection(self.gens, other.gens)
+        if gb is not None:
+            return _with_basis(gb)
         ring = self.ring
         w, = _fresh_names(ring.names, ("_w",))
         aux = PolyRing((w,) + ring.names, ring.field)

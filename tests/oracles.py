@@ -6,7 +6,8 @@ Groebner engine and the packed keys entirely, so agreement between the
 two routes is meaningful.  Polynomial arithmetic itself is checked
 against sums, products, division and printing on exponent tuples.  The
 colon-based oracles at the end use the engine, but only through colons
-and intersections by elimination, one basis per span and Rabinowitsch's
+and intersections (by elimination, or of monomial ideals by lcms, which
+the intersection oracle checks), one basis per span and Rabinowitsch's
 trick, not the saturation and graded minimalization code they check.
 The two-pass survivors minimalize a level on its own before the pass
 over the seeds and the level, which the program makes on its basis.
@@ -25,7 +26,11 @@ membership.  The gcd oracle takes lcms by intersection, where the
 program certifies coprime forms on a random line or by codimension.
 The elimination and syzygy oracles reduce the whole basis fully and
 then keep a part of it, where the program finishes only the part it
-keeps.  The image oracle eliminates the x-variables from a Rees
+keeps; the full interreduction reduces every tail, where the program
+reduces only those that a lead of another element divides a term of.
+The intersection by elimination is the one route the program took for
+every intersection before it took those of monomial ideals by the lcms
+of the generator pairs.  The image oracle eliminates the x-variables from a Rees
 presentation, where the program reads the image off the presentation's
 basis; the chain oracle tests every minimal generator of the Rees ideal
 for membership in the chain's ideal, where the program compares leads.
@@ -716,6 +721,35 @@ def sylvester_form_by_terms(h1, h2, h3, wrt):
 
 
 # -- elimination and syzygies from a fully reduced basis --------------
+
+
+def interreduce_fully(elts, po):
+    """groebner._interreduce as it was before it passed settled tails
+    through: an element whose lead another lead divides is dropped (of
+    equal leads the first stays), then every tail is reduced by the
+    other elements and every remainder normalized."""
+    divides = po.divides
+    final = []
+    for g in sorted(elts, key=lambda g: g.key):
+        if not any(divides(h.key, g.key) for h in final):
+            final.append(g)
+    p = po.ring.field.characteristic
+    return [groebner._normalize(groebner._reduce(
+        dict(g.terms), [h for h in final if h is not g], po, p), p)
+        for g in final]
+
+
+def intersect_by_elimination(I, J):
+    """The reduced grevlex basis of the intersection of I and J, by
+    eliminating w from (w*I, (1 - w)*J), as Ideal.intersect takes every
+    intersection that is not of two monomial ideals."""
+    ring = I.ring
+    w, = _fresh_names(ring.names, ("_w",))
+    aux = PolyRing((w,) + ring.names, ring.field)
+    tw = aux.var(w)
+    gens = [tw * transfer(f, aux) for f in I.gens]
+    gens += [(aux.one - tw) * transfer(f, aux) for f in J.gens]
+    return eliminate(gens, [w], ring=aux)
 
 
 def eliminate_by_full_basis(gens, drop, ring=None, series=None):

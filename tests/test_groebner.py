@@ -5,6 +5,7 @@ import json
 import random
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,9 +23,10 @@ from cremona.rings import (FormMatrix, GF, MonomialOrder, PolyRing, QQ,
 
 from oracles import (eliminate_by_full_basis,
                      groebner_basis_queueing_monomial_pairs,
-                     homogeneous_member, matmul, minimal_columns, random_form,
-                     random_homogeneous_ideal, reduce_two_loops,
-                     rees_minimal_generators, syzygies_by_full_basis)
+                     homogeneous_member, interreduce_fully, matmul,
+                     minimal_columns, random_form, random_homogeneous_ideal,
+                     reduce_two_loops, rees_minimal_generators,
+                     syzygies_by_full_basis)
 
 R3 = PolyRing(("x0", "x1", "x2"), QQ)
 # lex on R3: the block order of one variable per group
@@ -738,13 +740,24 @@ class TestCorpusOverPrimeFields:
 
 class TestNormalizedOnce:
     """The engine's canonical form is the only normalization a basis
-    gets: a GroebnerBasis wraps its elements as they come."""
+    gets: a GroebnerBasis wraps its elements as they come, and an
+    interreduction normalizes only the remainders of the tails it
+    reduces."""
 
     def test_normalize_calls(self, monkeypatch):
+        # every dict _normalize returned, kept alive so that no id is
+        # reused; none of them is normalized again
         calls = []
+        twice = []
         normalize = groebner._normalize
-        monkeypatch.setattr(groebner, "_normalize",
-                            lambda t, p: calls.append(None) or normalize(t, p))
+
+        def spy_normalize(t, p):
+            twice.append(any(t is s for s in calls))
+            out = normalize(t, p)
+            calls.append(out)
+            return out
+
+        monkeypatch.setattr(groebner, "_normalize", spy_normalize)
         interreduced = []
         interreduce = groebner._interreduce
 
@@ -769,7 +782,8 @@ class TestNormalizedOnce:
                 assert all(rec["status"] == "ok"
                            for rec in _replay(stem, field))
         assert wrapped and not any(wrapped)
-        assert interreduced and all(n == m for n, m in interreduced)
+        assert twice and not any(twice)
+        assert interreduced and all(n <= m for n, m in interreduced)
 
     @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
     def test_wrapped_elements_are_normalized(self, field, monkeypatch):
@@ -787,6 +801,74 @@ class TestNormalizedOnce:
         for stem in CORPUS:
             _replay(stem, field)
         assert seen and all(seen)
+
+
+class TestSettledTails:
+    """_interreduce reduces a tail only when a lead of another element
+    divides a term of it; it returns what the full interreduction
+    returns."""
+
+    @staticmethod
+    def _checked(verdicts):
+        """_interreduce, appending to verdicts whether each call agrees
+        with the full interreduction of its input."""
+        real = groebner._interreduce
+
+        def checked(elts, po):
+            out = real(elts, po)
+            verdicts.append(out == interreduce_fully(elts, po))
+            return out
+
+        return mock.patch.object(groebner, "_interreduce", checked)
+
+    @given(elimination_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_bases_match_full_interreduction(self, drawn):
+        # eliminate keeps a part (graded on homogeneous input), and a
+        # Bayer basis is a GroebnerBasis with no engine history
+        ring, gens, drop, series = drawn
+        verdicts = []
+        with self._checked(verdicts):
+            eliminate(gens, drop, ring=ring, series=series)
+            gb = groebner_basis(gens, ring=ring)
+            if all(g.is_homogeneous() for g in gens):
+                groebner._reduced_grevlex(
+                    groebner._divide_out(gb, ring.nvars - 1))
+        assert verdicts and all(verdicts)
+
+    @given(graded_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_syzygies_match_full_interreduction(self, mat):
+        verdicts = []
+        with self._checked(verdicts):
+            syzygies(mat)
+        assert verdicts and all(verdicts)
+
+    @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+    def test_reduced_basis_is_not_reduced_again(self, monkeypatch, field):
+        # the bases of two intersections, one by elimination and one by
+        # lcms, come back from _reduced_grevlex with no reduction; a
+        # basis whose tail a lead divides is reduced
+        ring = PolyRing(("x0", "x1", "x2"), field)
+        x0, x1, x2 = ring.gens
+        quadrics = Ideal(ring, [x0 * x1 - x2**2, x1**2 - x0 * x2])
+        bases = [quadrics.intersect(Ideal(ring, [x0])).groebner(),
+                 Ideal(ring, [x0**2, x1 * x2]).intersect(
+                     Ideal(ring, [x0 * x1, x2**3])).groebner()]
+        calls = []
+        reduce = groebner._reduce
+        monkeypatch.setattr(groebner, "_reduce",
+                            lambda *a, **k: calls.append(None)
+                            or reduce(*a, **k))
+        for gb in bases:
+            assert _strs(groebner._reduced_grevlex(gb).polys) == _strs(
+                gb.polys)
+        assert not calls
+        po = ring._packed
+        k0, k1 = po.encode((1, 0, 0)), po.encode((0, 1, 0))
+        again = groebner._reduced_grevlex(
+            groebner.GroebnerBasis(po, None, [{k1: 1}, {k0: 1, k1: 1}]))
+        assert len(calls) == 1 and _strs(again.polys) == ["x1", "x0"]
 
 
 class TestDeadline:

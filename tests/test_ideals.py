@@ -3,6 +3,7 @@
 import math
 import random
 import time
+from itertools import combinations_with_replacement
 
 import hypothesis.strategies as st
 import pytest
@@ -17,8 +18,9 @@ from cremona.rees import rees_ideal, subalgebra_presentation
 from cremona.rings import FormMatrix, GF, PolyRing, QQ
 from cremona.symbolic import SaturationTarget, SymbolicFiltration
 
-from oracles import (minimal_generators, power_gens, radical_contains,
-                     random_form, random_homogeneous_ideal,
+from oracles import (intersect_by_elimination, minimal_generators,
+                     power_gens, radical_contains, random_form,
+                     random_homogeneous_ideal,
                      same_hilbert_polynomial, saturate_by_every_variable,
                      saturate_by_quotients, span_dimension)
 
@@ -137,6 +139,70 @@ class TestColonAndIntersection:
         I = ideal(R3, "x0^2*x2", "x0^2*x1")
         sat, _ = I.saturate(ideal(R3, "x1", "x2"))
         assert sat == ideal(R3, "x0^2")
+
+
+@st.composite
+def monomial_ideal_pairs(draw):
+    """Two monomial ideals of a ring of three to five variables over QQ
+    or GF(32003): terms with coefficients other than 1, some repeated or
+    a multiple of another, and at times the unit ideal."""
+    field = draw(st.sampled_from((QQ, GF(32003))))
+    n = draw(st.integers(3, 5))
+    ring = PolyRing(tuple("x%d" % i for i in range(n)), field)
+    exps = st.tuples(*([st.integers(0, 3)] * n))
+    coeffs = st.integers(-7, 7).filter(bool)
+
+    def side():
+        gens = [ring.from_terms([(e, draw(coeffs))])
+                for e in draw(st.lists(exps, min_size=1, max_size=4))]
+        extra = draw(st.sampled_from(("none", "repeat", "multiple", "unit")))
+        if extra == "repeat":
+            gens.append(gens[0])
+        elif extra == "multiple":
+            gens.append(gens[0] * ring.gens[draw(st.integers(0, n - 1))])
+        elif extra == "unit":
+            gens.append(ring.one * draw(coeffs))
+        return Ideal(ring, draw(st.permutations(gens)))
+
+    return side(), side()
+
+
+class TestMonomialIntersection:
+    """Two monomial ideals intersect by the minimal lcms of their
+    generator pairs; the oracle eliminates as for any other ideals."""
+
+    @given(monomial_ideal_pairs())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_elimination(self, pair):
+        I, J = pair
+        both = I.intersect(J)
+        want = _strs(intersect_by_elimination(I, J).polys)
+        assert _strs(both.gens) == want
+        assert _strs(both.groebner().polys) == want
+
+    @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+    def test_mixed_ideals_eliminate(self, monkeypatch, field):
+        ring = PolyRing(("x0", "x1", "x2"), field)
+        I = ideal(ring, "3*x0^2*x1", "x1*x2^2")
+        J = ideal(ring, "x0*x2 - 2*x1^2")
+        calls = count_calls(monkeypatch)
+        both = I.intersect(J)
+        assert calls["eliminate"] == 1
+        assert _strs(both.gens) == _strs(intersect_by_elimination(I, J).polys)
+
+    def test_deadline_checked(self):
+        # degree-10 monomials in x0..x2 and in x3..x5: all 66^2 lcms are
+        # minimal, and keeping them takes about 3 s (2-vCPU host) of
+        # divisibility tests, with a check before each lcm
+        ring = PolyRing(tuple("x%d" % i for i in range(6)), QQ)
+        I, J = (Ideal(ring, [ring.parse("*".join(c)) for c in
+                             combinations_with_replacement(names, 10)])
+                for names in (ring.names[:3], ring.names[3:]))
+        t0 = time.monotonic()
+        with pytest.raises(DeadlineExceeded):
+            with deadline(0.05):
+                I.intersect(J)
+        assert time.monotonic() - t0 < 0.5
 
 
 @st.composite
@@ -284,14 +350,15 @@ class TestSaturation:
         two Bayer steps, the first from the power's basis with x0, x1 or
         x2 last (three bases, shared through the cache) and the second
         its own basis (five); each of the last four saturations is
-        intersected in (four eliminations), and the power's grevlex
-        basis settles whether the level grew."""
+        intersected in, all of them monomial ideals, so by the lcms of
+        their generator pairs and with no elimination, and the power's
+        grevlex basis settles whether the level grew."""
         fx = fixture("p4-monomial")
         F = SymbolicFiltration(fx.ideal, fx.target)
         P = F.power(ell)
         calls = count_calls(monkeypatch)
         level = F.level(ell)
-        assert calls == {"eliminate": 4, "groebner_basis": 9, "intersect": 4}
+        assert calls == {"eliminate": 0, "groebner_basis": 9, "intersect": 4}
         want, _ = saturate_by_quotients(P, fx.target.payload)
         assert [str(g) for g in level.gens] == [str(g) for g in want.gens]
 
