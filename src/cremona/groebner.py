@@ -27,9 +27,9 @@ import heapq
 from math import gcd, lcm
 from operator import mul
 
-from .rings import (_MAXF, DeadlineExceeded, FormMatrix, MonomialOrder,
-                    PolyRing, Polynomial, _canonical, _packed_order,
-                    _primitive, check_deadline, deadline)
+from .rings import (_GUARD, _MAXF, _W, DeadlineExceeded, FormMatrix,
+                    MonomialOrder, PolyRing, Polynomial, _canonical,
+                    _packed_order, _primitive, check_deadline, deadline)
 
 __all__ = [
     "DeadlineExceeded",
@@ -249,17 +249,34 @@ def _monomial_min(gens):
     return tuple(sorted(out))
 
 
+def _lcm_sum(gens, weights):
+    """The sum over the subsets S of gens of (-1)^|S| z^deg lcm(S), the
+    numerator of R/M by inclusion-exclusion; {} for the unit ideal."""
+    subsets = [((0,) * len(weights), 1)]
+    for e in gens:
+        subsets += [(tuple(map(max, m, e)), -s) for m, s in subsets]
+    res = {}
+    for m, s in subsets:
+        d = sum(map(mul, m, weights))
+        res[d] = res.get(d, 0) + s
+    return {d: c for d, c in res.items() if c}
+
+
 def _hilbert_numerator(gens, weights, cache=None):
     """Numerator N of the Hilbert series N(z) / prod(1 - z^w_i) of R/M,
     M the monomial ideal of the exponent vectors gens and w_i the
     positive weights of the variables; {degree: coefficient}.
 
     A variable x among the generators gives the factor 1 - z^w(x) and
-    takes out every generator it divides.  Pure powers alone give a
-    product of such factors.  Otherwise the pivot is the variable x in
-    most mixed generators: N(M) = N(M + (x)) + z^w(x) N(M : x) (Bigatti,
-    "Computation of Hilbert-Poincare series", JPAA 119 (1997)).
+    takes out every generator it divides.  At most four minimal
+    generators left give N by inclusion-exclusion over the lcms of their
+    subsets (see _lcm_sum), and pure powers alone a product of factors
+    1 - z^w(e).  Otherwise the pivot is the variable x in most mixed
+    generators: N(M) = N(M + (x)) + z^w(x) N(M : x) (Bigatti,
+    "Computation of Hilbert-Poincare series", JPAA 119 (1997)).  The
+    deadline is checked once per call.
     """
+    check_deadline()
     if cache is None:
         cache = {}
     lin = {e.index(1) for e in gens if sum(e) == 1}
@@ -268,10 +285,8 @@ def _hilbert_numerator(gens, weights, cache=None):
     gens = _monomial_min(gens)
     res = cache.get(gens)
     if res is None:
-        if not gens:
-            res = {0: 1}
-        elif not any(gens[0]):
-            res = {}
+        if len(gens) <= 4:
+            res = _lcm_sum(gens, weights)
         else:
             counts = {}
             for e in gens:
@@ -311,12 +326,25 @@ class _HilbertBound:
     z^d HS(R/(LT : m)).  Its coefficient in degree D, rem, counts the
     leads of degree D still missing at most: a new element of degree D
     lowers it by one, and at 0 the basis is complete in degree D.
+
+    leads are the minimal leads so far, each packed into one integer
+    with a field of _W bits per variable, exponent e_i at bit _W * i:
+    no exponent passes _MAXF, so the top (guard) bit of every field
+    stays clear.  Subtracting m from a lead with every guard set, a
+    field borrows from its guard exactly where m's exponent is the
+    larger: the fields that keep their guard hold the generator k : m
+    of the colon, and m divides the lead k when every field keeps it.
     """
 
-    __slots__ = ("weights", "num", "leads", "counts", "deg", "rem")
+    __slots__ = ("weights", "shifts", "guards", "linear", "num", "leads",
+                 "counts", "deg", "rem")
 
     def __init__(self, weights, target):
         self.weights = weights
+        self.shifts = tuple(range(0, _W * len(weights), _W))
+        self.guards = sum(_GUARD << s for s in self.shifts)
+        # each variable, packed, with its weight
+        self.linear = {1 << s: w for s, w in zip(self.shifts, weights)}
         self.num = _series_add({0: 1}, target, 0, -1)
         self.leads = []
         # counts[e]: monomials of degree e
@@ -325,14 +353,52 @@ class _HilbertBound:
         self.rem = None
 
     def add(self, lead, d):
-        """Account for a new lead (exponent vector) of degree d."""
-        colon = [tuple(a - b if a > b else 0 for a, b in zip(m, lead))
-                 for m in self.leads]
-        self.num = _series_add(self.num,
-                               _hilbert_numerator(colon, self.weights), d, -1)
-        self.leads = [m for m in self.leads
-                      if not all(a <= b for a, b in zip(lead, m))]
-        self.leads.append(lead)
+        """Account for a new lead (exponent vector) of degree d.
+
+        A colon whose minimal generators are all variables has the
+        numerator prod(1 - z^w_i); otherwise the generators that no
+        variable among them divides are minimalized, decoded once and
+        handed to _hilbert_numerator."""
+        m = sum(e << s for e, s in zip(lead, self.shifts))
+        g = self.guards
+        linear = self.linear
+        leads = []
+        colon = []
+        # the fields of the variables among the colon's generators
+        lin = 0
+        for k in self.leads:
+            t = (k | g) - m
+            take = t & g
+            if take != g:
+                leads.append(k)
+            take -= take >> (_W - 1)
+            c = t & take
+            if c in linear:
+                lin |= c * _MAXF
+            else:
+                colon.append(c)
+        leads.append(m)
+        self.leads = leads
+        rest = sorted(c for c in colon if not c & lin)
+        # a zero generator, of a lead dividing m, makes the colon the
+        # unit ideal, whose numerator is 0; sorted keys put a divisor first
+        if not rest or rest[0]:
+            mins = []
+            for c in rest:
+                cg = c | g
+                for a in mins:
+                    if (cg - a) & g == g:
+                        break
+                else:
+                    mins.append(c)
+            shifts = self.shifts
+            num = _hilbert_numerator(
+                [tuple((c >> s) & _MAXF for s in shifts) for c in mins],
+                self.weights) if mins else {0: 1}
+            for c, w in linear.items():
+                if c & lin:
+                    num = _series_add(num, num, w, -1)
+            self.num = _series_add(self.num, num, d, -1)
         if d == self.deg and self.rem:
             self.rem -= 1
 
@@ -445,18 +511,24 @@ class _Engine:
         needs a look.  A pair with coprime leads, or of two monomials,
         has an S-polynomial that reduces to zero by the pair itself (of
         two monomials it is zero): it is kept for the chain criterion and
-        never queued."""
+        never queued.  Divisibility is PackedOrder.divides' borrow test,
+        written out on the split keys."""
         po = self.po
         elts = self.elts
         pairs = self.pairs
         heap = self.heap
         lcmf = po.lcm
-        divides = po.divides
+        down = po.down
+        up = po.up
+        guards = po.guards
         degree = self.degree
         ideal = self.ideal
         key0 = po.key0
         h = elts[hidx]
         lmh = h.key
+        # lmh split as a divisor
+        hu = lmh & up | guards
+        hd = lmh & down
         mono = len(h.terms) == 1
         cand = []
         for g in elts:
@@ -467,18 +539,28 @@ class _Engine:
         cand.sort()
         last = len(cand) - 1
         kept = []
+        # the kept lcms, split as divisors: (key & up | guards, key & down)
+        splits = []
         for pos, (lk, gi) in enumerate(cand):
             g = elts[gi]
             cop = ((mono and len(g.terms) == 1)
                    or (ideal and lk == lmh + g.key - key0))
+            ld = lk & down
+            lu = lk & up
             if not cop:
                 if pos < last and cand[pos + 1][0] == lk:
                     continue
-                if any(divides(l2, lk) for l2, _g, _c in kept):
+                divided = False
+                for su, sd in splits:
+                    if ((ld | su) - (sd | lu)) & guards == guards:
+                        divided = True
+                        break
+                if divided:
                     continue
             kept.append((lk, gi, cop))
+            splits.append((lu | guards, ld))
         for key, (sug, lk) in list(pairs.items()):
-            if divides(lmh, lk):
+            if ((lk & down | hu) - (hd | lk & up)) & guards == guards:
                 i, j = key
                 if lcmf(elts[i].key, lmh) != lk and lcmf(lmh, elts[j].key) != lk:
                     del pairs[key]
@@ -491,8 +573,10 @@ class _Engine:
             pairs[(gi, hidx)] = (sug, lk)
             heapq.heappush(heap, (sug, lk, gi, hidx))
         for g in elts:
-            if g.alive and g.idx != hidx and divides(lmh, g.key):
-                g.alive = False
+            if g.alive and g.idx != hidx:
+                k = g.key
+                if ((k & down | hu) - (hd | k & up)) & guards == guards:
+                    g.alive = False
         self.dirty = True
 
     def run(self, upto=None):

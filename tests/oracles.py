@@ -35,7 +35,11 @@ presentation, where the program reads the image off the presentation's
 basis; the chain oracle tests every minimal generator of the Rees ideal
 for membership in the chain's ideal, where the program compares leads.
 The pair-update oracle queues the pairs of two monomials, as the engine
-did before it treated them as coprime pairs.  The Rees minimal
+did before it treated them as coprime pairs; the pair update by divides
+is the engine's before it wrote the borrow test out.  The Hilbert bound
+on exponent tuples is the engine's before it packed its leads, and its
+numerator is Bigatti's recursion alone, without the base case by
+inclusion-exclusion.  The Rees minimal
 generators come from the graded minimalization of the presentation's
 basis that the program ran before its Jacobian dual read the basis's
 x-linear elements; the Jacobian dual of those generators is the
@@ -57,13 +61,14 @@ import itertools
 import re
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from unittest import mock
 
 from cremona import groebner
 from cremona.fixtures import polar_quartic
 from cremona.groebner import (_hilbert_numerator, _minimal_subset,
-                              _reduced_grevlex, eliminate, groebner_basis,
-                              syzygies)
+                              _monomial_min, _reduced_grevlex, _series_add,
+                              eliminate, groebner_basis, syzygies)
 from cremona.ideals import Ideal, _fresh_names, _inside, _one_minus_t_part
 from cremona.linalg import Echelon
 from cremona.maps import InverseData, _compose, _factor_from
@@ -839,6 +844,200 @@ def groebner_basis_queueing_monomial_pairs(gens, order=None, ring=None):
     with mock.patch.object(groebner._Engine, "update",
                            _update_queueing_monomial_pairs):
         return groebner_basis(gens, order=order, ring=ring)
+
+
+# -- the Hilbert bound on exponent tuples, the pair update by divides --
+
+
+def hilbert_numerator_by_bigatti(gens, weights, cache=None):
+    """groebner._hilbert_numerator as it was before its base case by
+    inclusion-exclusion and its deadline check: Bigatti's recursion alone.
+
+    Numerator N of the Hilbert series N(z) / prod(1 - z^w_i) of R/M,
+    M the monomial ideal of the exponent vectors gens and w_i the
+    positive weights of the variables; {degree: coefficient}.
+
+    A variable x among the generators gives the factor 1 - z^w(x) and
+    takes out every generator it divides.  Pure powers alone give a
+    product of such factors.  Otherwise the pivot is the variable x in
+    most mixed generators: N(M) = N(M + (x)) + z^w(x) N(M : x) (Bigatti,
+    "Computation of Hilbert-Poincare series", JPAA 119 (1997)).
+    """
+    if cache is None:
+        cache = {}
+    lin = {e.index(1) for e in gens if sum(e) == 1}
+    if lin:
+        gens = [e for e in gens if not any(e[i] for i in lin)]
+    gens = _monomial_min(gens)
+    res = cache.get(gens)
+    if res is None:
+        if not gens:
+            res = {0: 1}
+        elif not any(gens[0]):
+            res = {}
+        else:
+            counts = {}
+            for e in gens:
+                if sum(1 for x in e if x) > 1:
+                    for i, x in enumerate(e):
+                        if x:
+                            counts[i] = counts.get(i, 0) + 1
+            if not counts:
+                res = {0: 1}
+                for e in gens:
+                    res = _series_add(res, res, sum(map(mul, e, weights)),
+                                      -1)
+            else:
+                piv = max(counts, key=lambda i: (counts[i], -i))
+                colon = [e[:piv] + (e[piv] - 1,) + e[piv + 1:] if e[piv]
+                         else e for e in gens]
+                plus = [e for e in gens if not e[piv]]
+                plus.append(tuple(int(i == piv)
+                                   for i in range(len(gens[0]))))
+                res = _series_add(
+                    hilbert_numerator_by_bigatti(plus, weights, cache),
+                    hilbert_numerator_by_bigatti(colon, weights, cache),
+                    weights[piv])
+        cache[gens] = res
+    for i in lin:
+        res = _series_add(res, res, weights[i], -1)
+    return res
+
+
+class HilbertBoundOnTuples:
+    """groebner._HilbertBound as it was before it packed its leads:
+    exponent tuples, colons and pruning by comprehensions.
+
+    Hilbert-function bound of a homogeneous Buchberger run (Traverso,
+    "Hilbert functions and the Buchberger algorithm", J. Symbolic Comput.
+    22 (1996)).
+
+    num is the numerator, over prod(1 - z^w_i), of the series of R/LT
+    minus the target series, LT the ideal of the leads so far; each new
+    lead m of degree d updates it by HS(R/(LT + m)) = HS(R/LT) -
+    z^d HS(R/(LT : m)).  Its coefficient in degree D, rem, counts the
+    leads of degree D still missing at most: a new element of degree D
+    lowers it by one, and at 0 the basis is complete in degree D.
+    """
+
+    __slots__ = ("weights", "num", "leads", "counts", "deg", "rem")
+
+    def __init__(self, weights, target):
+        self.weights = weights
+        self.num = _series_add({0: 1}, target, 0, -1)
+        self.leads = []
+        # counts[e]: monomials of degree e
+        self.counts = [1]
+        self.deg = None
+        self.rem = None
+
+    def add(self, lead, d):
+        """Account for a new lead (exponent vector) of degree d."""
+        colon = [tuple(a - b if a > b else 0 for a, b in zip(m, lead))
+                 for m in self.leads]
+        self.num = _series_add(
+            self.num, hilbert_numerator_by_bigatti(colon, self.weights), d,
+            -1)
+        self.leads = [m for m in self.leads
+                      if not all(a <= b for a, b in zip(lead, m))]
+        self.leads.append(lead)
+        if d == self.deg and self.rem:
+            self.rem -= 1
+
+    def complete(self, d, pairs):
+        """Whether the basis is complete in degree d, the degree of a pair
+        just taken off pairs; then the pending pairs of degree d are
+        dropped.  rem is computed when a new degree has two or more
+        pairs; one alone is cheaper to reduce."""
+        if d != self.deg:
+            self.deg = d
+            self.rem = None
+            if any(v[0] == d for v in pairs.values()):
+                self.rem = self.missing(d)
+                if self.rem < 0:
+                    raise ValueError("the target Hilbert function exceeds "
+                                     "that of the ideal in degree %d" % d)
+        if self.rem != 0:
+            return False
+        for key in [k for k, v in pairs.items() if v[0] == d]:
+            del pairs[key]
+        return True
+
+    def missing(self, d):
+        """HF(R/LT)(d) minus the target's value at d."""
+        counts = self.counts
+        if len(counts) <= d:
+            top = 2 * d
+            counts = [1] + [0] * top
+            for w in self.weights:
+                for e in range(w, top + 1):
+                    counts[e] += counts[e - w]
+            self.counts = counts
+        return sum(c * counts[d - k] for k, c in self.num.items() if k <= d)
+
+
+def update_by_divides(self, hidx):
+    """groebner._Engine.update as it was before it wrote the borrow test
+    out: PackedOrder.divides in any() over the kept candidates, and per
+    pending pair and live element.
+
+    Gebauer-Moeller: new pairs of element hidx, old pairs pruned.
+
+    A candidate's lcm is dropped when another one divides it.  The
+    candidates are sorted by lcm, and a later lcm divides an earlier
+    one only when they are equal, so of the later ones only the next
+    needs a look.  A pair with coprime leads, or of two monomials,
+    has an S-polynomial that reduces to zero by the pair itself (of
+    two monomials it is zero): it is kept for the chain criterion and
+    never queued."""
+    po = self.po
+    elts = self.elts
+    pairs = self.pairs
+    heap = self.heap
+    lcmf = po.lcm
+    divides = po.divides
+    degree = self.degree
+    ideal = self.ideal
+    key0 = po.key0
+    h = elts[hidx]
+    lmh = h.key
+    mono = len(h.terms) == 1
+    cand = []
+    for g in elts:
+        if g.idx != hidx and g.alive:
+            lk = lcmf(lmh, g.key)
+            if lk is not None:
+                cand.append((lk, g.idx))
+    cand.sort()
+    last = len(cand) - 1
+    kept = []
+    for pos, (lk, gi) in enumerate(cand):
+        g = elts[gi]
+        cop = ((mono and len(g.terms) == 1)
+               or (ideal and lk == lmh + g.key - key0))
+        if not cop:
+            if pos < last and cand[pos + 1][0] == lk:
+                continue
+            if any(divides(l2, lk) for l2, _g, _c in kept):
+                continue
+        kept.append((lk, gi, cop))
+    for key, (sug, lk) in list(pairs.items()):
+        if divides(lmh, lk):
+            i, j = key
+            if lcmf(elts[i].key, lmh) != lk and lcmf(lmh, elts[j].key) != lk:
+                del pairs[key]
+    for lk, gi, cop in kept:
+        if cop:
+            continue
+        g = elts[gi]
+        dl = degree(lk)
+        sug = max(g.sugar + dl - g.tdeg, h.sugar + dl - h.tdeg)
+        pairs[(gi, hidx)] = (sug, lk)
+        heapq.heappush(heap, (sug, lk, gi, hidx))
+    for g in elts:
+        if g.alive and g.idx != hidx and divides(lmh, g.key):
+            g.alive = False
+    self.dirty = True
 
 
 def matmul(a, b):

@@ -18,15 +18,16 @@ from cremona.groebner import (DeadlineExceeded, deadline, eliminate,
 from cremona.ideals import Ideal
 from cremona.rees import jacobian_dual, rees_ideal
 from cremona.groebner import _hilbert_numerator
-from cremona.rings import (FormMatrix, GF, MonomialOrder, PolyRing, QQ,
-                           transfer)
+from cremona.rings import (_MAXF, FormMatrix, GF, MonomialOrder, PolyRing,
+                           QQ, transfer)
 
-from oracles import (eliminate_by_full_basis,
+from oracles import (HilbertBoundOnTuples, eliminate_by_full_basis,
                      groebner_basis_queueing_monomial_pairs,
-                     homogeneous_member, interreduce_fully, matmul,
-                     minimal_columns, random_form, random_homogeneous_ideal,
+                     hilbert_numerator_by_bigatti, homogeneous_member,
+                     interreduce_fully, matmul, minimal_columns,
+                     poly_gcd_list, random_form, random_homogeneous_ideal,
                      reduce_two_loops, rees_minimal_generators,
-                     syzygies_by_full_basis)
+                     syzygies_by_full_basis, update_by_divides)
 
 R3 = PolyRing(("x0", "x1", "x2"), QQ)
 # lex on R3: the block order of one variable per group
@@ -144,6 +145,66 @@ def weighted_ideals(draw):
     return ring, weights, order, gens
 
 
+@st.composite
+def numerator_inputs(draw):
+    """Up to eight exponent vectors in one to six variables, zero vectors
+    and variables among them, and positive weights."""
+    n = draw(st.integers(1, 6))
+    weights = tuple(draw(st.lists(st.integers(1, 5), min_size=n,
+                                  max_size=n)))
+    exps = st.tuples(*([st.integers(0, 4)] * n))
+    special = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    special.append((0,) * n)
+    gens = draw(st.lists(st.one_of(exps, exps, st.sampled_from(special)),
+                         max_size=8))
+    return gens, weights
+
+
+@st.composite
+def bound_inputs(draw):
+    """Weights, a sequence of leads and a target for the Hilbert bound,
+    and for each lead the degrees of some pending pairs.
+
+    Leads have one to eight variables and exponents up to 6, with
+    repeats, multiples and divisors of drawn leads among them, and a few
+    pure powers near the field limit (a mixed one would send Bigatti's
+    recursion, which lowers one exponent by one per colon, that deep).
+    The target is the numerator of the ideal of some of the leads."""
+    n = draw(st.integers(1, 8))
+    weights = tuple(draw(st.lists(st.integers(1, 5), min_size=n,
+                                  max_size=n)))
+    small = st.integers(0, 6)
+    leads = draw(st.lists(st.tuples(*([small] * n)), min_size=1,
+                          max_size=10))
+    for _ in range(draw(st.integers(0, 3))):
+        e = draw(st.sampled_from(leads))
+        shift = draw(st.tuples(*([st.integers(0, 2)] * n)))
+        how = draw(st.sampled_from(("repeat", "multiple", "divisor")))
+        if how == "multiple":
+            e = tuple(a + b for a, b in zip(e, shift))
+        elif how == "divisor":
+            e = tuple(max(a - b, 0) for a, b in zip(e, shift))
+        leads.append(e)
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, n - 1))
+        top = draw(st.integers(_MAXF - 2, _MAXF))
+        leads.append(tuple(top if j == i else 0 for j in range(n)))
+    leads = draw(st.permutations(leads))
+    subset = draw(st.lists(st.sampled_from(leads), max_size=len(leads)))
+    target = hilbert_numerator_by_bigatti(subset, weights)
+    pending = draw(st.lists(st.lists(st.integers(0, 12), max_size=4),
+                            min_size=len(leads), max_size=len(leads)))
+    return weights, leads, target, pending
+
+
+def _outcome(call):
+    """call()'s value, or the text of the ValueError it raises."""
+    try:
+        return call()
+    except ValueError as exc:
+        return str(exc)
+
+
 class TestHilbertNumerator:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -171,6 +232,31 @@ class TestHilbertNumerator:
         # variables only: one factor 1 - z^w each
         assert _hilbert_numerator([(1, 0, 0), (0, 0, 1)], (2, 1, 3)) == {
             0: 1, 2: -1, 3: -1, 5: 1}
+
+    @given(numerator_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_bigatti(self, drawn):
+        # the base case by inclusion-exclusion against Bigatti's
+        # recursion alone
+        gens, weights = drawn
+        assert (_hilbert_numerator(gens, weights)
+                == hilbert_numerator_by_bigatti(gens, weights))
+
+    def test_deadline_checked(self):
+        # 600 random monomials of degree 8-16 in 14 variables: the
+        # numerator takes about 2.6 s (2-vCPU host) without a check
+        rng = random.Random(0)
+        gens = []
+        for _ in range(600):
+            e = [0] * 14
+            for _ in range(rng.randint(8, 16)):
+                e[rng.randrange(14)] += 1
+            gens.append(tuple(e))
+        t0 = time.monotonic()
+        with pytest.raises(DeadlineExceeded):
+            with deadline(0.05):
+                _hilbert_numerator(gens, (1,) * 14)
+        assert time.monotonic() - t0 < 0.5
 
 
 class TestHilbertDriven:
@@ -213,6 +299,31 @@ class TestHilbertDriven:
         assert [str(g) for g in results[0].polys] == [
             str(g) for g in results[1].polys]
 
+    def test_composite_pairs_skipped(self, monkeypatch):
+        # the Rees elimination of a quartic sigma o L o sigma, such as the
+        # inverse workload draws, L = [[1, 1, -2], [0, 2, 1], [1, 0, 1]]:
+        # 36 pairs without the bound, 13 with it
+        calls = []
+
+        def spy(gens, drop, ring=None, series=None):
+            calls.append((list(gens), drop, ring, series))
+            return eliminate(gens, drop, ring=ring, series=series)
+
+        monkeypatch.setattr(rees, "eliminate", spy)
+        rees_ideal(_sigma_l_sigma(0))
+        monkeypatch.undo()
+        (gens, drop, ring, series), = calls
+        count = _count_spolys(monkeypatch)
+        counts = []
+        results = []
+        for s in (None, series):
+            count[0] = 0
+            results.append(eliminate(gens, drop, ring=ring, series=s))
+            counts.append(count[0])
+        assert counts == [36, 13]
+        assert [str(g) for g in results[0].polys] == [
+            str(g) for g in results[1].polys]
+
     def test_target_above_the_ideal_raises(self):
         # the twisted cubic; the series of R itself is above that of R/I
         R4 = PolyRing(("x0", "x1", "x2", "x3"), QQ)
@@ -232,6 +343,103 @@ class TestHilbertDriven:
         assert [str(p) for p in gb.polys] == ["x0^2 - x1"]
         with pytest.raises(ValueError, match="positive integers"):
             groebner_basis(gens, series=((1, 2, 0), {0: 1, 2: -1}))
+
+
+class TestPackedBound:
+    """_HilbertBound keeps its leads packed and builds colons by the
+    borrow test; the reference builds them on exponent tuples."""
+
+    @given(bound_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_tuple_bound(self, drawn):
+        weights, leads, target, pending = drawn
+        packed = groebner._HilbertBound(weights, target)
+        tuples = HilbertBoundOnTuples(weights, target)
+        for lead, degs in zip(leads, pending):
+            d = sum(a * w for a, w in zip(lead, weights))
+            packed.add(lead, d)
+            tuples.add(lead, d)
+            assert packed.num == tuples.num
+            assert ([packed.missing(k) for k in range(13)]
+                    == [tuples.missing(k) for k in range(13)])
+            pairs = {(k, 0): (e, 0) for k, e in enumerate(degs)}
+            mine = dict(pairs)
+            for e in degs:
+                assert (_outcome(lambda: packed.complete(e, mine))
+                        == _outcome(lambda: tuples.complete(e, pairs)))
+                assert mine == pairs
+
+
+def _logged_run(update, run):
+    """run() with _Engine.update replaced by update, logging the pending
+    pairs and the alive flags after every update; (result, log, number
+    of S-polynomials)."""
+    log = []
+    spolys = [0]
+    real_spoly = groebner._spoly
+
+    def logged(self, hidx):
+        update(self, hidx)
+        log.append((dict(self.pairs), [g.alive for g in self.elts]))
+
+    def counting(*args):
+        spolys[0] += 1
+        return real_spoly(*args)
+
+    with mock.patch.object(groebner._Engine, "update", logged), \
+            mock.patch.object(groebner, "_spoly", counting):
+        result = run()
+    return result, log, spolys[0]
+
+
+class TestPairUpdate:
+    """_Engine.update writes the borrow test out; the reference calls
+    PackedOrder.divides.  Both keep the same pairs after every update."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_update_by_divides(self, data):
+        kind = data.draw(st.sampled_from(("basis", "eliminate",
+                                          "syzygies")))
+        if kind == "syzygies":
+            mat = data.draw(graded_matrices())
+
+            def run():
+                return [_strs(row) for row in syzygies(mat).entries]
+        else:
+            ring, gens, drop, series = data.draw(elimination_inputs())
+
+            def run():
+                if kind == "basis":
+                    return _strs(groebner_basis(gens, ring=ring,
+                                                series=series).polys)
+                return _strs(eliminate(gens, drop, ring=ring,
+                                       series=series).polys)
+        assert (_logged_run(groebner._Engine.update, run)
+                == _logged_run(update_by_divides, run))
+
+
+def _sigma_l_sigma(seed):
+    """sigma o L o sigma over QQ, sigma the standard quadratic map and L
+    the first invertible integer matrix with entries in [-2, 2] that
+    random.Random(seed) draws and that leaves quartic forms once their
+    common factor is divided out."""
+    sigma = list(fixtures.standard_quadratic().spec.forms)
+    ring = sigma[0].ring
+    rng = random.Random(seed)
+    while True:
+        m = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
+        if not FormMatrix(ring, [[ring.one * c for c in row]
+                                 for row in m]).det():
+            continue
+        inner = [sum((c * f for c, f in zip(row, sigma)), ring.zero)
+                 for row in m]
+        forms = [f.substitute(dict(zip(ring.names, inner)), ring=ring)
+                 for f in sigma]
+        common = poly_gcd_list(forms)
+        forms = [f.exact_divide(common) for f in forms]
+        if forms[0].homogeneous_degree() == 4:
+            return Ideal(ring, forms)
 
 
 class TestPairCriteria:
