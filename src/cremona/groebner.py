@@ -251,13 +251,23 @@ def _monomial_min(gens):
 
 def _lcm_sum(gens, weights):
     """The sum over the subsets S of gens of (-1)^|S| z^deg lcm(S), the
-    numerator of R/M by inclusion-exclusion; {} for the unit ideal."""
-    subsets = [((0,) * len(weights), 1)]
+    numerator of R/M by inclusion-exclusion; {} for the unit ideal.  The
+    lcm of S and a generator e differs from lcm(S) only on the support
+    of e, and so does its degree."""
+    subsets = [((0,) * len(weights), 0, 1)]
     for e in gens:
-        subsets += [(tuple(map(max, m, e)), -s) for m, s in subsets]
+        support = [(i, x, weights[i]) for i, x in enumerate(e) if x]
+        more = []
+        for m, d, s in subsets:
+            m = list(m)
+            for i, x, w in support:
+                if x > m[i]:
+                    d += w * (x - m[i])
+                    m[i] = x
+            more.append((m, d, -s))
+        subsets += more
     res = {}
-    for m, s in subsets:
-        d = sum(map(mul, m, weights))
+    for _m, d, s in subsets:
         res[d] = res.get(d, 0) + s
     return {d: c for d, c in res.items() if c}
 
@@ -328,23 +338,25 @@ class _HilbertBound:
     lowers it by one, and at 0 the basis is complete in degree D.
 
     leads are the minimal leads so far, each packed into one integer
-    with a field of _W bits per variable, exponent e_i at bit _W * i:
-    no exponent passes _MAXF, so the top (guard) bit of every field
-    stays clear.  Subtracting m from a lead with every guard set, a
-    field borrows from its guard exactly where m's exponent is the
-    larger: the fields that keep their guard hold the generator k : m
-    of the colon, and m divides the lead k when every field keeps it.
+    with a field of _W bits per variable, exponent e_i at bit shifts[i]:
+    the engine hands over the complement fields of a lead's key XOR
+    _MAXF (see PackedOrder).  No exponent passes _MAXF, so the top
+    (guard) bit of every field stays clear.  Subtracting m from a lead
+    with every guard set, a field borrows from its guard exactly where
+    m's exponent is the larger: the fields that keep their guard hold
+    the generator k : m of the colon, and m divides the lead k when
+    every field keeps it.
     """
 
     __slots__ = ("weights", "shifts", "guards", "linear", "num", "leads",
                  "counts", "deg", "rem")
 
-    def __init__(self, weights, target):
+    def __init__(self, weights, target, shifts):
         self.weights = weights
-        self.shifts = tuple(range(0, _W * len(weights), _W))
-        self.guards = sum(_GUARD << s for s in self.shifts)
+        self.shifts = shifts
+        self.guards = sum(_GUARD << s for s in shifts)
         # each variable, packed, with its weight
-        self.linear = {1 << s: w for s, w in zip(self.shifts, weights)}
+        self.linear = {1 << s: w for s, w in zip(shifts, weights)}
         self.num = _series_add({0: 1}, target, 0, -1)
         self.leads = []
         # counts[e]: monomials of degree e
@@ -352,14 +364,13 @@ class _HilbertBound:
         self.deg = None
         self.rem = None
 
-    def add(self, lead, d):
-        """Account for a new lead (exponent vector) of degree d.
+    def add(self, m, d):
+        """Account for a new lead m, packed, of degree d.
 
         A colon whose minimal generators are all variables has the
         numerator prod(1 - z^w_i); otherwise the generators that no
         variable among them divides are minimalized, decoded once and
         handed to _hilbert_numerator."""
-        m = sum(e << s for e, s in zip(lead, self.shifts))
         g = self.guards
         linear = self.linear
         leads = []
@@ -477,7 +488,7 @@ class _Engine:
             self.bound = None
         else:
             self.degree = po.grading(series[0])
-            self.bound = _HilbertBound(*series)
+            self.bound = _HilbertBound(*series, po.shifts)
 
     def view(self):
         """The alive elements, ascending lead keys."""
@@ -499,7 +510,9 @@ class _Engine:
         d = self.degree(key)
         self.elts.append(_Elt(key, terms, d, sugar, idx, self.po))
         if self.bound is not None:
-            self.bound.add(self.po.decode(key), d)
+            # the exponents of key: its complement fields XOR _MAXF
+            up = self.po.up
+            self.bound.add((key & up) ^ up, d)
         self.update(idx)
 
     def update(self, hidx):
@@ -511,8 +524,9 @@ class _Engine:
         needs a look.  A pair with coprime leads, or of two monomials,
         has an S-polynomial that reduces to zero by the pair itself (of
         two monomials it is zero): it is kept for the chain criterion and
-        never queued.  Divisibility is PackedOrder.divides' borrow test,
-        written out on the split keys."""
+        never queued.  An element whose lead the new lead divides, the
+        lcm of the two, is no longer alive.  Divisibility is
+        PackedOrder.divides' borrow test, written out on the split keys."""
         po = self.po
         elts = self.elts
         pairs = self.pairs
@@ -536,6 +550,8 @@ class _Engine:
                 lk = lcmf(lmh, g.key)
                 if lk is not None:
                     cand.append((lk, g.idx))
+                    if lk == g.key:
+                        g.alive = False
         cand.sort()
         last = len(cand) - 1
         kept = []
@@ -572,11 +588,6 @@ class _Engine:
             sug = max(g.sugar + dl - g.tdeg, h.sugar + dl - h.tdeg)
             pairs[(gi, hidx)] = (sug, lk)
             heapq.heappush(heap, (sug, lk, gi, hidx))
-        for g in elts:
-            if g.alive and g.idx != hidx:
-                k = g.key
-                if ((k & down | hu) - (hd | k & up)) & guards == guards:
-                    g.alive = False
         self.dirty = True
 
     def run(self, upto=None):

@@ -19,7 +19,7 @@ from cremona.ideals import Ideal
 from cremona.rees import jacobian_dual, rees_ideal
 from cremona.groebner import _hilbert_numerator
 from cremona.rings import (_MAXF, FormMatrix, GF, MonomialOrder, PolyRing,
-                           QQ, transfer)
+                           QQ, _packed_order, transfer)
 
 from oracles import (HilbertBoundOnTuples, eliminate_by_full_basis,
                      groebner_basis_queueing_monomial_pairs,
@@ -162,15 +162,21 @@ def numerator_inputs(draw):
 
 @st.composite
 def bound_inputs(draw):
-    """Weights, a sequence of leads and a target for the Hilbert bound,
-    and for each lead the degrees of some pending pairs.
+    """A term order, weights, a sequence of leads and a target for the
+    Hilbert bound, and for each lead the degrees of some pending pairs.
 
-    Leads have one to eight variables and exponents up to 6, with
-    repeats, multiples and divisors of drawn leads among them, and a few
-    pure powers near the field limit (a mixed one would send Bigatti's
-    recursion, which lowers one exponent by one per colon, that deep).
-    The target is the numerator of the ideal of some of the leads."""
+    The order, grevlex or a block order, lays out the fields the bound
+    packs the leads in.  Leads have one to eight variables and exponents
+    up to 6, with repeats, multiples and divisors of drawn leads among
+    them, and a few pure powers near the field limit (a mixed one would
+    send Bigatti's recursion, which lowers one exponent by one per colon,
+    that deep).  The target is the numerator of the ideal of some of the
+    leads."""
     n = draw(st.integers(1, 8))
+    ring = PolyRing(tuple("x%d" % i for i in range(n)), QQ)
+    cut = draw(st.integers(0, n - 1))
+    order = (MonomialOrder.block(ring.names[:cut], ring.names[cut:]) if cut
+             else MonomialOrder.grevlex())
     weights = tuple(draw(st.lists(st.integers(1, 5), min_size=n,
                                   max_size=n)))
     small = st.integers(0, 6)
@@ -194,7 +200,7 @@ def bound_inputs(draw):
     target = hilbert_numerator_by_bigatti(subset, weights)
     pending = draw(st.lists(st.lists(st.integers(0, 12), max_size=4),
                             min_size=len(leads), max_size=len(leads)))
-    return weights, leads, target, pending
+    return _packed_order(ring, order), weights, leads, target, pending
 
 
 def _outcome(call):
@@ -352,12 +358,14 @@ class TestPackedBound:
     @given(bound_inputs())
     @settings(max_examples=300, deadline=None)
     def test_matches_tuple_bound(self, drawn):
-        weights, leads, target, pending = drawn
-        packed = groebner._HilbertBound(weights, target)
+        po, weights, leads, target, pending = drawn
+        packed = groebner._HilbertBound(weights, target, po.shifts)
         tuples = HilbertBoundOnTuples(weights, target)
         for lead, degs in zip(leads, pending):
             d = sum(a * w for a, w in zip(lead, weights))
-            packed.add(lead, d)
+            # the exponent fields of the lead's key, as _Engine.add
+            # hands them
+            packed.add((po.encode(lead) & po.up) ^ po.up, d)
             tuples.add(lead, d)
             assert packed.num == tuples.num
             assert ([packed.missing(k) for k in range(13)]
